@@ -123,7 +123,7 @@ func wormsimEngineModel() *EngineModel {
 			// Scalar SoA arrays -> canonical VC state components.
 			"vcMsg": "msg", "vcNode": "node", "vcFlits": "flits",
 			"vcRecvd": "recvd", "vcSent": "sent", "vcReady": "ready",
-			"vcOut": "out", "vcRouted": "out", "vcCh": "ch",
+			"vcOut": "out", "vcCh": "ch",
 			"vcClass": "class", "vcAIdx": "aIdx",
 			// Batch hot-state fields -> the same components.
 			"hotA.out": "out", "hotA.ready": "ready", "hotA.flits": "flits",

@@ -77,12 +77,10 @@ type ReplicaFault struct {
 
 // vcHot packs the per-slot state the cycle path reads and writes together —
 // output allocation, router-pipeline readiness, the holding node and the
-// three flit counters — into one 32-byte record. The scalar engine's
-// vcRouted flag is folded away: a header is routed iff out.ch != outNone
-// (route sets both in one place), which the scalar layout keeps as a
-// separate bool only because its arrays predate the packed record. The zero
-// value is NOT an unrouted header — outRoute's zero ch is a real channel —
-// so every slot activation must write out.ch = outNone explicitly.
+// three flit counters — into one 32-byte record. As in the scalar engine a
+// header is routed iff out.ch != outNone. The zero value is NOT an unrouted
+// header — outRoute's zero ch is a real channel — so every slot activation
+// must write out.ch = outNone explicitly.
 type vcHot struct {
 	out   outRoute
 	ready int64
@@ -132,11 +130,10 @@ type batchReplica struct {
 	occ    []uint64
 
 	// headerIDs lists the slot ids holding an arrived, unrouted header —
-	// the only slots the allocation phase can act on. The scalar engine
-	// rediscovers them by scanning the whole active list from a rotating
-	// start; the batch engine visits exactly these ids in the same rotated
-	// position order, a shortcut kept batch-only so the scalar hot path
-	// stays the reference transcription.
+	// the only slots the allocation phase can act on — visited each cycle in
+	// rotated active-position order. The scalar engine keeps the same set as
+	// a position bitset and takes blocked headers off it until a release
+	// wakes them; every header here is retried every cycle.
 	headerIDs []int32
 
 	injFree  []int32
@@ -208,9 +205,10 @@ func (rep *batchReplica) dropHeaderID(id int32) {
 // Every replica is bit-identical to a scalar Network built from the same
 // config and seed: the per-replica control flow reproduces the scalar
 // cycle's decisions exactly (same iteration orders, same RNG draw order,
-// same arbitration), only the memory layout, the arrival-draw batching and
-// the allocation phase's header shortlist differ — each a pure reordering
-// or exact shortcut of the scalar scan. A replica that finishes (converged,
+// same arbitration); only the memory layout, the arrival-draw batching and
+// the bookkeeping that finds the slots with work differ (a retried header
+// shortlist and a full transfer sweep here, parked headers and transfer marks
+// there) — each visits the same slots in the same order. A replica that finishes (converged,
 // or faulted) leaves the live set via Deactivate's dense swap-remove, so
 // surviving replicas don't pay for it.
 type BatchNetwork struct {

@@ -117,7 +117,7 @@ func (b *BatchNetwork) drawArrivals() {
 // Network.inject).
 //
 //lint:parity draws the arrival draw happens once in Step's batched sweep; injectR consumes the staged arrivals
-//lint:parity writes the scalar engine refills its arrivals scratch and seeds the new slot's counters inline; the batch engine seeds slots through setActive and records fresh headers in headerIDs
+//lint:parity writes the scalar engine refills its arrivals scratch and seeds the new slot's counters inline; the batch engine seeds slots through setActive and records fresh headers in headerIDs (hdrBits on the scalar side)
 func (b *BatchNetwork) injectR(rep *batchReplica) {
 	for _, a := range rep.arrivals {
 		rep.window.Generated++
@@ -182,15 +182,15 @@ func (b *BatchNetwork) growSlots() {
 
 // allocateR routes rep's arrived, unrouted headers (scalar
 // Network.allocate). The rotation draw is consumed unconditionally — it is
-// part of the replica's RNG sequence — but instead of the scalar engine's
-// full active scan from the rotated start, the headers come straight off
-// rep.headerIDs, visited in the position order the rotated scan would reach
-// them; slots that are not headers are skipped by that scan without side
-// effects, so the shortlist routes exactly what the scan routes.
+// part of the replica's RNG sequence — and the headers come straight off
+// rep.headerIDs, sorted into active-position order from the rotated start.
+// The scalar engine reaches the same order through its pending-position
+// bitset and additionally parks blocked headers until a release wakes them;
+// this engine retries every unrouted header every cycle, which makes it the
+// independent check on that shortcut (a parked header's retry must fail
+// without side effects, or the bit-identity tests diverge).
 //
-//lint:parity calls tryRouteR is expanded at both the single-header and sorted-shortlist call sites, so the scalar scan's one route/foreBlocked sequence appears once per site
-//lint:parity hooks the same duplication: each expanded tryRouteR carries its own HeadBlocked emission
-//lint:parity writes the rotated header shortlist (headerIDs, hdrOrd) is batch-only staging
+//lint:parity writes the header shortlist is headerIDs and hdrOrd here, the pending bitset and parked lists (hdrBits, parkHead, parkNext) on the scalar side
 func (b *BatchNetwork) allocateR(rep *batchReplica) {
 	count := len(rep.active)
 	if count == 0 {
@@ -229,9 +229,9 @@ func (b *BatchNetwork) allocateR(rep *batchReplica) {
 	}
 }
 
-// tryRouteR applies the scalar allocation scan's per-header gates (router
-// pipeline readiness, injection-port budget) and routes the header, exactly
-// as the scan does when it reaches this slot.
+// tryRouteR applies the per-header gates (router pipeline readiness,
+// injection-port budget) and routes the header (scalar Network.tryRoute,
+// minus the parking).
 func (b *BatchNetwork) tryRouteR(rep *batchReplica, id int32) {
 	pos := rep.aIdx[id]
 	h := &rep.hotA[pos]
@@ -258,7 +258,7 @@ func (b *BatchNetwork) tryRouteR(rep *batchReplica, id int32) {
 // id at active position pos and reports whether it is routed afterwards
 // (scalar Network.route).
 //
-//lint:parity writes the batch vcHot literal leaves the zero-valued counters (flits, ready, recvd, sent) implicit and records the downstream node at claim time; the scalar engine zero-seeds them explicitly and stores the node on header arrival
+//lint:parity writes the batch vcHot literal leaves the zero-valued counters (flits, ready, recvd, sent) implicit and records the downstream node at claim time; the scalar engine zero-seeds them explicitly, stores the node on header arrival and marks the routed slot for its transfer scan (xferBits)
 func (b *BatchNetwork) routeR(rep *batchReplica, id int32, pos int32, m *message.Message) bool {
 	node := int(rep.hotA[pos].node)
 	if m.Dst == node {
@@ -313,7 +313,7 @@ func (b *BatchNetwork) routeR(rep *batchReplica, id int32, pos int32, m *message
 // without materializing request lists. Wider VC configs fall back to the
 // full request-list arbitration.
 //
-//lint:parity writes mover staging and generation-stamped arbitration scratch (moveChs, chSlot, reqGen, chReqGen) replace the scalar request lists
+//lint:parity writes mover staging and generation-stamped arbitration scratch (moveChs, chSlot, reqGen, chReqGen) replace the scalar request lists; the scalar engine clears the transfer mark (xferBits) of a slot it drains
 func (b *BatchNetwork) transferR(rep *batchReplica) bool {
 	bufDepth := b.bufDepth
 	numVCs := int32(b.numVCs)
@@ -463,7 +463,7 @@ func (b *BatchNetwork) dropReverseConflictsR(rep *batchReplica, moves []int32) [
 // applyMoveR transfers one flit from rep's slot id across its output
 // channel (scalar Network.applyMove).
 //
-//lint:parity writes a completed header hop re-registers the downstream slot in headerIDs for the next allocate shortlist; the scalar engine rediscovers headers by scanning
+//lint:parity writes a completed header hop registers the downstream slot for the next allocate (headerIDs here, hdrBits on the scalar side); the scalar engine also maintains its transfer marks (xferBits) and wakes headers parked at the releasing node (parkHead)
 func (b *BatchNetwork) applyMoveR(rep *batchReplica, id int32) {
 	pos := rep.aIdx[id]
 	h := &rep.hotA[pos]
@@ -522,6 +522,7 @@ func (b *BatchNetwork) applyMoveR(rep *batchReplica, id int32) {
 // position pos (scalar Network.deliver).
 //
 //lint:parity reads the freed slot's physical channel is decoded from its id through numVCs; the scalar engine reads the stored vcCh entry instead
+//lint:parity writes the scalar engine wakes the headers parked upstream of the freed channel (parkHead, hdrBits) and carries the swapped slot's marks (hdrBits, xferBits); this engine keeps no such state
 func (b *BatchNetwork) deliverR(rep *batchReplica, id int32, pos int) {
 	m := rep.msgA[pos]
 	m.DeliverTime = rep.now

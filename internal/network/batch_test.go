@@ -39,12 +39,13 @@ func batchGrid(k, n int, mesh bool) *topology.Grid {
 // and window reset at half time, mirroring the core sampling loop) and
 // fingerprints everything observable: counters, the delivery sequence, the
 // header-hop trace and the final in-flight state.
-func scalarFingerprint(t *testing.T, g *topology.Grid, alg routing.Algorithm, rate float64, seed uint64, cycles int64) string {
+func scalarFingerprint(t *testing.T, g *topology.Grid, alg routing.Algorithm, rate float64, routeDelay, ports int, seed uint64, cycles int64) string {
 	t.Helper()
 	wl := traffic.NewBernoulli(g, traffic.NewUniform(g), rate, seed)
 	var events []string
 	n, err := New(Config{
 		Grid: g, Algorithm: alg, Workload: wl, MsgLen: 8, CCLimit: 2, Seed: seed,
+		RouteDelay: routeDelay, InjectionPorts: ports,
 		OnDeliver: func(m *message.Message) {
 			events = append(events, fmt.Sprintf("d %d %d %d %d", m.ID, m.Src, m.Dst, m.Latency()))
 		},
@@ -69,7 +70,7 @@ func scalarFingerprint(t *testing.T, g *topology.Grid, alg routing.Algorithm, ra
 
 // batchFingerprints runs a BatchNetwork over seeds with the same schedule
 // as scalarFingerprint and returns one fingerprint per replica.
-func batchFingerprints(t *testing.T, g *topology.Grid, alg routing.Algorithm, rate float64, seeds []uint64, cycles int64) []string {
+func batchFingerprints(t *testing.T, g *topology.Grid, alg routing.Algorithm, rate float64, routeDelay, ports int, seeds []uint64, cycles int64) []string {
 	t.Helper()
 	wls := make([]traffic.Workload, len(seeds))
 	base := traffic.NewBernoulli(g, traffic.NewUniform(g), rate, seeds[0])
@@ -79,6 +80,7 @@ func batchFingerprints(t *testing.T, g *topology.Grid, alg routing.Algorithm, ra
 	events := make([][]string, len(seeds))
 	bn, err := NewBatch(BatchConfig{
 		Grid: g, Algorithm: alg, Workloads: wls, Seeds: seeds, MsgLen: 8, CCLimit: 2,
+		RouteDelay: routeDelay, InjectionPorts: ports,
 		OnDeliver: func(r int, m *message.Message) {
 			events[r] = append(events[r], fmt.Sprintf("d %d %d %d %d", m.ID, m.Src, m.Dst, m.Latency()))
 		},
@@ -130,9 +132,9 @@ func TestBatchScalarBitIdentity(t *testing.T) {
 				if testing.Short() && gc.k > 4 {
 					cycles = 400
 				}
-				got := batchFingerprints(t, g, alg, 0.02, seeds, cycles)
+				got := batchFingerprints(t, g, alg, 0.02, 0, 0, seeds, cycles)
 				for r, seed := range seeds {
-					want := scalarFingerprint(t, g, alg, 0.02, seed, cycles)
+					want := scalarFingerprint(t, g, alg, 0.02, 0, 0, seed, cycles)
 					if got[r] != want {
 						t.Errorf("replica %d (seed %d) diverged from scalar run", r, seed)
 					}

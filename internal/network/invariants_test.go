@@ -5,13 +5,16 @@ import (
 
 	"wormsim/internal/message"
 	"wormsim/internal/routing"
+	"wormsim/internal/telemetry"
 	"wormsim/internal/topology"
 	"wormsim/internal/traffic"
 )
 
 // checkInvariants scans the whole simulator state for structural
-// violations. It runs inside the package so it can reach private state.
-func checkInvariants(t *testing.T, n *Network) {
+// violations. It runs inside the package so it can reach private state. It
+// returns how many headers are parked, so a test can tell that it exercised
+// parking.
+func checkInvariants(t *testing.T, n *Network) int {
 	t.Helper()
 	// Every vc slot: counts consistent, buffers within depth.
 	ownersByCh := make([]int32, len(n.owners))
@@ -82,6 +85,117 @@ func checkInvariants(t *testing.T, n *Network) {
 				t.Fatalf("node %d injecting %d (cap %d)", node, c, n.cfg.InjectionPorts)
 			}
 		}
+	}
+	return checkScanBookkeeping(t, n)
+}
+
+// checkScanBookkeeping validates the state that lets allocate and transfer
+// skip slots: the pending and transfer position bitsets and the per-node
+// parked-header lists. It returns how many headers are parked.
+func checkScanBookkeeping(t *testing.T, n *Network) int {
+	t.Helper()
+	bit := func(set []uint64, pos int) bool { return set[pos>>6]>>(uint(pos)&63)&1 != 0 }
+	// No mark at or beyond the end of the active list.
+	for pos := len(n.active); pos < len(n.hdrBits)*64; pos++ {
+		if bit(n.hdrBits, pos) || bit(n.xferBits, pos) {
+			t.Fatalf("mark set at position %d, active list holds %d", pos, len(n.active))
+		}
+	}
+	// Parked lists: each entry sits at its own node, once, and really cannot
+	// be routed — every admissible candidate is taken, or (injection slots)
+	// every port is busy.
+	parkedAt := make(map[int32]bool)
+	for node := range n.parkHead {
+		for id := n.parkHead[node]; id >= 0; id = n.parkNext[id] {
+			if parkedAt[id] {
+				t.Fatalf("vc %d parked twice", id)
+			}
+			parkedAt[id] = true
+			if n.vcAIdx[id] < 0 || int(n.vcNode[id]) != node {
+				t.Fatalf("vc %d (node %d, active index %d) on node %d's parked list", id, n.vcNode[id], n.vcAIdx[id], node)
+			}
+			if ports := n.cfg.InjectionPorts; ports > 0 && n.vcCh[id] == -1 && int(n.injecting[node]) >= ports {
+				continue
+			}
+			m := n.vcMsg[id]
+			if m.Dst == node {
+				t.Fatalf("vc %d parked at its destination %d", id, node)
+			}
+			for _, c := range n.alg.Candidates(n.g, m, node, nil) {
+				ch := n.g.ChannelIndex(node, c.Dim, c.Dir)
+				if n.tbl.down[ch] >= 0 && n.vcMsg[ch*n.numVCs+c.VC] == nil {
+					t.Fatalf("vc %d parked at node %d although candidate channel %d class %d is free", id, node, ch, c.VC)
+				}
+			}
+		}
+	}
+	if (n.tel != nil || n.fore != nil) && len(parkedAt) > 0 {
+		t.Fatalf("%d headers parked with an observer attached", len(parkedAt))
+	}
+	for pos, id := range n.active {
+		out := n.vcOut[id]
+		// An arrived, unrouted header is pending or parked, never both; no
+		// other slot is either.
+		header := out.ch == outNone && (n.vcCh[id] == -1 || n.vcRecvd[id] > 0)
+		pending, parked := bit(n.hdrBits, pos), parkedAt[id]
+		if header != (pending || parked) || pending && parked {
+			t.Fatalf("active[%d] = vc %d: header %v, pending %v, parked %v", pos, id, header, pending, parked)
+		}
+		// The transfer mark is exactly "routed and holding flits" (ejecting
+		// injection slots never drain).
+		work := out.ch != outNone && n.vcFlits[id] > 0 && (out.ch != outEject || n.vcCh[id] != -1)
+		if bit(n.xferBits, pos) != work {
+			t.Fatalf("active[%d] = vc %d: transfer mark %v, out %+v with %d flits", pos, id, !work, out, n.vcFlits[id])
+		}
+	}
+	return len(parkedAt)
+}
+
+// TestScanBookkeepingAtSaturation steps saturated networks — where most
+// headers are blocked, parked and woken over and over — and validates the
+// full state every cycle, for all six algorithms and the knobs that change
+// what blocks a header.
+func TestScanBookkeepingAtSaturation(t *testing.T) {
+	g := topology.NewTorus(8, 2)
+	type knobs struct {
+		name                    string
+		alg                     string
+		bufDepth, delay, ports  int
+		observed, wantNoParking bool
+	}
+	cases := []knobs{{name: "vct", alg: "nbc", bufDepth: 8}, {name: "routedelay3", alg: "2pn", delay: 3},
+		{name: "ports1", alg: "nhop", ports: 1}, {name: "observed", alg: "nbc", observed: true, wantNoParking: true}}
+	for _, alg := range routing.All() {
+		cases = append(cases, knobs{name: alg.Name(), alg: alg.Name()})
+	}
+	for _, kn := range cases {
+		t.Run(kn.name, func(t *testing.T) {
+			alg, err := routing.Get(kn.alg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				Grid: g, Algorithm: alg, Workload: traffic.NewBernoulli(g, traffic.NewUniform(g), 0.1, 5),
+				MsgLen: 8, BufDepth: kn.bufDepth, CCLimit: 2, RouteDelay: kn.delay, InjectionPorts: kn.ports, Seed: 5,
+			}
+			if kn.observed {
+				cfg.Telemetry = telemetry.New(telemetry.Options{}, g.ChannelSlots(), alg.NumVCs(g))
+			}
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxParked := 0
+			for i := 0; i < 1000; i++ {
+				if err := n.Step(); err != nil {
+					t.Fatal(err)
+				}
+				maxParked = max(maxParked, checkInvariants(t, n))
+			}
+			if !kn.wantNoParking && maxParked == 0 {
+				t.Fatal("no header was ever parked: the run does not exercise park/wake")
+			}
+		})
 	}
 }
 

@@ -34,16 +34,48 @@
 //
 // Virtual-channel state lives in parallel struct-of-arrays slices indexed by
 // a dense vc id (ch*numVCs+class for channel buffers, ids past that for
-// injection slots), and the per-channel topology facts the cycle path needs
-// (endpoints, direction, reverse channel, Advance inputs) are precomputed
-// into flat tables at construction (see tables.go). The steady-state cycle
-// allocates nothing: messages come from a free-list pool, arbitration and
-// rendering use reusable scratch buffers, and every closure the hot path
-// calls is created once in New.
+// injection slots, whose capacity New reserves up front), and the
+// per-channel topology facts the cycle path needs (endpoints, direction,
+// reverse channel, Advance inputs) are precomputed into flat tables at
+// construction (see tables.go). The live vc ids sit on a dense active list
+// with swap-removal. The steady-state cycle allocates nothing: messages come
+// from a free-list pool, arbitration and rendering use reusable scratch
+// buffers, and every closure the hot path calls is created once in New.
+//
+// # Hot path
+//
+// The figures sweep offered load far past saturation, where most live slots
+// hold a blocked worm, so neither per-cycle phase walks the active list.
+// Results depend on two visiting orders — allocation goes through the
+// headers in active-list order from a start position drawn every cycle, the
+// transfer scan collects requesters in active-list order with
+// swap-and-revisit on delivery — so both phases iterate bitsets over
+// active-list positions, which reproduces those orders with the idle slots
+// left out; removeActive moves a swapped slot's bits along with it.
+//
+// Allocation visits the pending headers (hdrBits): arrived, unrouted, not
+// parked. A header whose attempt fails, or whose node has no free injection
+// port, is parked on an intrusive per-node list and costs nothing until a
+// virtual channel on a channel out of that node, or an injection port there,
+// is released (applyMove's tail release, deliver), which puts the node's
+// parked headers back on hdrBits for the next cycle. This is exact: during
+// allocation virtual channels are only claimed, a blocked header's message
+// state and candidate set cannot change, and a failed attempt draws no
+// random number, so a parked header that no release has touched would fail
+// again with no side effect. Telemetry and forensics count every blocked
+// header every cycle; with either attached, blocked headers stay pending
+// instead of parking.
+//
+// Transfer visits the slots marked in xferBits: routed and holding flits,
+// the only ones that can drain or request a channel. The batch engine
+// (batch.go) keeps the simpler discipline — retry every unrouted header,
+// sweep every live slot — and is held bit-identical to this one, so it
+// doubles as the check on both shortcuts.
 package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wormsim/internal/congestion"
 	"wormsim/internal/forensics"
@@ -138,9 +170,8 @@ type Config struct {
 // outRoute is the output allocation of a routed header: the output physical
 // channel (outEject for ejection at the destination, outNone while the
 // header is unrouted), the virtual channel on it, and the decoded direction
-// of travel. Folding "unrouted" into the channel field lets the transfer and
-// eject scans classify a vc from this one record instead of also loading the
-// routed flag.
+// of travel. "Unrouted" is folded into the channel field, so there is no
+// separate routed flag to keep in step.
 type outRoute struct {
 	ch  int32
 	vc  int16
@@ -221,10 +252,11 @@ type Network struct {
 	// source node for an injection slot); vcCh is the owning physical
 	// channel (-1 for injection slots); vcFlits counts currently buffered
 	// flits while vcRecvd/vcSent are lifetime totals (an injection slot
-	// starts with vcFlits = message length); vcRouted marks headers with an
-	// assigned output; vcReady is the earliest cycle a header may bid for an
-	// output (arrival + RouteDelay); vcAIdx is the slot's position in active
-	// for swap-removal.
+	// starts with vcFlits = message length); vcOut is the assigned output
+	// (ch == outNone while the header is unrouted); vcReady is the earliest
+	// cycle a header may bid for an output (arrival + RouteDelay); vcAIdx is
+	// the slot's position in active for swap-removal; parkNext links the
+	// slot into its node's parked-header list.
 	chanVCs  int32
 	vcMsg    []*message.Message
 	vcNode   []int32
@@ -233,15 +265,36 @@ type Network struct {
 	vcFlits  []int32
 	vcRecvd  []int32
 	vcSent   []int32
-	vcRouted []bool
 	vcOut    []outRoute
 	vcReady  []int64
 	vcAIdx   []int32
+	parkNext []int32
 
 	// active lists every live vc id (owned buffers and injection slots);
 	// injFree is the free list of injection-slot ids.
 	active  []int32
 	injFree []int32
+
+	// The two per-cycle scans visit only slots that can make progress. Both
+	// sets are bitsets over active-list positions (not vc ids), because the
+	// position order is what results depend on: bits at or beyond
+	// len(active) are always zero and removeActive carries the swapped
+	// slot's bits with it.
+	//
+	// hdrBits marks the pending headers: arrived, unrouted and not parked —
+	// the only slots allocate visits. xferBits marks the slots transfer can
+	// do something for: routed and holding flits (for an ejecting slot,
+	// in-network buffers only).
+	hdrBits  []uint64
+	xferBits []uint64
+	// parkHead[node] heads the intrusive list (through parkNext, -1
+	// terminated) of headers at node whose last allocation attempt failed or
+	// found every injection port busy. A parked header is off hdrBits until a
+	// virtual channel on a channel out of node, or an injection port at
+	// node, is released (wake).
+	// With telemetry or forensics attached nothing is parked: both count
+	// every blocked header every cycle, so blocked headers stay pending.
+	parkHead []int32
 
 	// Per-channel round-robin pointer and owner count (congestion score).
 	rr     []uint32
@@ -338,17 +391,35 @@ func New(cfg Config) (*Network, error) {
 	n.tbl = buildChanTable(g)
 	n.chanVCs = int32(slots * n.numVCs)
 	size := int(n.chanVCs)
-	n.vcMsg = make([]*message.Message, size)
-	n.vcNode = make([]int32, size)
-	n.vcCh = make([]int32, size)
-	n.vcClass = make([]int16, size)
-	n.vcFlits = make([]int32, size)
-	n.vcRecvd = make([]int32, size)
-	n.vcSent = make([]int32, size)
-	n.vcRouted = make([]bool, size)
-	n.vcOut = make([]outRoute, size)
-	n.vcReady = make([]int64, size)
-	n.vcAIdx = make([]int32, size)
+	// Injection slots are appended past the channel buffers (newInjSlot).
+	// Reserve their room now: growing eleven arrays sized exactly chanVCs by
+	// append would recopy all of them mid-run. Congestion control admits at
+	// most CCLimit messages per class and node, and a message class is a
+	// virtual-channel class (hop schemes) or a first-hop direction (the
+	// rest). Whatever exceeds the estimate, or runs without congestion
+	// control, still grows by append.
+	room := size
+	if cfg.CCLimit > 0 {
+		room += g.Nodes() * cfg.CCLimit * max(n.numVCs, 2*n.nDims)
+	}
+	n.vcMsg = make([]*message.Message, size, room)
+	n.vcNode = make([]int32, size, room)
+	n.vcCh = make([]int32, size, room)
+	n.vcClass = make([]int16, size, room)
+	n.vcFlits = make([]int32, size, room)
+	n.vcRecvd = make([]int32, size, room)
+	n.vcSent = make([]int32, size, room)
+	n.vcOut = make([]outRoute, size, room)
+	n.vcReady = make([]int64, size, room)
+	n.vcAIdx = make([]int32, size, room)
+	n.parkNext = make([]int32, size, room)
+	n.active = make([]int32, 0, room)
+	n.hdrBits = make([]uint64, room>>6+1)
+	n.xferBits = make([]uint64, room>>6+1)
+	n.parkHead = make([]int32, g.Nodes())
+	for node := range n.parkHead {
+		n.parkHead[node] = -1
+	}
 	for ch := 0; ch < slots; ch++ {
 		for class := 0; class < n.numVCs; class++ {
 			id := ch*n.numVCs + class
@@ -564,10 +635,10 @@ func (n *Network) inject() {
 		n.vcFlits[id] = int32(m.Len)
 		n.vcRecvd[id] = 0
 		n.vcSent[id] = 0
-		n.vcRouted[id] = false
 		n.vcOut[id] = outRoute{ch: outNone}
 		n.vcReady[id] = 0
 		n.addActive(id)
+		n.setPending(n.vcAIdx[id])
 		if n.tel != nil {
 			n.tel.Inject(n.now, m.ID, a.Src, a.Dst)
 			n.tel.InjEnqueue()
@@ -592,70 +663,138 @@ func (n *Network) newInjSlot() int32 {
 	n.vcFlits = append(n.vcFlits, 0)
 	n.vcRecvd = append(n.vcRecvd, 0)
 	n.vcSent = append(n.vcSent, 0)
-	n.vcRouted = append(n.vcRouted, false)
 	n.vcOut = append(n.vcOut, outRoute{ch: outNone})
 	n.vcReady = append(n.vcReady, 0)
 	n.vcAIdx = append(n.vcAIdx, -1)
+	n.parkNext = append(n.parkNext, -1)
 	return id
 }
 
 // addActive appends the vc id to the active list.
 func (n *Network) addActive(id int32) {
-	n.vcAIdx[id] = int32(len(n.active))
+	pos := len(n.active)
+	n.vcAIdx[id] = int32(pos)
 	n.active = append(n.active, id)
+	if pos>>6 == len(n.hdrBits) {
+		n.hdrBits = append(n.hdrBits, 0)
+		n.xferBits = append(n.xferBits, 0)
+	}
 }
 
-// removeActive swap-removes the vc id from the active list.
+// removeActive swap-removes the vc id from the active list. By now id itself
+// carries no marks — an unrouted header never leaves the list, and a slot is
+// released only once it is empty — so the slot swapped into its position just
+// brings its own marks along, which leaves the vacated last position clear.
 func (n *Network) removeActive(id int32) {
-	last := len(n.active) - 1
+	last := int32(len(n.active) - 1)
 	i := n.vcAIdx[id]
 	moved := n.active[last]
 	n.active[i] = moved
 	n.vcAIdx[moved] = i
 	n.active = n.active[:last]
 	n.vcAIdx[id] = -1
+	w, mask := last>>6, uint64(1)<<(uint(last)&63)
+	if n.hdrBits[w]&mask != 0 {
+		n.hdrBits[w] &^= mask
+		n.setPending(i)
+	}
+	if n.xferBits[w]&mask != 0 {
+		n.xferBits[w] &^= mask
+		n.setWork(i)
+	}
 }
 
-// allocate routes headers: every live vc holding an unrouted header tries to
-// acquire an output virtual channel.
+// The mark primitives: pos is an active-list position.
+func (n *Network) setPending(pos int32)   { n.hdrBits[pos>>6] |= 1 << (uint(pos) & 63) }
+func (n *Network) clearPending(pos int32) { n.hdrBits[pos>>6] &^= 1 << (uint(pos) & 63) }
+func (n *Network) setWork(pos int32)      { n.xferBits[pos>>6] |= 1 << (uint(pos) & 63) }
+func (n *Network) clearWork(pos int32)    { n.xferBits[pos>>6] &^= 1 << (uint(pos) & 63) }
+
+// park takes the blocked header in vc id (at active position pos) out of the
+// pending set until wake(node) puts it back.
+func (n *Network) park(id, pos int32) {
+	n.clearPending(pos)
+	node := n.vcNode[id]
+	n.parkNext[id] = n.parkHead[node]
+	n.parkHead[node] = id
+}
+
+// wake returns every header parked at node to the pending set: a virtual
+// channel on a channel out of node, or an injection port there, was just
+// released, so their next attempt may succeed. Releases happen only in the
+// transfer phase, so woken headers bid in the next cycle's allocate, in
+// active-position order like everyone else.
+func (n *Network) wake(node int32) {
+	for id := n.parkHead[node]; id >= 0; id = n.parkNext[id] {
+		n.setPending(n.vcAIdx[id])
+	}
+	n.parkHead[node] = -1
+}
+
+// allocate routes headers: every pending header tries to acquire an output
+// virtual channel, in active-list order from a start position rotated each
+// cycle so no node gets a standing priority in virtual-channel contention.
+// The rotation draw is part of the RNG sequence and is consumed whether or
+// not anything is pending. Nothing is removed from the active list during
+// allocation (route only appends the claimed downstream slots past count,
+// and those hold no header yet), so positions are stable across both legs.
 func (n *Network) allocate() {
 	count := len(n.active)
 	if count == 0 {
 		return
 	}
-	ports := n.cfg.InjectionPorts
-	// Rotate the scan start each cycle so no node gets a standing priority
-	// in virtual-channel contention. The wrap is a branch, not a modulo:
-	// an integer division per active vc would dominate this scan.
-	idx := n.rt.Intn(count)
-	// route may append to n.active (allocating a downstream vc), but growth
-	// never disturbs the first count entries, so the snapshot stays valid.
-	active := n.active
-	vcRouted, vcRecvd, vcCh := n.vcRouted, n.vcRecvd, n.vcCh
-	for i := 0; i < count; i++ {
-		id := active[idx]
-		idx++
-		if idx == count {
-			idx = 0
+	start := n.rt.Intn(count)
+	n.allocateRange(start, count)
+	n.allocateRange(0, start)
+}
+
+// allocateRange visits the pending headers at active positions [lo, hi) in
+// increasing order.
+func (n *Network) allocateRange(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>6, (hi-1)>>6
+	for w := first; w <= last; w++ {
+		word := n.hdrBits[w]
+		if w == first {
+			word &= ^uint64(0) << (uint(lo) & 63)
 		}
-		if vcRouted[id] || vcRecvd[id] == 0 && vcCh[id] != -1 {
-			continue
+		if w == last && hi&63 != 0 {
+			word &= 1<<(uint(hi)&63) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			n.tryRoute(int32(w<<6 | bits.TrailingZeros64(word)))
+		}
+	}
+}
+
+// tryRoute applies the per-header gates (router pipeline readiness,
+// injection-port budget) to the pending header at active position pos and
+// bids for an output. A header still inside its router delay stays pending;
+// one that is blocked is parked (see the package comment for why skipping
+// its retries is exact) unless an observer wants every blocked cycle counted.
+func (n *Network) tryRoute(pos int32) {
+	id := n.active[pos]
+	if n.now < n.vcReady[id] {
+		return
+	}
+	ports := n.cfg.InjectionPorts
+	if ports <= 0 || n.vcCh[id] != -1 || int(n.injecting[n.vcNode[id]]) < ports {
+		if n.route(id) {
+			n.clearPending(pos)
+			return
 		}
 		m := n.vcMsg[id]
-		if m == nil || n.now < n.vcReady[id] {
-			continue
+		if n.tel != nil {
+			n.tel.HeadBlocked(m.Class)
 		}
-		if n.vcCh[id] == -1 && ports > 0 && int(n.injecting[n.vcNode[id]]) >= ports {
-			continue // all injection ports busy; wait for one to free up
+		if n.fore != nil {
+			n.foreBlocked(id, m)
 		}
-		if !n.route(id) {
-			if n.tel != nil {
-				n.tel.HeadBlocked(m.Class)
-			}
-			if n.fore != nil {
-				n.foreBlocked(id, m)
-			}
-		}
+	} // else all injection ports are busy; wait for one to free up
+	if n.tel == nil && n.fore == nil {
+		n.park(id, pos)
 	}
 }
 
@@ -665,8 +804,10 @@ func (n *Network) route(id int32) bool {
 	m := n.vcMsg[id]
 	node := int(n.vcNode[id])
 	if m.Dst == node {
-		n.vcRouted[id] = true
 		n.vcOut[id] = outRoute{ch: outEject}
+		if n.vcCh[id] != -1 {
+			n.setWork(n.vcAIdx[id])
+		}
 		return true
 	}
 	n.cands = n.alg.Candidates(n.g, m, node, n.cands[:0])
@@ -694,13 +835,13 @@ func (n *Network) route(id int32) bool {
 	t := int32(ch*n.numVCs + c.VC)
 	n.vcMsg[t] = m
 	n.vcFlits[t], n.vcRecvd[t], n.vcSent[t] = 0, 0, 0
-	n.vcRouted[t] = false
 	n.vcReady[t] = 0
 	n.vcOut[t] = outRoute{ch: outNone}
 	n.owners[ch]++
 	n.addActive(t)
-	n.vcRouted[id] = true
 	n.vcOut[id] = outRoute{ch: int32(ch), vc: int16(c.VC), dim: int8(c.Dim), dir: int8(c.Dir)}
+	// A present header is a buffered flit, so the slot has work to transfer.
+	n.setWork(n.vcAIdx[id])
 	if n.vcCh[id] == -1 {
 		n.injecting[n.vcNode[id]]++
 		m.FirstAlloc = n.now
@@ -714,11 +855,13 @@ func (n *Network) route(id int32) bool {
 }
 
 // transfer performs ejection, channel arbitration, and flit movement in one
-// pass over the active list, two-phase: all arbitration decisions are made
-// against start-of-cycle state, then applied. Ejection — the paper's node
-// model consumes arriving flits without competing for network channels — is
-// fused into the requester scan: draining a consuming buffer in scan order
-// is equivalent to a separate prior ejection pass because (a) a removal's
+// pass over the slots marked in xferBits — the routed slots that hold flits;
+// an unrouted or empty slot can neither drain nor request a channel — in
+// active-list order, two-phase: all arbitration decisions are made against
+// start-of-cycle state, then applied. Ejection — the paper's node model
+// consumes arriving flits without competing for network channels — is fused
+// into the requester scan: draining a consuming buffer in scan order is
+// equivalent to a separate prior ejection pass because (a) a removal's
 // swap-and-revisit reproduces exactly the element order a post-ejection scan
 // would have seen, and (b) a full downstream buffer that is consuming always
 // drains this cycle, so the credit check treats it as empty. It reports
@@ -726,38 +869,42 @@ func (n *Network) route(id int32) bool {
 // directly).
 func (n *Network) transfer() bool {
 	// Phase 1: drain consuming buffers and collect requesters per physical
-	// channel. An unrouted header (outNone) and a consuming one (outEject)
-	// both fail the single out.ch sign test.
+	// channel.
 	touched := n.touched[:0]
 	bufDepth := int32(n.cfg.BufDepth)
 	numVCs := int32(n.numVCs)
-	vcOut, vcFlits, reqs := n.vcOut, n.vcFlits, n.reqs
-	for i := 0; i < len(n.active); i++ {
-		id := n.active[i]
-		out := vcOut[id]
-		if out.ch < 0 {
-			if out.ch == outEject && vcFlits[id] != 0 && n.vcCh[id] != -1 {
+	vcOut, vcFlits, reqs, marks := n.vcOut, n.vcFlits, n.reqs, n.xferBits
+	for w, words := 0, (len(n.active)+63)>>6; w < words; w++ {
+		for word := marks[w]; word != 0; {
+			b := uint(bits.TrailingZeros64(word))
+			id := n.active[w<<6|int(b)]
+			out := vcOut[id]
+			if out.ch == outEject {
 				n.vcSent[id] += vcFlits[id]
 				vcFlits[id] = 0
+				marks[w] &^= 1 << b
 				n.lastMotion = n.now
 				if n.vcSent[id] == n.msgLen {
 					n.deliver(id)
-					i-- // the swapped-in element must be visited too
+					// The slot swapped into this position came with its mark
+					// and must be visited too, and the last position (perhaps
+					// in this word) is gone: re-read from bit b on.
+					word = marks[w] >> b << b
+					continue
 				}
+				word &= word - 1
+				continue
 			}
-			continue
+			word &= word - 1
+			t := out.ch*numVCs + int32(out.vc)
+			if vcFlits[t] >= bufDepth && vcOut[t].ch != outEject {
+				continue // no credit downstream (full consuming buffers drain)
+			}
+			if len(reqs[out.ch]) == 0 {
+				touched = append(touched, out.ch)
+			}
+			reqs[out.ch] = append(reqs[out.ch], id)
 		}
-		if vcFlits[id] == 0 {
-			continue
-		}
-		t := out.ch*numVCs + int32(out.vc)
-		if vcFlits[t] >= bufDepth && vcOut[t].ch != outEject {
-			continue // no credit downstream (full consuming buffers drain)
-		}
-		if len(reqs[out.ch]) == 0 {
-			touched = append(touched, out.ch)
-		}
-		reqs[out.ch] = append(reqs[out.ch], id)
 	}
 	n.touched = touched
 	// Phase 2: pick one winner per channel (rotating priority) and move its
@@ -836,6 +983,12 @@ func (n *Network) applyMove(id int32) {
 	n.vcSent[id]++
 	n.vcFlits[t]++
 	n.vcRecvd[t]++
+	if n.vcFlits[id] == 0 {
+		n.clearWork(n.vcAIdx[id])
+	}
+	if n.vcOut[t].ch != outNone {
+		n.setWork(n.vcAIdx[t])
+	}
 	n.window.FlitMoves++
 	n.window.FlitMovesByClass[out.vc]++
 	n.flitsByChannel[ch]++
@@ -849,6 +1002,7 @@ func (n *Network) applyMove(id int32) {
 		dim, dir := int(out.dim), topology.Dir(out.dir)
 		m.Advance(n.g, dim, dir, int(n.tbl.coord[ch]), int(n.tbl.parity[ch]))
 		n.vcReady[t] = n.now + 1 + int64(n.cfg.RouteDelay)
+		n.setPending(n.vcAIdx[t])
 		if n.cfg.OnHeaderHop != nil {
 			// Zero-copy handoff by contract: m is engine-owned and valid only
 			// for the duration of the callback (see Config.OnHeaderHop).
@@ -863,6 +1017,7 @@ func (n *Network) applyMove(id int32) {
 		if n.vcCh[id] == -1 {
 			n.limiter.Release(int(n.vcNode[id]), n.vcMsg[id].Class)
 			n.injecting[n.vcNode[id]]--
+			n.wake(n.vcNode[id])
 			if n.tel != nil {
 				n.tel.InjDequeue()
 			}
@@ -871,6 +1026,7 @@ func (n *Network) applyMove(id int32) {
 			n.injFree = append(n.injFree, id)
 		} else {
 			n.owners[n.vcCh[id]]--
+			n.wake(n.tbl.up[n.vcCh[id]])
 			if n.tel != nil {
 				n.tel.VCReleased(int(n.vcClass[id]))
 			}
@@ -886,6 +1042,7 @@ func (n *Network) deliver(id int32) {
 	m := n.vcMsg[id]
 	m.DeliverTime = n.now
 	n.owners[n.vcCh[id]]--
+	n.wake(n.tbl.up[n.vcCh[id]])
 	n.removeActive(id)
 	n.vcMsg[id] = nil
 	n.inFlight--

@@ -84,7 +84,7 @@ func (n *Network) WormStates() []telemetry.WormState {
 			// the injection slot before the first hop, or the deepest buffer
 			// that has received at least one flit.
 			if n.vcSent[id] == 0 && (n.vcRecvd[id] > 0 || n.vcCh[id] == -1) {
-				w.Routed = n.vcRouted[id]
+				w.Routed = n.vcOut[id].ch != outNone
 				w.HeadNode = int(n.vcNode[id])
 			}
 		}

@@ -60,12 +60,17 @@ type PhaseProfiler struct {
 
 // sampleStride is the real-clock sampling period. Engine cycles run in the
 // low microseconds while a monotonic clock read costs tens of nanoseconds;
-// sampling one cycle in eight keeps the profiler's overhead below the noise
-// floor of what it measures.
-const sampleStride = 8
+// sampling one cycle in seven keeps the profiler's overhead below the noise
+// floor of what it measures. The period is odd on purpose: work that recurs
+// on a fixed cycle period (forensics samples every 64th cycle, the run loop
+// ticks and closes sampling windows on round decimal counts) would be seen
+// on every one of its cycles or on none by a stride sharing a factor with
+// that period, and then weighted stride-fold or not at all. Seven is coprime
+// to all of them, so such work is sampled one time in seven like the rest.
+const sampleStride = 7
 
 // NewPhaseProfiler returns a profiler on the real (monotonic) clock,
-// stride-sampling one cycle in eight.
+// stride-sampling one cycle in seven.
 func NewPhaseProfiler() *PhaseProfiler {
 	// Profiling genuinely wants the wall clock; it never feeds simulation
 	// state, and tests inject a counter instead.

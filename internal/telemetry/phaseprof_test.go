@@ -49,6 +49,39 @@ func TestPhaseProfilerAttribution(t *testing.T) {
 	}
 }
 
+// TestPhaseProfilerStrideDoesNotAlias: a cost that recurs every 64th cycle
+// (forensics' default sampling period) must be attributed at its true weight
+// by the stride-sampling profiler, not seen on every sampled cycle.
+func TestPhaseProfilerStrideDoesNotAlias(t *testing.T) {
+	var clock int64
+	pp := NewPhaseProfilerClock(func() int64 { return clock })
+	pp.stride = sampleStride
+	tm := pp.Timer()
+	const cycles, every, spike, base = 100000, 64, 6400, 100
+	var wantRoute, wantTransfer int64
+	for cycle := 0; cycle < cycles; cycle++ {
+		tm.Begin()
+		if cycle%every == 0 {
+			clock += spike
+			wantRoute += spike
+		}
+		tm.Mark(PhaseRoute)
+		clock += base
+		wantTransfer += base
+		tm.Mark(PhaseTransfer)
+	}
+	s := pp.Snapshot()
+	for _, c := range []struct {
+		phase Phase
+		want  int64
+	}{{PhaseRoute, wantRoute}, {PhaseTransfer, wantTransfer}} {
+		got := s.Phases[c.phase].Nanos
+		if diff := float64(got-c.want) / float64(c.want); diff < -0.02 || diff > 0.02 {
+			t.Errorf("phase %s attributed %dns, truth %dns (%+.1f%%)", c.phase, got, c.want, 100*diff)
+		}
+	}
+}
+
 func TestPhaseProfilerReport(t *testing.T) {
 	pp := NewPhaseProfilerClock(tickClock(1000))
 	tm := pp.Timer()
