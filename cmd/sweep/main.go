@@ -43,7 +43,7 @@ func main() {
 	flag.IntVar(&cfg.InjectionPorts, "ports", 0, "injection ports per node (default 2, -1 unlimited)")
 	flag.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
 	seed := flag.Uint64("seed", 1, "random seed")
-	replicas := flag.Int("replicas", 1, "seeds per point, run as lockstep batches with across-seed error bars (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
+	replicas := flag.Int("replicas", 1, "seeds per point, run as independent replicas with across-seed error bars (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
 	flag.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles")
 	flag.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sample")
 	flag.IntVar(&cfg.MaxSamples, "maxsamples", 0, "max sampling periods")
@@ -228,7 +228,7 @@ func main() {
 }
 
 // sweepReplicated runs the replicated sweep: every (algorithm, load) point
-// simulated at n seeds through the batch lockstep engine
+// simulated at n seeds, one scheduler task per (load, seed)
 // (core.SweepReplicated), reported as mean +- across-seed spread. The
 // aggregate simulation rate lands on stderr per algorithm.
 func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, format string) error {

@@ -2,8 +2,7 @@
 // (see internal/lint): determinism of the simulation core, zero-alloc
 // discipline on the engine's whole-program per-cycle call graph, atomic and
 // mutex discipline, hook-escape copying, nil-guarded telemetry hooks,
-// lock-copy and loop-capture hazards, scalar/batch engine parity,
-// resource-conservation ledgers, slot/position index discipline, and
+// lock-copy and loop-capture hazards, resource-conservation ledgers, and
 // error-message conventions.
 //
 //	wormlint ./...                      # whole repo (the CI gate)
@@ -17,17 +16,14 @@
 //	wormlint -baseline lint.txt ./...   # gate only on new findings
 //	wormlint -certify-purity certs.json # purity certificates for the run
 //	                                    # entry points (CI pins a golden)
-//	wormlint -certify-parity certs.json # engine parity certificates
-//	                                    # (CI pins a golden)
 //
 // The module is loaded and type-checked exactly once per invocation: the
-// lint passes and both certification flags share one lint.Program, so
-// combining them costs one load, not three.
+// lint passes and the certification share one lint.Program, so combining
+// them costs one load, not two.
 //
 // Findings print as "file:line: [pass] message". Exit status: 0 clean,
 // 1 findings, 2 usage or load/type-check failure. Intentional uses are
-// annotated in the source with `//lint:allow <pass>[,<pass>...] reason`;
-// intentional engine divergences with `//lint:parity <dim>[,...] reason`.
+// annotated in the source with `//lint:allow <pass>[,<pass>...] reason`.
 package main
 
 import (
@@ -50,7 +46,6 @@ func main() {
 	baselinePath := flag.String("baseline", "", "suppress findings listed in this baseline file")
 	writeBaseline := flag.String("writebaseline", "", "write current findings to this baseline file and exit 0")
 	certifyPurity := flag.String("certify-purity", "", "write purity certificates for the run entry points to this file and gate on violations")
-	certifyParity := flag.String("certify-parity", "", "write scalar/batch engine parity certificates to this file and gate on divergence")
 	flag.Parse()
 
 	passes := lint.DefaultPasses()
@@ -172,11 +167,6 @@ func main() {
 			exit = 1
 		}
 	}
-	if *certifyParity != "" {
-		if certifyParityRun(prog, loader.ModRoot, *certifyParity) {
-			exit = 1
-		}
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -233,7 +223,14 @@ func certifyPurityRun(prog *lint.Program, modRoot, path string) bool {
 		fmt.Fprintf(os.Stderr, "wormlint: -certify-purity: %v\n", err)
 		os.Exit(2)
 	}
-	writeCerts(path, certs, "-certify-purity")
+	data, err := json.MarshalIndent(certs, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(data, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wormlint: -certify-purity: %v\n", err)
+		os.Exit(2)
+	}
 	violations := 0
 	for _, cert := range certs.Entries {
 		status := "PURE"
@@ -249,49 +246,6 @@ func certifyPurityRun(prog *lint.Program, modRoot, path string) bool {
 	}
 	fmt.Fprintf(os.Stderr, "wormlint: purity certificates written to %s (%s)\n", relPath(path), certs.Signature)
 	return violations > 0
-}
-
-// certifyParityRun runs the engine-parity certification (see
-// lint.CertifyParity) against the shared Program and writes the certificate
-// set to path. It reports whether any pair is divergent; certification
-// machinery failures exit 2 directly.
-func certifyParityRun(prog *lint.Program, modRoot, path string) bool {
-	certs, err := lint.CertifyParity(prog, lint.NewEngineParity(), modRoot)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wormlint: -certify-parity: %v\n", err)
-		os.Exit(2)
-	}
-	writeCerts(path, certs, "-certify-parity")
-	divergent := 0
-	for _, cert := range certs.Pairs {
-		audited := 0
-		for _, d := range cert.Dimensions {
-			if d.Status == "audited" {
-				audited++
-			}
-		}
-		if cert.Status == "divergent" {
-			divergent++
-		}
-		fmt.Fprintf(os.Stderr, "wormlint: parity: %-20s %-9s (%d/%d dimension(s) audited)\n",
-			cert.Pair, cert.Status, audited, len(cert.Dimensions))
-	}
-	fmt.Fprintf(os.Stderr, "wormlint: parity certificates written to %s (%s)\n", relPath(path), certs.Signature)
-	return divergent > 0
-}
-
-// writeCerts marshals one certificate set to path, exiting 2 on failure.
-func writeCerts(path string, certs any, flagName string) {
-	data, err := json.MarshalIndent(certs, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wormlint: %s: %v\n", flagName, err)
-		os.Exit(2)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "wormlint: %s: %v\n", flagName, err)
-		os.Exit(2)
-	}
 }
 
 // relPath renders name relative to the working directory when it is inside.

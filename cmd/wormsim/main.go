@@ -51,7 +51,7 @@ func main() {
 	flag.IntVar(&cfg.InjectionPorts, "ports", 0, "concurrent injection ports per node (default 2, -1 unlimited)")
 	flag.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
 	seed := flag.Uint64("seed", 1, "random seed")
-	replicas := flag.Int("replicas", 1, "simulate this many seeds of the point in one lockstep batch (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
+	replicas := flag.Int("replicas", 1, "simulate this many seeds of the point, back to back on one recycled engine (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
 	flag.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles (default 5000)")
 	flag.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sampling period (default 2000)")
 	flag.IntVar(&cfg.MaxSamples, "maxsamples", 0, "maximum sampling periods (default 12)")
@@ -324,13 +324,12 @@ func main() {
 	}
 }
 
-// runReplicated simulates n seeds of the point in one lockstep batch
-// (core.RunReplicas) and prints per-replica results plus the aggregate:
-// mean latency with its across-seed spread, mean throughput, and the
-// aggregate simulation rate the batch achieved. n == 0 picks one replica
-// per sampling period budget (the convergence rule's MaxSamples), the width
-// at which the batch replaces the longest possible scalar run. Returns the
-// process exit code.
+// runReplicated simulates n seeds of the point (core.RunReplicas: independent
+// runs, back to back on one recycled engine) and prints per-replica results
+// plus the aggregate: mean latency with its across-seed spread, mean
+// throughput, and the aggregate simulation rate achieved. n == 0 picks one
+// replica per sampling period budget (the convergence rule's MaxSamples).
+// Returns the process exit code.
 func runReplicated(cfg core.Config, n int, prog *telemetry.Progress) int {
 	eff := cfg
 	eff.ApplyDefaults()
@@ -359,7 +358,7 @@ func runReplicated(cfg core.Config, n int, prog *telemetry.Progress) int {
 	fmt.Printf("algorithm    : %s (%s switching, policy %s)\n", results[0].Algorithm, results[0].Switching, cfg.Policy)
 	fmt.Printf("pattern      : %s (mean distance %.3f hops)\n", results[0].Pattern, results[0].MeanDistance)
 	fmt.Printf("offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", results[0].OfferedLoad, results[0].InjectionRate)
-	fmt.Printf("replicas     : %d seeds in one lockstep batch\n", n)
+	fmt.Printf("replicas     : %d seeds, independent runs on one recycled engine\n", n)
 	var lat, thr stats.Welford
 	var cycles int64
 	deadlocks := 0

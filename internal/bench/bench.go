@@ -186,78 +186,6 @@ func forensicsSpec(variant string, k int, sampleEvery int64) Spec {
 	}}
 }
 
-// replicasSpec measures the batch lockstep engine: ns per fused Step of R
-// replicas of one nbc k-ary 2-cube config at a light uniform load (rate
-// 0.003, about the rho=0.1 figure point — the regime replication studies
-// live in, where convergence needs many seeds). Variant "scalar" (reps 0)
-// is the one-engine baseline the family reads against. CyclesPerSec counts
-// replica-cycles per wall second, so the replicas/r16 : replicas/scalar
-// ratio is the batch engine's aggregate speedup over 16 sequential scalar
-// runs; the allocs/op gate applies to the whole family (zero in steady
-// state, batch and scalar alike).
-func replicasSpec(variant string, k, reps int) Spec {
-	name := "replicas/" + variant
-	return Spec{Name: name, Run: func() Measurement {
-		var flitsPerCycle float64
-		width := reps
-		if width < 1 {
-			width = 1
-		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			g := topology.NewTorus(k, 2)
-			a, err := routing.Get("nbc")
-			if err != nil {
-				b.Fatal(err)
-			}
-			base := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.003, 1)
-			if reps == 0 {
-				n, err := network.New(network.Config{
-					Grid: g, Algorithm: a, Workload: base, MsgLen: 16, CCLimit: 2, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := n.Step(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				flitsPerCycle = float64(n.Total().FlitMoves) / float64(b.N)
-				return
-			}
-			wls := make([]traffic.Workload, reps)
-			seeds := make([]uint64, reps)
-			for i := range wls {
-				seeds[i] = uint64(i) + 1
-				wls[i] = base.Replicate(seeds[i])
-			}
-			bn, err := network.NewBatch(network.BatchConfig{
-				Grid: g, Algorithm: a, Workloads: wls, Seeds: seeds, MsgLen: 16, CCLimit: 2,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if faults := bn.Step(); faults != nil {
-					b.Fatalf("watchdog fault: %v", faults[0].Err)
-				}
-			}
-			var moves int64
-			for rep := 0; rep < reps; rep++ {
-				moves += bn.Total(rep).FlitMoves
-			}
-			flitsPerCycle = float64(moves) / float64(b.N)
-		})
-		m := fromResult(name, r)
-		m.CyclesPerSec = perSec(float64(width), m.NsPerOp)
-		m.FlitHopsPerSec = perSec(flitsPerCycle, m.NsPerOp)
-		return m
-	}}
-}
-
 // sweepScaleSpec measures the work-stealing run scheduler: wall time of one
 // fixed multi-load sweep at the given worker count, with GOMAXPROCS pinned
 // to four for the duration so the 1-worker and 4-worker entries are
@@ -375,12 +303,6 @@ func Specs(short bool) []Spec {
 		forensicsSpec("off", k, 0),
 		forensicsSpec("sampled", k, forensics.DefaultSampleEvery),
 		forensicsSpec("every", k, 1),
-	)
-	specs = append(specs,
-		replicasSpec("scalar", k, 0),
-		replicasSpec("r1", k, 1),
-		replicasSpec("r4", k, 4),
-		replicasSpec("r16", k, 16),
 	)
 	specs = append(specs, sweepScaleSpec(short, 1), sweepScaleSpec(short, 4))
 	return specs

@@ -201,38 +201,6 @@ func TestParseFailOn(t *testing.T) {
 // TestSuiteSmoke runs the cheapest spec once and sanity-checks the
 // measurement. Capping benchtime keeps testing.Benchmark to a single
 // iteration batch.
-// TestReplicasSpecSmoke runs the batch-engine family member at width 4 and
-// checks the measurement is sane: positive rates, and the aggregate
-// replica-cycle rate accounting (CyclesPerSec = width / NsPerOp). The
-// zero-alloc steady-state gate itself lives with the engine
-// (network.TestBatchSteadyStateZeroAlloc); the speedup acceptance ratio is
-// read off the committed artifact, not asserted on shared hardware.
-func TestReplicasSpecSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real benchmark iteration")
-	}
-	if err := flag.Set("test.benchtime", "100x"); err != nil {
-		t.Fatal(err)
-	}
-	specs := Specs(true)
-	var spec *Spec
-	for i := range specs {
-		if specs[i].Name == "replicas/r4" {
-			spec = &specs[i]
-		}
-	}
-	if spec == nil {
-		t.Fatalf("suite lost its replicas specs: %+v", specs)
-	}
-	m := spec.Run()
-	if m.NsPerOp <= 0 || m.CyclesPerSec <= 0 {
-		t.Errorf("degenerate measurement: %+v", m)
-	}
-	if got, want := m.CyclesPerSec, perSec(4, m.NsPerOp); got != want {
-		t.Errorf("replica-cycle accounting: CyclesPerSec %g, want %g", got, want)
-	}
-}
-
 func TestSuiteSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real benchmark iteration")

@@ -41,6 +41,21 @@ func NewLimiter(nodes, limit int) *Limiter {
 	}
 }
 
+// Recycle returns a limiter for nodes sources with the given per-class
+// limit, as NewLimiter does, on l's tables when they are large enough (l may
+// be nil). The class capacity an earlier run widened is kept: it sets the
+// table layout, nothing a caller can observe.
+func (l *Limiter) Recycle(nodes, limit int) *Limiter {
+	if l == nil || limit <= 0 || cap(l.counts) < nodes*l.classCap || cap(l.droppedBy) < nodes {
+		return NewLimiter(nodes, limit)
+	}
+	counts, droppedBy := l.counts[:nodes*l.classCap], l.droppedBy[:nodes]
+	clear(counts)
+	clear(droppedBy)
+	*l = Limiter{limit: limit, nodes: nodes, classCap: l.classCap, counts: counts, droppedBy: droppedBy}
+	return l
+}
+
 // growClasses widens the per-node class table to hold class.
 func (l *Limiter) growClasses(class int) {
 	newCap := l.classCap * 2

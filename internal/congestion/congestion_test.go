@@ -79,3 +79,32 @@ func TestResetCounters(t *testing.T) {
 		t.Error("residency lost on counter reset")
 	}
 }
+
+// TestRecycleStartsClean: a recycled limiter behaves as a new one — no
+// residency, counters or per-node drops survive, whether it shrinks, keeps a
+// widened class table or has to be rebuilt.
+func TestRecycleStartsClean(t *testing.T) {
+	l := NewLimiter(4, 1)
+	l.Admit(3, 20) // widens the class table
+	l.Admit(3, 20) // dropped
+	for _, nodes := range []int{2, 4, 64} {
+		l = l.Recycle(nodes, 2)
+		if l.Limit() != 2 || l.Accepted() != 0 || l.Dropped() != 0 || len(l.DroppedByNode()) != nodes {
+			t.Fatalf("%d nodes: recycled limiter not clean: %+v", nodes, l)
+		}
+		for node := 0; node < nodes; node++ {
+			if l.Resident(node, 20) != 0 || l.DroppedByNode()[node] != 0 {
+				t.Fatalf("%d nodes: state survived at node %d", nodes, node)
+			}
+		}
+		if !l.Admit(nodes-1, 20) || !l.Admit(nodes-1, 20) || l.Admit(nodes-1, 20) {
+			t.Fatalf("%d nodes: recycled limiter does not admit exactly its limit", nodes)
+		}
+	}
+	if l.Recycle(4, 0) != nil {
+		t.Error("recycling to limit 0 must disable congestion control")
+	}
+	if (*Limiter)(nil).Recycle(4, 1).Limit() != 1 {
+		t.Error("recycling a nil limiter must build one")
+	}
+}

@@ -50,6 +50,11 @@ func (r BatchResult) String() string {
 // spent waiting for the network to empty after the last arrival (default
 // 1e6).
 func RunBatch(cfg Config, wl traffic.Workload, lastArrival int64, drainBudget int64) (BatchResult, error) {
+	return runBatchOn(new(network.Network), cfg, wl, lastArrival, drainBudget)
+}
+
+// runBatchOn is RunBatch on a caller-supplied wormhole engine (see runOn).
+func runBatchOn(eng *network.Network, cfg Config, wl traffic.Workload, lastArrival int64, drainBudget int64) (BatchResult, error) {
 	cfg.ApplyDefaults()
 	if drainBudget <= 0 {
 		drainBudget = 1_000_000
@@ -77,7 +82,7 @@ func RunBatch(cfg Config, wl traffic.Workload, lastArrival int64, drainBudget in
 		if cfg.Telemetry != nil {
 			tel = telemetry.New(*cfg.Telemetry, g.ChannelSlots(), alg.NumVCs(g))
 		}
-		n, err := network.New(network.Config{
+		err := eng.Reset(network.Config{
 			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
 			MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
 			InjectionPorts: cfg.InjectionPorts,
@@ -86,13 +91,13 @@ func RunBatch(cfg Config, wl traffic.Workload, lastArrival int64, drainBudget in
 		if err != nil {
 			return res, err
 		}
-		if err := n.Run(lastArrival + 1); err != nil {
+		if err := eng.Run(lastArrival + 1); err != nil {
 			return res, err
 		}
-		if err := n.Drain(drainBudget); err != nil {
+		if err := eng.Drain(drainBudget); err != nil {
 			return res, err
 		}
-		t := n.Total()
+		t := eng.Total()
 		res.Delivered, res.Dropped, res.FlitMoves = t.Delivered, t.Dropped, t.FlitMoves
 		if tel != nil {
 			res.Telemetry = tel.Summary()
@@ -126,49 +131,16 @@ func RunBatch(cfg Config, wl traffic.Workload, lastArrival int64, drainBudget in
 
 // ReplicateBatch runs the permutation-burst experiment once per seed and
 // returns the replicas in seed order — the spread of makespans across seeds
-// is the batch experiments' error bar. Wormhole and vct configs ride the
-// batch lockstep engine in chunks of up to replicaChunk seeds (shared
-// tables, one fused sweep per cycle), spread across the work-stealing
-// scheduler; results are identical to running each seed sequentially.
-// Telemetry-carrying configs fall back to the scalar per-seed path (the
-// batch engine meters its observer replica only), as does saf.
+// is the batch experiments' error bar. The seeds are independent RunBatch
+// calls spread across the work-stealing scheduler, each on its worker's
+// recycled engine; results are identical to running each seed sequentially.
 func ReplicateBatch(cfg Config, patternSpec string, seeds []uint64, workers int, drainBudget int64) ([]BatchResult, error) {
-	if cfg.Switching == StoreFwd || cfg.Telemetry != nil {
-		return replicateBatchScalar(cfg, patternSpec, seeds, workers, drainBudget)
-	}
-	out := make([]BatchResult, len(seeds))
-	nChunks := (len(seeds) + replicaChunk - 1) / replicaChunk
-	errs := make([]error, nChunks)
-	s := NewScheduler(workers)
-	for lo := 0; lo < len(seeds); lo += replicaChunk {
-		lo := lo
-		hi := lo + replicaChunk
-		if hi > len(seeds) {
-			hi = len(seeds)
-		}
-		s.Submit(func(int) {
-			rs, err := runBurstReplicas(cfg, patternSpec, seeds[lo:hi], drainBudget)
-			copy(out[lo:hi], rs)
-			errs[lo/replicaChunk] = err
-		})
-	}
-	s.Close()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
-// replicateBatchScalar is ReplicateBatch's one-engine-per-seed path.
-func replicateBatchScalar(cfg Config, patternSpec string, seeds []uint64, workers int, drainBudget int64) ([]BatchResult, error) {
 	out := make([]BatchResult, len(seeds))
 	errs := make([]error, len(seeds))
 	s := NewScheduler(workers)
 	for j := range seeds {
 		j := j
-		s.Submit(func(int) {
+		s.Submit(func(w int) {
 			c := cfg
 			c.Seed = seeds[j]
 			burst, err := PermutationBurst(c, patternSpec)
@@ -176,7 +148,7 @@ func replicateBatchScalar(cfg Config, patternSpec string, seeds []uint64, worker
 				errs[j] = err
 				return
 			}
-			r, err := RunBatch(c, burst, burst.LastCycle(), drainBudget)
+			r, err := runBatchOn(s.Engine(w), c, burst, burst.LastCycle(), drainBudget)
 			out[j] = r
 			if err != nil {
 				errs[j] = fmt.Errorf("core: batch replica seed=%#x: %w", seeds[j], err)
@@ -190,105 +162,6 @@ func replicateBatchScalar(cfg Config, patternSpec string, seeds []uint64, worker
 		}
 	}
 	return out, nil
-}
-
-// runBurstReplicas drives one chunk of permutation-burst seeds to
-// completion on the batch engine. Each replica is stepped through the burst
-// window and then drained; a replica whose network empties drops out of the
-// live set (swap-remove) while its siblings keep draining. Per-replica
-// results mirror RunBatch exactly, including its partial fill on a watchdog
-// or drain-budget error.
-func runBurstReplicas(cfg Config, patternSpec string, seeds []uint64, drainBudget int64) ([]BatchResult, error) {
-	cfg.ApplyDefaults()
-	if drainBudget <= 0 {
-		drainBudget = 1_000_000
-	}
-	g := cfg.Grid()
-	out := make([]BatchResult, len(seeds))
-	for r := range out {
-		out[r] = BatchResult{Algorithm: cfg.Algorithm, Switching: cfg.Switching}
-	}
-	alg, err := routing.Get(cfg.Algorithm)
-	if err != nil {
-		return out, err
-	}
-	policy, err := routing.GetPolicy(cfg.Policy)
-	if err != nil {
-		return out, err
-	}
-	wls := make([]traffic.Workload, len(seeds))
-	last := int64(0)
-	for r, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		burst, err := PermutationBurst(c, patternSpec)
-		if err != nil {
-			return out, err
-		}
-		wls[r] = burst
-		if lc := burst.LastCycle(); lc > last {
-			last = lc
-		}
-	}
-	hists := make([]stats.Histogram, len(seeds))
-	bn, err := network.NewBatch(network.BatchConfig{
-		Grid: g, Algorithm: alg, Policy: policy, Workloads: wls, Seeds: seeds,
-		MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
-		InjectionPorts: cfg.InjectionPorts,
-		OnDeliver: func(r int, m *message.Message) {
-			hists[r].Add(float64(m.Latency()))
-			if m.DeliverTime > out[r].Makespan {
-				out[r].Makespan = m.DeliverTime
-			}
-		},
-	})
-	if err != nil {
-		return out, err
-	}
-	errs := make([]error, len(seeds))
-	step := func() {
-		for _, f := range bn.Step() {
-			errs[f.Replica] = f.Err
-			bn.Deactivate(f.Replica)
-		}
-	}
-	// The burst window, then the drain: a replica leaves the live set the
-	// moment its network empties, exactly when its scalar Drain would have
-	// returned.
-	for i := int64(0); i <= last && bn.Live() > 0; i++ {
-		step()
-	}
-	for i := int64(0); i < drainBudget && bn.Live() > 0; i++ {
-		for r := range seeds {
-			if bn.IsLive(r) && bn.InFlight(r) == 0 {
-				bn.Deactivate(r)
-			}
-		}
-		if bn.Live() == 0 {
-			break
-		}
-		step()
-	}
-	for r := range seeds {
-		if bn.IsLive(r) && bn.InFlight(r) > 0 && errs[r] == nil {
-			errs[r] = fmt.Errorf("network: %d messages still in flight after %d drain cycles", bn.InFlight(r), drainBudget)
-		}
-	}
-	var firstErr error
-	for r := range seeds {
-		if errs[r] != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: batch replica seed=%#x: %w", seeds[r], errs[r])
-			}
-			continue // RunBatch leaves totals unfilled on error
-		}
-		t := bn.Total(r)
-		out[r].Delivered, out[r].Dropped, out[r].FlitMoves = t.Delivered, t.Dropped, t.FlitMoves
-		out[r].MeanLatency = hists[r].Mean()
-		out[r].LatencyP95 = hists[r].Quantile(0.95)
-		out[r].MaxLatency = hists[r].Max()
-	}
-	return out, firstErr
 }
 
 // PermutationBurst builds a trace that injects every source's message for

@@ -357,6 +357,16 @@ func (a safAdapter) Reseed(seed uint64) { a.wl.Reseed(seed) }
 
 // Run executes one simulation point.
 func Run(cfg Config) (Result, error) {
+	return runOn(new(network.Network), cfg)
+}
+
+// runOn is Run on a caller-supplied wormhole engine, re-initialised for the
+// point (network.Reset): the sweeps hand every point the engine of the
+// scheduler worker it runs on, so a grid of points builds one engine per
+// worker instead of one per point. The Result is a function of cfg alone —
+// what eng ran before cannot show (store-and-forward points leave it
+// untouched).
+func runOn(eng *network.Network, cfg Config) (Result, error) {
 	cfg.ApplyDefaults()
 	g := cfg.Grid()
 	alg, err := routing.Get(cfg.Algorithm)
@@ -376,7 +386,10 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// Probe the pattern's mean distance with a zero-rate workload, then
-	// derive lambda via eq. (4): rho = lambda * msgLen * meanDist / 2n.
+	// derive lambda via eq. (4): rho = lambda * msgLen * meanDist / 2n. The
+	// real workload is the probe with the rate set: the distance statistics
+	// are a function of (grid, pattern), and enumerating them is the
+	// dominant construction cost.
 	probe := traffic.NewBernoulli(g, pattern, 0, cfg.Seed)
 	meanDist := probe.MeanDistance()
 	lambda := cfg.InjectionRate
@@ -389,7 +402,7 @@ func Run(cfg Config) (Result, error) {
 	if lambda > 1 {
 		return Result{}, fmt.Errorf("core: offered load %.3g needs injection rate %.3g > 1 message/node/cycle", cfg.OfferedLoad, lambda)
 	}
-	wl := traffic.NewBernoulli(g, pattern, lambda, cfg.Seed)
+	wl := probe.WithRate(lambda, cfg.Seed)
 
 	res := Result{
 		Algorithm:     cfg.Algorithm,
@@ -429,7 +442,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	switch cfg.Switching {
 	case Wormhole, CutThrough:
-		wn, err = network.New(network.Config{
+		err = eng.Reset(network.Config{
 			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
 			MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
 			InjectionPorts: cfg.InjectionPorts, RouteDelay: cfg.RouteDelay,
@@ -439,6 +452,7 @@ func Run(cfg Config) (Result, error) {
 		if err != nil {
 			return res, err
 		}
+		wn = eng
 		st = wn
 	case StoreFwd:
 		sn, err = saf.New(saf.Config{
@@ -637,15 +651,20 @@ func cfgCycles(cfg Config, samples int) int64 {
 // produced it. Callers following the Sweep convention — check
 // Result.Deadlocked, not just err — behave identically on both paths.
 func RunCached(cfg Config) (r Result, hit bool, err error) {
+	return runCachedOn(new(network.Network), cfg)
+}
+
+// runCachedOn is RunCached with misses simulated on eng (see runOn).
+func runCachedOn(eng *network.Network, cfg Config) (r Result, hit bool, err error) {
 	if cfg.Cache == nil || (cfg.Telemetry != nil && cfg.Telemetry.Trace) {
-		r, err = Run(cfg)
+		r, err = runOn(eng, cfg)
 		return r, false, err
 	}
 	hash := cfg.Hash()
 	if r, ok := cfg.Cache.Lookup(hash); ok {
 		return r, true, nil
 	}
-	r, err = Run(cfg)
+	r, err = runOn(eng, cfg)
 	if err != nil && !r.Deadlocked {
 		return r, false, err
 	}
@@ -675,7 +694,8 @@ func SweepN(cfg Config, loads []float64, workers int) ([]Result, error) {
 // telemetry.Progress is). It backs the CLIs' -progress flag. The points run
 // on a work-stealing Scheduler; Config hooks (OnSample, OnTick, a shared
 // PhaseProf) fire from whichever worker runs the point, so shared hooks must
-// be safe for concurrent use.
+// be safe for concurrent use. Every point runs on its worker's recycled
+// engine.
 func SweepObserved(cfg Config, loads []float64, workers int, onDone func(i int, r Result)) ([]Result, error) {
 	if workers > len(loads) {
 		workers = len(loads)
@@ -685,10 +705,10 @@ func SweepObserved(cfg Config, loads []float64, workers int, onDone func(i int, 
 	s := NewScheduler(workers)
 	for i := range loads {
 		i := i
-		s.Submit(func(int) {
+		s.Submit(func(w int) {
 			c := cfg
 			c.OfferedLoad = loads[i]
-			r, _, err := RunCached(c)
+			r, _, err := runCachedOn(s.Engine(w), c)
 			results[i] = r
 			if err != nil && !r.Deadlocked {
 				errs[i] = fmt.Errorf("core: sweep at rho=%.3g: %w", loads[i], err)

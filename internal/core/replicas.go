@@ -2,41 +2,18 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"wormsim/internal/forensics"
-	"wormsim/internal/message"
 	"wormsim/internal/network"
-	"wormsim/internal/routing"
-	"wormsim/internal/stats"
-	"wormsim/internal/telemetry"
-	"wormsim/internal/traffic"
 )
 
-// replicaRun is one replica's measurement state inside RunReplicas: the
-// same estimators Run keeps as locals, held per replica so the batch
-// engine's fused sweep can feed all of them from one pass.
-type replicaRun struct {
-	res       Result
-	sample    *stats.Stratified
-	hopStats  []stats.Welford
-	latHist   stats.Histogram
-	thr       stats.Welford
-	conv      *stats.Convergence
-	lastBound float64
-	deadlock  error
-	startMove int64
-	startCyc  int64
-}
-
-// RunReplicas executes one simulation point at each seed, in lockstep on
-// the batch engine (network.BatchNetwork): the replicas share precomputed
-// tables and draw their arrival trials through one interleaved sweep per
-// cycle, and every replica's Result is bit-identical to a scalar
-// Run of the same config and seed. Replicas follow the paper's sampling
-// methodology in phase (the warmup/sample/gap schedule is a config
-// constant); a replica whose convergence rule fires drops out of the live
-// set and stops costing anything while the stragglers finish.
+// RunReplicas executes one simulation point at each seed and returns the
+// Results in seed order; every replica's Result is equal, field for field,
+// to Run of the same config at that seed. The replicas are independent
+// event-driven points run back to back on one recycled engine — past
+// saturation, where replicated sweeps spend their time, that beats stepping
+// them in lockstep, because a parked header costs nothing while a lockstep
+// kernel retries every blocked header of every replica each cycle (DESIGN.md
+// §6).
 //
 // Deadlocked replicas are recorded in their Result (Deadlocked set, the
 // other fields describing the run up to the stall) rather than returned as
@@ -44,243 +21,39 @@ type replicaRun struct {
 // only.
 //
 // Config.Telemetry, Forensics and OnSample attach to the first replica
-// only (the batch engine's observer); Config.Cache is consulted per seed,
-// but only for uninstrumented configs, where a stored Result carries
-// everything a run produces. Configs the batch engine does not cover
-// (store-and-forward switching, OnTick publication) fall back to
-// sequential scalar runs with identical results.
+// only; OnTick fires for every replica (ticks carry their Seed).
+// Config.Cache is consulted per seed with the hashes RunCached uses, so
+// stores written by either are interchangeable — but only for uninstrumented
+// configs, where a stored Result carries everything a run produces.
 func RunReplicas(cfg Config, seeds []uint64) ([]Result, error) {
-	cfg.ApplyDefaults()
 	results := make([]Result, len(seeds))
-	if len(seeds) == 0 {
-		return results, nil
-	}
-	if cfg.Switching == StoreFwd || cfg.OnTick != nil {
-		for i, seed := range seeds {
-			c := cfg
-			c.Seed = seed
-			r, _, err := RunCached(c)
-			results[i] = r
-			if err != nil && !r.Deadlocked {
-				return results, fmt.Errorf("core: replica seed=%#x: %w", seed, err)
-			}
-		}
-		return results, nil
-	}
-
-	// Per-seed cache consult. Instrumented configs bypass it: the batch
-	// engine attaches the collector/analyzer to the observer replica only,
-	// so storing the bare siblings under an instrumented hash would poison
-	// later instrumented lookups.
-	useCache := cfg.Cache != nil && cfg.Telemetry == nil && cfg.Forensics == nil
-	missIdx := make([]int, 0, len(seeds))
-	missSeeds := make([]uint64, 0, len(seeds))
+	eng := new(network.Network)
 	for i, seed := range seeds {
-		if useCache {
-			c := cfg
-			c.Seed = seed
-			if r, ok := cfg.Cache.Lookup(c.Hash()); ok {
-				results[i] = r
-				continue
-			}
-		}
-		missIdx = append(missIdx, i)
-		missSeeds = append(missSeeds, seed)
-	}
-	if len(missSeeds) == 0 {
-		return results, nil
-	}
-
-	g := cfg.Grid()
-	alg, err := routing.Get(cfg.Algorithm)
-	if err != nil {
-		return results, err
-	}
-	if err := alg.Compatible(g); err != nil {
-		return results, err
-	}
-	pattern, err := traffic.Parse(g, cfg.Pattern)
-	if err != nil {
-		return results, err
-	}
-	policy, err := routing.GetPolicy(cfg.Policy)
-	if err != nil {
-		return results, err
-	}
-	// Probe the pattern's mean distance with a zero-rate workload, then
-	// derive lambda via eq. (4) — identical for every seed, so one probe
-	// serves the whole batch.
-	probe := traffic.NewBernoulli(g, pattern, 0, cfg.Seed)
-	meanDist := probe.MeanDistance()
-	lambda := cfg.InjectionRate
-	if lambda == 0 {
-		if meanDist == 0 {
-			return results, fmt.Errorf("core: pattern %s generates no traffic", cfg.Pattern)
-		}
-		lambda = cfg.OfferedLoad * float64(2*g.N()) / (float64(cfg.MsgLen) * meanDist)
-	}
-	if lambda > 1 {
-		return results, fmt.Errorf("core: offered load %.3g needs injection rate %.3g > 1 message/node/cycle", cfg.OfferedLoad, lambda)
-	}
-	base := traffic.NewBernoulli(g, pattern, lambda, missSeeds[0])
-	wls := make([]traffic.Workload, len(missSeeds))
-	for r, seed := range missSeeds {
-		// Replicate shares the O(nodes^2) distance statistics: a replica
-		// fleet pays the workload construction cost once.
-		wls[r] = base.Replicate(seed)
-	}
-
-	sts := make([]replicaRun, len(missSeeds))
-	for r := range sts {
-		st := &sts[r]
-		st.res = Result{
-			Algorithm:     cfg.Algorithm,
-			Pattern:       cfg.Pattern,
-			Switching:     cfg.Switching,
-			K:             cfg.K,
-			N:             cfg.N,
-			Mesh:          cfg.Mesh,
-			OfferedLoad:   cfg.OfferedLoad,
-			InjectionRate: lambda,
-			MeanDistance:  meanDist,
-		}
-		st.hopStats = make([]stats.Welford, g.Diameter()+1)
-		st.conv = &stats.Convergence{MinSamples: cfg.MinSamples, MaxSamples: cfg.MaxSamples, Tolerance: cfg.Tolerance}
-	}
-
-	var tel *telemetry.Collector
-	if cfg.Telemetry != nil {
-		tel = telemetry.New(*cfg.Telemetry, g.ChannelSlots(), alg.NumVCs(g))
-	}
-	var fore *forensics.Analyzer
-	if cfg.Forensics != nil {
-		fore = forensics.New(*cfg.Forensics, g.ChannelSlots())
-	}
-	bn, err := network.NewBatch(network.BatchConfig{
-		Grid: g, Algorithm: alg, Policy: policy, Workloads: wls, Seeds: missSeeds,
-		MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
-		InjectionPorts: cfg.InjectionPorts, RouteDelay: cfg.RouteDelay,
-		Telemetry: tel, Phases: cfg.PhaseProf, Forensics: fore,
-		OnDeliver: func(r int, m *message.Message) {
-			st := &sts[r]
-			if st.sample != nil {
-				st.sample.Add(m.HopsTotal, float64(m.Latency()))
-				st.hopStats[m.HopsTotal].Add(float64(m.Latency()))
-				st.latHist.Add(float64(m.Latency()))
-			}
-		},
-	})
-	if err != nil {
-		return results, err
-	}
-
-	runFor := func(cycles int64) {
-		for i := int64(0); i < cycles && bn.Live() > 0; i++ {
-			for _, f := range bn.Step() {
-				// The scalar loop stops at the watchdog's report; freeze the
-				// faulted replica at the same cycle.
-				sts[f.Replica].deadlock = f.Err
-				bn.Deactivate(f.Replica)
-			}
-		}
-	}
-
-	weights := base.HopClassWeights()
-	runFor(cfg.WarmupCycles)
-	for bn.Live() > 0 {
-		for r := range sts {
-			if !bn.IsLive(r) {
-				continue
-			}
-			st := &sts[r]
-			st.sample = stats.NewStratified(weights)
-			bn.ResetWindow(r)
-			t := bn.Total(r)
-			st.startMove, st.startCyc = t.FlitMoves, t.Cycles
-		}
-		runFor(cfg.SampleCycles)
-		for r := range sts {
-			if !bn.IsLive(r) {
-				continue // faulted mid-sample: the period is discarded, as in Run
-			}
-			st := &sts[r]
-			t := bn.Total(r)
-			if t.Cycles > st.startCyc {
-				st.thr.Add(float64(t.FlitMoves-st.startMove) / (float64(t.Cycles-st.startCyc) * float64(g.NumChannels())))
-			}
-			st.conv.Record(st.sample.Mean())
-			st.lastBound = st.sample.ErrorBound()
-			done := st.conv.Done(st.sample)
-			if r == 0 && cfg.OnSample != nil {
-				cfg.OnSample(SampleEvent{
-					Sample: st.conv.Samples(), MaxSamples: cfg.MaxSamples,
-					Mean: st.sample.Mean(), Bound: st.lastBound, Done: done,
-				})
-			}
-			st.sample = nil
-			if done {
-				st.res.Converged = st.conv.Samples() < cfg.MaxSamples
-				bn.Deactivate(r)
-				continue
-			}
-			// Unmeasured gap with fresh random streams, per the paper.
-			bn.Reseed(r, missSeeds[r]+uint64(st.conv.Samples())*0x9e3779b97f4a7c15)
-		}
-		runFor(cfg.GapCycles)
-	}
-
-	for r := range sts {
-		st := &sts[r]
-		acrossBound, acrossMean := st.conv.AcrossSampleBound()
-		st.res.AvgLatency = acrossMean
-		st.res.LatencyBound = math.Max(st.lastBound, acrossBound)
-		if math.IsInf(st.res.LatencyBound, 1) {
-			st.res.LatencyBound = st.lastBound
-		}
-		st.res.Cycles = cfgCycles(cfg, st.conv.Samples())
-		t := bn.Total(r)
-		st.res.Generated, st.res.Admitted, st.res.Dropped, st.res.Delivered = t.Generated, t.Admitted, t.Dropped, t.Delivered
-		if t.FlitMoves > 0 {
-			st.res.VCFlitShare = make([]float64, len(t.FlitMovesByClass))
-			for i, f := range t.FlitMovesByClass {
-				st.res.VCFlitShare[i] = float64(f) / float64(t.FlitMoves)
-			}
-		}
-		st.res.HopClassLatency = make([]float64, len(st.hopStats))
-		for i := range st.hopStats {
-			if st.hopStats[i].Count() == 0 {
-				st.res.HopClassLatency[i] = -1 // unobserved (JSON has no NaN)
-			} else {
-				st.res.HopClassLatency[i] = st.hopStats[i].Mean()
-			}
-		}
-		st.res.ChannelFlits = bn.ChannelFlitCounts(r)
-		st.res.Samples = st.conv.Samples()
-		st.res.Throughput = st.thr.Mean()
-		if st.latHist.Count() > 0 {
-			q := st.latHist.Quantiles(0.5, 0.95, 0.99)
-			st.res.LatencyP50, st.res.LatencyP95, st.res.LatencyP99 = q[0], q[1], q[2]
-			st.res.LatencyMax = st.latHist.Max()
-		}
-		if r == 0 && tel != nil {
-			st.res.Telemetry = tel.Summary()
-			st.res.TraceEvents = tel.Events()
-		}
-		if r == 0 && fore != nil {
-			st.res.Forensics = fore.Summary()
-		}
-		if st.deadlock != nil {
-			st.res.Deadlocked = true
-			st.res.Converged = false
-		}
-		results[missIdx[r]] = st.res
-		if useCache {
-			c := cfg
-			c.Seed = missSeeds[r]
-			if serr := cfg.Cache.Store(c.Hash(), c.Canonical(), st.res); serr != nil {
-				return results, fmt.Errorf("core: record replica %s: %w", c.Hash()[:12], serr)
-			}
+		r, err := runReplica(eng, cfg, seed, i == 0)
+		results[i] = r
+		if err != nil {
+			return results, err
 		}
 	}
 	return results, nil
+}
+
+// runReplica runs the replica of cfg at seed on eng under RunReplicas'
+// contract; observed marks the one replica the instruments attach to.
+func runReplica(eng *network.Network, cfg Config, seed uint64, observed bool) (Result, error) {
+	cfg.Seed = seed
+	if cfg.Telemetry != nil || cfg.Forensics != nil {
+		// Storing the bare siblings of an instrumented replica, or serving it
+		// from a store, would mix Results with and without summaries under
+		// one call.
+		cfg.Cache = nil
+	}
+	if !observed {
+		cfg.Telemetry, cfg.Forensics, cfg.OnSample = nil, nil, nil
+	}
+	r, _, err := runCachedOn(eng, cfg)
+	if err != nil && !r.Deadlocked {
+		return r, fmt.Errorf("core: replica seed=%#x: %w", seed, err)
+	}
+	return r, nil
 }

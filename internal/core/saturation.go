@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"wormsim/internal/network"
+)
 
 // FindSaturation locates the saturation load of a configuration by binary
 // search: the largest offered load (within tol) whose achieved throughput
@@ -11,6 +15,12 @@ import "fmt"
 // offered load where achieved stops tracking offered is where the latency
 // curves turn vertical.
 func FindSaturation(cfg Config, lo, hi, tol, slack float64) (load float64, at Result, err error) {
+	return findSaturationOn(new(network.Network), cfg, lo, hi, tol, slack)
+}
+
+// findSaturationOn is FindSaturation with every probe simulated on eng (see
+// runOn).
+func findSaturationOn(eng *network.Network, cfg Config, lo, hi, tol, slack float64) (load float64, at Result, err error) {
 	cfg.ApplyDefaults()
 	if !(lo >= 0 && hi > lo) {
 		return 0, Result{}, fmt.Errorf("core: bad saturation bracket [%g, %g]", lo, hi)
@@ -24,16 +34,12 @@ func FindSaturation(cfg Config, lo, hi, tol, slack float64) (load float64, at Re
 	tracks := func(rho float64) (bool, Result, error) {
 		c := cfg
 		c.OfferedLoad = rho
-		// Probe through the batch engine at width one: the same Result as
-		// Run (TestRunReplicasMatchesRun), on the code path the sweeps use,
-		// with RunReplicas' per-seed cache consult when cfg.Cache is set.
-		rs, err := RunReplicas(c, []uint64{c.Seed})
-		if err != nil {
-			return false, Result{}, err
-		}
-		r := rs[0]
+		r, _, err := runCachedOn(eng, c)
 		if r.Deadlocked {
 			return false, r, nil
+		}
+		if err != nil {
+			return false, Result{}, err
 		}
 		return rho-r.Throughput <= slack, r, nil
 	}
@@ -87,10 +93,10 @@ func FindSaturationSet(cfg Config, algorithms []string, lo, hi, tol, slack float
 	s := NewScheduler(workers)
 	for i, alg := range algorithms {
 		i, alg := i, alg
-		s.Submit(func(int) {
+		s.Submit(func(w int) {
 			c := cfg
 			c.Algorithm = alg
-			load, at, err := FindSaturation(c, lo, hi, tol, slack)
+			load, at, err := findSaturationOn(s.Engine(w), c, lo, hi, tol, slack)
 			out[i] = SaturationPoint{Algorithm: alg, Load: load, At: at}
 			if err != nil {
 				errs[i] = fmt.Errorf("core: saturation search for %s: %w", alg, err)

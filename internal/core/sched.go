@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"wormsim/internal/network"
 	"wormsim/internal/stats"
 )
 
@@ -20,6 +21,10 @@ import (
 // granularity, and a single lock keeps the scheduler trivially race-clean.
 // Each simulation itself stays single-threaded and seeded, so any schedule
 // produces results identical to a sequential pass.
+//
+// Every worker owns one wormhole engine (Engine) that its items re-initialise
+// and run on in turn, so a sweep allocates an engine per worker rather than
+// per point.
 type Scheduler struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -32,6 +37,8 @@ type Scheduler struct {
 	next   int
 	closed bool
 	wg     sync.WaitGroup
+	// engines[w] is worker w's recycled engine.
+	engines []network.Network
 }
 
 type dequeOf struct {
@@ -44,7 +51,7 @@ func NewScheduler(workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{deques: make([]dequeOf, workers)}
+	s := &Scheduler{deques: make([]dequeOf, workers), engines: make([]network.Network, workers)}
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -55,6 +62,11 @@ func NewScheduler(workers int) *Scheduler {
 
 // Workers returns the pool size.
 func (s *Scheduler) Workers() int { return len(s.deques) }
+
+// Engine returns the engine reserved for the items worker runs. A worker
+// runs one item at a time, so an item may use its worker's engine without
+// locking — for as long as it runs, and never another worker's.
+func (s *Scheduler) Engine(worker int) *network.Network { return &s.engines[worker] }
 
 // Submit enqueues one work item from outside the pool, distributing
 // round-robin across the worker deques. The item receives the id of the
@@ -175,21 +187,16 @@ type ReplicatedResult struct {
 	Deadlocks int
 }
 
-// replicaChunk is the batch width SweepReplicated hands to each scheduler
-// task: wide enough to amortize the shared tables and interleave the RNG
-// chains of the lockstep engine, narrow enough that one load's replicas
-// still spread across idle workers.
-const replicaChunk = 16
-
 // SweepReplicated runs cfg at every load once per seed, fanning the (load,
-// replica-chunk) matrix through one work-stealing scheduler: each load is
-// submitted as an item that spawns chunks of up to replicaChunk seeds onto
-// the running worker's deque, so a cheap load's worker finishes and steals
-// chunks from the expensive loads near saturation. Each chunk runs on the
-// batch lockstep engine (RunReplicas), which makes its seeds share tables
-// and one fused sweep per cycle. Results are aggregated per load, in load
-// order; they are identical to running every (load, seed) pair sequentially.
-// Deadlocked replicas are recorded, not fatal; any other error aborts.
+// seed) matrix through one work-stealing scheduler: each load is submitted
+// as an item that spawns one child per seed onto the running worker's deque,
+// so a worker that finishes a cheap load steals single replicas of the
+// expensive loads near saturation instead of idling. Each replica is an
+// independent point on its worker's recycled engine, under RunReplicas'
+// contract (instruments attach to the first seed of every load, the cache is
+// consulted per seed). Results are aggregated per load, in load order; they
+// are identical to running every (load, seed) pair sequentially. Deadlocked
+// replicas are recorded, not fatal; any other error aborts.
 func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) ([]ReplicatedResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("core: SweepReplicated needs at least one seed")
@@ -201,23 +208,15 @@ func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) (
 		out[i] = ReplicatedResult{OfferedLoad: loads[i], Replicas: make([]Result, len(seeds))}
 		i := i
 		s.Submit(func(w int) {
-			// Fan the seeds out in replica chunks: each chunk rides the batch
-			// lockstep engine (one fused sweep per cycle across its seeds,
-			// shared tables), and chunks of one load spread across idle
-			// workers like any other stolen task.
-			for lo := 0; lo < len(seeds); lo += replicaChunk {
-				lo := lo
-				hi := lo + replicaChunk
-				if hi > len(seeds) {
-					hi = len(seeds)
-				}
-				s.Spawn(w, func(int) {
+			for j := range seeds {
+				j := j
+				s.Spawn(w, func(w int) {
 					c := cfg
 					c.OfferedLoad = loads[i]
-					rs, err := RunReplicas(c, seeds[lo:hi])
-					copy(out[i].Replicas[lo:hi], rs)
+					r, err := runReplica(s.Engine(w), c, seeds[j], j == 0)
+					out[i].Replicas[j] = r
 					if err != nil {
-						errs[i*len(seeds)+lo] = fmt.Errorf("core: replicated sweep at rho=%.3g: %w", loads[i], err)
+						errs[i*len(seeds)+j] = fmt.Errorf("core: replicated sweep at rho=%.3g: %w", loads[i], err)
 					}
 				})
 			}

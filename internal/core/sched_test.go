@@ -133,35 +133,49 @@ func TestSweepSchedulerMatchesSequential(t *testing.T) {
 
 // TestSweepReplicatedMatchesIndividualRuns: every (load, replication) cell
 // must equal the same config run directly.
+// TestSweepReplicatedMatchesIndividualRuns: at any width the (load, seed)
+// matrix equals sequential Runs — every replica is an independent point on
+// its worker's recycled engine, so which replicas shared an engine, and in
+// which order, cannot show. The saturated load leaves each engine full of
+// worms for whatever runs next on it. CI runs this under -race: the workers'
+// engines must not be shared.
 func TestSweepReplicatedMatchesIndividualRuns(t *testing.T) {
-	cfg := quick("ecube")
-	loads := []float64{0.15, 0.3}
+	cfg := quick("nbc")
+	loads := []float64{0.15, 0.9}
 	seeds := []uint64{3, 11, 29}
-	reps, err := SweepReplicated(cfg, loads, seeds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(loads) {
-		t.Fatalf("got %d loads, want %d", len(reps), len(loads))
-	}
+	want := make([][]Result, len(loads))
 	for i, load := range loads {
-		if len(reps[i].Replicas) != len(seeds) {
-			t.Fatalf("load %g: %d replicas, want %d", load, len(reps[i].Replicas), len(seeds))
-		}
-		for j, seed := range seeds {
+		for _, seed := range seeds {
 			c := cfg
 			c.OfferedLoad = load
 			c.Seed = seed
-			want, err := Run(c)
+			r, err := Run(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(reps[i].Replicas[j], want) {
-				t.Errorf("load %g seed %d diverged from direct run", load, seed)
-			}
+			want[i] = append(want[i], r)
 		}
-		if reps[i].MeanLatency <= 0 || reps[i].MeanThroughput <= 0 {
-			t.Errorf("load %g: empty aggregate %+v", load, reps[i])
+	}
+	for _, workers := range []int{1, 2, 4} {
+		reps, err := SweepReplicated(cfg, loads, seeds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reps) != len(loads) {
+			t.Fatalf("workers=%d: got %d loads, want %d", workers, len(reps), len(loads))
+		}
+		for i, load := range loads {
+			if len(reps[i].Replicas) != len(seeds) {
+				t.Fatalf("workers=%d load %g: %d replicas, want %d", workers, load, len(reps[i].Replicas), len(seeds))
+			}
+			for j, seed := range seeds {
+				if !reflect.DeepEqual(reps[i].Replicas[j], want[i][j]) {
+					t.Errorf("workers=%d load %g seed %d diverged from direct run", workers, load, seed)
+				}
+			}
+			if reps[i].MeanLatency <= 0 || reps[i].MeanThroughput <= 0 {
+				t.Errorf("workers=%d load %g: empty aggregate %+v", workers, load, reps[i])
+			}
 		}
 	}
 }

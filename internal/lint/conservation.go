@@ -1,10 +1,10 @@
 package lint
 
-// Conservation proves flit/credit balance over the engine call graphs: every
-// resource an engine acquires it must also release. Quantities come in two
-// shapes. A *counter* quantity names a canonical state component (through
-// the dataflow layer's write canonicalization, so the scalar vc* arrays and
-// the batch hot-state unify): the reachable graph of each root must contain
+// Conservation proves flit/credit balance over the engine call graph: every
+// resource the engine acquires it must also release. Quantities come in two
+// shapes. A *counter* quantity names a state component (the field chain the
+// dataflow layer resolves a write to): the reachable graph of each root must
+// contain
 // both an increment and a decrement, or the counter only ever moves one way
 // and the invariant it tracks cannot hold. An *acquire/release* quantity
 // names a call pair (pool.Get/pool.Put, limiter.Admit/limiter.Release):
@@ -23,7 +23,7 @@ import (
 // ConservedQuantity describes one balanced resource.
 type ConservedQuantity struct {
 	Name string
-	// Counter is a canonical state component balanced by ++/+= and --/-=.
+	// Counter is a state component (dataflow.go) balanced by ++/+= and --/-=.
 	Counter string
 	// Acquire/Release name a paired call-event couple.
 	Acquire, Release string
@@ -40,13 +40,19 @@ type Conservation struct {
 	Quantities []ConservedQuantity
 }
 
-// NewConservation returns the pass configured for wormsim's engines: both
-// step roots, with the VC-ownership, injection-port, in-flight, message-pool
+// NewConservation returns the pass configured for wormsim's engine: the
+// step root, with the VC-ownership, injection-port, in-flight, message-pool
 // and congestion-credit quantities.
 func NewConservation() *Conservation {
 	return &Conservation{
-		Model: wormsimEngineModel(),
-		Roots: []string{"(*Network).Step", "(*BatchNetwork).Step"},
+		Model: &EngineModel{
+			TargetPkg: "wormsim/internal/network",
+			CallPrefix: map[string]string{
+				"wormsim/internal/message.Pool":       "pool",
+				"wormsim/internal/congestion.Limiter": "limiter",
+			},
+		},
+		Roots: []string{"(*Network).Step"},
 		Quantities: []ConservedQuantity{
 			{Name: "vc-ownership", Counter: "owners"},
 			{Name: "injection-ports", Counter: "injecting"},
@@ -134,7 +140,7 @@ func (c *Conservation) RunProgram(prog *Program) []Finding {
 func (c *Conservation) scanLedger(pkg *Package, fd *ast.FuncDecl) []ledgerOp {
 	var ops []ledgerOp
 	aliases := collectFieldAliases(pkg, fd)
-	byCounter := make(map[string]string) // canonical component -> quantity
+	byCounter := make(map[string]string) // state component -> quantity
 	byCall := make(map[string]struct {
 		quantity string
 		inc      bool
@@ -182,9 +188,8 @@ func (c *Conservation) scanLedger(pkg *Package, fd *ast.FuncDecl) []ledgerOp {
 	return ops
 }
 
-// callLabel classifies a call the same way the footprint extractor does,
-// for foreign methods only (acquire/release pairs live on pool and limiter
-// values).
+// callLabel labels a method call on a foreign receiver the model names
+// (acquire/release pairs live on pool and limiter values).
 func (c *Conservation) callLabel(pkg *Package, call *ast.CallExpr) string {
 	fn := calleeFunc(pkg, call)
 	if fn == nil {
@@ -309,7 +314,7 @@ func terminates(b *ast.BlockStmt) bool {
 
 // containsSink reports whether n releases obj or stores it into engine
 // state: a release call taking obj, obj passed to an intra-package callee,
-// or an assignment of obj whose target canonicalizes to a state component.
+// or an assignment of obj whose target resolves to a state component.
 func (c *Conservation) containsSink(pkg *Package, aliases map[types.Object][]string, n ast.Node, obj types.Object, releases map[string]bool) bool {
 	usesObj := func(e ast.Expr) bool {
 		found := false

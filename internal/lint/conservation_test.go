@@ -10,9 +10,8 @@ func conservationFixturePass(p *Package) *Conservation {
 	extPath := path.Dir(p.Path) + "/engineext"
 	return &Conservation{
 		Model: &EngineModel{
-			TargetPkg:   p.Path,
-			ScalarTypes: []string{"Eng"},
-			CallPrefix:  map[string]string{extPath + ".Pool": "pool"},
+			TargetPkg:  p.Path,
+			CallPrefix: map[string]string{extPath + ".Pool": "pool"},
 		},
 		Roots: []string{"(*Eng).Step"},
 		Quantities: []ConservedQuantity{

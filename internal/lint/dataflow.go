@@ -1,378 +1,31 @@
 package lint
 
-// The dataflow layer extracts a *semantic footprint* from engine code: which
-// configuration and topology fields a function reads, which canonical state
-// components it writes, and — in program order — which RNG draws, telemetry
-// or forensics hooks, and pool acquire/release calls it performs. The
-// engineparity pass diffs footprints across the scalar/batch engine pairs;
-// the conservation pass reuses the same write canonicalization to balance
-// resource counters.
-//
-// The extraction is syntactic and deliberately shallow: it walks a function
-// body in source order (pre-order, so a call's label precedes events from
-// its arguments), resolves local aliases of receiver fields (h := &hotA[i]),
-// and inlines unpaired same-side helper methods at their call sites so that
-// a helper split on one engine but not the other does not hide events.
-// Paired functions are atomic "pair:<name>" events — their own footprints
-// are compared separately.
+// The dataflow layer names writes to engine state: it resolves an assignment
+// target — through indexing, dereference and local aliases of receiver
+// fields (refs := n.wormRefs[:0]) — to the dotted chain of struct fields
+// under the engine value ("owners", "window.Cycles"). The conservation pass
+// balances resource counters and finds state sinks over these names.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// EngineModel teaches the dataflow layer how to read semantic events out of
-// a package holding two engine implementations. All tables are in terms of
-// source identifiers so the model stays declarative; NewEngineParity builds
-// the instance for wormsim/internal/network, and fixtures build their own.
+// EngineModel teaches the dataflow layer how to read an engine package. The
+// tables are in terms of source identifiers so the model stays declarative;
+// NewConservation builds the instance for wormsim/internal/network, and
+// fixtures build their own.
 type EngineModel struct {
 	// TargetPkg is the import path of the package under analysis.
 	TargetPkg string
 
-	// ScalarTypes and BatchTypes name the receiver types (without pointer)
-	// whose unpaired methods are side-local helpers, inlined into the
-	// footprint of each caller.
-	ScalarTypes []string
-	BatchTypes  []string
-
 	// CallPrefix maps qualified receiver types ("path/to/pkg.Type", works
 	// for interfaces too) to an event prefix: a method call on such a value
-	// becomes the event "<prefix>.<Method>". Unmapped foreign receivers are
+	// is labeled "<prefix>.<Method>". Unmapped foreign receivers are
 	// ignored (fmt, strings, ...).
 	CallPrefix map[string]string
-
-	// FuncLabels maps qualified package-level functions ("path/to/pkg.Func")
-	// to event labels; unmapped foreign functions are ignored.
-	FuncLabels map[string]string
-
-	// HookFields canonicalizes func-typed fields invoked as hooks: calling
-	// a field named K emits the event "hook.<HookFields[K]>" (or
-	// "hook.<K>" when unmapped).
-	HookFields map[string]string
-
-	// ConfigFields maps struct field names counted as configuration or
-	// topology inputs to their canonical read labels. Only field selections
-	// count, so locals shadowing a config name are invisible.
-	ConfigFields map[string]string
-
-	// StateCanon canonicalizes written state: keys are dotted field chains
-	// rooted at the engine value ("vcFlits", "hotA.out", "window.Cycles").
-	// A full-chain entry wins; a first-segment entry mapping to "" drops
-	// that segment and re-canonicalizes the rest (used for container hops
-	// like "reps"); everything else is itself.
-	StateCanon map[string]string
-
-	// LiteralTypes maps composite-literal struct types declared in
-	// TargetPkg to a chain prefix: keyed fields of such a literal count as
-	// writes of "<prefix>.<field>" (the batch engine initializes state
-	// through vcHot{...} literals where the scalar engine assigns arrays).
-	LiteralTypes map[string]string
-
-	// PoolCalls, DrawCalls/DrawPrefixes and HookPrefixes route labeled call
-	// events into the ordered footprint dimensions; any labeled call not
-	// routed lands in the generic ordered "calls" dimension.
-	PoolCalls    map[string]bool
-	DrawCalls    map[string]bool
-	DrawPrefixes map[string]bool
-	HookPrefixes map[string]bool
-}
-
-// sideType reports whether name is one of the engine receiver types whose
-// unpaired methods get inlined.
-func (m *EngineModel) sideType(name string) bool {
-	for _, t := range m.ScalarTypes {
-		if t == name {
-			return true
-		}
-	}
-	for _, t := range m.BatchTypes {
-		if t == name {
-			return true
-		}
-	}
-	return false
-}
-
-// parityDims are the footprint dimensions, in certificate order. "reads"
-// and "writes" are sets; the rest are program-order sequences.
-var parityDims = []string{"reads", "writes", "draws", "hooks", "pool", "calls"}
-
-// footprint is the extracted semantic footprint of one function (with its
-// same-side helpers inlined).
-type footprint struct {
-	Reads  []string // sorted set of canonical config/topology inputs
-	Writes []string // sorted set of canonical state components
-	Draws  []string // RNG/selection draw sites in program order
-	Hooks  []string // telemetry/forensics/profiling/user hooks in order
-	Pool   []string // pool and credit acquire/release calls in order
-	Calls  []string // paired and shared callees plus algorithm calls in order
-}
-
-// dim returns the named dimension.
-func (f *footprint) dim(name string) []string {
-	switch name {
-	case "reads":
-		return f.Reads
-	case "writes":
-		return f.Writes
-	case "draws":
-		return f.Draws
-	case "hooks":
-		return f.Hooks
-	case "pool":
-		return f.Pool
-	case "calls":
-		return f.Calls
-	}
-	return nil
-}
-
-// fpEvent is one extracted event: the dimension it lands in and its label.
-type fpEvent struct {
-	dim   string
-	label string
-}
-
-// extractor accumulates events for one top-level footprint extraction,
-// following helper inlining across function boundaries.
-type extractor struct {
-	model  *EngineModel
-	prog   *Program
-	paired map[*types.Func]string // paired engine functions -> pair name
-	stack  map[*types.Func]bool   // inlining stack, cuts recursion
-	events []fpEvent
-}
-
-func newExtractor(model *EngineModel, prog *Program, paired map[*types.Func]string) *extractor {
-	return &extractor{
-		model:  model,
-		prog:   prog,
-		paired: paired,
-		stack:  make(map[*types.Func]bool),
-	}
-}
-
-// footprintOf extracts fn's footprint. Events from inlined helpers appear at
-// their call sites; reads and writes are deduplicated and sorted at the end.
-func (x *extractor) footprintOf(fn *types.Func) footprint {
-	x.events = x.events[:0]
-	x.emitFunc(fn)
-
-	var fp footprint
-	reads := make(map[string]bool)
-	writes := make(map[string]bool)
-	for _, ev := range x.events {
-		switch ev.dim {
-		case "reads":
-			reads[ev.label] = true
-		case "writes":
-			writes[ev.label] = true
-		case "draws":
-			fp.Draws = append(fp.Draws, ev.label)
-		case "hooks":
-			fp.Hooks = append(fp.Hooks, ev.label)
-		case "pool":
-			fp.Pool = append(fp.Pool, ev.label)
-		case "calls":
-			fp.Calls = append(fp.Calls, ev.label)
-		}
-	}
-	for r := range reads {
-		fp.Reads = append(fp.Reads, r)
-	}
-	for w := range writes {
-		fp.Writes = append(fp.Writes, w)
-	}
-	sort.Strings(fp.Reads)
-	sort.Strings(fp.Writes)
-	return fp
-}
-
-// emitFunc walks fn's body, appending its events. Re-entry through the
-// inlining stack degrades to an atomic call event.
-func (x *extractor) emitFunc(fn *types.Func) {
-	decl := x.prog.decls[fn]
-	pkg := x.prog.declPkg[fn]
-	if decl == nil || decl.Body == nil || pkg == nil {
-		return
-	}
-	x.stack[fn] = true
-	defer delete(x.stack, fn)
-	w := &fpWalker{x: x, pkg: pkg, aliases: collectFieldAliases(pkg, decl)}
-	ast.Inspect(decl.Body, w.visit)
-}
-
-func (x *extractor) emit(dim, label string) {
-	x.events = append(x.events, fpEvent{dim: dim, label: label})
-}
-
-// emitLabel routes one labeled call event into its dimension.
-func (x *extractor) emitLabel(label string) {
-	prefix := label
-	if i := strings.IndexByte(label, '.'); i >= 0 {
-		prefix = label[:i]
-	}
-	switch {
-	case x.model.PoolCalls[label]:
-		x.emit("pool", label)
-	case x.model.DrawCalls[label] || x.model.DrawPrefixes[prefix]:
-		x.emit("draws", label)
-	case x.model.HookPrefixes[prefix]:
-		x.emit("hooks", label)
-	default:
-		x.emit("calls", label)
-	}
-}
-
-// fpWalker carries the per-function state of one body walk.
-type fpWalker struct {
-	x       *extractor
-	pkg     *Package
-	aliases map[types.Object][]string
-}
-
-func (w *fpWalker) visit(n ast.Node) bool {
-	switch t := n.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range t.Lhs {
-			// Rebinding a bare local is alias bookkeeping, not a state
-			// write — writes flow through the selector/index/deref forms.
-			// The exception is a self-append, which grows the aliased
-			// backing array in place.
-			if id, ok := unparen(lhs).(*ast.Ident); ok {
-				obj := w.pkg.Info.Defs[id]
-				if obj == nil {
-					obj = w.pkg.Info.Uses[id]
-				}
-				if len(t.Lhs) != len(t.Rhs) || !isSelfAppend(w.pkg, t.Rhs[i], obj) {
-					continue
-				}
-			}
-			w.emitWrite(lhs)
-		}
-	case *ast.IncDecStmt:
-		w.emitWrite(t.X)
-	case *ast.SelectorExpr:
-		w.emitRead(t)
-	case *ast.CompositeLit:
-		w.emitLiteral(t)
-	case *ast.CallExpr:
-		w.emitCall(t)
-	}
-	return true
-}
-
-// emitWrite records the canonical state component an assignment target
-// mutates, if it resolves to one.
-func (w *fpWalker) emitWrite(lhs ast.Expr) {
-	if c := canonicalWrite(w.x.model, w.pkg, w.aliases, lhs); c != "" {
-		w.x.emit("writes", c)
-	}
-}
-
-// emitRead records configuration/topology field reads.
-func (w *fpWalker) emitRead(sel *ast.SelectorExpr) {
-	v, ok := w.pkg.Info.Uses[sel.Sel].(*types.Var)
-	if !ok || !v.IsField() {
-		return
-	}
-	if canon, ok := w.x.model.ConfigFields[sel.Sel.Name]; ok {
-		w.x.emit("reads", canon)
-	}
-}
-
-// emitLiteral records keyed fields of configured composite literals as
-// state writes.
-func (w *fpWalker) emitLiteral(lit *ast.CompositeLit) {
-	tv, ok := w.pkg.Info.Types[lit]
-	if !ok {
-		return
-	}
-	named := namedOf(tv.Type)
-	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != w.x.model.TargetPkg {
-		return
-	}
-	prefix, ok := w.x.model.LiteralTypes[named.Obj().Name()]
-	if !ok {
-		return
-	}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		w.x.emit("writes", w.x.model.canonState([]string{prefix, key.Name}))
-	}
-}
-
-// emitCall classifies one call: paired engine functions become atomic
-// "pair:" events, unpaired same-side helpers are inlined, other
-// target-package functions become "call:" events, and foreign calls are
-// labeled through CallPrefix/FuncLabels or ignored.
-func (w *fpWalker) emitCall(call *ast.CallExpr) {
-	x := w.x
-	if fn := calleeFunc(w.pkg, call); fn != nil {
-		if name, ok := x.paired[fn]; ok {
-			x.emit("calls", "pair:"+name)
-			return
-		}
-		if fn.Pkg() != nil && fn.Pkg().Path() == x.model.TargetPkg {
-			if rt := recvTypeName(fn); rt != "" && x.model.sideType(rt) && !x.stack[fn] {
-				x.emitFunc(fn)
-				return
-			}
-			x.emit("calls", "call:"+fn.Name())
-			return
-		}
-		// Foreign method: label by receiver type.
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if named := namedOf(sig.Recv().Type()); named != nil && named.Obj().Pkg() != nil {
-				q := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-				if prefix, ok := x.model.CallPrefix[q]; ok {
-					x.emitLabel(prefix + "." + fn.Name())
-				}
-			}
-			return
-		}
-		// Foreign package-level function.
-		if fn.Pkg() != nil {
-			if label, ok := x.model.FuncLabels[fn.Pkg().Path()+"."+fn.Name()]; ok {
-				x.emitLabel(label)
-			}
-		}
-		return
-	}
-	// No static callee: a call through a func-typed field is a user hook.
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if v, ok := w.pkg.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-			if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc {
-				name := sel.Sel.Name
-				if canon, ok := x.model.HookFields[name]; ok {
-					name = canon
-				}
-				x.emitLabel("hook." + name)
-			}
-		}
-	}
-}
-
-// recvTypeName returns fn's receiver type name without pointer, or "".
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	if named := namedOf(sig.Recv().Type()); named != nil {
-		return named.Obj().Name()
-	}
-	return ""
 }
 
 // namedOf unwraps pointers and returns the named type, or nil.
@@ -384,43 +37,11 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
-// canonState canonicalizes a dotted field chain into a state component
-// name. The longest prefix of the chain with a StateCanon entry is
-// rewritten to that entry (a "" entry is a transparent container hop and
-// drops out) and the remainder is canonicalized recursively — so
-// "hotA.out.ch" → "out.ch" via the "hotA.out" entry and
-// "vcMsg.DeliverTime" → "msg.DeliverTime" via "vcMsg" → "msg". Unmapped
-// chains canonicalize to themselves.
-func (m *EngineModel) canonState(chain []string) string {
-	if len(chain) == 0 {
-		return ""
-	}
-	for k := len(chain); k > 0; k-- {
-		prefix := strings.Join(chain[:k], ".")
-		c, ok := m.StateCanon[prefix]
-		if !ok {
-			continue
-		}
-		rest := m.canonState(chain[k:])
-		switch {
-		case c == "":
-			return rest
-		case rest == "":
-			return c
-		default:
-			return c + "." + rest
-		}
-	}
-	return strings.Join(chain, ".")
-}
-
-// canonicalWrite resolves an assignment target to its canonical state
-// component: the dotted chain of struct fields under the receiver (through
-// indexing, dereference and local aliases), canonicalized by the model.
-// Plain locals resolve to "" — scratch writes are not state. A chain rooted
-// in a type from outside the target package is prefixed with that type's
-// name ("Message.FirstAlloc"), so cross-package state effects still align
-// across engines.
+// canonicalWrite resolves an assignment target to the state component it
+// mutates: the dotted chain of struct fields under the receiver (through
+// indexing, dereference and local aliases). Plain locals resolve to "" —
+// scratch writes are not state. A chain rooted in a type from outside the
+// target package is prefixed with that type's name ("Message.FirstAlloc").
 func canonicalWrite(m *EngineModel, pkg *Package, aliases map[types.Object][]string, e ast.Expr) string {
 	chain, owner := fieldChain(pkg, aliases, e)
 	if len(chain) == 0 {
@@ -429,7 +50,7 @@ func canonicalWrite(m *EngineModel, pkg *Package, aliases map[types.Object][]str
 	if owner != nil && owner.Obj().Pkg() != nil && owner.Obj().Pkg().Path() != m.TargetPkg {
 		chain = append([]string{owner.Obj().Name()}, chain...)
 	}
-	return m.canonState(chain)
+	return strings.Join(chain, ".")
 }
 
 // fieldChain collects the struct-field selection chain of e, outermost
@@ -481,12 +102,12 @@ func fieldChain(pkg *Package, aliases map[types.Object][]string, e ast.Expr) (ch
 	}
 }
 
-// collectFieldAliases maps locals that alias receiver state — h := &hotA[i],
-// refs := n.wormRefs[:0] — to the field chain they stand for, so writes
-// through them canonicalize like direct field writes. A local reassigned to
+// collectFieldAliases maps locals that alias receiver state — refs :=
+// n.wormRefs[:0], byClass := n.window.FlitMovesByClass — to the field chain
+// they stand for, so writes through them resolve like direct field writes. A local reassigned to
 // a different chain or to an arbitrary expression is poisoned; reassignment
 // by self-append (refs = append(refs, ...)) keeps the alias, matching the
-// engines' scratch-reuse idiom. Two rounds resolve alias-through-alias.
+// engine's scratch-reuse idiom. Two rounds resolve alias-through-alias.
 func collectFieldAliases(pkg *Package, fd *ast.FuncDecl) map[types.Object][]string {
 	aliases := make(map[types.Object][]string)
 	poisoned := make(map[types.Object]bool)

@@ -9,8 +9,9 @@ import (
 )
 
 // TestDirectiveSurvivesFix: applying -fix to a file that mixes fixable
-// findings with //lint:allow and //lint:parity directives must rewrite only
-// the unsuppressed findings and leave both directives byte-for-byte intact
+// findings with //lint:allow directives — one on the suppressed line, one in
+// a doc comment — must rewrite only the unsuppressed findings and leave both
+// directives byte-for-byte intact
 // (the directivefixfixed fixture is the golden).
 func TestDirectiveSurvivesFix(t *testing.T) {
 	l, err := NewLoader(".")
@@ -42,7 +43,7 @@ func TestDirectiveSurvivesFix(t *testing.T) {
 		}
 		for _, directive := range []string{
 			"//lint:allow errfmt kept verbatim for a downstream parser",
-			"//lint:parity writes fixture audit that must survive -fix",
+			"//lint:allow purity fixture exemption that must survive -fix",
 		} {
 			if !bytes.Contains(got, []byte(directive)) {
 				t.Errorf("fix dropped the directive %q", directive)

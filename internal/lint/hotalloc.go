@@ -26,23 +26,17 @@ import (
 type HotAlloc struct {
 	// TargetPkg is the import path holding the entry points.
 	TargetPkg string
-	// Root names a cycle entry point, "Func" or "(*Recv).Func".
+	// Root names the cycle entry point, "Func" or "(*Recv).Func".
 	Root string
-	// Roots names additional entry points in TargetPkg; all roots feed one
-	// reachability query, so a function reachable from any of them is on
-	// the hot path.
-	Roots []string
 }
 
-// NewHotAlloc guards both engines: everything network.(*Network).Step or
-// network.(*BatchNetwork).Step reaches runs once per simulated cycle (the
-// batch root covers the replica-minor lockstep sweep, whose zero-alloc
-// steady state TestBatchSteadyStateZeroAlloc pins dynamically).
+// NewHotAlloc guards the engine: everything network.(*Network).Step reaches
+// runs once per simulated cycle (TestSteadyStateZeroAlloc pins the same
+// contract dynamically).
 func NewHotAlloc() *HotAlloc {
 	return &HotAlloc{
 		TargetPkg: "wormsim/internal/network",
 		Root:      "(*Network).Step",
-		Roots:     []string{"(*BatchNetwork).Step"},
 	}
 }
 
@@ -63,23 +57,14 @@ func (h *HotAlloc) RunProgram(prog *Program) []Finding {
 		// pointed at a single unrelated package); nothing to check.
 		return nil
 	}
-	names := make([]string, 0, 1+len(h.Roots))
-	if h.Root != "" {
-		names = append(names, h.Root)
-	}
-	names = append(names, h.Roots...)
-	var roots []*types.Func
-	for _, name := range names {
-		root := prog.FindFunc(h.TargetPkg, name)
-		if root == nil {
-			// A renamed entry point must not silently disarm the gate.
-			return []Finding{target.finding(h.Name(), target.Files[0],
-				"hot-path root %s not found in %s; update the pass configuration", name, h.TargetPkg)}
-		}
-		roots = append(roots, root)
+	root := prog.FindFunc(h.TargetPkg, h.Root)
+	if root == nil {
+		// A renamed entry point must not silently disarm the gate.
+		return []Finding{target.finding(h.Name(), target.Files[0],
+			"hot-path root %s not found in %s; update the pass configuration", h.Root, h.TargetPkg)}
 	}
 
-	reach := prog.Graph().ReachableFrom(roots...)
+	reach := prog.Graph().ReachableFrom(root)
 	var out []Finding
 	forEachReachableDecl(prog, reach, func(p *Package, fd *ast.FuncDecl, _ *types.Func) {
 		out = append(out, h.checkBody(p, fd, reach)...)

@@ -36,21 +36,11 @@
 //     return paths.
 //   - hookescape — values handed to engine hooks must be deep copies: no
 //     argument may carry a reference into engine-owned state.
-//   - engineparity — the scalar and batch engines must be semantically
-//     twins: a dataflow footprint (config reads, canonical state writes,
-//     RNG draws, hook emissions, pool traffic) is extracted for each
-//     function pair of the two engines and diffed; any divergence must be
-//     fixed or audited with //lint:parity. CertifyParity turns the result
-//     into machine-readable certificates (cmd/wormlint -certify-parity).
 //   - conservation — flit/credit ledgers must balance: every conserved
 //     quantity (VC ownership counters, pool messages, congestion credits)
-//     acquired on an engine Step graph must be released on the same graph,
-//     and pool acquisitions must reach a release or a state sink on every
-//     path.
-//   - indexdiscipline — the batch engine's dense arrays may only be
-//     indexed by blessed slot-id / position producers, so a slot id can
-//     never be used as a position (or vice versa) without an explicit
-//     audited conversion.
+//     acquired on the engine's Step graph must be released on the same
+//     graph, and pool acquisitions must reach a release or a state sink on
+//     every path.
 //   - mutexcopy — locks must not be copied through receivers or parameters.
 //   - loopcapture — go/defer closures must not capture variables the
 //     enclosing loop keeps reassigning.
@@ -143,9 +133,7 @@ func DefaultPasses() []Pass {
 		NewAtomicDiscipline(),
 		NewLockScope(),
 		NewHookEscape(),
-		NewEngineParity(),
 		NewConservation(),
-		NewIndexDiscipline(),
 		MutexCopy{},
 		LoopCapture{},
 		ErrFmt{},

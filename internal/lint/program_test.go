@@ -9,19 +9,19 @@ import (
 // exactly once and the declaration index is computed exactly once no matter
 // how many whole-program passes consume them.
 func TestProgramSharedAcrossPasses(t *testing.T) {
-	p := loadFixture(t, "paritybad")
-	prog := NewProgram([]*Package{p})
+	pkgs := loadFixtures(t, "puritybad", "puritybad/dep")
+	prog := NewProgram(pkgs)
 
-	parity := parityFixturePass(p)
+	purity := &Purity{Entries: []FuncRef{{Pkg: pkgs[0].Path, Func: "Run"}}}
 	// Two whole-program passes plus two direct certifications, all against
 	// the same Program.
-	RunOn(prog, []Pass{parity})
-	RunOn(prog, []Pass{parity})
-	if _, err := CertifyParity(prog, parity, ""); err != nil {
-		t.Fatalf("CertifyParity: %v", err)
+	RunOn(prog, []Pass{purity})
+	RunOn(prog, []Pass{purity})
+	if _, err := CertifyPurity(prog, purity, ""); err != nil {
+		t.Fatalf("CertifyPurity: %v", err)
 	}
-	if _, err := CertifyParity(prog, parity, ""); err != nil {
-		t.Fatalf("CertifyParity (rerun): %v", err)
+	if _, err := CertifyPurity(prog, purity, ""); err != nil {
+		t.Fatalf("CertifyPurity (rerun): %v", err)
 	}
 
 	if prog.graphBuilds > 1 {
@@ -30,7 +30,7 @@ func TestProgramSharedAcrossPasses(t *testing.T) {
 	first := prog.funcDecls()
 	second := prog.funcDecls()
 	if len(first) == 0 {
-		t.Fatal("funcDecls returned no declarations for the paritybad fixture")
+		t.Fatal("funcDecls returned no declarations for the puritybad fixture")
 	}
 	if &first[0] != &second[0] {
 		t.Error("funcDecls rebuilt the declaration list instead of returning the cache")
@@ -40,7 +40,7 @@ func TestProgramSharedAcrossPasses(t *testing.T) {
 // TestProgramFreshGraphPerProgram: separate Programs do not share caches, so
 // stale graphs can never leak across -fix reloads.
 func TestProgramFreshGraphPerProgram(t *testing.T) {
-	p := loadFixture(t, "paritybad")
+	p := loadFixture(t, "puritybad")
 	a, b := NewProgram([]*Package{p}), NewProgram([]*Package{p})
 	if a.Graph() == b.Graph() {
 		t.Error("two Programs returned the same *CallGraph; caches must be per-Program")

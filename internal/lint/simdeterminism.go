@@ -76,10 +76,6 @@ func NewSimDeterminism() *SimDeterminism {
 		},
 		Roots: []FuncRef{
 			{Pkg: "wormsim/internal/network", Func: "(*Network).Step"},
-			// The batch engine's lockstep sweep: every replica must stay a
-			// pure function of its config and seed or batch/scalar
-			// bit-identity breaks.
-			{Pkg: "wormsim/internal/network", Func: "(*BatchNetwork).Step"},
 			// The observatory's result-serving paths: what a client reads
 			// from /api/runs, /api/compare and /compare.svg must be a
 			// deterministic function of the stored results.

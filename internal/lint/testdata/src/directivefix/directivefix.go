@@ -1,6 +1,6 @@
 // Package directivefix is the fixture for directive/-fix/-baseline
 // interaction: a fixable finding next to an //lint:allow suppression of the
-// same pass, and a //lint:parity audit on a function -fix rewrites. The
+// same pass, and a doc-comment directive on a function -fix rewrites. The
 // directivefixfixed fixture is the byte-exact golden of applying every
 // surviving fix — both directives must come through untouched.
 package directivefix
@@ -18,10 +18,10 @@ func WrapAllowed(err error) error {
 	return fmt.Errorf("legacy format: %v", err) //lint:allow errfmt kept verbatim for a downstream parser
 }
 
-// WrapAudited carries a parity audit in its doc comment; the fix applied to
-// its body must not disturb the directive.
+// WrapAudited carries a directive of another pass in its doc comment; the
+// fix applied to its body must not disturb it.
 //
-//lint:parity writes fixture audit that must survive -fix
+//lint:allow purity fixture exemption that must survive -fix
 func WrapAudited(err error) error {
 	return fmt.Errorf("close store: %v", err)
 }

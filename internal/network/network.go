@@ -34,13 +34,13 @@
 //
 // Virtual-channel state lives in parallel struct-of-arrays slices indexed by
 // a dense vc id (ch*numVCs+class for channel buffers, ids past that for
-// injection slots, whose capacity New reserves up front), and the
+// injection slots, whose capacity Reset reserves up front), and the
 // per-channel topology facts the cycle path needs (endpoints, direction,
 // reverse channel, Advance inputs) are precomputed into flat tables at
 // construction (see tables.go). The live vc ids sit on a dense active list
 // with swap-removal. The steady-state cycle allocates nothing: messages come
 // from a free-list pool, arbitration and rendering use reusable scratch
-// buffers, and every closure the hot path calls is created once in New.
+// buffers, and every closure the hot path calls is created once per engine.
 //
 // # Hot path
 //
@@ -67,10 +67,27 @@
 // instead of parking.
 //
 // Transfer visits the slots marked in xferBits: routed and holding flits,
-// the only ones that can drain or request a channel. The batch engine
-// (batch.go) keeps the simpler discipline — retry every unrouted header,
-// sweep every live slot — and is held bit-identical to this one, so it
-// doubles as the check on both shortcuts.
+// the only ones that can drain or request a channel.
+//
+// Both shortcuts are checked against the engine that did neither:
+// TestEnginePins replays 1,122 configurations whose digests the full-scan
+// engine generated (every unrouted header retried, every live slot swept,
+// each cycle), TestScanBookkeepingAtSaturation audits the bitsets and parking
+// lists against the slot state they summarise, and the four benchmark digests
+// pin whole figures.
+//
+// # One engine, recycled
+//
+// This is the only flit-level engine. Replicated experiments (one point at
+// many seeds) run as independent points, back to back, rather than stepping
+// the replicas of a point in lockstep: a lockstep kernel has to visit every
+// blocked header of every replica each cycle, while here a parked header costs
+// nothing, so past saturation — where replicated sweeps spend their time — the
+// independent runs are several times cheaper per replica-cycle (DESIGN.md
+// §6). What lockstep shared across replicas was construction, and Reset gives
+// that back: a Network re-initialised for its next run re-uses its arrays,
+// bitsets, channel tables and message pool, and is indistinguishable from a
+// new one (see Reset).
 package network
 
 import (
@@ -211,8 +228,8 @@ func (c Counters) Utilization(channels int) float64 {
 	return float64(c.FlitMoves) / (float64(c.Cycles) * float64(channels))
 }
 
-// Network is a running simulation. Create with New; advance with Step or
-// Run.
+// Network is a running simulation. Create with New, or recycle one between
+// runs with Reset; advance with Step or Run.
 type Network struct {
 	cfg    Config
 	g      *topology.Grid
@@ -233,6 +250,9 @@ type Network struct {
 	// allocation loop tests a bool instead of re-deriving the sample phase.
 	foreSampling bool
 	pool         *message.Pool
+	// ownPool is the private pool of an engine run without Config.MsgPool,
+	// kept across Reset so later runs start warm.
+	ownPool *message.Pool
 	// tieFn is the half-ring tie-break passed to the message pool — a method
 	// value bound once here so inject closes over nothing per call.
 	tieFn func(int) bool
@@ -334,11 +354,33 @@ type Network struct {
 
 // New validates cfg and builds the network.
 func New(cfg Config) (*Network, error) {
+	n := new(Network)
+	if err := n.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Reset validates cfg and re-initialises n for it, discarding whatever run n
+// held before. It is the only initialisation path — New is Reset on a zero
+// Network — and the state it leaves is the one a fresh engine starts from:
+// every slice has the length and contents New gives it, every counter and
+// the clock are zero, the random stream is fresh. A run on a recycled engine
+// is therefore bit-identical to the same run on a new one (TestEnginePins
+// threads its configurations through one engine to hold that).
+//
+// What recycling saves is allocation: a slice is re-used whenever its
+// capacity covers what cfg needs (consecutive configurations may differ in
+// grid, virtual-channel count and buffer depth, so capacity is compared,
+// never assumed), the channel tables are kept while the grid shape is
+// unchanged, and a private message pool carries its free list over. On error
+// n is left as it was. A Network must not be Reset while a Step is running.
+func (n *Network) Reset(cfg Config) error {
 	if cfg.Grid == nil || cfg.Algorithm == nil || cfg.Workload == nil {
-		return nil, fmt.Errorf("network: Grid, Algorithm and Workload are required")
+		return fmt.Errorf("network: Grid, Algorithm and Workload are required")
 	}
 	if err := cfg.Algorithm.Compatible(cfg.Grid); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.MsgLen <= 0 {
 		cfg.MsgLen = 16
@@ -347,7 +389,7 @@ func New(cfg Config) (*Network, error) {
 		cfg.BufDepth = 2
 	}
 	if cfg.BufDepth < 1 {
-		return nil, fmt.Errorf("network: BufDepth %d must be >= 1", cfg.BufDepth)
+		return fmt.Errorf("network: BufDepth %d must be >= 1", cfg.BufDepth)
 	}
 	if cfg.WatchdogCycles == 0 {
 		cfg.WatchdogCycles = 20000
@@ -356,41 +398,20 @@ func New(cfg Config) (*Network, error) {
 		cfg.Policy = routing.RandomPolicy{}
 	}
 	g := cfg.Grid
-	n := &Network{
-		cfg:     cfg,
-		g:       g,
-		alg:     cfg.Algorithm,
-		policy:  cfg.Policy,
-		wl:      cfg.Workload,
-		numVCs:  cfg.Algorithm.NumVCs(g),
-		nDims:   g.N(),
-		msgLen:  int32(cfg.MsgLen),
-		limiter: congestion.NewLimiter(g.Nodes(), cfg.CCLimit),
-		rt:      rng.NewStream(cfg.Seed, 0x90f7),
-		tel:     cfg.Telemetry,
-		prof:    cfg.Phases.Timer(),
-		fore:    cfg.Forensics,
-		pool:    cfg.MsgPool,
-	}
-	if n.pool == nil {
-		n.pool = message.NewPool()
-	}
-	n.tieFn = n.tieBreak
-	slots := g.ChannelSlots()
-	if n.tel != nil {
-		if chs, classes := n.tel.Dims(); chs != slots || classes != n.numVCs {
-			return nil, fmt.Errorf("network: telemetry collector sized for %d channels / %d classes, need %d / %d",
-				chs, classes, slots, n.numVCs)
+	numVCs := cfg.Algorithm.NumVCs(g)
+	slots, nodes := g.ChannelSlots(), g.Nodes()
+	if cfg.Telemetry != nil {
+		if chs, classes := cfg.Telemetry.Dims(); chs != slots || classes != numVCs {
+			return fmt.Errorf("network: telemetry collector sized for %d channels / %d classes, need %d / %d",
+				chs, classes, slots, numVCs)
 		}
 	}
-	if n.fore != nil {
-		if chs := n.fore.Channels(); chs != slots {
-			return nil, fmt.Errorf("network: forensics analyzer sized for %d channels, need %d", chs, slots)
+	if cfg.Forensics != nil {
+		if chs := cfg.Forensics.Channels(); chs != slots {
+			return fmt.Errorf("network: forensics analyzer sized for %d channels, need %d", chs, slots)
 		}
 	}
-	n.tbl = buildChanTable(g)
-	n.chanVCs = int32(slots * n.numVCs)
-	size := int(n.chanVCs)
+	size := slots * numVCs
 	// Injection slots are appended past the channel buffers (newInjSlot).
 	// Reserve their room now: growing eleven arrays sized exactly chanVCs by
 	// append would recopy all of them mid-run. Congestion control admits at
@@ -400,29 +421,101 @@ func New(cfg Config) (*Network, error) {
 	// control, still grows by append.
 	room := size
 	if cfg.CCLimit > 0 {
-		room += g.Nodes() * cfg.CCLimit * max(n.numVCs, 2*n.nDims)
+		room += nodes * cfg.CCLimit * max(numVCs, 2*g.N())
 	}
-	n.vcMsg = make([]*message.Message, size, room)
-	n.vcNode = make([]int32, size, room)
-	n.vcCh = make([]int32, size, room)
-	n.vcClass = make([]int16, size, room)
-	n.vcFlits = make([]int32, size, room)
-	n.vcRecvd = make([]int32, size, room)
-	n.vcSent = make([]int32, size, room)
-	n.vcOut = make([]outRoute, size, room)
-	n.vcReady = make([]int64, size, room)
-	n.vcAIdx = make([]int32, size, room)
-	n.parkNext = make([]int32, size, room)
-	n.active = make([]int32, 0, room)
-	n.hdrBits = make([]uint64, room>>6+1)
-	n.xferBits = make([]uint64, room>>6+1)
-	n.parkHead = make([]int32, g.Nodes())
+	old := *n
+	if old.pool != nil && old.pool == old.ownPool {
+		// Worms the last run left in flight go back to the free list. Several
+		// slots hold each one; exactly one of them — the slot with the header,
+		// or waiting for it — is unrouted or ejecting.
+		for _, id := range old.active {
+			if old.vcOut[id].ch < 0 {
+				old.pool.Put(old.vcMsg[id])
+			}
+		}
+	}
+	*n = Network{
+		cfg:     cfg,
+		g:       g,
+		alg:     cfg.Algorithm,
+		policy:  cfg.Policy,
+		wl:      cfg.Workload,
+		numVCs:  numVCs,
+		nDims:   g.N(),
+		msgLen:  int32(cfg.MsgLen),
+		limiter: old.limiter.Recycle(nodes, cfg.CCLimit),
+		rt:      rng.NewStream(cfg.Seed, 0x90f7),
+		tel:     cfg.Telemetry,
+		prof:    cfg.Phases.Timer(),
+		fore:    cfg.Forensics,
+		pool:    cfg.MsgPool,
+		ownPool: old.ownPool,
+		tieFn:   old.tieFn,
+		tbl:     old.tbl,
+		chanVCs: int32(size),
+
+		vcMsg:    recycle(old.vcMsg, size, room),
+		vcNode:   recycle(old.vcNode, size, room),
+		vcCh:     recycle(old.vcCh, size, room),
+		vcClass:  recycle(old.vcClass, size, room),
+		vcFlits:  recycle(old.vcFlits, size, room),
+		vcRecvd:  recycle(old.vcRecvd, size, room),
+		vcSent:   recycle(old.vcSent, size, room),
+		vcOut:    recycle(old.vcOut, size, room),
+		vcReady:  recycle(old.vcReady, size, room),
+		vcAIdx:   recycle(old.vcAIdx, size, room),
+		parkNext: recycle(old.parkNext, size, room),
+		active:   recycle(old.active, 0, room),
+		injFree:  old.injFree[:0],
+		hdrBits:  recycle(old.hdrBits, room>>6+1, room>>6+1),
+		xferBits: recycle(old.xferBits, room>>6+1, room>>6+1),
+		parkHead: recycle(old.parkHead, nodes, nodes),
+
+		rr:             recycle(old.rr, slots, slots),
+		owners:         recycle(old.owners, slots, slots),
+		flitsByChannel: recycle(old.flitsByChannel, slots, slots),
+		injecting:      recycle(old.injecting, nodes, nodes),
+		chMoverGen:     recycle(old.chMoverGen, slots, slots),
+		chDropGen:      recycle(old.chDropGen, slots, slots),
+
+		arrivals:   old.arrivals[:0],
+		cands:      old.cands[:0],
+		freeCands:  old.freeCands[:0],
+		freeScores: old.freeScores[:0],
+		moves:      old.moves[:0],
+		touched:    old.touched[:0],
+		wormRefs:   old.wormRefs[:0],
+
+		window: Counters{FlitMovesByClass: recycle(old.window.FlitMovesByClass, numVCs, numVCs)},
+		base:   Counters{FlitMovesByClass: recycle(old.base.FlitMovesByClass, numVCs, numVCs)},
+	}
+	if n.pool == nil {
+		if n.ownPool == nil {
+			n.ownPool = message.NewPool()
+		}
+		n.pool = n.ownPool
+	}
+	if n.tieFn == nil {
+		n.tieFn = n.tieBreak
+	}
+	if !n.tbl.builtFor(g) {
+		n.tbl = buildChanTable(g)
+	}
+	// The per-channel requester lists keep their backing arrays, emptied.
+	if cap(old.reqs) >= slots {
+		n.reqs = old.reqs[:slots]
+		for ch := range n.reqs {
+			n.reqs[ch] = n.reqs[ch][:0]
+		}
+	} else {
+		n.reqs = make([][]int32, slots)
+	}
 	for node := range n.parkHead {
 		n.parkHead[node] = -1
 	}
 	for ch := 0; ch < slots; ch++ {
-		for class := 0; class < n.numVCs; class++ {
-			id := ch*n.numVCs + class
+		for class := 0; class < numVCs; class++ {
+			id := ch*numVCs + class
 			n.vcCh[id] = int32(ch)
 			n.vcClass[id] = int16(class)
 			// -1 on mesh boundaries; such slots stay unused.
@@ -431,16 +524,18 @@ func New(cfg Config) (*Network, error) {
 			n.vcOut[id] = outRoute{ch: outNone}
 		}
 	}
-	n.rr = make([]uint32, slots)
-	n.owners = make([]int32, slots)
-	n.injecting = make([]int32, g.Nodes())
-	n.flitsByChannel = make([]int64, slots)
-	n.reqs = make([][]int32, slots)
-	n.chMoverGen = make([]uint32, slots)
-	n.chDropGen = make([]uint32, slots)
-	n.window.FlitMovesByClass = make([]int64, n.numVCs)
-	n.base.FlitMovesByClass = make([]int64, n.numVCs)
-	return n, nil
+	return nil
+}
+
+// recycle returns a zeroed slice of the given length on s's backing array
+// when that holds at least capacity elements, and a new one otherwise.
+func recycle[T any](s []T, length, capacity int) []T {
+	if cap(s) < capacity {
+		return make([]T, length, capacity)
+	}
+	s = s[:length]
+	clear(s)
+	return s
 }
 
 // tieBreak resolves half-ring direction ties at injection; bound as a method

@@ -3,13 +3,17 @@ package network
 import "wormsim/internal/topology"
 
 // chanTable holds per-physical-channel lookup tables, precomputed once per
-// New. Every entry is a pure function of the grid (topology.ChannelInfo,
-// Neighbor, ChannelIndex, Coord and Parity composed over the dense channel
-// index space), so replacing the per-call Grid methods on the cycle path
+// grid shape (Reset keeps them while consecutive runs share it). Every entry
+// is a pure function of the grid (topology.ChannelInfo, Neighbor,
+// ChannelIndex, Coord and Parity composed over the dense channel index
+// space), so replacing the per-call Grid methods on the cycle path
 // with these flat reads cannot change routing decisions, RNG draw order or
 // results — it only removes div/mod chains and a per-dimension parity loop
 // from every flit transfer.
 type chanTable struct {
+	// k, n and wrap are the shape of the grid the tables were built for.
+	k, n int
+	wrap bool
 	// up and down are the channel's endpoint nodes; down is -1 for mesh
 	// boundary slots (the channel does not exist, see Grid.HasChannel).
 	up   []int32
@@ -27,10 +31,16 @@ type chanTable struct {
 	parity []int8
 }
 
+// builtFor reports whether the tables describe a grid of g's shape.
+func (t *chanTable) builtFor(g *topology.Grid) bool {
+	return t.up != nil && t.k == g.K() && t.n == g.N() && t.wrap == g.Wrap()
+}
+
 // buildChanTable precomputes the tables for g.
 func buildChanTable(g *topology.Grid) chanTable {
 	slots := g.ChannelSlots()
 	t := chanTable{
+		k: g.K(), n: g.N(), wrap: g.Wrap(),
 		up:     make([]int32, slots),
 		down:   make([]int32, slots),
 		dim:    make([]int8, slots),

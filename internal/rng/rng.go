@@ -8,8 +8,6 @@
 // state, which fits that requirement without any external dependency.
 package rng
 
-import "math/bits"
-
 // Stream is a single PCG-32 pseudo-random stream. The zero value is not
 // usable; create streams with New or NewStream.
 type Stream struct {
@@ -18,11 +16,6 @@ type Stream struct {
 }
 
 const pcgMultiplier = 6364136223846793005
-
-// pcgInvMultiplier is pcgMultiplier's multiplicative inverse mod 2^64
-// (pinned by a unit test), which lets cold paths walk the state recurrence
-// backwards instead of carrying history through hot loops.
-const pcgInvMultiplier = 13877824140714322085
 
 // New returns a stream seeded with seed on the default stream id 0.
 func New(seed uint64) *Stream { return NewStream(seed, 0) }
@@ -89,136 +82,6 @@ func (s *Stream) Float64() float64 {
 // precomputed BernoulliThreshold without the int-to-float conversion.
 func (s *Stream) Uint53() uint64 {
 	return s.Uint64() >> 11
-}
-
-// BernoulliHitsGrid advances every stream through rounds sequential Uint53
-// draws against the cutoff thr and appends the hits — draws strictly below
-// thr — to hits, packed round<<32|stream in round-major, stream-minor
-// order. Each stream consumes draws in exactly the order its own
-// "Uint53() < thr" trials would, so the grid is a pure reordering of
-// independent scalar Bernoulli sequences — but because the streams' PCG
-// multiply chains are independent, the interleaved loop pipelines in the
-// CPU where a single stream's serial state recurrence cannot. Fusing the
-// cutoff into the grid also skips most of the output work: a Uint53 needs
-// two PCG output permutations, and the high word alone decides the trial
-// unless it lands exactly on thr's high word (for the light rates the
-// engine simulates, a sub-percent case). This is the batch engine's
-// arrival-draw primitive: R replicas' Bernoulli trials per node issue as
-// R-way instruction-level parallelism and return only the arrivals.
-func BernoulliHitsGrid(streams []*Stream, rounds int, thr uint64, hits []uint64) []uint64 {
-	if len(streams) <= gridWidth {
-		return bernoulliHitsDense(streams, rounds, thr, hits)
-	}
-	// Widths beyond the dense kernel's state buffers pay the pointer-walking
-	// loop; emission order (round-major) forbids column chunking here.
-	hiThr := thr >> 21
-	for round := 0; round < rounds; round++ {
-		tag := uint64(round) << 32
-		for i, s := range streams {
-			s1 := s.state
-			s2 := s1*pcgMultiplier + s.inc
-			s.state = s2*pcgMultiplier + s.inc
-			h1 := uint64(pcgOutput(s1))
-			if h1 <= hiThr {
-				if draw := (h1<<32 | uint64(pcgOutput(s2))) >> 11; draw < thr {
-					hits = append(hits, tag|uint64(i))
-				}
-			}
-		}
-	}
-	return hits
-}
-
-// gridWidth bounds the stack-resident state copies in bernoulliHitsDense.
-// 64 streams x 8 bytes keeps both buffers inside a kilobyte of stack while
-// covering any realistic batch width in one stripe.
-const gridWidth = 64
-
-// bernoulliHitsDense is the hot kernel: the PCG states are hoisted into
-// dense stack buffers for the duration, so the inner loop is pure
-// register/L1 arithmetic with no pointer-chased loads or stores of Stream
-// fields on the critical path — which is what lets the independent multiply
-// chains actually retire back to back.
-func bernoulliHitsDense(streams []*Stream, rounds int, thr uint64, hits []uint64) []uint64 {
-	var stBuf, incBuf [gridWidth]uint64
-	k := len(streams)
-	st, inc := stBuf[:k], incBuf[:k]
-	for i, s := range streams {
-		st[i], inc[i] = s.state, s.inc
-	}
-	// A draw is (h1<<32|h2)>>11 = h1<<21 | h2>>11, so with thr split at bit
-	// 21: h1 above thr's high word can never hit, h1 at or below it is a
-	// candidate. The trial loop only marks candidates in a bitmask — no
-	// appends, no tags, nothing but the recurrence and one predictable
-	// compare lives in it — and the candidate pass reconstructs the two
-	// pre-advance states from the updated one via the inverse multiplier.
-	hiThr := thr >> 21
-	// Rounds go in pairs: each stream's state loads and stores amortize over
-	// two draws (four state advances), and the two candidate masks keep the
-	// emission round-major. The inverse-multiplier reconstruction just walks
-	// further back — four advances for a first-round candidate.
-	round := 0
-	for ; round+2 <= rounds; round += 2 {
-		var cand0, cand1 uint64
-		for i := range st {
-			ic := inc[i]
-			s1 := st[i]
-			s2 := s1*pcgMultiplier + ic
-			s3 := s2*pcgMultiplier + ic
-			s4 := s3*pcgMultiplier + ic
-			st[i] = s4*pcgMultiplier + ic
-			if uint64(pcgOutput(s1)) <= hiThr {
-				cand0 |= 1 << uint(i)
-			}
-			if uint64(pcgOutput(s3)) <= hiThr {
-				cand1 |= 1 << uint(i)
-			}
-		}
-		for ; cand0 != 0; cand0 &= cand0 - 1 {
-			i := bits.TrailingZeros64(cand0)
-			s4 := (st[i] - inc[i]) * pcgInvMultiplier
-			s3 := (s4 - inc[i]) * pcgInvMultiplier
-			s2 := (s3 - inc[i]) * pcgInvMultiplier
-			s1 := (s2 - inc[i]) * pcgInvMultiplier
-			draw := (uint64(pcgOutput(s1))<<32 | uint64(pcgOutput(s2))) >> 11
-			if draw < thr {
-				hits = append(hits, uint64(round)<<32|uint64(i))
-			}
-		}
-		for ; cand1 != 0; cand1 &= cand1 - 1 {
-			i := bits.TrailingZeros64(cand1)
-			s4 := (st[i] - inc[i]) * pcgInvMultiplier
-			s3 := (s4 - inc[i]) * pcgInvMultiplier
-			draw := (uint64(pcgOutput(s3))<<32 | uint64(pcgOutput(s4))) >> 11
-			if draw < thr {
-				hits = append(hits, uint64(round+1)<<32|uint64(i))
-			}
-		}
-	}
-	if round < rounds {
-		var cand uint64
-		for i := range st {
-			s1 := st[i]
-			s2 := s1*pcgMultiplier + inc[i]
-			st[i] = s2*pcgMultiplier + inc[i]
-			if uint64(pcgOutput(s1)) <= hiThr {
-				cand |= 1 << uint(i)
-			}
-		}
-		for ; cand != 0; cand &= cand - 1 {
-			i := bits.TrailingZeros64(cand)
-			s2 := (st[i] - inc[i]) * pcgInvMultiplier
-			s1 := (s2 - inc[i]) * pcgInvMultiplier
-			draw := (uint64(pcgOutput(s1))<<32 | uint64(pcgOutput(s2))) >> 11
-			if draw < thr {
-				hits = append(hits, uint64(round)<<32|uint64(i))
-			}
-		}
-	}
-	for i, s := range streams {
-		s.state = st[i]
-	}
-	return hits
 }
 
 // BernoulliThreshold converts a probability into the Uint53 cutoff that

@@ -343,6 +343,53 @@ func TestBernoulliRateValidation(t *testing.T) {
 	NewBernoulli(g, NewUniform(g), 1.5, 1)
 }
 
+// TestWithRateMatchesNewBernoulli: deriving the real workload from a
+// zero-rate probe (as core.Run does) is indistinguishable from building it —
+// same statistics, same arrival stream before and after a reseed — and leaves
+// the probe as it was.
+func TestWithRateMatchesNewBernoulli(t *testing.T) {
+	g := topology.NewTorus(8, 2)
+	for _, p := range []Pattern{NewUniform(g), NewHotspot(g, 21, 0.2)} {
+		for _, rate := range []float64{0, 0.07, 1} {
+			probe := NewBernoulli(g, p, 0, 5)
+			got, want := probe.WithRate(rate, 9), NewBernoulli(g, p, rate, 9)
+			if got.Name() != want.Name() || got.Rate() != rate || got.MeanDistance() != want.MeanDistance() {
+				t.Fatalf("%s: derived workload differs from a built one", want.Name())
+			}
+			for i, w := range want.HopClassWeights() {
+				if got.HopClassWeights()[i] != w {
+					t.Fatalf("%s: hop-class weight %d differs", want.Name(), i)
+				}
+			}
+			var a, b []Arrival
+			for cycle := int64(0); cycle < 60; cycle++ {
+				if cycle == 30 {
+					got.Reseed(77)
+					want.Reseed(77)
+				}
+				a, b = got.Arrivals(cycle, a[:0]), want.Arrivals(cycle, b[:0])
+				if len(a) != len(b) {
+					t.Fatalf("%s: cycle %d: %d arrivals, want %d", want.Name(), cycle, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("%s: cycle %d: arrival %d is %+v, want %+v", want.Name(), cycle, i, a[i], b[i])
+					}
+				}
+			}
+			if probe.Rate() != 0 || len(probe.Arrivals(0, nil)) != 0 {
+				t.Fatalf("%s: WithRate changed the probe", want.Name())
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("rate > 1 did not panic")
+		}
+	}()
+	NewBernoulli(g, NewUniform(g), 0, 1).WithRate(1.5, 1)
+}
+
 func TestGenerationRateUniform(t *testing.T) {
 	g := topology.NewTorus(16, 2)
 	if gr := GenerationRate(g, NewUniform(g)); math.Abs(gr-1) > 1e-9 {

@@ -63,13 +63,17 @@ type Bernoulli struct {
 // NewBernoulli returns a Bernoulli workload over pattern with per-node
 // per-cycle generation probability rate, seeded with seed.
 func NewBernoulli(g *topology.Grid, pattern Pattern, rate float64, seed uint64) *Bernoulli {
-	if rate < 0 || rate > 1 {
-		panic(fmt.Sprintf("traffic: rate %g out of [0,1]", rate))
-	}
+	checkRate(rate)
 	b := &Bernoulli{g: g, pattern: pattern, rate: rate, thr: rng.BernoulliThreshold(rate)}
 	b.Reseed(seed)
 	b.meanDist, b.hopWeight = distanceStats(g, pattern)
 	return b
+}
+
+func checkRate(rate float64) {
+	if rate < 0 || rate > 1 {
+		panic(fmt.Sprintf("traffic: rate %g out of [0,1]", rate))
+	}
 }
 
 // Name combines the pattern name and the rate.
@@ -111,63 +115,18 @@ func (b *Bernoulli) Reseed(seed uint64) {
 	b.dst = rng.NewStream(seed, 0xde57)
 }
 
-// Replicate returns a workload identical to one built by NewBernoulli with
-// the same grid, pattern and rate but seeded with seed, sharing the
-// precomputed distance statistics (distanceStats enumerates O(nodes^2)
-// pairs — the dominant construction cost, identical across replicas of one
-// config, so a replica fleet pays it once).
-func (b *Bernoulli) Replicate(seed uint64) *Bernoulli {
+// WithRate returns a workload identical to one built by NewBernoulli with
+// the same grid and pattern but generation probability rate, seeded with
+// seed. It shares b's precomputed distance statistics — a function of grid
+// and pattern alone, and, at O(nodes^2) pairs, the dominant construction
+// cost — so a caller that probes the mean distance at rate zero to derive
+// the real rate pays for one enumeration.
+func (b *Bernoulli) WithRate(rate float64, seed uint64) *Bernoulli {
+	checkRate(rate)
 	nb := *b
+	nb.rate, nb.thr = rate, rng.BernoulliThreshold(rate)
 	nb.Reseed(seed)
 	return &nb
-}
-
-// ArrivalsBatch draws one cycle of arrivals for a fleet of replica
-// workloads of the same grid, pattern and rate, appending replica i's
-// events to out[i]. Every replica's streams consume draws in exactly the
-// order its own Arrivals call would — the batch is a pure reordering across
-// independent streams — but the Bernoulli trials issue node-major with the
-// replicas' draws interleaved (rng.BernoulliHitsGrid), so the per-stream
-// PCG latency chain that bounds the scalar loop overlaps R ways and only
-// the hits come back. scratch is the hit buffer, returned (possibly grown)
-// for reuse.
-func ArrivalsBatch(ws []*Bernoulli, scratch []uint64, streams []*rng.Stream, out [][]Arrival) []uint64 {
-	if len(ws) == 0 {
-		return scratch
-	}
-	if len(ws) == 1 {
-		// A lone survivor pays the plain loop: one stream has no ILP to win
-		// and the grid detour would only add buffer traffic.
-		out[0] = ws[0].Arrivals(0, out[0])
-		return scratch
-	}
-	b0 := ws[0]
-	if b0.rate <= 0 {
-		return scratch
-	}
-	nodes := b0.g.Nodes()
-	thr := b0.thr
-	if b0.rate >= 1 {
-		// Saturated generation consumes no arrival draws; fall back per
-		// replica (interior rates are the only hot case).
-		for r, b := range ws {
-			out[r] = b.Arrivals(0, out[r])
-		}
-		return scratch
-	}
-	w := len(ws)
-	for r, b := range ws {
-		streams[r] = b.arr
-	}
-	scratch = rng.BernoulliHitsGrid(streams[:w], nodes, thr, scratch[:0])
-	for _, h := range scratch {
-		src, r := int(h>>32), int(h&0xffffffff)
-		b := ws[r]
-		if d := b.pattern.Dest(src, b.dst); d >= 0 {
-			out[r] = append(out[r], Arrival{Src: src, Dst: d})
-		}
-	}
-	return scratch
 }
 
 // MeanDistance returns the pattern's exact mean distance.
