@@ -18,7 +18,8 @@ import (
 // event stream and in-flight worm states must equal those of B on a fresh
 // engine. Rates reach several times saturation, where the engine parks and
 // wakes blocked headers, so the comparison also covers state the parking
-// lists carry. The seed corpus passes in-tree with `go test`; nightly CI lets
+// lists carry; both runs on the recycled engine pass checkInvariants after
+// every cycle. The seed corpus passes in-tree with `go test`; nightly CI lets
 // the fuzzer explore for five minutes.
 func FuzzScalarBatchEquivalence(f *testing.F) {
 	// shapes = A's grid | B's grid << 4, algPicks likewise; knobs = B's
@@ -72,12 +73,16 @@ func FuzzScalarBatchEquivalence(f *testing.F) {
 			b.policy = routing.LeastCongestedPolicy{}
 		}
 
+		// The recycled engine has its state and ledgers audited every cycle.
 		eng := new(Network)
+		a.check = true
 		fingerprint(t, eng, a)
 		if eng.InFlight() == 0 {
 			t.Fatalf("config A (%s on a %d-ary %d-cube) left the engine empty", a.alg.Name(), a.g.K(), a.g.N())
 		}
-		if fingerprint(t, eng, b) != fingerprint(t, new(Network), b) {
+		recycled := b
+		recycled.check = true
+		if fingerprint(t, eng, recycled) != fingerprint(t, new(Network), b) {
 			t.Errorf("%s (seed %d, rate %.3f, delay %d, ports %d, depth %d, %d cycles) after %s on one engine diverged from a fresh engine",
 				b.alg.Name(), b.seed, b.rate, b.routeDelay, b.ports, b.bufDepth, b.cycles, a.alg.Name())
 		}

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"wormsim/internal/message"
@@ -11,11 +13,22 @@ import (
 )
 
 // checkInvariants scans the whole simulator state for structural
-// violations. It runs inside the package so it can reach private state. It
-// returns how many headers are parked, so a test can tell that it exercised
-// parking.
+// violations and unbalanced ledgers. It runs inside the package so it can
+// reach private state. It returns how many headers are parked, so a test can
+// tell that it exercised parking.
 func checkInvariants(t *testing.T, n *Network) int {
 	t.Helper()
+	return checkInvariantsAfter(t, n, 0)
+}
+
+// checkInvariantsAfter is checkInvariants for an engine whose private pool
+// held foreign messages, of another dimensionality than the current grid's,
+// when the run began (see ledgerError).
+func checkInvariantsAfter(t *testing.T, n *Network, foreign int) int {
+	t.Helper()
+	if err := ledgerError(n, foreign); err != nil {
+		t.Fatal(err)
+	}
 	// Every vc slot: counts consistent, buffers within depth.
 	ownersByCh := make([]int32, len(n.owners))
 	for ch := 0; ch < n.g.ChannelSlots(); ch++ {
@@ -87,6 +100,87 @@ func checkInvariants(t *testing.T, n *Network) int {
 		}
 	}
 	return checkScanBookkeeping(t, n)
+}
+
+// ledgerError balances the engine's conserved quantities against the slot
+// state and returns the first one that does not balance: messages in flight,
+// the generated/admitted/dropped counters, congestion-control credits and the
+// message pool. A step that forgets a decrement, a Release or a Put shows up
+// here on the cycle it happens, whichever path it took.
+//
+// foreign is how many messages of another dimensionality the engine's private
+// pool held when the run began, zero unless the engine was recycled from a
+// grid of another n. Pool.Get discards every one of them on the run's first
+// arrival, and nothing else may leave the pool's books.
+func ledgerError(n *Network, foreign int) error {
+	// Messages in flight: the distinct worms the slots hold, each with exactly
+	// one slot where its header is or is due (unrouted or ejecting), and what
+	// the lifetime counters say went in and has not come out.
+	live := make(map[*message.Message]int)
+	classes := max(n.numVCs, 2*n.nDims)
+	resident := make([]int, n.g.Nodes()*classes)
+	for id, m := range n.vcMsg {
+		if m == nil {
+			continue
+		}
+		if n.vcAIdx[id] < 0 {
+			return fmt.Errorf("vc %d holds message %d but is not on the active list", id, m.ID)
+		}
+		heads := 0
+		if n.vcOut[id].ch < 0 {
+			heads = 1
+		}
+		live[m] += heads
+		if int32(id) >= n.chanVCs {
+			// An injection slot holds its congestion credit until its tail has
+			// left (applyMove).
+			if m.Class < 0 || m.Class >= classes {
+				return fmt.Errorf("message %d has class %d, outside [0,%d)", m.ID, m.Class, classes)
+			}
+			resident[int(n.vcNode[id])*classes+m.Class]++
+		}
+	}
+	for m, heads := range live {
+		if heads != 1 {
+			return fmt.Errorf("message %d has %d head slots, want 1", m.ID, heads)
+		}
+	}
+	total := n.Total()
+	if n.inFlight != len(live) || int64(n.inFlight) != total.Admitted-total.Delivered {
+		return fmt.Errorf("inFlight %d, slots hold %d distinct messages, admitted %d - delivered %d",
+			n.inFlight, len(live), total.Admitted, total.Delivered)
+	}
+	for _, c := range []Counters{n.window, total} {
+		if c.Generated != c.Admitted+c.Dropped {
+			return fmt.Errorf("generated %d != admitted %d + dropped %d", c.Generated, c.Admitted, c.Dropped)
+		}
+	}
+	// Congestion credits: the limiter's residents are the live injection slots.
+	if n.limiter != nil {
+		for i, want := range resident {
+			if got := n.limiter.Resident(i/classes, i%classes); got != want {
+				return fmt.Errorf("limiter holds %d credits of class %d at node %d, %d injection slots there",
+					got, i%classes, i/classes, want)
+			}
+		}
+	}
+	// Message pool: every message a private pool ever created is in flight or
+	// on the free list, never both. (A pool shared through Config.MsgPool has
+	// other users.)
+	if n.pool == n.ownPool {
+		gets, reuses := n.pool.Stats()
+		lost := int(gets-reuses) - len(live) - n.pool.Len()
+		if total.Generated == 0 {
+			foreign = 0
+		}
+		switch {
+		case lost < foreign:
+			return fmt.Errorf("pool: %d messages are both in flight and free, or free twice", foreign-lost)
+		case lost > foreign:
+			return fmt.Errorf("pool: %d messages are neither in flight nor free", lost-foreign)
+		}
+	}
+	return nil
 }
 
 // checkScanBookkeeping validates the state that lets allocate and transfer
@@ -247,6 +341,121 @@ func TestStateInvariantsOnMesh(t *testing.T) {
 				if n.vcMsg[ch*n.numVCs+class] != nil {
 					t.Fatalf("boundary channel %d owned", ch)
 				}
+			}
+		}
+	}
+}
+
+// burstNetwork offers every node of an 8x8 torus one message a cycle for 150
+// cycles — far past saturation, so congestion control drops most of them —
+// and then nothing, so the network can run dry.
+func burstNetwork(t *testing.T) (*Network, *traffic.Trace) {
+	t.Helper()
+	g := topology.NewTorus(8, 2)
+	alg, err := routing.Get("nbc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cycles []int64
+	var arrs []traffic.Arrival
+	for c := 0; c < 150; c++ {
+		for src := 0; src < g.Nodes(); src++ {
+			cycles = append(cycles, int64(c))
+			arrs = append(arrs, traffic.Arrival{Src: src, Dst: (src + 1 + (7*src+3*c)%(g.Nodes()-1)) % g.Nodes()})
+		}
+	}
+	wl := traffic.NewTrace(g, "burst", cycles, arrs)
+	n, err := New(Config{Grid: g, Algorithm: alg, Workload: wl, MsgLen: 8, CCLimit: 2, InjectionPorts: 1, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, wl
+}
+
+// TestLedgersBalanceThroughDrain follows the ledgers from an empty network
+// through saturation and back to empty, with a window boundary on the way:
+// once the last worm is delivered every message the pool ever created is on
+// its free list again and no congestion credit is outstanding.
+func TestLedgersBalanceThroughDrain(t *testing.T) {
+	n, wl := burstNetwork(t)
+	for n.Now() <= wl.LastCycle() || n.InFlight() > 0 {
+		if n.Now() > 5000 {
+			t.Fatalf("%d messages still in flight at cycle %d", n.InFlight(), n.Now())
+		}
+		if n.Now() == 100 {
+			n.ResetWindow()
+		}
+		if err := n.Step(); err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, n)
+	}
+	total := n.Total()
+	if total.Dropped == 0 || total.Delivered == 0 || total.Delivered != total.Admitted {
+		t.Fatalf("run does not exercise drops and deliveries: %+v", total)
+	}
+	gets, reuses := n.Pool().Stats()
+	if reuses == 0 || int64(n.Pool().Len()) != gets-reuses {
+		t.Errorf("pool created %d messages (%d reuses), %d are back after the drain", gets-reuses, reuses, n.Pool().Len())
+	}
+	if len(n.active) != 0 || len(n.injFree) != len(n.vcMsg)-int(n.chanVCs) {
+		t.Errorf("drained network keeps %d live slots, %d of %d injection slots free",
+			len(n.active), len(n.injFree), len(n.vcMsg)-int(n.chanVCs))
+	}
+}
+
+// TestLedgerChecksFire breaks each ledger the way a faulty step would — the
+// state a skipped decrement, Release or Put leaves behind — and requires
+// ledgerError to name it: a check that cannot fail guards nothing.
+func TestLedgerChecksFire(t *testing.T) {
+	n, _ := burstNetwork(t)
+	if err := n.Run(120); err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, n)
+	var inj int32 = -1 // a live injection slot
+	for _, id := range n.active {
+		if id >= n.chanVCs {
+			inj = id
+		}
+	}
+	if inj < 0 || n.pool.Len() == 0 {
+		t.Fatalf("need a live injection slot and a free message: slot %d, %d free", inj, n.pool.Len())
+	}
+	node, m := int(n.vcNode[inj]), n.vcMsg[inj]
+	// Somewhere a class is below its limit, so one more Admit goes through.
+	spareNode, spareClass := -1, 0
+	for i := 0; i < n.g.Nodes()*n.numVCs && spareNode < 0; i++ {
+		if n.limiter.Resident(i/n.numVCs, i%n.numVCs) < n.limiter.Limit() {
+			spareNode, spareClass = i/n.numVCs, i%n.numVCs
+		}
+	}
+	if spareNode < 0 {
+		t.Fatal("every class at every node is at its congestion limit")
+	}
+	var taken *message.Message
+	for _, c := range []struct {
+		name            string
+		corrupt, repair func()
+		want            string
+	}{
+		{"deliver without inFlight--", func() { n.inFlight++ }, func() { n.inFlight-- }, "distinct messages"},
+		{"deliver without Delivered++", func() { n.window.Delivered-- }, func() { n.window.Delivered++ }, "distinct messages"},
+		{"drop without Dropped++", func() { n.window.Dropped-- }, func() { n.window.Dropped++ }, "generated"},
+		{"tail leaves the source without Release", func() { n.limiter.Admit(spareNode, spareClass) }, func() { n.limiter.Release(spareNode, spareClass) }, "limiter holds"},
+		{"Release without a tail leaving", func() { n.limiter.Release(node, m.Class) }, func() { n.limiter.Admit(node, m.Class) }, "limiter holds"},
+		{"deliver without Put", func() { taken = n.pool.Get(n.g, 0, 0, 1, 8, 0, nil) }, func() { n.pool.Put(taken) }, "neither in flight nor free"},
+		// Last: there is no taking a live message back off the free list intact.
+		{"Put of a worm still in flight", func() { n.pool.Put(m) }, func() {}, "both in flight and free"},
+	} {
+		c.corrupt()
+		if err := ledgerError(n, 0); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ledgerError = %v, want one mentioning %q", c.name, err, c.want)
+		}
+		c.repair()
+		if c.want != "both in flight and free" {
+			if err := ledgerError(n, 0); err != nil {
+				t.Fatalf("%s: repaired state still fails: %v", c.name, err)
 			}
 		}
 	}

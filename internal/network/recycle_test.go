@@ -53,6 +53,8 @@ type fpPoint struct {
 	policy            routing.SelectionPolicy // nil: random
 	seed              uint64
 	cycles            int64
+	// check runs checkInvariants after every cycle.
+	check bool
 }
 
 // fingerprint re-initialises n for the point, runs it for its cycles (with a
@@ -64,6 +66,27 @@ func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 	t.Helper()
 	wl := traffic.NewBernoulli(p.g, traffic.NewUniform(p.g), p.rate, p.seed)
 	var events []string
+	// Whatever a run on a grid of another n left in the engine's pool, free or
+	// in flight, is of no use to this one (see ledgerError).
+	foreign := 0
+	if n.g != nil && n.g.N() != p.g.N() {
+		foreign = n.pool.Len() + n.inFlight
+	}
+	run := func(cycles int64) {
+		t.Helper()
+		if !p.check {
+			if err := n.Run(cycles); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		for i := int64(0); i < cycles; i++ {
+			if err := n.Step(); err != nil {
+				t.Fatal(err)
+			}
+			checkInvariantsAfter(t, n, foreign)
+		}
+	}
 	err := n.Reset(Config{
 		Grid: p.g, Algorithm: p.alg, Policy: p.policy, Workload: wl, MsgLen: 8, BufDepth: p.bufDepth, CCLimit: 2, Seed: p.seed,
 		RouteDelay: p.routeDelay, InjectionPorts: p.ports, HalfDuplex: p.halfDuplex,
@@ -78,15 +101,11 @@ func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 		t.Fatal(err)
 	}
 	half := p.cycles / 2
-	if err := n.Run(half); err != nil {
-		t.Fatal(err)
-	}
+	run(half)
 	first := n.Window()
 	n.ResetWindow()
 	n.Reseed(p.seed + 0x9e3779b97f4a7c15)
-	if err := n.Run(p.cycles - half); err != nil {
-		t.Fatal(err)
-	}
+	run(p.cycles - half)
 	return fmt.Sprintf("%+v\n%+v\n%+v\n%v\n%v\n%v", first, n.Window(), n.Total(), n.ChannelFlitCounts(), n.WormStates(), strings.Join(events, "\n"))
 }
 
