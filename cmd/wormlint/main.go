@@ -1,25 +1,20 @@
 // Command wormlint runs wormsim's domain-specific static-analysis suite
-// (see internal/lint): determinism of the simulation core, zero-alloc
-// discipline on the engine's whole-program per-cycle call graph, atomic and
-// mutex discipline, hook-escape copying, nil-guarded telemetry hooks,
-// lock-copy and loop-capture hazards, resource-conservation ledgers, and
-// error-message conventions.
+// (see internal/lint), seven passes: determinism of the simulation core
+// (simdeterminism), purity of the run entry points (purity), zero-alloc
+// discipline on the engine's whole-program per-cycle call graph (hotalloc),
+// nil-guarded observability hooks (hookguard), error-message conventions
+// (errfmt), and the two that keep //lint:allow directives honest
+// (lintdirective, unusedallow).
 //
 //	wormlint ./...                      # whole repo (the CI gate)
 //	wormlint ./internal/core            # one package
 //	wormlint -list                      # describe the passes
-//	wormlint -passes errfmt,lockscope   # run a subset
-//	wormlint -fix ./...                 # apply suggested fixes in place
-//	wormlint -json ./...                # findings as a JSON array
-//	wormlint -sarif out.sarif ./...     # SARIF 2.1.0 for code scanning
-//	wormlint -writebaseline lint.txt    # accept today's findings as debt
-//	wormlint -baseline lint.txt ./...   # gate only on new findings
+//	wormlint -passes errfmt,hotalloc    # run a subset
 //	wormlint -certify-purity certs.json # purity certificates for the run
-//	                                    # entry points (CI pins a golden)
+//	                                    # entry points
 //
 // The module is loaded and type-checked exactly once per invocation: the
-// lint passes and the certification share one lint.Program, so combining
-// them costs one load, not two.
+// lint passes and the certification share one lint.Program.
 //
 // Findings print as "file:line: [pass] message". Exit status: 0 clean,
 // 1 findings, 2 usage or load/type-check failure. Intentional uses are
@@ -32,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"wormsim/internal/lint"
 )
@@ -40,11 +34,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list the passes and exit")
 	passesFlag := flag.String("passes", "", "comma-separated pass names to run (default: all)")
-	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
-	jsonOut := flag.Bool("json", false, "print findings as a JSON array instead of text")
-	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	baselinePath := flag.String("baseline", "", "suppress findings listed in this baseline file")
-	writeBaseline := flag.String("writebaseline", "", "write current findings to this baseline file and exit 0")
 	certifyPurity := flag.String("certify-purity", "", "write purity certificates for the run entry points to this file and gate on violations")
 	flag.Parse()
 
@@ -80,86 +69,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One Program serves findings and every certification below.
+	// One Program serves the findings and the certification.
 	prog := lint.NewProgram(pkgs)
 	findings := lint.RunOn(prog, passes)
-
-	if *fix {
-		patched, err := lint.ApplyFixes(loader.Fset, findings)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wormlint: -fix: %v\n", err)
-			os.Exit(2)
-		}
-		var names []string
-		for name := range patched {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := os.WriteFile(name, patched[name], 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "wormlint: -fix: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "wormlint: fixed %s\n", relPath(name))
-		}
-		// Report what -fix could not resolve: reload and re-run so line
-		// numbers match the patched sources.
-		if len(names) > 0 {
-			loader, err = lint.NewLoader(".")
-			if err == nil {
-				pkgs, err = loader.Load(patterns...)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "wormlint: reload after -fix: %v\n", err)
-				os.Exit(2)
-			}
-			prog = lint.NewProgram(pkgs)
-			findings = lint.RunOn(prog, passes)
-		}
-	}
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err == nil {
-			err = lint.WriteBaseline(f, findings, loader.ModRoot)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wormlint: -writebaseline: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "wormlint: wrote %d finding(s) to %s\n", len(findings), *writeBaseline)
-		return
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wormlint: -baseline: %v\n", err)
-			os.Exit(2)
-		}
-		var suppressed int
-		findings, suppressed = lint.FilterBaseline(findings, base, loader.ModRoot)
-		if suppressed > 0 {
-			fmt.Fprintf(os.Stderr, "wormlint: %d baselined finding(s) suppressed\n", suppressed)
-		}
-	}
-
-	if *sarifPath != "" {
-		f, err := os.Create(*sarifPath)
-		if err == nil {
-			err = lint.WriteSARIF(f, findings, passes, loader.ModRoot)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wormlint: -sarif: %v\n", err)
-			os.Exit(2)
-		}
-	}
 
 	exit := 0
 	if *certifyPurity != "" {
@@ -168,49 +80,14 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonFindings(findings)); err != nil {
-			fmt.Fprintf(os.Stderr, "wormlint: -json: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d: [%s] %s\n", relPath(f.Pos.Filename), f.Pos.Line, f.Pass, f.Msg)
-		}
+	for _, f := range findings {
+		fmt.Printf("%s:%d: [%s] %s\n", relPath(f.Pos.Filename), f.Pos.Line, f.Pass, f.Msg)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "wormlint: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))
 		exit = 1
 	}
 	os.Exit(exit)
-}
-
-// jsonFinding is the -json output shape: one object per finding, with the
-// position split into machine-consumable fields.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Pass    string `json:"pass"`
-	Message string `json:"message"`
-	Fixable bool   `json:"fixable"`
-}
-
-func jsonFindings(findings []lint.Finding) []jsonFinding {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:    relPath(f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Pass:    f.Pass,
-			Message: f.Msg,
-			Fixable: f.Fix != nil,
-		})
-	}
-	return out
 }
 
 // certifyPurityRun runs the purity certification (see lint.CertifyPurity)

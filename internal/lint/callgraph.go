@@ -15,9 +15,7 @@ import (
 // through interface method I.M gains an edge to T.M for every named type T
 // in the program whose method set (value or pointer) implements I. Calls
 // through plain function values (fields, parameters) have no static callee
-// and are not followed — passes that care about them (lockscope,
-// hookescape) treat such calls as opaque hook invocations instead.
-// Stdlib-mediated callbacks (sort.Slice invoking its less function) are
+// and are not followed. Stdlib-mediated callbacks (sort.Slice invoking its less function) are
 // likewise not followed, but the function literal itself is still scanned
 // as part of its enclosing function.
 type CallGraph struct {
@@ -206,7 +204,7 @@ func (r *Reach) Chain(fn *types.Func, anchor *Package) string {
 
 // PropagateUp runs the shared backward dataflow: the least fixpoint of a
 // bottom-up boolean fact, out(fn) = gen(fn) ∨ (∨ out(callee) over fn's
-// callees). lockscope uses it to mark functions that may block.
+// callees). CertifyPurity uses it to tier the functions that reach an effect.
 func (g *CallGraph) PropagateUp(gen map[*types.Func]bool) map[*types.Func]bool {
 	in := make(map[*types.Func][]*types.Func)
 	for fn, callees := range g.Out {

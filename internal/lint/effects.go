@@ -72,19 +72,6 @@ type funcEffects struct {
 	readsShared bool
 }
 
-// localClass is the function's own effect class, before call-graph
-// propagation.
-func (fe *funcEffects) localClass() effectClass {
-	switch {
-	case len(fe.impurities) > 0:
-		return effectImpure
-	case fe.readsShared:
-		return effectReadOnly
-	default:
-		return effectPure
-	}
-}
-
 // stdlibPurePkgs lists standard-library packages whose exported functions
 // are pure or argument-mediated: they compute over their operands and write
 // only through writers the caller passed in. A call into one of these is
@@ -271,8 +258,7 @@ func (prog *Program) effectsIndex() map[*types.Func]*funcEffects {
 // functions are deliberately not facts: the call graph propagates their
 // effects instead. Calls through plain function values (hook fields like
 // Config.OnTick) have no static callee and produce no fact either — that
-// boundary is policed by the hookguard/hookescape passes and stated in the
-// certificate's assumptions.
+// boundary is stated on Purity.
 func scanEffects(prog *Program, p *Package, fd *ast.FuncDecl, modPrefix string) *funcEffects {
 	fe := &funcEffects{}
 	if fd.Body == nil {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
@@ -60,7 +59,7 @@ func (ErrFmt) Run(p *Package) []Finding {
 			}
 			out = append(out, checkErrString(p, lit, msg)...)
 			if isErrorf {
-				out = append(out, checkWrap(p, call, lit, msg)...)
+				out = append(out, checkWrap(p, call, msg)...)
 			}
 			return true
 		})
@@ -120,21 +119,11 @@ func isCapitalizedSentenceWord(word string) bool {
 }
 
 // checkWrap flags error-typed operands of fmt.Errorf formatted with %v or
-// %s instead of %w, with a fix rewriting the verb in place.
-func checkWrap(p *Package, call *ast.CallExpr, lit *ast.BasicLit, format string) []Finding {
+// %s instead of %w.
+func checkWrap(p *Package, call *ast.CallExpr, format string) []Finding {
 	vs, ok := formatVerbs(format)
 	if !ok {
 		return nil
-	}
-	// A fix must edit the verb byte inside the *source* literal, where
-	// escape sequences shift offsets relative to the unquoted text. The raw
-	// inner text is scanned with the same scanner; if the two scans disagree
-	// on the verb sequence the finding is reported without a fix.
-	var rawVerbs []fmtVerb
-	if inner, ok := innerLiteral(lit); ok {
-		if rvs, rok := formatVerbs(inner); rok && sameVerbs(vs, rvs) {
-			rawVerbs = rvs
-		}
 	}
 	errType := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 	var out []Finding
@@ -142,7 +131,7 @@ func checkWrap(p *Package, call *ast.CallExpr, lit *ast.BasicLit, format string)
 		if i >= len(vs) {
 			break
 		}
-		v := vs[i].c
+		v := vs[i]
 		if v != 'v' && v != 's' {
 			continue
 		}
@@ -150,54 +139,17 @@ func checkWrap(p *Package, call *ast.CallExpr, lit *ast.BasicLit, format string)
 		if t == nil || !types.Implements(t, errType) {
 			continue
 		}
-		f := p.finding(ErrFmt{}.Name(), arg,
-			"error operand formatted with %%%c; use %%w so callers can unwrap it", v)
-		if rawVerbs != nil {
-			pos := lit.Pos() + 1 + token.Pos(rawVerbs[i].off)
-			f.Fix = &Fix{
-				Message: "replace %" + string(v) + " with %w",
-				Edits:   []TextEdit{{Pos: pos, End: pos + 1, NewText: "w"}},
-			}
-		}
-		out = append(out, f)
+		out = append(out, p.finding(ErrFmt{}.Name(), arg,
+			"error operand formatted with %%%c; use %%w so callers can unwrap it", v))
 	}
 	return out
-}
-
-// innerLiteral returns the source text between a string literal's quotes.
-func innerLiteral(lit *ast.BasicLit) (string, bool) {
-	v := lit.Value
-	if len(v) < 2 || (v[0] != '"' && v[0] != '`') {
-		return "", false
-	}
-	return v[1 : len(v)-1], true
-}
-
-// fmtVerb is one operand-consuming verb: its character and the byte offset
-// of that character within the scanned format text.
-type fmtVerb struct {
-	c   byte
-	off int
-}
-
-// sameVerbs reports whether two scans consumed the same verb sequence.
-func sameVerbs(a, b []fmtVerb) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].c != b[i].c {
-			return false
-		}
-	}
-	return true
 }
 
 // formatVerbs returns the verb consuming each successive operand of a
 // Printf format. It reports ok=false for formats it cannot map reliably
 // (explicit argument indexes).
-func formatVerbs(format string) ([]fmtVerb, bool) {
-	var vs []fmtVerb
+func formatVerbs(format string) ([]byte, bool) {
+	var vs []byte
 	for i := 0; i < len(format); i++ {
 		if format[i] != '%' {
 			continue
@@ -220,7 +172,7 @@ func formatVerbs(format string) ([]fmtVerb, bool) {
 				i++
 			}
 			if i < len(format) && format[i] == '*' {
-				vs = append(vs, fmtVerb{c: '*', off: i})
+				vs = append(vs, '*')
 				i++
 			}
 			if j == 0 && i < len(format) && format[i] == '.' {
@@ -235,7 +187,7 @@ func formatVerbs(format string) ([]fmtVerb, bool) {
 		if format[i] == '%' {
 			continue
 		}
-		vs = append(vs, fmtVerb{c: format[i], off: i})
+		vs = append(vs, format[i])
 	}
 	return vs, true
 }

@@ -93,24 +93,9 @@ func (h *HookGuard) Run(p *Package) []Finding {
 			if guardedByIf(stack, call, recv) || guardedByEarlyExit(p, stack, call, recv) {
 				return
 			}
-			f := p.finding(h.Name(), call,
+			out = append(out, p.finding(h.Name(), call,
 				"%s hook %s.%s is not nil-guarded; wrap it in `if %s != nil { ... }`",
-				ht.TypeName, recv, sel.Sel.Name, recv)
-			// When the call is a whole statement the guard can be added
-			// mechanically; expression positions need a human.
-			if len(stack) > 0 {
-				if es, ok := stack[len(stack)-1].(*ast.ExprStmt); ok && es.X == call {
-					ind := indentAt(p.Fset, es.Pos())
-					f.Fix = &Fix{
-						Message: "wrap " + recv + "." + sel.Sel.Name + " in a nil guard",
-						Edits: []TextEdit{
-							{Pos: es.Pos(), End: es.Pos(), NewText: "if " + recv + " != nil {\n" + ind + "\t"},
-							{Pos: es.End(), End: es.End(), NewText: "\n" + ind + "}"},
-						},
-					}
-				}
-			}
-			out = append(out, f)
+				ht.TypeName, recv, sel.Sel.Name, recv))
 		})
 	}
 	return out

@@ -29,27 +29,18 @@
 //     through cross-package calls and devirtualized interface calls.
 //   - hookguard — telemetry hook call sites must be nil-guarded so that
 //     disabled telemetry stays a branch, never a panic.
-//   - atomicdiscipline — a field touched through sync/atomic (or typed
-//     atomic.Int64/atomic.Pointer/...) must never be accessed plainly.
-//   - lockscope — no channel send/recv, function-value (hook) invocation,
-//     or blocking call while a sync.Mutex is held; locks unlock on all
-//     return paths.
-//   - hookescape — values handed to engine hooks must be deep copies: no
-//     argument may carry a reference into engine-owned state.
-//   - conservation — flit/credit ledgers must balance: every conserved
-//     quantity (VC ownership counters, pool messages, congestion credits)
-//     acquired on the engine's Step graph must be released on the same
-//     graph, and pool acquisitions must reach a release or a state sink on
-//     every path.
-//   - mutexcopy — locks must not be copied through receivers or parameters.
-//   - loopcapture — go/defer closures must not capture variables the
-//     enclosing loop keeps reassigning.
 //   - errfmt — error strings follow Go conventions and error operands are
 //     wrapped with %w.
 //   - lintdirective — //lint:allow directives must name registered passes
 //     (stale suppressions rot).
 //   - unusedallow — an //lint:allow directive that no longer suppresses
-//     any finding is itself a finding (and -fix deletes it).
+//     any finding is itself a finding.
+//
+// That is the whole suite, on purpose: it covers what only a
+// wormsim-specific analysis can see. Lock copying, atomic and mutex
+// discipline and loop capture are go vet's and the race detector's job, and
+// the engine's conservation ledgers are balanced at run time, every cycle,
+// by the network package's invariant checker (DESIGN.md §5).
 //
 // A finding can be suppressed where the flagged use is intentional by
 // annotating the line (or the line above it) with a directive:
@@ -57,11 +48,7 @@
 //	//lint:allow <pass>[,<pass>...] [reason]
 //
 // Findings print as "file:line: [pass] message"; cmd/wormlint exits
-// non-zero if any survive, which makes the suite a CI gate. Some findings
-// carry a suggested fix (errfmt %v→%w on error operands, loopcapture
-// rebinds, hookguard nil-guards) that cmd/wormlint -fix applies; -sarif
-// emits SARIF 2.1.0 for code-scanning upload and -baseline adopts new
-// passes incrementally.
+// non-zero if any survive, which makes the suite a CI gate.
 package lint
 
 import (
@@ -73,15 +60,12 @@ import (
 	"strings"
 )
 
-// Finding is one diagnostic: a position, the pass that produced it, the
-// message, and optionally a suggested fix.
+// Finding is one diagnostic: a position, the pass that produced it and the
+// message.
 type Finding struct {
 	Pos  token.Position
 	Pass string
 	Msg  string
-	// Fix, when non-nil, is a textual edit that resolves the finding;
-	// cmd/wormlint -fix applies it (see fix.go).
-	Fix *Fix
 }
 
 // String renders the finding in the canonical "file:line: [pass] message"
@@ -91,10 +75,10 @@ func (f Finding) String() string {
 }
 
 // Pass is the common surface of every analyzer: an identity for -passes
-// selection, directives and SARIF rules.
+// selection and directives.
 type Pass interface {
 	Name() string
-	// Doc is a one-line description for -list and the SARIF rule table.
+	// Doc is a one-line description for -list.
 	Doc() string
 }
 
@@ -130,12 +114,6 @@ func DefaultPasses() []Pass {
 		NewPurity(),
 		NewHotAlloc(),
 		NewHookGuard(),
-		NewAtomicDiscipline(),
-		NewLockScope(),
-		NewHookEscape(),
-		NewConservation(),
-		MutexCopy{},
-		LoopCapture{},
 		ErrFmt{},
 	}
 	names := make([]string, 0, len(passes)+2)
@@ -276,15 +254,13 @@ type allowKey struct {
 	pass string
 }
 
-// allowDirective is one //lint:allow comment: its position and span, the
-// pass names it lists, the free-text reason, and the two source lines it
-// covers (its own line, and the line after its comment group).
+// allowDirective is one //lint:allow comment: its position, the pass names
+// it lists, and the two source lines it covers (its own line, and the line
+// after its comment group).
 type allowDirective struct {
-	pos, end    token.Position
-	start, stop token.Pos
-	passes      []string
-	reason      string
-	cover       [2]int
+	pos    token.Position
+	passes []string
+	cover  [2]int
 }
 
 // Allowed reports whether a //lint:allow directive suppresses pass findings
@@ -319,14 +295,8 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (map[allowKey]bool, m
 				}
 				pos := fset.Position(c.Pos())
 				endLine := fset.Position(cg.End()).Line
-				d := allowDirective{
-					pos:    pos,
-					end:    fset.Position(c.End()),
-					start:  c.Pos(),
-					stop:   c.End(),
-					reason: strings.Join(fields[1:], " "),
-					cover:  [2]int{pos.Line, endLine + 1},
-				}
+				reason := strings.Join(fields[1:], " ")
+				d := allowDirective{pos: pos, cover: [2]int{pos.Line, endLine + 1}}
 				for _, pass := range strings.Split(fields[0], ",") {
 					if pass == "" {
 						continue
@@ -336,7 +306,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (map[allowKey]bool, m
 						k := allowKey{file: pos.Filename, line: line, pass: pass}
 						allow[k] = true
 						if _, ok := reasons[k]; !ok {
-							reasons[k] = d.reason
+							reasons[k] = reason
 						}
 					}
 				}

@@ -4,7 +4,9 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -12,41 +14,85 @@ func position(file string, line int) token.Position {
 	return token.Position{Filename: file, Line: line}
 }
 
-// loadFixture type-checks one package under testdata/src with a fresh
-// loader. Fixtures live below testdata so the module build and the
-// recursive wormlint walk both skip them.
-func loadFixture(t *testing.T, name string) *Package {
+// The test process type-checks the standard library and each package it
+// touches once: every test draws on one Loader (it memoizes by import path),
+// and a loaded Package is read-only. What a run mutates — which directives
+// it exercised, the call graph — lives in the Program, which every test
+// builds for itself.
+var (
+	sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
+	sharedModule = sync.OnceValues(func() ([]*Package, error) {
+		l, err := sharedLoader()
+		if err != nil {
+			return nil, err
+		}
+		return l.Load(l.ModRoot + "/...")
+	})
+)
+
+// loadModule type-checks the whole module, once, for the tests that hold the
+// shipped tree to the suite.
+func loadModule(t testing.TB) (*Loader, []*Package) {
 	t.Helper()
-	l, err := NewLoader(".")
+	pkgs, err := sharedModule()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("Load matched no packages")
+	}
+	l, _ := sharedLoader()
+	return l, pkgs
+}
+
+// loadFixtures type-checks fixture packages under testdata/src; they share
+// the loader's type identities, as cross-package call-graph tests need.
+// Fixtures live below testdata so the module build and the recursive
+// wormlint walk both skip them.
+func loadFixtures(t *testing.T, names ...string) []*Package {
+	t.Helper()
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", name))
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", name, err)
+	var pkgs []*Package
+	for _, name := range names {
+		p, err := l.LoadDir(filepath.Join("testdata", "src", name))
+		if err != nil {
+			t.Fatalf("LoadDir(%s): %v", name, err)
+		}
+		if p == nil {
+			t.Fatalf("fixture %s has no Go files", name)
+		}
+		pkgs = append(pkgs, p)
 	}
-	if p == nil {
-		t.Fatalf("fixture %s has no Go files", name)
-	}
-	return p
+	return pkgs
 }
 
-// wantLines scans the fixture's files for trailing "// WANT <pass>" markers
-// and returns the marked line numbers. Only end-of-line markers count, so
-// the fixture header can mention the marker syntax in prose.
-func wantLines(t *testing.T, p *Package, pass string) map[int]bool {
+func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
-	want := make(map[int]bool)
+	return loadFixtures(t, name)[0]
+}
+
+// wantLines scans every fixture file for trailing "// WANT <pass>" markers,
+// keyed "basename:line" so multi-package fixtures cannot collide. Only
+// end-of-line markers count, so a fixture header can mention the marker
+// syntax in prose.
+func wantLines(t *testing.T, pkgs []*Package, pass string) map[string]bool {
+	t.Helper()
+	want := make(map[string]bool)
 	marker := "// WANT " + pass
-	for _, f := range p.Files {
-		name := p.Fset.Position(f.Pos()).Filename
-		data, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatalf("read fixture source: %v", err)
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			if strings.HasSuffix(strings.TrimRight(line, " \t"), marker) {
-				want[i+1] = true
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			name := p.Fset.Position(f.Pos()).Filename
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatalf("read fixture source: %v", err)
+			}
+			for i, line := range strings.Split(string(data), "\n") {
+				if strings.HasSuffix(strings.TrimRight(line, " \t"), marker) {
+					want[filepath.Base(name)+":"+strconv.Itoa(i+1)] = true
+				}
 			}
 		}
 	}
@@ -56,36 +102,37 @@ func wantLines(t *testing.T, p *Package, pass string) map[int]bool {
 	return want
 }
 
-// checkFixture runs one pass over one fixture (through Run, so //lint:allow
-// suppression applies exactly as in wormlint) and requires the reported
-// lines to equal the WANT-marked lines.
-func checkFixture(t *testing.T, fixture string, pass Pass) {
+// checkFixture runs the passes over the fixture packages (through Run, so
+// //lint:allow suppression applies exactly as in wormlint) and requires the
+// file:line set reported by pass to equal the WANT-marked set, and no other
+// pass to report anything.
+func checkFixture(t *testing.T, pkgs []*Package, pass Pass, others ...Pass) {
 	t.Helper()
-	p := loadFixture(t, fixture)
-	want := wantLines(t, p, pass.Name())
-	got := make(map[int]bool)
-	for _, f := range Run([]*Package{p}, []Pass{pass}) {
-		got[f.Pos.Line] = true
+	want := wantLines(t, pkgs, pass.Name())
+	got := make(map[string]bool)
+	for _, f := range Run(pkgs, append([]Pass{pass}, others...)) {
 		if f.Pass != pass.Name() {
-			t.Errorf("finding %v attributed to pass %q, want %q", f, f.Pass, pass.Name())
+			t.Errorf("unexpected %s finding: %s", f.Pass, f)
+			continue
+		}
+		got[filepath.Base(f.Pos.Filename)+":"+strconv.Itoa(f.Pos.Line)] = true
+	}
+	for key := range want {
+		if !got[key] {
+			t.Errorf("no %s finding at %s, want one", pass.Name(), key)
 		}
 	}
-	for line := range want {
-		if !got[line] {
-			t.Errorf("%s: no %s finding at line %d, want one", fixture, pass.Name(), line)
-		}
-	}
-	for line := range got {
-		if !want[line] {
-			t.Errorf("%s: unexpected %s finding at line %d", fixture, pass.Name(), line)
+	for key := range got {
+		if !want[key] {
+			t.Errorf("unexpected %s finding at %s", pass.Name(), key)
 		}
 	}
 }
 
 func TestSimDeterminismFixture(t *testing.T) {
-	p := loadFixture(t, "simdet")
+	pkgs := loadFixtures(t, "simdet")
 	// The fixture is outside the simulation core, so target it explicitly.
-	checkFixture(t, "simdet", &SimDeterminism{Targets: []string{p.Path}})
+	checkFixture(t, pkgs, &SimDeterminism{Targets: []string{pkgs[0].Path}})
 }
 
 func TestSimDeterminismIgnoresUntargetedPackages(t *testing.T) {
@@ -96,9 +143,9 @@ func TestSimDeterminismIgnoresUntargetedPackages(t *testing.T) {
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	p := loadFixture(t, "hotallocbad")
+	pkgs := loadFixtures(t, "hotallocbad")
 	// The fixture lives outside the engine package, so target it explicitly.
-	checkFixture(t, "hotallocbad", &HotAlloc{TargetPkg: p.Path, Root: "(*Engine).Step"})
+	checkFixture(t, pkgs, &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
 }
 
 func TestHotAllocIgnoresUntargetedPackages(t *testing.T) {
@@ -119,19 +166,11 @@ func TestHotAllocMissingRoot(t *testing.T) {
 }
 
 func TestHookGuardFixture(t *testing.T) {
-	checkFixture(t, "hookbad", NewHookGuard())
-}
-
-func TestMutexCopyFixture(t *testing.T) {
-	checkFixture(t, "mutexbad", MutexCopy{})
-}
-
-func TestLoopCaptureFixture(t *testing.T) {
-	checkFixture(t, "loopbad", LoopCapture{})
+	checkFixture(t, loadFixtures(t, "hookbad"), NewHookGuard())
 }
 
 func TestErrFmtFixture(t *testing.T) {
-	checkFixture(t, "errbad", ErrFmt{})
+	checkFixture(t, loadFixtures(t, "errbad"), ErrFmt{})
 }
 
 // TestRepoClean is the in-process equivalent of `go run ./cmd/wormlint
@@ -141,17 +180,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load(l.ModRoot + "/...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("Load matched no packages")
-	}
+	_, pkgs := loadModule(t)
 	for _, f := range Run(pkgs, DefaultPasses()) {
 		t.Errorf("repo finding: %s", f)
 	}
@@ -184,12 +213,8 @@ func TestFormatVerbs(t *testing.T) {
 	}
 	for _, c := range cases {
 		vs, ok := formatVerbs(c.format)
-		var got []byte
-		for _, v := range vs {
-			got = append(got, v.c)
-		}
-		if ok != c.ok || string(got) != c.verbs {
-			t.Errorf("formatVerbs(%q) = %q, %v; want %q, %v", c.format, got, ok, c.verbs, c.ok)
+		if ok != c.ok || string(vs) != c.verbs {
+			t.Errorf("formatVerbs(%q) = %q, %v; want %q, %v", c.format, vs, ok, c.verbs, c.ok)
 		}
 	}
 }

@@ -38,7 +38,8 @@ func TestProgramSharedAcrossPasses(t *testing.T) {
 }
 
 // TestProgramFreshGraphPerProgram: separate Programs do not share caches, so
-// stale graphs can never leak across -fix reloads.
+// nothing one run derived or exercised can leak into the next, even over the
+// same loaded packages.
 func TestProgramFreshGraphPerProgram(t *testing.T) {
 	p := loadFixture(t, "puritybad")
 	a, b := NewProgram([]*Package{p}), NewProgram([]*Package{p})
@@ -82,13 +83,6 @@ func BenchmarkPerPassProgram(b *testing.B) {
 // rebuild it for every graph-hungry pass.
 func benchFixture(b *testing.B) ([]*Package, []Pass) {
 	b.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		b.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load(l.ModRoot + "/...")
-	if err != nil {
-		b.Fatalf("Load: %v", err)
-	}
+	_, pkgs := loadModule(b)
 	return pkgs, DefaultPasses()
 }

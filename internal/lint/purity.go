@@ -38,8 +38,11 @@ type FuncRef struct {
 // Stated boundary: calls through plain function values — the Config.OnTick/
 // OnSample/OnDeliver hooks — have no static callee and are not followed.
 // That boundary is sound for the cache contract because hooks are
-// observe-only by construction: hookescape proves they receive deep copies
-// (or documented borrows), so a hook can watch a run but not steer it.
+// observe-only by contract: what the engine lends them is valid for the
+// duration of the call only (see network.Config.OnDeliver), and the
+// observatory's TestObservedRunIsBitIdentical holds a run with every hook
+// attached bit-identical to a bare one, so a hook can watch a run but not
+// steer it.
 type Purity struct {
 	// Entries are the certified entry points; every impurity reachable from
 	// any of them is a finding unless annotated.

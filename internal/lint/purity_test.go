@@ -2,9 +2,11 @@ package lint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -14,7 +16,7 @@ import (
 // clock read stays silent.
 func TestPurityFixture(t *testing.T) {
 	pkgs := loadFixtures(t, "puritybad", "puritybad/dep")
-	checkFixtureMulti(t, pkgs, &Purity{Entries: []FuncRef{{Pkg: pkgs[0].Path, Func: "Run"}}})
+	checkFixture(t, pkgs, &Purity{Entries: []FuncRef{{Pkg: pkgs[0].Path, Func: "Run"}}})
 }
 
 // TestPurityWitnessChain: the impurity hidden in dep must explain how the
@@ -150,22 +152,53 @@ func TestCertifyPurityFixture(t *testing.T) {
 	}
 }
 
-// TestPurityCertificatesGolden is the drift gate CI leans on: certifying
-// the shipped module must reproduce the pinned certificate set
+// purityPins projects a certificate set onto what a reviewer must
+// re-approve: per entry point whether it is pure, and the exemptions that
+// "pure modulo" rests on, each as (func, source, detail, reason) — sorted on
+// those, so neither a moved line nor a new helper on the call graph shows.
+// The frontier, reachable counts, line numbers and witness chains are in
+// the -certify-purity artifact.
+func purityPins(t *testing.T, certs *PurityCertificates) []byte {
+	t.Helper()
+	type exemption struct {
+		Func   string `json:"func"`
+		Source string `json:"source"`
+		Detail string `json:"detail"`
+		Reason string `json:"reason"`
+	}
+	type pin struct {
+		Entry      string      `json:"entry"`
+		Pure       bool        `json:"pure"`
+		Exemptions []exemption `json:"exemptions"`
+	}
+	var pins []pin
+	for _, cert := range certs.Entries {
+		p := pin{Entry: cert.Entry, Pure: cert.Pure, Exemptions: []exemption{}}
+		for _, e := range cert.Exemptions {
+			p.Exemptions = append(p.Exemptions, exemption{e.Func, e.Source, e.Detail, e.Reason})
+		}
+		slices.SortFunc(p.Exemptions, func(a, b exemption) int {
+			return cmp.Or(cmp.Compare(a.Func, b.Func), cmp.Compare(a.Source, b.Source),
+				cmp.Compare(a.Detail, b.Detail), cmp.Compare(a.Reason, b.Reason))
+		})
+		pins = append(pins, p)
+	}
+	data, err := json.MarshalIndent(pins, "", "  ")
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	return append(data, '\n')
+}
+
+// TestPurityCertificatesGolden is the drift gate: certifying the shipped
+// module must reproduce the pinned projection (see purityPins)
 // byte-for-byte, and every entry point must be pure. Regenerate with
 // WORMLINT_UPDATE_GOLDEN=1 after an intentional change.
 func TestPurityCertificatesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := l.Load(l.ModRoot + "/...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+	l, pkgs := loadModule(t)
 	certs, err := CertifyPurity(NewProgram(pkgs), NewPurity(), l.ModRoot)
 	if err != nil {
 		t.Fatalf("CertifyPurity: %v", err)
@@ -178,11 +211,7 @@ func TestPurityCertificatesGolden(t *testing.T) {
 			t.Errorf("%s has no exemptions; the store counters and worker fan-out should be on its graph", cert.Entry)
 		}
 	}
-	data, err := json.MarshalIndent(certs, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	data = append(data, '\n')
+	data := purityPins(t, certs)
 	goldenPath := filepath.Join("testdata", "purity_certificates.golden.json")
 	golden, err := os.ReadFile(goldenPath)
 	if err != nil && os.Getenv("WORMLINT_UPDATE_GOLDEN") == "" {
@@ -196,5 +225,37 @@ func TestPurityCertificatesGolden(t *testing.T) {
 			return
 		}
 		t.Errorf("purity certificates drifted from the golden; if intentional, regenerate with WORMLINT_UPDATE_GOLDEN=1\n--- got ---\n%s", data)
+	}
+
+	// What the golden is blind to, and what it is not. A helper added under
+	// an entry point moves lines, grows the frontier and may reroute a
+	// witness chain; none of that needs re-approval.
+	grown := *certs
+	grown.Entries = append([]PurityCertificate(nil), certs.Entries...)
+	e := grown.Entries[0]
+	e.ReachableFunctions++
+	e.Frontier.Pure = append([]string{"wormsim/internal/core.newHelper"}, e.Frontier.Pure...)
+	e.Exemptions = append([]PurityEffect(nil), e.Exemptions...)
+	for i := range e.Exemptions {
+		e.Exemptions[i].Line += 7
+		e.Exemptions[i].Witness = "Run → newHelper → " + e.Exemptions[i].Witness
+	}
+	grown.Entries[0] = e
+	if !bytes.Equal(purityPins(t, &grown), data) {
+		t.Error("a new pure helper under core.Run changed the golden projection")
+	}
+	// A new exemption, or an old one that lost its reason, does.
+	extra := e
+	extra.Exemptions = append(extra.Exemptions[:len(extra.Exemptions):len(extra.Exemptions)], PurityEffect{
+		Func: "wormsim/internal/core.newHelper", Source: "wall-clock", Detail: "call to time.Now reads the wall clock", Reason: "(progress line only)",
+	})
+	grown.Entries[0] = extra
+	if bytes.Equal(purityPins(t, &grown), data) {
+		t.Error("a new exemption left the golden projection unchanged")
+	}
+	e.Exemptions[0].Reason = ""
+	grown.Entries[0] = e
+	if bytes.Equal(purityPins(t, &grown), data) {
+		t.Error("an exemption that dropped its reason left the golden projection unchanged")
 	}
 }

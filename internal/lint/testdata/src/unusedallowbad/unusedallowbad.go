@@ -1,8 +1,7 @@
 // Package unusedallowbad is a wormlint test fixture for the unusedallow
 // pass. ErrLive's directive suppresses a live errfmt finding and must stay;
-// the whole-line directive and the mutexcopy half of ErrPartial's directive
-// suppress nothing and are findings (with fixes; unusedallowfixed is the
-// -fix golden).
+// the whole-line directive and the hookguard half of ErrPartial's directive
+// suppress nothing and are findings.
 package unusedallowbad
 
 import "errors"
@@ -14,4 +13,4 @@ var ErrLive = errors.New("Capitalized on purpose") //lint:allow errfmt (control:
 var ErrClean = errors.New("clean message")
 
 // ErrPartial mixes a live pass with a stale one in one directive.
-var ErrPartial = errors.New("Another capital") //lint:allow errfmt,mutexcopy (no mutex in sight) // WANT unusedallow
+var ErrPartial = errors.New("Another capital") //lint:allow errfmt,hookguard (no hook in sight) // WANT unusedallow

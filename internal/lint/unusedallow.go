@@ -1,20 +1,13 @@
 package lint
 
-import (
-	"go/token"
-	"os"
-	"strings"
-)
+import "strings"
 
 // UnusedAllow closes the suppression loop lintdirective opened: a
 // //lint:allow directive whose pass names are all registered and spelled
 // right, but which no longer suppresses any finding, is dead weight — it
 // documents an exemption that no longer exists and silently widens the
 // blind spot if the flagged code ever comes back. Each such directive (or
-// stale pass name within a multi-pass directive) is a finding, with a fix
-// that -fix applies: delete the comment (and its line, when it stands
-// alone) when every judged pass is stale, or rewrite it keeping only the
-// passes that still earn their suppression.
+// stale pass name within a multi-pass directive) is a finding.
 //
 // The pass runs after every other pass in the same Run (see AfterPass), so
 // "unused" is judged against what actually ran: a directive for a
@@ -38,17 +31,16 @@ func (*UnusedAllow) Name() string { return "unusedallow" }
 
 // Doc describes the pass.
 func (*UnusedAllow) Doc() string {
-	return "an //lint:allow directive that suppresses no finding is itself a finding (-fix deletes it)"
+	return "an //lint:allow directive that suppresses no finding is itself a finding"
 }
 
 // RunAfter judges every directive against the suppressions this run
 // exercised. ran holds the names of the passes that ran.
 func (u *UnusedAllow) RunAfter(prog *Program, ran map[string]bool) []Finding {
 	var out []Finding
-	srcCache := make(map[string][]byte)
 	for _, p := range prog.Pkgs {
 		for _, d := range p.directives {
-			var stale, keep []string
+			var stale []string
 			for _, pass := range d.passes {
 				// Only judge what this run can prove stale: a registered
 				// pass that ran and never fired on a covered line. A
@@ -59,82 +51,18 @@ func (u *UnusedAllow) RunAfter(prog *Program, ran map[string]bool) []Finding {
 					prog.usedAt(d.pos.Filename, d.cover[1], pass)
 				if judgeable && !used {
 					stale = append(stale, pass)
-				} else {
-					keep = append(keep, pass)
 				}
 			}
 			if len(stale) == 0 {
 				continue
 			}
-			f := Finding{
+			out = append(out, Finding{
 				Pos:  d.pos,
 				Pass: u.Name(),
 				Msg: "//lint:allow " + strings.Join(stale, ",") +
-					" suppresses no finding; the exemption it documents no longer exists — delete it (wormlint -fix does)",
-			}
-			if fix := u.fix(d, keep, srcCache); fix != nil {
-				f.Fix = fix
-			}
-			out = append(out, f)
+					" suppresses no finding; the exemption it documents no longer exists — delete it",
+			})
 		}
 	}
 	return out
-}
-
-// fix builds the edit resolving one stale directive: a rewrite keeping the
-// still-live passes, or a deletion — of the whole source line when the
-// comment stands alone on it, of the comment and its leading spaces when it
-// trails code.
-func (u *UnusedAllow) fix(d allowDirective, keep []string, srcCache map[string][]byte) *Fix {
-	src, ok := srcCache[d.pos.Filename]
-	if !ok {
-		data, err := os.ReadFile(d.pos.Filename)
-		if err != nil {
-			return nil
-		}
-		src, srcCache[d.pos.Filename] = data, data
-	}
-	// token.Pos for a byte offset within this file.
-	at := func(off int) token.Pos { return d.start + token.Pos(off-d.pos.Offset) }
-
-	if len(keep) > 0 {
-		text := "//lint:allow " + strings.Join(keep, ",")
-		if d.reason != "" {
-			text += " " + d.reason
-		}
-		return &Fix{
-			Message: "drop the stale pass name(s) from the directive",
-			Edits:   []TextEdit{{Pos: d.start, End: d.stop, NewText: text}},
-		}
-	}
-
-	lineStart := d.pos.Offset - (d.pos.Column - 1)
-	if lineStart < 0 || d.end.Offset > len(src) {
-		return nil
-	}
-	alone := true
-	for _, b := range src[lineStart:d.pos.Offset] {
-		if b != ' ' && b != '\t' {
-			alone = false
-			break
-		}
-	}
-	if alone {
-		end := d.end.Offset
-		if end < len(src) && src[end] == '\n' {
-			end++
-		}
-		return &Fix{
-			Message: "delete the stale directive line",
-			Edits:   []TextEdit{{Pos: at(lineStart), End: at(end), NewText: ""}},
-		}
-	}
-	ws := d.pos.Offset
-	for ws > lineStart && (src[ws-1] == ' ' || src[ws-1] == '\t') {
-		ws--
-	}
-	return &Fix{
-		Message: "delete the stale trailing directive",
-		Edits:   []TextEdit{{Pos: at(ws), End: d.stop, NewText: ""}},
-	}
 }

@@ -1,103 +1,28 @@
 package lint
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// unusedAllowPasses is the suite the unusedallow fixture is judged against:
-// a pass with live suppressions (errfmt), one that never fires there
-// (mutexcopy), and the after-pass itself.
-func unusedAllowPasses() []Pass {
-	return []Pass{ErrFmt{}, MutexCopy{}, NewUnusedAllow(PassNames())}
-}
-
-// TestUnusedAllowFixture: directives that suppress nothing are findings at
-// their WANT-marked lines; the control directive with a live suppression is
-// not.
+// TestUnusedAllowFixture: judged against a pass with live suppressions
+// (errfmt) and one that never fires there (hookguard), directives that
+// suppress nothing are findings at their WANT-marked lines; the control
+// directive with a live suppression is not.
 func TestUnusedAllowFixture(t *testing.T) {
-	pkgs := loadFixtures(t, "unusedallowbad")
-	want := wantFileLines(t, pkgs, "unusedallow")
-	got := make(map[string]bool)
-	for _, f := range Run(pkgs, unusedAllowPasses()) {
-		if f.Pass != "unusedallow" {
-			t.Errorf("unexpected %s finding: %s", f.Pass, f)
-			continue
-		}
-		got[filepath.Base(f.Pos.Filename)+":"+itoa(f.Pos.Line)] = true
-	}
-	for key := range want {
-		if !got[key] {
-			t.Errorf("no unusedallow finding at %s, want one", key)
-		}
-	}
-	for key := range got {
-		if !want[key] {
-			t.Errorf("unexpected unusedallow finding at %s", key)
-		}
-	}
+	checkFixture(t, loadFixtures(t, "unusedallowbad"), NewUnusedAllow(PassNames()), ErrFmt{}, NewHookGuard())
 }
 
 // TestUnusedAllowSkipsNotRun: a directive for a pass that did not run this
-// invocation cannot be judged stale — only the mutexcopy half of the
+// invocation cannot be judged stale — only the hookguard half of the
 // multi-pass directive is provably dead when errfmt is deselected.
 func TestUnusedAllowSkipsNotRun(t *testing.T) {
 	pkgs := loadFixtures(t, "unusedallowbad")
-	fs := Run(pkgs, []Pass{MutexCopy{}, NewUnusedAllow(PassNames())})
+	fs := Run(pkgs, []Pass{NewHookGuard(), NewUnusedAllow(PassNames())})
 	if len(fs) != 1 {
 		t.Fatalf("got %d findings with errfmt deselected, want 1: %v", len(fs), fs)
 	}
-	if !strings.Contains(fs[0].Msg, "//lint:allow mutexcopy") {
-		t.Errorf("finding does not single out the mutexcopy half: %s", fs[0])
-	}
-}
-
-// TestUnusedAllowFixGolden: -fix must delete the whole-line directive,
-// rewrite the multi-pass one down to its live half (keeping the reason),
-// and leave the control untouched — byte-for-byte against the
-// unusedallowfixed golden, which must itself come back clean (idempotency).
-func TestUnusedAllowFixGolden(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", "unusedallowbad"))
-	if err != nil {
-		t.Fatalf("LoadDir(unusedallowbad): %v", err)
-	}
-	findings := Run([]*Package{p}, unusedAllowPasses())
-	var fixable int
-	for _, f := range findings {
-		if f.Pass == "unusedallow" && f.Fix != nil {
-			fixable++
-		}
-	}
-	if fixable != 2 {
-		t.Fatalf("got %d fixable unusedallow findings, want 2: %v", fixable, findings)
-	}
-	patched, err := ApplyFixes(l.Fset, findings)
-	if err != nil {
-		t.Fatalf("ApplyFixes: %v", err)
-	}
-	if len(patched) != 1 {
-		t.Fatalf("patched %d files, want 1", len(patched))
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "src", "unusedallowfixed", "unusedallowbad.go"))
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	for name, got := range patched {
-		if !bytes.Equal(got, golden) {
-			t.Errorf("ApplyFixes(%s) does not match the unusedallowfixed golden:\n--- got ---\n%s\n--- want ---\n%s",
-				name, got, golden)
-		}
-	}
-
-	fixed := loadFixtures(t, "unusedallowfixed")
-	if fs := Run(fixed, unusedAllowPasses()); len(fs) != 0 {
-		t.Errorf("unusedallowfixed still has findings: %v", fs)
+	if !strings.Contains(fs[0].Msg, "//lint:allow hookguard") {
+		t.Errorf("finding does not single out the hookguard half: %s", fs[0])
 	}
 }

@@ -1,113 +1,28 @@
 package lint
 
 import (
-	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
-
-// loadFixtures type-checks several fixture packages under one loader so they
-// share type identities — required for cross-package call-graph tests.
-func loadFixtures(t *testing.T, names ...string) []*Package {
-	t.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	var pkgs []*Package
-	for _, name := range names {
-		p, err := l.LoadDir(filepath.Join("testdata", "src", name))
-		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", name, err)
-		}
-		if p == nil {
-			t.Fatalf("fixture %s has no Go files", name)
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs
-}
-
-// wantFileLines scans every fixture file for trailing "// WANT <pass>"
-// markers, keyed "basename:line" so multi-package fixtures cannot collide.
-func wantFileLines(t *testing.T, pkgs []*Package, pass string) map[string]bool {
-	t.Helper()
-	want := make(map[string]bool)
-	marker := "// WANT " + pass
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			name := p.Fset.Position(f.Pos()).Filename
-			data, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatalf("read fixture source: %v", err)
-			}
-			for i, line := range strings.Split(string(data), "\n") {
-				if strings.HasSuffix(strings.TrimRight(line, " \t"), marker) {
-					want[filepath.Base(name)+":"+itoa(i+1)] = true
-				}
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatalf("fixture for %s has no WANT markers", pass)
-	}
-	return want
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
-}
-
-// checkFixtureMulti runs one pass over several fixture packages (through
-// Run, so //lint:allow suppression applies) and requires the reported
-// file:line set to equal the WANT-marked set.
-func checkFixtureMulti(t *testing.T, pkgs []*Package, pass Pass) {
-	t.Helper()
-	want := wantFileLines(t, pkgs, pass.Name())
-	got := make(map[string]bool)
-	for _, f := range Run(pkgs, []Pass{pass}) {
-		got[filepath.Base(f.Pos.Filename)+":"+itoa(f.Pos.Line)] = true
-		if f.Pass != pass.Name() {
-			t.Errorf("finding %v attributed to pass %q, want %q", f, f.Pass, pass.Name())
-		}
-	}
-	for key := range want {
-		if !got[key] {
-			t.Errorf("no %s finding at %s, want one", pass.Name(), key)
-		}
-	}
-	for key := range got {
-		if !want[key] {
-			t.Errorf("unexpected %s finding at %s", pass.Name(), key)
-		}
-	}
-}
 
 // TestCrossPackageHotAlloc: allocations behind a cross-package call, a
 // devirtualized interface call, and a stored function value must all be
 // reached from the root in the sibling package.
 func TestCrossPackageHotAlloc(t *testing.T) {
 	pkgs := loadFixtures(t, "xleak", "xleak/dep")
-	checkFixtureMulti(t, pkgs, &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
+	checkFixture(t, pkgs, &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
 }
 
 // TestCrossPackageSimDeterminism: the reachability scope must catch a
 // wall-clock read in an untargeted package the engine reaches.
 func TestCrossPackageSimDeterminism(t *testing.T) {
 	pkgs := loadFixtures(t, "xleak", "xleak/dep")
-	checkFixtureMulti(t, pkgs, &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "(*Engine).Step"}}})
+	checkFixture(t, pkgs, &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "(*Engine).Step"}}})
 }
 
 // TestWitnessChain: cross-package findings must explain how the engine
@@ -142,19 +57,7 @@ func TestWitnessChain(t *testing.T) {
 // observe the clock.
 func TestStoreCacheSimDeterminism(t *testing.T) {
 	pkgs := loadFixtures(t, "storecache", "storecache/store")
-	checkFixtureMulti(t, pkgs, &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "Sweep"}}})
-}
-
-func TestAtomicDisciplineFixture(t *testing.T) {
-	checkFixtureMulti(t, loadFixtures(t, "atomicbad"), NewAtomicDiscipline())
-}
-
-func TestLockScopeFixture(t *testing.T) {
-	checkFixtureMulti(t, loadFixtures(t, "lockbad"), NewLockScope())
-}
-
-func TestHookEscapeFixture(t *testing.T) {
-	checkFixtureMulti(t, loadFixtures(t, "hookescapebad"), NewHookEscape())
+	checkFixture(t, pkgs, &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "Sweep"}}})
 }
 
 // TestAllowMultiPass: one //lint:allow simdeterminism,hotalloc directive must
@@ -193,7 +96,8 @@ func fileLine(t *testing.T, f Finding) string {
 }
 
 // TestLintDirectiveUnknownPass: a directive naming an unregistered pass is
-// itself a finding.
+// itself a finding — a typo, or a pass the suite no longer has, whose stale
+// directives must not linger looking like documented exemptions.
 func TestLintDirectiveUnknownPass(t *testing.T) {
 	pkgs := loadFixtures(t, "allowmulti")
 	fs := Run(pkgs, []Pass{NewLintDirective(PassNames())})
@@ -203,16 +107,29 @@ func TestLintDirectiveUnknownPass(t *testing.T) {
 	if !strings.Contains(fs[0].Msg, "nosuchpass") {
 		t.Errorf("finding does not name the unknown pass: %s", fs[0])
 	}
+
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "old.go",
+		"package old\n\nvar X = 1 //lint:allow hotalloc,lockscope (held across the send on purpose)\n", parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &Package{Path: "old", Fset: fset, Files: []*ast.File{f}}
+	old.allow, old.allowReason, old.directives = collectAllows(fset, old.Files)
+	fs = Run([]*Package{old}, []Pass{NewLintDirective(PassNames())})
+	if len(fs) != 1 || !strings.Contains(fs[0].Msg, `unknown pass "lockscope"`) {
+		t.Errorf("directive for a deleted pass reported as %v, want one unknown-pass finding", fs)
+	}
 }
 
 func TestSelectPasses(t *testing.T) {
-	ps, err := SelectPasses("errfmt, lockscope")
+	ps, err := SelectPasses("errfmt, hotalloc")
 	if err != nil {
 		t.Fatalf("SelectPasses: %v", err)
 	}
-	if len(ps) != 2 || ps[0].Name() != "lockscope" || ps[1].Name() != "errfmt" {
+	if len(ps) != 2 || ps[0].Name() != "hotalloc" || ps[1].Name() != "errfmt" {
 		// Reporting order is registry order, not spec order.
-		t.Errorf("SelectPasses = %v, want [lockscope errfmt]", names(ps))
+		t.Errorf("SelectPasses = %v, want [hotalloc errfmt]", names(ps))
 	}
 	if _, err := SelectPasses("errfmt,bogus,worse"); err == nil || !strings.Contains(err.Error(), "bogus, worse") {
 		t.Errorf("unknown passes not reported: %v", err)
@@ -230,181 +147,12 @@ func names(ps []Pass) []string {
 	return out
 }
 
-// TestPassNamesUnique guards the registry against duplicate names, which
-// would make -passes and directives ambiguous.
+// TestPassNamesUnique pins the registry: the seven passes, in reporting
+// order, each name once (a duplicate would make -passes and directives
+// ambiguous).
 func TestPassNamesUnique(t *testing.T) {
-	seen := make(map[string]bool)
-	for _, n := range PassNames() {
-		if seen[n] {
-			t.Errorf("duplicate pass name %q", n)
-		}
-		seen[n] = true
-	}
-	if len(seen) < 10 {
-		t.Errorf("only %d passes registered, want the full suite", len(seen))
-	}
-}
-
-// TestApplyFixesGolden: applying every suggested fix to the fixme fixture
-// must reproduce the fixmefixed golden byte-for-byte, and the golden must be
-// fully fixed (no remaining findings at all — idempotency).
-func TestApplyFixesGolden(t *testing.T) {
-	passes := []Pass{ErrFmt{}, LoopCapture{}, NewHookGuard()}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", "fixme"))
-	if err != nil {
-		t.Fatalf("LoadDir(fixme): %v", err)
-	}
-	findings := Run([]*Package{p}, passes)
-	var fixable int
-	for _, f := range findings {
-		if f.Fix != nil {
-			fixable++
-		}
-	}
-	if fixable < 3 {
-		t.Fatalf("fixme produced %d fixable findings, want at least one per fix-producing pass", fixable)
-	}
-	patched, err := ApplyFixes(l.Fset, findings)
-	if err != nil {
-		t.Fatalf("ApplyFixes: %v", err)
-	}
-	if len(patched) != 1 {
-		t.Fatalf("patched %d files, want 1", len(patched))
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "src", "fixmefixed", "fixme.go"))
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	for name, got := range patched {
-		if !bytes.Equal(got, golden) {
-			t.Errorf("ApplyFixes(%s) does not match the fixmefixed golden:\n--- got ---\n%s\n--- want ---\n%s",
-				name, got, golden)
-		}
-	}
-
-	// Idempotency: the golden is itself a loadable fixture and must come
-	// back clean.
-	fixed := loadFixtures(t, "fixmefixed")
-	if fs := Run(fixed, passes); len(fs) != 0 {
-		t.Errorf("fixmefixed still has findings: %v", fs)
-	}
-}
-
-// TestSARIFGolden pins the SARIF 2.1.0 shape with a byte-exact golden.
-func TestSARIFGolden(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", "errbad"))
-	if err != nil {
-		t.Fatalf("LoadDir(errbad): %v", err)
-	}
-	findings := Run([]*Package{p}, []Pass{ErrFmt{}})
-	if len(findings) == 0 {
-		t.Fatal("errbad produced no findings to serialize")
-	}
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, findings, DefaultPasses(), l.ModRoot); err != nil {
-		t.Fatalf("WriteSARIF: %v", err)
-	}
-	goldenPath := filepath.Join("testdata", "errbad.sarif.golden")
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (regenerate by running TestSARIFGolden with WORMLINT_UPDATE_GOLDEN=1): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), golden) {
-		if os.Getenv("WORMLINT_UPDATE_GOLDEN") != "" {
-			if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
-		t.Errorf("SARIF output drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), golden)
-	}
-
-	// Sanity beyond the bytes: the fields code scanning requires.
-	out := buf.String()
-	for _, needle := range []string{
-		`"version": "2.1.0"`, `"ruleId": "errfmt"`, `"startLine"`,
-		`"uri": "internal/lint/testdata/src/errbad/errbad.go"`,
-	} {
-		if !strings.Contains(out, needle) {
-			t.Errorf("SARIF output missing %s", needle)
-		}
-	}
-}
-
-// TestBaselineRoundTrip: write → read → filter must suppress exactly the
-// recorded findings and let new ones through.
-func TestBaselineRoundTrip(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", "errbad"))
-	if err != nil {
-		t.Fatalf("LoadDir(errbad): %v", err)
-	}
-	findings := Run([]*Package{p}, []Pass{ErrFmt{}})
-	if len(findings) == 0 {
-		t.Fatal("errbad produced no findings")
-	}
-
-	path := filepath.Join(t.TempDir(), "baseline.txt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBaseline(f, findings, l.ModRoot); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	base, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
-	}
-	if len(base) != len(findings) {
-		t.Fatalf("baseline has %d entries, want %d", len(base), len(findings))
-	}
-
-	fresh := findings[0]
-	fresh.Msg = "a brand new finding"
-	all := append(append([]Finding(nil), findings...), fresh)
-	kept, suppressed := FilterBaseline(all, base, l.ModRoot)
-	if suppressed != len(findings) {
-		t.Errorf("suppressed %d, want %d", suppressed, len(findings))
-	}
-	if len(kept) != 1 || kept[0].Msg != "a brand new finding" {
-		t.Errorf("kept = %v, want only the new finding", kept)
-	}
-}
-
-// TestErrfmtFixSpansVerb: the %v→%w fix must edit exactly the verb byte.
-func TestErrfmtFixSpansVerb(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	p, err := l.LoadDir(filepath.Join("testdata", "src", "fixme"))
-	if err != nil {
-		t.Fatalf("LoadDir(fixme): %v", err)
-	}
-	for _, f := range Run([]*Package{p}, []Pass{ErrFmt{}}) {
-		if f.Fix == nil {
-			continue
-		}
-		for _, e := range f.Fix.Edits {
-			if e.NewText != "w" || e.End-e.Pos != 1 {
-				t.Errorf("errfmt fix edit = %+v, want single-byte replacement with w", e)
-			}
-		}
+	want := []string{"simdeterminism", "purity", "hotalloc", "hookguard", "errfmt", "lintdirective", "unusedallow"}
+	if got := PassNames(); !slices.Equal(got, want) {
+		t.Errorf("PassNames() = %v, want %v", got, want)
 	}
 }

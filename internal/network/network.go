@@ -1101,7 +1101,7 @@ func (n *Network) applyMove(id int32) {
 		if n.cfg.OnHeaderHop != nil {
 			// Zero-copy handoff by contract: m is engine-owned and valid only
 			// for the duration of the callback (see Config.OnHeaderHop).
-			n.cfg.OnHeaderHop(m, int(n.vcNode[t]), dim, dir) //lint:allow hookescape (documented borrow, copying would allocate per hop)
+			n.cfg.OnHeaderHop(m, int(n.vcNode[t]), dim, dir) // documented borrow, copying would allocate per hop
 		}
 		if n.tel != nil {
 			n.tel.Hop(n.now, m.ID, int(n.vcNode[t]), ch, int(out.vc))
@@ -1156,7 +1156,7 @@ func (n *Network) deliver(id int32) {
 		// Zero-copy handoff by contract: m is pooled and valid only for the
 		// duration of the callback (see Config.OnDeliver) — it is recycled on
 		// the next line.
-		n.cfg.OnDeliver(m) //lint:allow hookescape (documented borrow, copying would defeat the message pool)
+		n.cfg.OnDeliver(m) // documented borrow, copying would defeat the message pool
 	}
 	n.pool.Put(m)
 }
