@@ -1,19 +1,15 @@
-// Package wormsim's root benchmarks regenerate every figure of the paper's
-// evaluation (DESIGN.md experiment index) plus the ablations:
+// Package wormsim's root benchmarks regenerate the ablation and extension
+// experiments of DESIGN.md's experiment index:
 //
-//	BenchmarkFig3Uniform  — Figure 3: uniform traffic, six algorithms
-//	BenchmarkFig4Hotspot  — Figure 4: 4% hotspot at node (15,15)
-//	BenchmarkFig5Local    — Figure 5: local traffic, 0.4 locality (7x7 box)
-//	BenchmarkVCT          — sec. 3.4: virtual cut-through, 2pn vs nbc vs ecube
-//	BenchmarkAblation*    — A-VC, A-SEL, A-CC of DESIGN.md
+//	BenchmarkAblation*    — A-VC, A-SEL, A-CC, A-RTD, A-ML
 //	BenchmarkTranspose    — X-TRANS: Glass & Ni's transpose claim
-//	BenchmarkEngine       — raw simulator speed (cycles/op at fixed load)
 //
 // Each benchmark iteration runs a full converged simulation at one offered
 // load, so the interesting outputs are the custom metrics, not ns/op:
 // "latency_cycles" is the converged average message latency and
 // "throughput" the achieved channel utilization. Benchmarks use shortened
-// warmup/sampling windows; run cmd/figures for publication-length sweeps.
+// warmup/sampling windows; run cmd/figures for the paper's figures and
+// go run ./benchmark for how long they take.
 package wormsim
 
 import (
@@ -21,12 +17,6 @@ import (
 	"testing"
 
 	"wormsim/internal/core"
-	"wormsim/internal/forensics"
-	"wormsim/internal/network"
-	"wormsim/internal/routing"
-	"wormsim/internal/telemetry"
-	"wormsim/internal/topology"
-	"wormsim/internal/traffic"
 )
 
 // benchBase is the shared quick methodology for benchmarks.
@@ -40,11 +30,6 @@ func benchBase() core.Config {
 	}
 }
 
-// benchLoads is the reduced offered-load axis exercised per algorithm: one
-// point below saturation, one near the hop schemes' knee, one deep in
-// saturation.
-var benchLoads = []float64{0.3, 0.6, 0.9}
-
 // runPoint runs one simulation point inside a benchmark and reports its
 // metrics.
 func runPoint(b *testing.B, cfg core.Config) core.Result {
@@ -55,43 +40,6 @@ func runPoint(b *testing.B, cfg core.Config) core.Result {
 	}
 	return res
 }
-
-// benchFigure runs one sub-benchmark per (algorithm, load) of the spec.
-func benchFigure(b *testing.B, id string) {
-	spec, err := core.FigureByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, alg := range spec.Algorithms {
-		for _, load := range benchLoads {
-			b.Run(fmt.Sprintf("%s/rho=%.1f", alg, load), func(b *testing.B) {
-				var res core.Result
-				for i := 0; i < b.N; i++ {
-					cfg := benchBase()
-					cfg.Algorithm = alg
-					cfg.Pattern = spec.Pattern
-					cfg.Switching = spec.Switching
-					cfg.OfferedLoad = load
-					res = runPoint(b, cfg)
-				}
-				b.ReportMetric(res.AvgLatency, "latency_cycles")
-				b.ReportMetric(res.Throughput, "throughput")
-			})
-		}
-	}
-}
-
-// BenchmarkFig3Uniform regenerates Figure 3 (uniform traffic).
-func BenchmarkFig3Uniform(b *testing.B) { benchFigure(b, "fig3") }
-
-// BenchmarkFig4Hotspot regenerates Figure 4 (4% hotspot traffic).
-func BenchmarkFig4Hotspot(b *testing.B) { benchFigure(b, "fig4") }
-
-// BenchmarkFig5Local regenerates Figure 5 (local traffic, locality 0.4).
-func BenchmarkFig5Local(b *testing.B) { benchFigure(b, "fig5") }
-
-// BenchmarkVCT regenerates the sec. 3.4 virtual cut-through comparison.
-func BenchmarkVCT(b *testing.B) { benchFigure(b, "vct") }
 
 // BenchmarkAblationEcubeVCs is experiment A-VC: e-cube throughput as
 // virtual channels are added (1, 2 and 4 dateline lane pairs), uniform
@@ -230,127 +178,5 @@ func BenchmarkAblationMsgLen(b *testing.B) {
 				b.ReportMetric(res.Throughput, "throughput")
 			})
 		}
-	}
-}
-
-// BenchmarkTelemetryOverhead measures the per-cycle cost of the telemetry
-// hooks on a 16x16 torus at a moderate uniform load: "off" is the disabled
-// path (nil collector — one predictable branch per hook, the configuration
-// every plain run uses, documented to stay within 5% of the pre-telemetry
-// engine), "metrics" adds the counter/gauge updates and "trace" the full
-// lifecycle ring buffer.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	variants := []struct {
-		name string
-		opts *telemetry.Options
-	}{
-		{"off", nil},
-		{"metrics", &telemetry.Options{Metrics: true}},
-		{"trace", &telemetry.Options{Metrics: true, Trace: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			g := topology.NewTorus(16, 2)
-			alg, err := routing.Get("nbc")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var tel *telemetry.Collector
-			if v.opts != nil {
-				tel = telemetry.New(*v.opts, g.ChannelSlots(), alg.NumVCs(g))
-			}
-			wl := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.01, 1)
-			n, err := network.New(network.Config{
-				Grid: g, Algorithm: alg, Workload: wl, MsgLen: 16, CCLimit: 2, Seed: 1,
-				Telemetry: tel,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			moves := n.Total().FlitMoves
-			b.ReportMetric(float64(moves)/float64(b.N), "flits/cycle")
-		})
-	}
-}
-
-// BenchmarkForensicsOverhead measures the per-cycle cost of congestion
-// forensics on a 16x16 torus at a load heavy enough that worms block: "off"
-// is the disabled path (nil analyzer — one predictable branch per hook),
-// "sampled" the default 1-in-64 wait-for sampling (documented to stay within
-// 5% of off), and "every" the exact every-cycle attribution the acceptance
-// tests use.
-func BenchmarkForensicsOverhead(b *testing.B) {
-	variants := []struct {
-		name        string
-		sampleEvery int64
-	}{
-		{"off", 0},
-		{"sampled", forensics.DefaultSampleEvery},
-		{"every", 1},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			g := topology.NewTorus(16, 2)
-			alg, err := routing.Get("nbc")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var fore *forensics.Analyzer
-			if v.sampleEvery > 0 {
-				fore = forensics.New(forensics.Options{SampleEvery: v.sampleEvery}, g.ChannelSlots())
-			}
-			wl := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.03, 1)
-			n, err := network.New(network.Config{
-				Grid: g, Algorithm: alg, Workload: wl, MsgLen: 16, CCLimit: 2, Seed: 1,
-				Forensics: fore,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			moves := n.Total().FlitMoves
-			b.ReportMetric(float64(moves)/float64(b.N), "flits/cycle")
-		})
-	}
-}
-
-// BenchmarkEngine measures raw simulator speed: cycles per second of the
-// flit-level engine at a moderate uniform load, per algorithm (more virtual
-// channels mean more state to scan).
-func BenchmarkEngine(b *testing.B) {
-	for _, algName := range []string{"ecube", "2pn", "nbc", "phop"} {
-		b.Run(algName, func(b *testing.B) {
-			g := topology.NewTorus(16, 2)
-			alg, err := routing.Get(algName)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wl := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.01, 1)
-			n, err := network.New(network.Config{
-				Grid: g, Algorithm: alg, Workload: wl, MsgLen: 16, CCLimit: 2, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := n.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			moves := n.Total().FlitMoves
-			b.ReportMetric(float64(moves)/float64(b.N), "flits/cycle")
-		})
 	}
 }

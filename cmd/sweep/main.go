@@ -11,8 +11,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -27,35 +29,51 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it returns instead of exiting so the deferred
+// store, API and server closes happen on failure too.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	cfg := core.Config{}
-	algs := flag.String("algs", "phop,nhop,nbc,2pn,ecube,nlast", "comma-separated algorithms ("+strings.Join(routing.Names(), ", ")+")")
-	loadSpec := flag.String("loads", "0.1:1.0:0.1", "offered loads: lo:hi:step or comma list")
-	format := flag.String("format", "csv", "output format: csv, table or json")
-	flag.IntVar(&cfg.K, "k", 16, "radix")
-	flag.IntVar(&cfg.N, "n", 2, "dimensions")
-	flag.BoolVar(&cfg.Mesh, "mesh", false, "mesh instead of torus")
-	flag.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec")
-	flag.StringVar(&cfg.Policy, "policy", "random", "VC selection policy")
-	sw := flag.String("switching", "wormhole", "switching: wormhole, vct, saf")
-	flag.IntVar(&cfg.MsgLen, "flits", 16, "message length in flits")
-	flag.IntVar(&cfg.BufDepth, "bufdepth", 0, "per-VC buffer depth")
-	flag.IntVar(&cfg.CCLimit, "cclimit", 0, "congestion-control limit (default 2, -1 off)")
-	flag.IntVar(&cfg.InjectionPorts, "ports", 0, "injection ports per node (default 2, -1 unlimited)")
-	flag.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
-	seed := flag.Uint64("seed", 1, "random seed")
-	replicas := flag.Int("replicas", 1, "seeds per point, run as independent replicas with across-seed error bars (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
-	flag.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles")
-	flag.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sample")
-	flag.IntVar(&cfg.MaxSamples, "maxsamples", 0, "max sampling periods")
-	metrics := flag.Bool("metrics", false, "collect telemetry; prints a per-point summary on stderr (json format embeds the full summary)")
-	fore := flag.Bool("forensics", false, "congestion forensics per point; prints blame attribution on stderr (json format embeds the full summary)")
-	foreEvery := flag.Int64("forensics-every", 0, "forensics sampling period in cycles (default 64; implies -forensics)")
-	tracePrefix := flag.String("trace", "", "write a Chrome trace per point to PREFIX-<alg>-<load>.json")
-	progress := flag.Bool("progress", false, "live sweep progress with ETA on stderr")
-	httpAddr := flag.String("http", "", "serve the live observatory (Prometheus /metrics, /snapshot, SSE /events, /heatmap, pprof, /api/runs) on this address, e.g. :8080")
-	storeDir := flag.String("store", "", "persistent run store directory: already-recorded points skip simulation entirely; with -http the store backs the /api/runs and /api/compare endpoints")
-	flag.Int64Var(&cfg.TickCycles, "tick", 0, "observatory publication period in simulated cycles (default 1000)")
-	flag.Parse()
+	algs := fs.String("algs", "phop,nhop,nbc,2pn,ecube,nlast", "comma-separated algorithms ("+strings.Join(routing.Names(), ", ")+")")
+	loadSpec := fs.String("loads", "0.1:1.0:0.1", "offered loads: lo:hi:step or comma list")
+	format := fs.String("format", "csv", "output format: csv, table or json")
+	fs.IntVar(&cfg.K, "k", 16, "radix")
+	fs.IntVar(&cfg.N, "n", 2, "dimensions")
+	fs.BoolVar(&cfg.Mesh, "mesh", false, "mesh instead of torus")
+	fs.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec")
+	fs.StringVar(&cfg.Policy, "policy", "random", "VC selection policy")
+	sw := fs.String("switching", "wormhole", "switching: wormhole, vct, saf")
+	fs.IntVar(&cfg.MsgLen, "flits", 16, "message length in flits")
+	fs.IntVar(&cfg.BufDepth, "bufdepth", 0, "per-VC buffer depth")
+	fs.IntVar(&cfg.CCLimit, "cclimit", 0, "congestion-control limit (default 2, -1 off)")
+	fs.IntVar(&cfg.InjectionPorts, "ports", 0, "injection ports per node (default 2, -1 unlimited)")
+	fs.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
+	seed := fs.Uint64("seed", 1, "random seed")
+	replicas := fs.Int("replicas", 1, "seeds per point, run as independent replicas with across-seed error bars (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
+	fs.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles")
+	fs.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sample")
+	fs.IntVar(&cfg.MaxSamples, "maxsamples", 0, "max sampling periods")
+	metrics := fs.Bool("metrics", false, "collect telemetry; prints a per-point summary on stderr (json format embeds the full summary)")
+	fore := fs.Bool("forensics", false, "congestion forensics per point; prints blame attribution on stderr (json format embeds the full summary)")
+	foreEvery := fs.Int64("forensics-every", 0, "forensics sampling period in cycles (default 64; implies -forensics)")
+	tracePrefix := fs.String("trace", "", "write a Chrome trace per point to PREFIX-<alg>-<load>.json")
+	progress := fs.Bool("progress", false, "live sweep progress with ETA on stderr")
+	httpAddr := fs.String("http", "", "serve the live observatory (Prometheus /metrics, /snapshot, SSE /events, /heatmap, pprof, /api/runs) on this address, e.g. :8080")
+	storeDir := fs.String("store", "", "persistent run store directory: already-recorded points skip simulation entirely; with -http the store backs the /api/runs and /api/compare endpoints")
+	fs.Int64Var(&cfg.TickCycles, "tick", 0, "observatory publication period in simulated cycles (default 1000)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	cfg.Switching = core.Switching(*sw)
 	cfg.Seed = *seed
 	if *metrics || *tracePrefix != "" {
@@ -67,8 +85,7 @@ func main() {
 
 	loads, err := core.ParseLoads(*loadSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	algList := strings.Split(*algs, ",")
 
@@ -78,8 +95,7 @@ func main() {
 	if *storeDir != "" {
 		s, err := runstore.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer s.Close()
 		store = s
@@ -107,49 +123,46 @@ func main() {
 		}
 		s, err := observatory.Listen(*httpAddr, pub, api)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer s.Close()
-		fmt.Fprintf(os.Stderr, "observatory serving on http://%s/\n", s.Addr())
+		fmt.Fprintf(stderr, "observatory serving on http://%s/\n", s.Addr())
 	}
 
 	var prog *telemetry.Progress
 	if *progress {
-		prog = telemetry.NewProgress(os.Stderr, "sweep", len(algList)*len(loads))
+		prog = telemetry.NewProgress(stderr, "sweep", len(algList)*len(loads))
 	}
 	// note prints a stderr annotation, first breaking out of the progress
 	// line's carriage-return rewrite cycle if one is active.
 	note := func(format string, a ...any) {
 		if prog != nil {
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 		}
-		fmt.Fprintf(os.Stderr, format, a...)
+		fmt.Fprintf(stderr, format, a...)
 	}
 
 	if *replicas != 1 {
-		if err := sweepReplicated(cfg, algList, loads, *replicas, *format); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
+		if err := sweepReplicated(cfg, algList, loads, *replicas, *format, stdout, stderr); err != nil {
+			return err
 		}
 		if store != nil {
 			note("store: hits=%d misses=%d\n", store.Hits(), store.Misses())
 		}
-		return
+		return nil
 	}
 
 	switch *format {
 	case "csv":
-		fmt.Println("algorithm,pattern,switching,offered,latency,latency_bound,throughput,injection_rate,generated,dropped,delivered,samples,state")
+		fmt.Fprintln(stdout, "algorithm,pattern,switching,offered,latency,latency_bound,throughput,injection_rate,generated,dropped,delivered,samples,state")
 	case "table":
-		fmt.Printf("%-8s %-10s %8s %10s %10s %10s %8s\n", "alg", "pattern", "offered", "latency", "bound", "thruput", "state")
+		fmt.Fprintf(stdout, "%-8s %-10s %8s %10s %10s %10s %8s\n", "alg", "pattern", "offered", "latency", "bound", "thruput", "state")
 	case "json":
 		// one JSON object per line (JSONL), emitted below
 	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown format %q (csv, table, json)\n", *format)
-		os.Exit(1)
+		return fmt.Errorf("unknown format %q (csv, table, json)", *format)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	var onDone func(i int, r core.Result)
 	if prog != nil || pub != nil {
 		onDone = func(i int, r core.Result) {
@@ -167,8 +180,7 @@ func main() {
 		c.Algorithm = alg
 		results, err := core.SweepObserved(c, loads, runtime.GOMAXPROCS(0), onDone)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %s: %v\n", alg, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", alg, err)
 		}
 		for _, r := range results {
 			state := "ok"
@@ -180,17 +192,16 @@ func main() {
 			}
 			switch *format {
 			case "csv":
-				fmt.Printf("%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%.5f,%d,%d,%d,%d,%s\n",
+				fmt.Fprintf(stdout, "%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%.5f,%d,%d,%d,%d,%s\n",
 					r.Algorithm, r.Pattern, r.Switching, r.OfferedLoad, r.AvgLatency, r.LatencyBound,
 					r.Throughput, r.InjectionRate, r.Generated, r.Dropped, r.Delivered, r.Samples, state)
 			case "json":
 				r.ChannelFlits = nil // keep the records small
 				if err := enc.Encode(r); err != nil {
-					fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-					os.Exit(1)
+					return err
 				}
 			default:
-				fmt.Printf("%-8s %-10s %8.2f %10.1f %10.1f %10.4f %8s\n",
+				fmt.Fprintf(stdout, "%-8s %-10s %8.2f %10.1f %10.1f %10.4f %8s\n",
 					r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, state)
 			}
 			if *metrics && r.Telemetry != nil {
@@ -211,8 +222,7 @@ func main() {
 			if *tracePrefix != "" {
 				path := fmt.Sprintf("%s-%s-%.2f.json", *tracePrefix, r.Algorithm, r.OfferedLoad)
 				if err := writeChromeTrace(path, r.TraceEvents); err != nil {
-					fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-					os.Exit(1)
+					return err
 				}
 			}
 		}
@@ -225,13 +235,14 @@ func main() {
 	if prog != nil {
 		prog.Finish()
 	}
+	return nil
 }
 
 // sweepReplicated runs the replicated sweep: every (algorithm, load) point
 // simulated at n seeds, one scheduler task per (load, seed)
 // (core.SweepReplicated), reported as mean +- across-seed spread. The
 // aggregate simulation rate lands on stderr per algorithm.
-func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, format string) error {
+func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, format string, stdout, stderr io.Writer) error {
 	eff := cfg
 	eff.ApplyDefaults()
 	if n <= 0 {
@@ -243,15 +254,15 @@ func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, 
 	}
 	switch format {
 	case "csv":
-		fmt.Println("algorithm,pattern,switching,offered,mean_latency,latency_spread,mean_throughput,replicas,deadlocks")
+		fmt.Fprintln(stdout, "algorithm,pattern,switching,offered,mean_latency,latency_spread,mean_throughput,replicas,deadlocks")
 	case "table":
-		fmt.Printf("%-8s %-10s %8s %12s %10s %10s %10s\n", "alg", "pattern", "offered", "mean_lat", "spread", "thruput", "deadlocks")
+		fmt.Fprintf(stdout, "%-8s %-10s %8s %12s %10s %10s %10s\n", "alg", "pattern", "offered", "mean_lat", "spread", "thruput", "deadlocks")
 	case "json":
 		// one JSON object per line (JSONL), emitted below
 	default:
 		return fmt.Errorf("unknown format %q (csv, table, json)", format)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	for _, alg := range algList {
 		alg = strings.TrimSpace(alg)
 		c := cfg
@@ -269,7 +280,7 @@ func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, 
 			}
 			switch format {
 			case "csv":
-				fmt.Printf("%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%d,%d\n",
+				fmt.Fprintf(stdout, "%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%d,%d\n",
 					alg, cfg.Pattern, eff.Switching, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread,
 					rr.MeanThroughput, len(rr.Replicas), rr.Deadlocks)
 			case "json":
@@ -279,11 +290,11 @@ func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, 
 					return err
 				}
 			default:
-				fmt.Printf("%-8s %-10s %8.2f %12.1f %10.1f %10.4f %10d\n",
+				fmt.Fprintf(stdout, "%-8s %-10s %8.2f %12.1f %10.1f %10.4f %10d\n",
 					alg, cfg.Pattern, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread, rr.MeanThroughput, rr.Deadlocks)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "# %s: %d seeds x %d loads, %.3g replica-cycles/s aggregate over %v wall\n",
+		fmt.Fprintf(stderr, "# %s: %d seeds x %d loads, %.3g replica-cycles/s aggregate over %v wall\n",
 			alg, n, len(loads), float64(cycles)/wall.Seconds(), wall.Round(time.Millisecond))
 	}
 	return nil

@@ -63,30 +63,40 @@ func TestPooledRunsAreBitIdentical(t *testing.T) {
 
 // TestSteadyStateZeroAlloc: once warmed up, the engine cycle allocates
 // nothing for any routing algorithm — the pool, scratch buffers, and
-// struct-of-arrays layout absorb all steady-state work.
+// struct-of-arrays layout absorb all steady-state work — with or without a
+// metrics collector attached.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	for _, algName := range []string{"ecube", "nlast", "2pn", "phop", "nhop", "nbc"} {
-		g := topology.NewTorus(8, 2)
-		alg, err := routing.Get(algName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wl := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.03, 7)
-		n, err := New(Config{Grid: g, Algorithm: alg, Workload: wl, MsgLen: 16, CCLimit: 2, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm up past the transient so pools and scratch reach steady size.
-		if err := n.Run(3000); err != nil {
-			t.Fatal(err)
-		}
-		avg := testing.AllocsPerRun(2000, func() {
-			if err := n.Step(); err != nil {
+	for _, withTelemetry := range []bool{false, true} {
+		for _, algName := range []string{"ecube", "nlast", "2pn", "phop", "nhop", "nbc"} {
+			g := topology.NewTorus(8, 2)
+			alg, err := routing.Get(algName)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if avg != 0 {
-			t.Errorf("%s: %.3f allocs per steady-state cycle, want 0", algName, avg)
+			var tel *telemetry.Collector
+			if withTelemetry {
+				tel = telemetry.New(telemetry.Options{Metrics: true}, g.ChannelSlots(), alg.NumVCs(g))
+			}
+			wl := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.03, 7)
+			n, err := New(Config{
+				Grid: g, Algorithm: alg, Workload: wl, MsgLen: 16, CCLimit: 2, Seed: 7,
+				Telemetry: tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm up past the transient so pools and scratch reach steady size.
+			if err := n.Run(3000); err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(2000, func() {
+				if err := n.Step(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("%s (telemetry=%t): %.3f allocs per steady-state cycle, want 0", algName, withTelemetry, avg)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package observatory
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -40,6 +41,14 @@ type runState struct {
 	state string // "queued" or "running"
 	subs  map[chan []byte]struct{}
 }
+
+// Limits on what one client can make the API hold: a submission body is a
+// core.Config of a few hundred bytes, and every pending entry pins a queued
+// closure and its subscriber map until a worker gets to it.
+const (
+	maxSubmitBytes = 1 << 20
+	maxPending     = 256
+)
 
 // NewAPI builds the API over store with its own scheduler of the given
 // worker count. pub may be nil; when set, runs submitted through the API
@@ -81,10 +90,15 @@ func (a *API) handleRuns(w http.ResponseWriter, r *http.Request) {
 
 func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var cfg core.Config
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode config: %v", err)})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": fmt.Sprintf("decode config: %v", err)})
 		return
 	}
 	canonical := cfg.Canonical()
@@ -104,6 +118,12 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		state := st.state
 		a.mu.Unlock()
 		writeJSON(w, http.StatusAccepted, runStatus{Hash: hash, State: state})
+		return
+	}
+	if len(a.pending) >= maxPending {
+		a.mu.Unlock()
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": fmt.Sprintf("%d runs pending, retry later", maxPending)})
 		return
 	}
 	st := &runState{hash: hash, state: "queued", subs: make(map[chan []byte]struct{})}

@@ -3,6 +3,7 @@ package observatory
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -213,7 +214,7 @@ func TestAPIWithoutStore(t *testing.T) {
 }
 
 func TestAPIErrors(t *testing.T) {
-	_, _, base := newTestAPI(t)
+	srv, _, base := newTestAPI(t)
 	resp, err := http.Post(base+"/api/runs", "application/json", strings.NewReader(`{"NoSuchField": 1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +229,39 @@ func TestAPIErrors(t *testing.T) {
 	if code, _ := get(t, base+"/api/compare"); code != http.StatusBadRequest {
 		t.Errorf("compare without params: code %d, want 400", code)
 	}
+	// A body past the size limit is refused before it is buffered.
+	huge := `{"Algorithm":"` + strings.Repeat("a", maxSubmitBytes) + `"}`
+	resp, err = http.Post(base+"/api/runs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: code %d, want 413", resp.StatusCode)
+	}
+	// At the pending cap a new point is turned away with a retry hint, while
+	// a resubmission of a point already pending still rides the existing run.
+	riding := apiConfig("nbc", 0.3).Hash()
+	srv.api.mu.Lock()
+	srv.api.pending[riding] = &runState{hash: riding, state: "queued"}
+	for i := 1; i < maxPending; i++ {
+		srv.api.pending[fmt.Sprint(i)] = &runState{state: "queued"}
+	}
+	srv.api.mu.Unlock()
+	resp, err = http.Post(base+"/api/runs", "application/json", strings.NewReader(`{"Algorithm": "ecube"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("submit at pending cap: code %d Retry-After %q, want 429 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if code, _ := postJSON(t, base+"/api/runs", apiConfig("nbc", 0.3)); code != http.StatusAccepted {
+		t.Errorf("resubmission of a pending point at the cap: code %d, want 202", code)
+	}
+	srv.api.mu.Lock()
+	clear(srv.api.pending)
+	srv.api.mu.Unlock()
 	// An invalid config fails asynchronously and frees the slot for
 	// resubmission instead of wedging as pending forever.
 	bad := apiConfig("nosuchalg", 0.3)

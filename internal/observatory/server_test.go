@@ -12,11 +12,7 @@ import (
 	"testing"
 
 	"wormsim/internal/core"
-	"wormsim/internal/network"
-	"wormsim/internal/routing"
 	"wormsim/internal/telemetry"
-	"wormsim/internal/topology"
-	"wormsim/internal/traffic"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -267,55 +263,4 @@ func TestObservedRunIsBitIdentical(t *testing.T) {
 	if snap := pub.Snapshot(); snap == nil || snap.SweepDone != len(loads) || len(snap.Results) != len(loads) {
 		t.Errorf("publisher missed sweep completions: %+v", snap)
 	}
-}
-
-// BenchmarkObservatoryOverhead measures the engine cost of live publication
-// on a 16x16 torus: "off" is the bare engine, "publish" adds a tick
-// publication every 256 cycles (the full deep-copy TickEvent path), and
-// "served" additionally has an HTTP server listening with no clients — the
-// configuration the <5% idle-overhead budget applies to.
-func BenchmarkObservatoryOverhead(b *testing.B) {
-	const tickEvery = 256
-	run := func(b *testing.B, pub *Publisher) {
-		g := topology.NewTorus(16, 2)
-		alg, err := routing.Get("nbc")
-		if err != nil {
-			b.Fatal(err)
-		}
-		tel := telemetry.New(telemetry.Options{Metrics: true}, g.ChannelSlots(), alg.NumVCs(g))
-		wl := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.01, 1)
-		n, err := network.New(network.Config{
-			Grid: g, Algorithm: alg, Workload: wl, MsgLen: 16, CCLimit: 2, Seed: 1,
-			Telemetry: tel,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := n.Step(); err != nil {
-				b.Fatal(err)
-			}
-			if pub != nil && i%tickEvery == tickEvery-1 {
-				pub.PublishTick(core.TickEvent{
-					Algorithm: "nbc", Pattern: "uniform", Switching: core.Wormhole,
-					K: 16, N: 2, OfferedLoad: 0.3, Seed: 1,
-					Cycle: n.Now(), InFlight: n.InFlight(), Counters: n.Total(),
-					Worms: n.WormStates(), ChannelFlits: n.ChannelFlitCounts(),
-					Telemetry: tel.Summary(),
-				})
-			}
-		}
-	}
-	b.Run("off", func(b *testing.B) { run(b, nil) })
-	b.Run("publish", func(b *testing.B) { run(b, NewPublisher()) })
-	b.Run("served", func(b *testing.B) {
-		pub := NewPublisher()
-		srv, err := Listen("127.0.0.1:0", pub, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Close()
-		run(b, pub)
-	})
 }
