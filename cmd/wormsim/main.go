@@ -14,8 +14,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -34,58 +36,80 @@ import (
 	"wormsim/internal/viz"
 )
 
+// errDeadlocked marks a run the watchdog stopped: its report is still printed
+// and the process exits with status 2 rather than 1.
+var errDeadlocked = errors.New("deadlocked")
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
+		if errors.Is(err, errDeadlocked) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it returns instead of exiting so the deferred
+// store, API and server closes happen on failure too.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("wormsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	cfg := core.Config{}
-	flag.IntVar(&cfg.K, "k", 16, "radix (nodes per dimension)")
-	flag.IntVar(&cfg.N, "n", 2, "dimensions")
-	flag.BoolVar(&cfg.Mesh, "mesh", false, "mesh instead of torus")
-	flag.StringVar(&cfg.Algorithm, "alg", "ecube", "routing algorithm: "+strings.Join(routing.Names(), ", "))
-	flag.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement)")
-	flag.StringVar(&cfg.Policy, "policy", "random", "output VC selection policy: random, first, leastcongested")
-	sw := flag.String("switching", "wormhole", "switching technique: wormhole, vct, saf")
-	flag.Float64Var(&cfg.OfferedLoad, "load", 0.4, "offered channel utilization (fraction of capacity)")
-	flag.Float64Var(&cfg.InjectionRate, "rate", 0, "per-node injection rate (overrides -load if set)")
-	flag.IntVar(&cfg.MsgLen, "flits", 16, "message length in flits")
-	flag.IntVar(&cfg.BufDepth, "bufdepth", 0, "per-VC flit buffer depth (default 4; vct forces message length)")
-	flag.IntVar(&cfg.CCLimit, "cclimit", 0, "congestion-control per-class limit (default 2, -1 disables)")
-	flag.IntVar(&cfg.InjectionPorts, "ports", 0, "concurrent injection ports per node (default 2, -1 unlimited)")
-	flag.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
-	seed := flag.Uint64("seed", 1, "random seed")
-	replicas := flag.Int("replicas", 1, "simulate this many seeds of the point, back to back on one recycled engine (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
-	flag.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles (default 5000)")
-	flag.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sampling period (default 2000)")
-	flag.IntVar(&cfg.MaxSamples, "maxsamples", 0, "maximum sampling periods (default 12)")
-	verbose := flag.Bool("v", false, "print per-hop-class latencies and VC load balance")
-	metrics := flag.Bool("metrics", false, "collect and print telemetry: per-channel utilization, head-blocked cycles, VC occupancy")
-	fore := flag.Bool("forensics", false, "congestion forensics: sampled wait-for graphs, root-cause blame attribution and per-worm latency anatomy")
-	foreEvery := flag.Int64("forensics-every", 0, "forensics sampling period in cycles (default 64; 1 samples every cycle; implies -forensics)")
-	blameOut := flag.String("blameout", "", "write the forensics summary to PREFIX.json and the blame heatmap to PREFIX.svg (implies -forensics)")
-	tracePath := flag.String("trace", "", "write a worm lifecycle trace to this file (Chrome trace_event JSON for chrome://tracing)")
-	traceFormat := flag.String("traceformat", "chrome", "trace file format: chrome or jsonl")
-	traceSample := flag.Int64("tracesample", 1, "trace every Nth worm")
-	progress := flag.Bool("progress", false, "live per-sample progress with ETA on stderr")
-	httpAddr := flag.String("http", "", "serve the live observatory (Prometheus /metrics, /snapshot, SSE /events, /heatmap, pprof, /api/runs) on this address, e.g. :8080")
-	storeDir := flag.String("store", "", "persistent run store directory: cached points skip simulation entirely; with -http the store backs the /api/runs and /api/compare endpoints")
-	flag.Int64Var(&cfg.TickCycles, "tick", 0, "observatory publication period in simulated cycles (default 1000)")
-	linger := flag.Duration("linger", 0, "keep the observatory server up this long after the run (e.g. 10m)")
-	phaseprof := flag.Bool("phaseprof", false, "profile engine wall time per pipeline phase and print the report")
-	configPath := flag.String("config", "", "JSON config file (explicit flags still override)")
-	saveConfig := flag.String("saveconfig", "", "write the effective config to this JSON file and exit")
-	flag.Parse()
+	fs.IntVar(&cfg.K, "k", 16, "radix (nodes per dimension)")
+	fs.IntVar(&cfg.N, "n", 2, "dimensions")
+	fs.BoolVar(&cfg.Mesh, "mesh", false, "mesh instead of torus")
+	fs.StringVar(&cfg.Algorithm, "alg", "ecube", "routing algorithm: "+strings.Join(routing.Names(), ", "))
+	fs.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement)")
+	fs.StringVar(&cfg.Policy, "policy", "random", "output VC selection policy: random, first, leastcongested")
+	sw := fs.String("switching", "wormhole", "switching technique: wormhole, vct, saf")
+	fs.Float64Var(&cfg.OfferedLoad, "load", 0.4, "offered channel utilization (fraction of capacity)")
+	fs.Float64Var(&cfg.InjectionRate, "rate", 0, "per-node injection rate (overrides -load if set)")
+	fs.IntVar(&cfg.MsgLen, "flits", 16, "message length in flits")
+	fs.IntVar(&cfg.BufDepth, "bufdepth", 0, "per-VC flit buffer depth (default 4; vct forces message length)")
+	fs.IntVar(&cfg.CCLimit, "cclimit", 0, "congestion-control per-class limit (default 2, -1 disables)")
+	fs.IntVar(&cfg.InjectionPorts, "ports", 0, "concurrent injection ports per node (default 2, -1 unlimited)")
+	fs.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
+	seed := fs.Uint64("seed", 1, "random seed")
+	replicas := fs.Int("replicas", 1, "simulate this many seeds of the point, back to back on one recycled engine (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
+	fs.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles (default 5000)")
+	fs.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sampling period (default 2000)")
+	fs.IntVar(&cfg.MaxSamples, "maxsamples", 0, "maximum sampling periods (default 12)")
+	verbose := fs.Bool("v", false, "print per-hop-class latencies and VC load balance")
+	metrics := fs.Bool("metrics", false, "collect and print telemetry: per-channel utilization, head-blocked cycles, VC occupancy")
+	fore := fs.Bool("forensics", false, "congestion forensics: sampled wait-for graphs, root-cause blame attribution and per-worm latency anatomy")
+	foreEvery := fs.Int64("forensics-every", 0, "forensics sampling period in cycles (default 64; 1 samples every cycle; implies -forensics)")
+	blameOut := fs.String("blameout", "", "write the forensics summary to PREFIX.json and the blame heatmap to PREFIX.svg (implies -forensics)")
+	tracePath := fs.String("trace", "", "write a worm lifecycle trace to this file (Chrome trace_event JSON for chrome://tracing)")
+	traceFormat := fs.String("traceformat", "chrome", "trace file format: chrome or jsonl")
+	traceSample := fs.Int64("tracesample", 1, "trace every Nth worm")
+	progress := fs.Bool("progress", false, "live per-sample progress with ETA on stderr")
+	httpAddr := fs.String("http", "", "serve the live observatory (Prometheus /metrics, /snapshot, SSE /events, /heatmap, pprof, /api/runs) on this address, e.g. :8080")
+	storeDir := fs.String("store", "", "persistent run store directory: cached points skip simulation entirely; with -http the store backs the /api/runs and /api/compare endpoints")
+	fs.Int64Var(&cfg.TickCycles, "tick", 0, "observatory publication period in simulated cycles (default 1000)")
+	linger := fs.Duration("linger", 0, "keep the observatory server up this long after the run (e.g. 10m)")
+	phaseprof := fs.Bool("phaseprof", false, "profile engine wall time per pipeline phase and print the report")
+	configPath := fs.String("config", "", "JSON config file (explicit flags still override)")
+	saveConfig := fs.String("saveconfig", "", "write the effective config to this JSON file and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	cfg.Switching = core.Switching(*sw)
 	cfg.Seed = *seed
 
 	if *configPath != "" {
 		loaded, err := core.LoadConfig(*configPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		// Explicitly passed flags win over the file; everything else comes
 		// from the file.
 		flagged := cfg
 		cfg = loaded
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "k":
 				cfg.K = flagged.K
@@ -155,11 +179,10 @@ func main() {
 	}
 	if *saveConfig != "" {
 		if err := cfg.Save(*saveConfig); err != nil {
-			fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("wrote %s\n", *saveConfig)
-		return
+		fmt.Fprintf(stdout, "wrote %s\n", *saveConfig)
+		return nil
 	}
 	// The run store: content-addressed persistence for every completed
 	// point. Attached to the config it short-circuits repeat runs; attached
@@ -168,8 +191,7 @@ func main() {
 	if *storeDir != "" {
 		s, err := runstore.Open(*storeDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer s.Close()
 		store = s
@@ -191,11 +213,11 @@ func main() {
 		}
 		s, err := observatory.Listen(*httpAddr, pub, api)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
-			os.Exit(1)
+			return err
 		}
+		defer s.Close()
 		obsrv = s
-		fmt.Fprintf(os.Stderr, "observatory serving on http://%s/\n", s.Addr())
+		fmt.Fprintf(stderr, "observatory serving on http://%s/\n", s.Addr())
 	}
 	var pp *telemetry.PhaseProfiler
 	if *phaseprof || pub != nil {
@@ -211,117 +233,105 @@ func main() {
 	if *progress {
 		eff := cfg
 		eff.ApplyDefaults()
-		prog = telemetry.NewProgress(os.Stderr, "sample", eff.MaxSamples)
+		prog = telemetry.NewProgress(stderr, "sample", eff.MaxSamples)
 		cfg.OnSample = func(ev core.SampleEvent) {
 			prog.Step(fmt.Sprintf("lat=%.1f+-%.1f", ev.Mean, ev.Bound))
 		}
 	}
 
 	if *replicas != 1 {
-		code := runReplicated(cfg, *replicas, prog)
-		if obsrv != nil {
-			obsrv.Close()
-		}
-		os.Exit(code)
+		return runReplicated(stdout, cfg, *replicas, prog)
 	}
 
 	res, hit, err := core.RunCached(cfg)
 	if prog != nil {
 		prog.Finish()
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
-		if !res.Deadlocked {
-			os.Exit(1)
-		}
+	if err != nil && !res.Deadlocked {
+		return err
 	}
 	if hit {
-		fmt.Fprintf(os.Stderr, "result served from run store %s (cache hit %s, zero cycles simulated)\n",
+		fmt.Fprintf(stderr, "result served from run store %s (cache hit %s, zero cycles simulated)\n",
 			store.Path(), cfg.Hash()[:12])
 	}
 	if store != nil {
-		// Printed eagerly: the deadlock exit below bypasses defers.
-		fmt.Fprintf(os.Stderr, "store: hits=%d misses=%d\n", store.Hits(), store.Misses())
+		fmt.Fprintf(stderr, "store: hits=%d misses=%d\n", store.Hits(), store.Misses())
 	}
 
-	fmt.Printf("network      : %d-ary %d-cube", cfg.K, cfg.N)
+	fmt.Fprintf(stdout, "network      : %d-ary %d-cube", cfg.K, cfg.N)
 	if cfg.Mesh {
-		fmt.Printf(" (mesh)")
+		fmt.Fprintf(stdout, " (mesh)")
 	}
-	fmt.Println()
-	fmt.Printf("algorithm    : %s (%s switching, policy %s)\n", res.Algorithm, res.Switching, cfg.Policy)
-	fmt.Printf("pattern      : %s (mean distance %.3f hops)\n", res.Pattern, res.MeanDistance)
-	fmt.Printf("offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", res.OfferedLoad, res.InjectionRate)
-	fmt.Printf("latency      : %.1f +- %.1f cycles (95%%); p50 %.0f, p95 %.0f, p99 %.0f, max %.0f\n",
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "algorithm    : %s (%s switching, policy %s)\n", res.Algorithm, res.Switching, cfg.Policy)
+	fmt.Fprintf(stdout, "pattern      : %s (mean distance %.3f hops)\n", res.Pattern, res.MeanDistance)
+	fmt.Fprintf(stdout, "offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", res.OfferedLoad, res.InjectionRate)
+	fmt.Fprintf(stdout, "latency      : %.1f +- %.1f cycles (95%%); p50 %.0f, p95 %.0f, p99 %.0f, max %.0f\n",
 		res.AvgLatency, res.LatencyBound, res.LatencyP50, res.LatencyP95, res.LatencyP99, res.LatencyMax)
-	fmt.Printf("throughput   : %.4f of capacity\n", res.Throughput)
-	fmt.Printf("messages     : %d generated, %d admitted, %d dropped, %d delivered\n",
+	fmt.Fprintf(stdout, "throughput   : %.4f of capacity\n", res.Throughput)
+	fmt.Fprintf(stdout, "messages     : %d generated, %d admitted, %d dropped, %d delivered\n",
 		res.Generated, res.Admitted, res.Dropped, res.Delivered)
-	fmt.Printf("samples      : %d (converged: %v, deadlocked: %v)\n", res.Samples, res.Converged, res.Deadlocked)
+	fmt.Fprintf(stdout, "samples      : %d (converged: %v, deadlocked: %v)\n", res.Samples, res.Converged, res.Deadlocked)
 
 	if *verbose {
-		fmt.Println("\nhop class latencies (cycles):")
+		fmt.Fprintln(stdout, "\nhop class latencies (cycles):")
 		for d, l := range res.HopClassLatency {
 			if l >= 0 && d > 0 {
-				fmt.Printf("  %2d hops: %8.1f\n", d, l)
+				fmt.Fprintf(stdout, "  %2d hops: %8.1f\n", d, l)
 			}
 		}
 		if len(res.VCFlitShare) > 0 {
-			fmt.Println("virtual-channel load balance (share of flit transfers):")
+			fmt.Fprintln(stdout, "virtual-channel load balance (share of flit transfers):")
 			for v, s := range res.VCFlitShare {
-				fmt.Printf("  vc%-2d: %6.2f%% %s\n", v, 100*s, strings.Repeat("#", int(s*120)))
+				fmt.Fprintf(stdout, "  vc%-2d: %6.2f%% %s\n", v, 100*s, strings.Repeat("#", int(s*120)))
 			}
 		}
 		if len(res.ChannelFlits) > 0 {
 			g := cfg.Grid()
-			fmt.Printf("physical-channel load balance: %v\n", analysis.ChannelBalance(g, res.ChannelFlits))
+			fmt.Fprintf(stdout, "physical-channel load balance: %v\n", analysis.ChannelBalance(g, res.ChannelFlits))
 			if g.N() == 2 {
-				fmt.Println("per-node traffic heatmap (outgoing flits; darker = busier):")
-				fmt.Print(viz.ChannelHeatmap(g, res.ChannelFlits))
+				fmt.Fprintln(stdout, "per-node traffic heatmap (outgoing flits; darker = busier):")
+				fmt.Fprint(stdout, viz.ChannelHeatmap(g, res.ChannelFlits))
 			}
 		}
 	}
 	if *metrics || (cfg.Telemetry != nil && cfg.Telemetry.Metrics) {
 		if res.Telemetry == nil {
-			fmt.Fprintln(os.Stderr, "wormsim: -metrics: no telemetry collected (saf switching has no flit-level channels)")
+			fmt.Fprintln(stderr, "wormsim: -metrics: no telemetry collected (saf switching has no flit-level channels)")
 		} else {
-			printTelemetry(cfg.Grid(), res.Telemetry)
+			printTelemetry(stdout, cfg.Grid(), res.Telemetry)
 		}
 	}
 	if cfg.Forensics != nil {
 		if res.Forensics == nil {
-			fmt.Fprintln(os.Stderr, "wormsim: -forensics: nothing collected (saf switching has no virtual channels)")
+			fmt.Fprintln(stderr, "wormsim: -forensics: nothing collected (saf switching has no virtual channels)")
 		} else {
-			printForensics(cfg.Grid(), res.Forensics)
+			printForensics(stdout, cfg.Grid(), res.Forensics)
 		}
 	}
 	if *blameOut != "" && res.Forensics != nil {
 		if werr := writeBlame(*blameOut, cfg, res.Forensics); werr != nil {
-			fmt.Fprintf(os.Stderr, "wormsim: %v\n", werr)
-			os.Exit(1)
+			return werr
 		}
-		fmt.Fprintf(os.Stderr, "wrote blame summary to %s.json and heatmap to %s.svg\n", *blameOut, *blameOut)
+		fmt.Fprintf(stderr, "wrote blame summary to %s.json and heatmap to %s.svg\n", *blameOut, *blameOut)
 	}
 	if *tracePath != "" {
 		if werr := writeTrace(*tracePath, *traceFormat, res.TraceEvents); werr != nil {
-			fmt.Fprintf(os.Stderr, "wormsim: %v\n", werr)
-			os.Exit(1)
+			return werr
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (%s format)\n", len(res.TraceEvents), *tracePath, *traceFormat)
+		fmt.Fprintf(stderr, "wrote %d trace events to %s (%s format)\n", len(res.TraceEvents), *tracePath, *traceFormat)
 	}
 	if *phaseprof && pp != nil {
-		fmt.Printf("\n%s", pp.Snapshot())
+		fmt.Fprintf(stdout, "\n%s", pp.Snapshot())
 	}
-	if obsrv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "observatory lingering %v on http://%s/ (interrupt to exit)\n", *linger, obsrv.Addr())
-			time.Sleep(*linger)
-		}
-		obsrv.Close()
+	if obsrv != nil && *linger > 0 {
+		fmt.Fprintf(stderr, "observatory lingering %v on http://%s/ (interrupt to exit)\n", *linger, obsrv.Addr())
+		time.Sleep(*linger)
 	}
 	if res.Deadlocked {
-		os.Exit(2)
+		return fmt.Errorf("%w: %w", errDeadlocked, err)
 	}
+	return nil
 }
 
 // runReplicated simulates n seeds of the point (core.RunReplicas: independent
@@ -329,8 +339,8 @@ func main() {
 // plus the aggregate: mean latency with its across-seed spread, mean
 // throughput, and the aggregate simulation rate achieved. n == 0 picks one
 // replica per sampling period budget (the convergence rule's MaxSamples).
-// Returns the process exit code.
-func runReplicated(cfg core.Config, n int, prog *telemetry.Progress) int {
+// A deadlocked replica makes the error errDeadlocked, after the report.
+func runReplicated(w io.Writer, cfg core.Config, n int, prog *telemetry.Progress) error {
 	eff := cfg
 	eff.ApplyDefaults()
 	if n <= 0 {
@@ -347,23 +357,22 @@ func runReplicated(cfg core.Config, n int, prog *telemetry.Progress) int {
 		prog.Finish()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
-		return 1
+		return err
 	}
-	fmt.Printf("network      : %d-ary %d-cube", cfg.K, cfg.N)
+	fmt.Fprintf(w, "network      : %d-ary %d-cube", cfg.K, cfg.N)
 	if cfg.Mesh {
-		fmt.Printf(" (mesh)")
+		fmt.Fprintf(w, " (mesh)")
 	}
-	fmt.Println()
-	fmt.Printf("algorithm    : %s (%s switching, policy %s)\n", results[0].Algorithm, results[0].Switching, cfg.Policy)
-	fmt.Printf("pattern      : %s (mean distance %.3f hops)\n", results[0].Pattern, results[0].MeanDistance)
-	fmt.Printf("offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", results[0].OfferedLoad, results[0].InjectionRate)
-	fmt.Printf("replicas     : %d seeds, independent runs on one recycled engine\n", n)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "algorithm    : %s (%s switching, policy %s)\n", results[0].Algorithm, results[0].Switching, cfg.Policy)
+	fmt.Fprintf(w, "pattern      : %s (mean distance %.3f hops)\n", results[0].Pattern, results[0].MeanDistance)
+	fmt.Fprintf(w, "offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", results[0].OfferedLoad, results[0].InjectionRate)
+	fmt.Fprintf(w, "replicas     : %d seeds, independent runs on one recycled engine\n", n)
 	var lat, thr stats.Welford
 	var cycles int64
 	deadlocks := 0
 	for r, res := range results {
-		fmt.Printf("  seed %-#18x: %s\n", seeds[r], res.String())
+		fmt.Fprintf(w, "  seed %-#18x: %s\n", seeds[r], res.String())
 		cycles += res.Cycles
 		if res.Deadlocked {
 			deadlocks++
@@ -372,63 +381,63 @@ func runReplicated(cfg core.Config, n int, prog *telemetry.Progress) int {
 		lat.Add(res.AvgLatency)
 		thr.Add(res.Throughput)
 	}
-	fmt.Printf("aggregate    : latency %.1f +- %.1f cycles (across-seed spread); throughput %.4f; deadlocks %d/%d\n",
+	fmt.Fprintf(w, "aggregate    : latency %.1f +- %.1f cycles (across-seed spread); throughput %.4f; deadlocks %d/%d\n",
 		lat.Mean(), lat.StdDev(), thr.Mean(), deadlocks, n)
 	rate := float64(cycles) / wall.Seconds()
-	fmt.Printf("rate         : %.3g replica-cycles/s aggregate (%.3g cycles/s per replica) over %v wall\n",
+	fmt.Fprintf(w, "rate         : %.3g replica-cycles/s aggregate (%.3g cycles/s per replica) over %v wall\n",
 		rate, rate/float64(n), wall.Round(time.Millisecond))
 	if deadlocks > 0 {
-		return 2
+		return fmt.Errorf("%w: %d of %d replicas", errDeadlocked, deadlocks, n)
 	}
-	return 0
+	return nil
 }
 
 // printTelemetry renders the metrics registry: the busiest physical channels
 // with their endpoints (the view that makes a hotspot's saturating channels
 // obvious), head-blocked cycles per routing class, the per-class
 // virtual-channel occupancy gauges and the injection backlog.
-func printTelemetry(g *topology.Grid, s *telemetry.Summary) {
-	fmt.Printf("\ntelemetry (%d cycles observed):\n", s.Cycles)
-	fmt.Println("  busiest physical channels (busy cycles / observed cycles):")
+func printTelemetry(w io.Writer, g *topology.Grid, s *telemetry.Summary) {
+	fmt.Fprintf(w, "\ntelemetry (%d cycles observed):\n", s.Cycles)
+	fmt.Fprintln(w, "  busiest physical channels (busy cycles / observed cycles):")
 	for _, ch := range s.BusiestChannels(10) {
 		up, dim, dir := g.ChannelInfo(ch)
 		down := "edge"
 		if d := g.Neighbor(up, dim, dir); d >= 0 {
 			down = nodeName(g, d)
 		}
-		fmt.Printf("    ch %4d  %s d%d%v -> %-8s %6.1f%%\n",
+		fmt.Fprintf(w, "    ch %4d  %s d%d%v -> %-8s %6.1f%%\n",
 			ch, nodeName(g, up), dim, dir, down, 100*s.ChannelUtilization(ch))
 	}
 	if hb := s.TotalHeadBlocked(); hb > 0 {
-		fmt.Printf("  head-blocked cycles by routing class: %v (total %d)\n", s.HeadBlockedByClass, hb)
+		fmt.Fprintf(w, "  head-blocked cycles by routing class: %v (total %d)\n", s.HeadBlockedByClass, hb)
 	}
 	for i := range s.VCOccupancyMean {
-		fmt.Printf("  vc occupancy class %d: mean %.1f, max %.0f\n", i, s.VCOccupancyMean[i], s.VCOccupancyMax[i])
+		fmt.Fprintf(w, "  vc occupancy class %d: mean %.1f, max %.0f\n", i, s.VCOccupancyMean[i], s.VCOccupancyMax[i])
 	}
-	fmt.Printf("  injection backlog: mean %.2f, max %.0f messages\n", s.InjQueueMean, s.InjQueueMax)
-	fmt.Printf("  congestion drops: %d\n", s.Drops)
+	fmt.Fprintf(w, "  injection backlog: mean %.2f, max %.0f messages\n", s.InjQueueMean, s.InjQueueMax)
+	fmt.Fprintf(w, "  congestion drops: %d\n", s.Drops)
 	if s.TraceEvents > 0 || s.TraceEvicted > 0 {
-		fmt.Printf("  trace: %d events retained, %d evicted\n", s.TraceEvents, s.TraceEvicted)
+		fmt.Fprintf(w, "  trace: %d events retained, %d evicted\n", s.TraceEvents, s.TraceEvicted)
 	}
 }
 
 // printForensics renders the blame and latency-anatomy report, then labels
 // the top root channels with their topology endpoints (the view that turns
 // "ch 217" into "the channel feeding the hot node").
-func printForensics(g *topology.Grid, f *forensics.Summary) {
-	fmt.Printf("\n%s", f.RenderString())
+func printForensics(w io.Writer, g *topology.Grid, f *forensics.Summary) {
+	fmt.Fprintf(w, "\n%s", f.RenderString())
 	roots := f.TopRoots(4)
 	if len(roots) == 0 {
 		return
 	}
-	fmt.Println("  top roots on the topology:")
+	fmt.Fprintln(w, "  top roots on the topology:")
 	for _, r := range roots {
 		up, dim, dir := g.ChannelInfo(r.Ch)
 		down := "edge"
 		if d := g.Neighbor(up, dim, dir); d >= 0 {
 			down = nodeName(g, d)
 		}
-		fmt.Printf("    ch %4d  %s d%d%v -> %-8s %5.1f%% of blame\n",
+		fmt.Fprintf(w, "    ch %4d  %s d%d%v -> %-8s %5.1f%% of blame\n",
 			r.Ch, nodeName(g, up), dim, dir, down, 100*r.Share)
 	}
 }

@@ -479,6 +479,7 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 		}
 	}
 	emitTick := func(final bool) {
+		wn.SettleBlocked() // the summaries below count parked headers too
 		ev := TickEvent{
 			Algorithm: cfg.Algorithm, Pattern: cfg.Pattern, Switching: cfg.Switching,
 			K: cfg.K, N: cfg.N, Mesh: cfg.Mesh, OfferedLoad: cfg.OfferedLoad, Seed: cfg.Seed,
@@ -547,6 +548,7 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 		}
 		if wn != nil {
 			res.ChannelFlits = wn.ChannelFlitCounts()
+			wn.SettleBlocked() // as in emitTick
 		}
 		res.Samples = conv.Samples()
 		res.Throughput = thr.Mean()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"wormsim/internal/forensics"
 	"wormsim/internal/telemetry"
 )
 
@@ -130,5 +132,44 @@ func TestSafIgnoresTelemetry(t *testing.T) {
 	}
 	if res.Telemetry != nil {
 		t.Error("saf run filled Telemetry")
+	}
+}
+
+// TestTicksCountParkedHeaders: a blocked header is parked and charged its
+// blocked cycles when it is woken, so whoever reads the counters mid-run has
+// to settle the parked ones first. Ticks of a saturated hot-spot run sampled
+// by forensics every 64 cycles must carry, tick for tick, the head-blocked
+// counts of the same run sampled every cycle — which wakes every header every
+// cycle and so counts them one at a time — and the closing tick must agree
+// with Result.Telemetry.
+func TestTicksCountParkedHeaders(t *testing.T) {
+	run := func(every int64) (ticks []int64, res Result) {
+		cfg := quickTelCfg()
+		cfg.Pattern, cfg.OfferedLoad = "hotspot:0.2:27", 0.8
+		cfg.Telemetry = &telemetry.Options{Metrics: true}
+		cfg.Forensics = &forensics.Options{SampleEvery: every}
+		cfg.TickCycles = 37
+		cfg.OnTick = func(ev TickEvent) { ticks = append(ticks, ev.Telemetry.TotalHeadBlocked()) }
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ticks, res
+	}
+	eager, _ := run(1)
+	lazy, res := run(64)
+	if len(lazy) < 10 || lazy[len(lazy)-1] == 0 {
+		t.Fatalf("%d ticks, the last counting %d head-blocked cycles: the run exercises nothing", len(lazy), lazy[len(lazy)-1])
+	}
+	for i := range lazy {
+		if i > 0 && lazy[i] < lazy[i-1] {
+			t.Fatalf("tick %d counts %d head-blocked cycles, the one before %d", i, lazy[i], lazy[i-1])
+		}
+	}
+	if !slices.Equal(lazy, eager) {
+		t.Errorf("head-blocked counts per tick differ between forensics sampling every 64 cycles and every cycle:\n got  %v\n want %v", lazy, eager)
+	}
+	if got, want := lazy[len(lazy)-1], res.Telemetry.TotalHeadBlocked(); got != want {
+		t.Errorf("closing tick counts %d head-blocked cycles, Result.Telemetry %d", got, want)
 	}
 }

@@ -66,6 +66,11 @@ type Message struct {
 	// network engine; never read by routing, so they cannot affect results.
 	FirstAlloc int64
 	HeadStalls int32
+	// BlockedSince is the engine's blocked-cycle ledger for a parked header:
+	// the last cycle whose failed bid has been charged to the observers, or -1
+	// when nothing accrues (never parked, or parked for want of an injection
+	// port). Meaningful only while the header is parked.
+	BlockedSince int64
 }
 
 // New creates a message from src to dst with the given length, resolving
@@ -93,6 +98,7 @@ func (m *Message) reset(g *topology.Grid, id int64, src, dst, length int, genTim
 	m.DeliverTime = -1
 	m.FirstAlloc = genTime
 	m.HeadStalls = 0
+	m.BlockedSince = -1
 	m.HopsTotal = 0
 	m.HopsTaken = 0
 	m.NegHops = 0

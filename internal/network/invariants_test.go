@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormsim/internal/forensics"
 	"wormsim/internal/message"
 	"wormsim/internal/routing"
 	"wormsim/internal/telemetry"
@@ -197,7 +198,11 @@ func checkScanBookkeeping(t *testing.T, n *Network) int {
 	}
 	// Parked lists: each entry sits at its own node, once, and really cannot
 	// be routed — every admissible candidate is taken, or (injection slots)
-	// every port is busy.
+	// every port is busy. Its message carries the blocked-cycle stamp: -1 for
+	// a header that bids for nothing because the node's injection ports are
+	// all taken (when it was parked, or since), else the last cycle charged to
+	// the observers, an executed one.
+	observed := n.tel != nil || n.fore != nil
 	parkedAt := make(map[int32]bool)
 	for node := range n.parkHead {
 		for id := n.parkHead[node]; id >= 0; id = n.parkNext[id] {
@@ -208,10 +213,20 @@ func checkScanBookkeeping(t *testing.T, n *Network) int {
 			if n.vcAIdx[id] < 0 || int(n.vcNode[id]) != node {
 				t.Fatalf("vc %d (node %d, active index %d) on node %d's parked list", id, n.vcNode[id], n.vcAIdx[id], node)
 			}
-			if ports := n.cfg.InjectionPorts; ports > 0 && n.vcCh[id] == -1 && int(n.injecting[node]) >= ports {
+			m := n.vcMsg[id]
+			ports := n.cfg.InjectionPorts
+			portsFull := ports > 0 && n.vcCh[id] == -1 && int(n.injecting[node]) >= ports
+			switch stamp := m.BlockedSince; {
+			case stamp == -1 && !portsFull:
+				t.Fatalf("vc %d parked at node %d without a blocked-cycle stamp, and not for want of a port", id, node)
+			case stamp < -1 || stamp >= n.now:
+				t.Fatalf("vc %d parked with blocked-cycle stamp %d at cycle %d", id, stamp, n.now)
+			case stamp >= 0 && observed && portsFull:
+				t.Fatalf("injection slot %d at node %d still runs up blocked cycles (stamp %d) with every port taken", id, node, stamp)
+			}
+			if portsFull {
 				continue
 			}
-			m := n.vcMsg[id]
 			if m.Dst == node {
 				t.Fatalf("vc %d parked at its destination %d", id, node)
 			}
@@ -222,9 +237,6 @@ func checkScanBookkeeping(t *testing.T, n *Network) int {
 				}
 			}
 		}
-	}
-	if (n.tel != nil || n.fore != nil) && len(parkedAt) > 0 {
-		t.Fatalf("%d headers parked with an observer attached", len(parkedAt))
 	}
 	for pos, id := range n.active {
 		out := n.vcOut[id]
@@ -245,20 +257,49 @@ func checkScanBookkeeping(t *testing.T, n *Network) int {
 	return len(parkedAt)
 }
 
+// blockedLedger reads the two sides of the lazy blocked-cycle account off the
+// slot state after a Step: how many headers bid in the cycle just executed and
+// lost (lostBid: every arrived, unrouted header past its router delay — valid
+// without a port budget, where every such header bids), and how many blocked
+// cycles the parked headers have run up that no observer has been charged for
+// yet (debt).
+func blockedLedger(n *Network) (lostBid, debt int64) {
+	last := n.now - 1
+	for _, id := range n.active {
+		if n.vcOut[id].ch == outNone && (n.vcCh[id] == -1 || n.vcRecvd[id] > 0) && n.vcReady[id] <= last {
+			lostBid++
+		}
+	}
+	for _, head := range n.parkHead {
+		for id := head; id >= 0; id = n.parkNext[id] {
+			if stamp := n.vcMsg[id].BlockedSince; stamp >= 0 {
+				debt += last - stamp
+			}
+		}
+	}
+	return lostBid, debt
+}
+
 // TestScanBookkeepingAtSaturation steps saturated networks — where most
 // headers are blocked, parked and woken over and over — and validates the
 // full state every cycle, for all six algorithms and the knobs that change
-// what blocks a header.
+// what blocks a header. With observers attached headers park all the same and
+// are charged their blocked cycles when woken: what telemetry has counted
+// plus what the parked headers still owe must equal, every cycle, the failed
+// bids counted off the slot state, and SettleBlocked must clear the debt.
 func TestScanBookkeepingAtSaturation(t *testing.T) {
 	g := topology.NewTorus(8, 2)
 	type knobs struct {
-		name                    string
-		alg                     string
-		bufDepth, delay, ports  int
-		observed, wantNoParking bool
+		name                   string
+		alg                    string
+		bufDepth, delay, ports int
+		telemetry, forensics   bool
 	}
 	cases := []knobs{{name: "vct", alg: "nbc", bufDepth: 8}, {name: "routedelay3", alg: "2pn", delay: 3},
-		{name: "ports1", alg: "nhop", ports: 1}, {name: "observed", alg: "nbc", observed: true, wantNoParking: true}}
+		{name: "ports1", alg: "nhop", ports: 1}, {name: "observed", alg: "nbc", telemetry: true},
+		{name: "observed-forensics-rd2", alg: "2pn", delay: 2, telemetry: true, forensics: true},
+		{name: "observed-ports1", alg: "nhop", ports: 1, telemetry: true, forensics: true},
+		{name: "forensics-only", alg: "ecube", forensics: true}}
 	for _, alg := range routing.All() {
 		cases = append(cases, knobs{name: alg.Name(), alg: alg.Name()})
 	}
@@ -272,22 +313,45 @@ func TestScanBookkeepingAtSaturation(t *testing.T) {
 				Grid: g, Algorithm: alg, Workload: traffic.NewBernoulli(g, traffic.NewUniform(g), 0.1, 5),
 				MsgLen: 8, BufDepth: kn.bufDepth, CCLimit: 2, RouteDelay: kn.delay, InjectionPorts: kn.ports, Seed: 5,
 			}
-			if kn.observed {
+			if kn.telemetry {
 				cfg.Telemetry = telemetry.New(telemetry.Options{}, g.ChannelSlots(), alg.NumVCs(g))
+			}
+			if kn.forensics {
+				cfg.Forensics = forensics.New(forensics.Options{SampleEvery: 16}, g.ChannelSlots())
 			}
 			n, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			maxParked := 0
+			var owed, maxDebt int64
 			for i := 0; i < 1000; i++ {
 				if err := n.Step(); err != nil {
 					t.Fatal(err)
 				}
 				maxParked = max(maxParked, checkInvariants(t, n))
+				lostBid, debt := blockedLedger(n)
+				owed += lostBid
+				maxDebt = max(maxDebt, debt)
+				if kn.telemetry && kn.ports == 0 {
+					if charged := cfg.Telemetry.Summary().TotalHeadBlocked(); charged+debt != owed {
+						t.Fatalf("cycle %d: telemetry counts %d head-blocked cycles and parked headers owe %d more, but %d bids have failed",
+							n.now-1, charged, debt, owed)
+					}
+				}
+				if i%97 == 96 {
+					n.SettleBlocked()
+					checkInvariants(t, n)
+					if _, debt := blockedLedger(n); debt != 0 && (kn.telemetry || kn.forensics) {
+						t.Fatalf("cycle %d: parked headers owe %d blocked cycles after SettleBlocked", n.now-1, debt)
+					}
+				}
 			}
-			if !kn.wantNoParking && maxParked == 0 {
+			if maxParked == 0 {
 				t.Fatal("no header was ever parked: the run does not exercise park/wake")
+			}
+			if (kn.telemetry || kn.forensics) && maxDebt == 0 {
+				t.Fatal("no parked header ever owed a blocked cycle: the run does not exercise lazy accounting")
 			}
 		})
 	}

@@ -62,9 +62,22 @@
 // allocation virtual channels are only claimed, a blocked header's message
 // state and candidate set cannot change, and a failed attempt draws no
 // random number, so a parked header that no release has touched would fail
-// again with no side effect. Telemetry and forensics count every blocked
-// header every cycle; with either attached, blocked headers stay pending
-// instead of parking.
+// again with no side effect.
+//
+// Telemetry and forensics count every blocked header every cycle, and a
+// parked header is counted lazily: park stamps the message with the last
+// cycle charged (message.BlockedSince) and whoever takes it off the list
+// charges the cycles since in one step (settle) — HeadBlockedN for telemetry,
+// HeadStalls for the latency anatomy. Three things keep that identical to
+// counting every cycle. On a cycle forensics samples, every node is woken
+// before allocation, so the wait-for edges are captured by real failed bids in
+// the usual order. SettleBlocked brings the counters up to date between
+// cycles, for whoever reads a summary mid-run (core's ticks and results, the
+// deadlock report). And under an InjectionPorts budget a header in its
+// injection slot stops bidding, and being counted, once other headers' first
+// hops have taken every port of its node: the grant that takes the last one
+// closes the account of those parked there (portsFilled), down to whether
+// this cycle's rotation would have reached them before the winner.
 //
 // Transfer visits the slots marked in xferBits: routed and holding flits,
 // the only ones that can drain or request a channel.
@@ -249,7 +262,9 @@ type Network struct {
 	// foreSampling caches StartCycle's verdict for the current cycle so the
 	// allocation loop tests a bool instead of re-deriving the sample phase.
 	foreSampling bool
-	pool         *message.Pool
+	// allocStart is the active position this cycle's allocation started from.
+	allocStart int32
+	pool       *message.Pool
 	// ownPool is the private pool of an engine run without Config.MsgPool,
 	// kept across Reset so later runs start warm.
 	ownPool *message.Pool
@@ -311,9 +326,8 @@ type Network struct {
 	// terminated) of headers at node whose last allocation attempt failed or
 	// found every injection port busy. A parked header is off hdrBits until a
 	// virtual channel on a channel out of node, or an injection port at
-	// node, is released (wake).
-	// With telemetry or forensics attached nothing is parked: both count
-	// every blocked header every cycle, so blocked headers stay pending.
+	// node, is released (wake). The blocked cycles a parked header owes the
+	// observers are on its message (BlockedSince), not in a per-slot array.
 	parkHead []int32
 
 	// Per-channel round-robin pointer and owner count (congestion score).
@@ -644,6 +658,13 @@ func (n *Network) Step() error {
 	if n.prof != nil {
 		n.prof.Mark(telemetry.PhaseInject)
 	}
+	if n.fore != nil && n.foreSampling {
+		// A sampled cycle captures a wait-for edge from every blocked header,
+		// so all of them bid: parked ones too, settled up to last cycle.
+		for node := range n.parkHead {
+			n.wake(int32(node), n.now-1)
+		}
+	}
 	n.allocate()
 	if n.fore != nil && n.foreSampling {
 		// Resolve within the cycle, while the captured slot ids are live.
@@ -665,6 +686,7 @@ func (n *Network) Step() error {
 		n.tel.EndCycle()
 	}
 	if n.cfg.WatchdogCycles > 0 && n.inFlight > 0 && n.now-n.lastMotion > n.cfg.WatchdogCycles {
+		n.SettleBlocked()
 		err := &DeadlockError{Cycle: n.now - n.lastMotion, InFlight: n.inFlight, Detail: n.describeStuck(8)}
 		if n.fore != nil {
 			// Lead with causality: the blame root and any wait-for cycle
@@ -806,24 +828,92 @@ func (n *Network) setWork(pos int32)      { n.xferBits[pos>>6] |= 1 << (uint(pos
 func (n *Network) clearWork(pos int32)    { n.xferBits[pos>>6] &^= 1 << (uint(pos) & 63) }
 
 // park takes the blocked header in vc id (at active position pos) out of the
-// pending set until wake(node) puts it back.
-func (n *Network) park(id, pos int32) {
+// pending set until wake(node) puts it back. charged is the last cycle whose
+// failed bid the observers have been told of, -1 for a header that is not
+// bidding (no injection port) and so runs up nothing while parked.
+func (n *Network) park(id, pos int32, charged int64) {
 	n.clearPending(pos)
+	n.vcMsg[id].BlockedSince = charged
 	node := n.vcNode[id]
 	n.parkNext[id] = n.parkHead[node]
 	n.parkHead[node] = id
 }
 
-// wake returns every header parked at node to the pending set: a virtual
+// wake returns every header parked at node to the pending set, charged for
+// the failed bids it sat out up to and including cycle through: a virtual
 // channel on a channel out of node, or an injection port there, was just
 // released, so their next attempt may succeed. Releases happen only in the
 // transfer phase, so woken headers bid in the next cycle's allocate, in
 // active-position order like everyone else.
-func (n *Network) wake(node int32) {
+func (n *Network) wake(node int32, through int64) {
+	observed := n.tel != nil || n.fore != nil
 	for id := n.parkHead[node]; id >= 0; id = n.parkNext[id] {
 		n.setPending(n.vcAIdx[id])
+		if observed {
+			n.settle(id, through)
+		}
 	}
 	n.parkHead[node] = -1
+}
+
+// settle charges the parked header in vc id the bids it would have lost in
+// the cycles after its stamp up to and including through — what tryRoute does
+// cycle by cycle for a header that is not parked — and moves the stamp up.
+func (n *Network) settle(id int32, through int64) {
+	m := n.vcMsg[id]
+	k := through - m.BlockedSince
+	if m.BlockedSince < 0 || k <= 0 {
+		return
+	}
+	m.BlockedSince = through
+	if n.tel != nil {
+		n.tel.HeadBlockedN(m.Class, k)
+	}
+	if n.fore != nil && n.vcCh[id] != -1 {
+		m.HeadStalls += int32(k)
+	}
+}
+
+// portsFilled closes the blocked-cycle account of the headers parked in
+// injection slots at node: the grant to the header at active position by took
+// the node's last injection port, so from here on they would not bid. Those
+// that this cycle's allocation visits before by would have bid once more.
+func (n *Network) portsFilled(node, by int32) {
+	for id := n.parkHead[node]; id >= 0; id = n.parkNext[id] {
+		if n.vcCh[id] != -1 {
+			continue
+		}
+		through := n.now - 1
+		if n.visitRank(n.vcAIdx[id]) < n.visitRank(by) {
+			through = n.now
+		}
+		n.settle(id, through)
+		n.vcMsg[id].BlockedSince = -1
+	}
+}
+
+// visitRank orders active positions as this cycle's allocation visits them:
+// from allocStart up, then those below it (the list only grows during
+// allocation, past every position it visits).
+func (n *Network) visitRank(pos int32) int32 {
+	if pos < n.allocStart {
+		pos += int32(len(n.active))
+	}
+	return pos
+}
+
+// SettleBlocked brings the observers' blocked-cycle counts up to the last
+// executed cycle by charging every parked header what it owes. Call it before
+// reading a telemetry or forensics summary, or HeadStalls, between Steps; it
+// changes nothing else, and nothing at all on an unobserved network.
+func (n *Network) SettleBlocked() {
+	if n.tel != nil || n.fore != nil {
+		for _, head := range n.parkHead {
+			for id := head; id >= 0; id = n.parkNext[id] {
+				n.settle(id, n.now-1)
+			}
+		}
+	}
 }
 
 // allocate routes headers: every pending header tries to acquire an output
@@ -839,6 +929,7 @@ func (n *Network) allocate() {
 		return
 	}
 	start := n.rt.Intn(count)
+	n.allocStart = int32(start)
 	n.allocateRange(start, count)
 	n.allocateRange(0, start)
 }
@@ -868,12 +959,14 @@ func (n *Network) allocateRange(lo, hi int) {
 // injection-port budget) to the pending header at active position pos and
 // bids for an output. A header still inside its router delay stays pending;
 // one that is blocked is parked (see the package comment for why skipping
-// its retries is exact) unless an observer wants every blocked cycle counted.
+// its retries is exact, and how observers still count them).
 func (n *Network) tryRoute(pos int32) {
 	id := n.active[pos]
 	if n.now < n.vcReady[id] {
 		return
 	}
+	// All injection ports busy: no bid, nothing to count until one frees up.
+	charged := int64(-1)
 	ports := n.cfg.InjectionPorts
 	if ports <= 0 || n.vcCh[id] != -1 || int(n.injecting[n.vcNode[id]]) < ports {
 		if n.route(id) {
@@ -887,10 +980,9 @@ func (n *Network) tryRoute(pos int32) {
 		if n.fore != nil {
 			n.foreBlocked(id, m)
 		}
-	} // else all injection ports are busy; wait for one to free up
-	if n.tel == nil && n.fore == nil {
-		n.park(id, pos)
+		charged = n.now
 	}
+	n.park(id, pos, charged)
 }
 
 // route attempts virtual-channel allocation for the header in vc id and
@@ -938,8 +1030,11 @@ func (n *Network) route(id int32) bool {
 	// A present header is a buffered flit, so the slot has work to transfer.
 	n.setWork(n.vcAIdx[id])
 	if n.vcCh[id] == -1 {
-		n.injecting[n.vcNode[id]]++
+		n.injecting[node]++
 		m.FirstAlloc = n.now
+		if int(n.injecting[node]) == n.cfg.InjectionPorts && (n.tel != nil || n.fore != nil) {
+			n.portsFilled(int32(node), n.vcAIdx[id])
+		}
 	}
 	n.alg.Allocated(n.g, m, node, c)
 	if n.tel != nil {
@@ -1112,7 +1207,7 @@ func (n *Network) applyMove(id int32) {
 		if n.vcCh[id] == -1 {
 			n.limiter.Release(int(n.vcNode[id]), n.vcMsg[id].Class)
 			n.injecting[n.vcNode[id]]--
-			n.wake(n.vcNode[id])
+			n.wake(n.vcNode[id], n.now)
 			if n.tel != nil {
 				n.tel.InjDequeue()
 			}
@@ -1121,7 +1216,7 @@ func (n *Network) applyMove(id int32) {
 			n.injFree = append(n.injFree, id)
 		} else {
 			n.owners[n.vcCh[id]]--
-			n.wake(n.tbl.up[n.vcCh[id]])
+			n.wake(n.tbl.up[n.vcCh[id]], n.now)
 			if n.tel != nil {
 				n.tel.VCReleased(int(n.vcClass[id]))
 			}
@@ -1137,7 +1232,7 @@ func (n *Network) deliver(id int32) {
 	m := n.vcMsg[id]
 	m.DeliverTime = n.now
 	n.owners[n.vcCh[id]]--
-	n.wake(n.tbl.up[n.vcCh[id]])
+	n.wake(n.tbl.up[n.vcCh[id]], n.now)
 	n.removeActive(id)
 	n.vcMsg[id] = nil
 	n.inFlight--

@@ -5,8 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"wormsim/internal/forensics"
 	"wormsim/internal/message"
 	"wormsim/internal/routing"
+	"wormsim/internal/telemetry"
 	"wormsim/internal/topology"
 	"wormsim/internal/traffic"
 )
@@ -247,6 +249,28 @@ func TestWatchdogDetectsDeadlock(t *testing.T) {
 	}
 	if dl.Error() == "" || dl.Detail == "" {
 		t.Error("deadlock diagnostics empty")
+	}
+
+	// Observed, the wedged headers sit parked for the watchdog's whole window.
+	// The report is written with their blocked cycles charged: telemetry reads
+	// the same whether forensics woke every header every cycle or never did.
+	headBlocked := func(every int64) int64 {
+		wl.Reseed(0)
+		tel := telemetry.New(telemetry.Options{}, g.ChannelSlots(), 1)
+		n, err := New(Config{
+			Grid: g, Algorithm: cyclicAlg{}, Workload: wl, MsgLen: 16, BufDepth: 1, Seed: 1, WatchdogCycles: 200,
+			Telemetry: tel, Forensics: forensics.New(forensics.Options{SampleEvery: every}, g.ChannelSlots()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Run(5000); !errors.As(err, &dl) {
+			t.Fatalf("expected a DeadlockError, got %v", err)
+		}
+		return tel.Summary().TotalHeadBlocked()
+	}
+	if lazy, eager := headBlocked(1000), headBlocked(1); lazy != eager || eager < 200 {
+		t.Errorf("at the deadlock report telemetry counts %d head-blocked cycles, %d when every header bids every cycle (want equal, and a window's worth)", lazy, eager)
 	}
 }
 

@@ -55,13 +55,18 @@ type fpPoint struct {
 	cycles            int64
 	// check runs checkInvariants after every cycle.
 	check bool
+	// observed attaches a fresh telemetry collector and forensics analyzer and
+	// adds their summaries to the fingerprint.
+	observed bool
 }
 
 // fingerprint re-initialises n for the point, runs it for its cycles (with a
 // mid-run reseed and window reset at half time, mirroring the core sampling
 // loop) and fingerprints everything observable: per-window counters, the
 // delivery sequence, the header-hop trace, per-channel flit counts and the
-// final in-flight state. Pass new(Network) for a fresh engine.
+// final in-flight state — and, for an observed point, the telemetry and
+// forensics summaries with the parked headers settled. Pass new(Network) for a
+// fresh engine.
 func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 	t.Helper()
 	wl := traffic.NewBernoulli(p.g, traffic.NewUniform(p.g), p.rate, p.seed)
@@ -87,17 +92,21 @@ func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 			checkInvariantsAfter(t, n, foreign)
 		}
 	}
-	err := n.Reset(Config{
+	cfg := Config{
 		Grid: p.g, Algorithm: p.alg, Policy: p.policy, Workload: wl, MsgLen: 8, BufDepth: p.bufDepth, CCLimit: 2, Seed: p.seed,
 		RouteDelay: p.routeDelay, InjectionPorts: p.ports, HalfDuplex: p.halfDuplex,
 		OnDeliver: func(m *message.Message) {
-			events = append(events, fmt.Sprintf("d %d %d %d %d", m.ID, m.Src, m.Dst, m.Latency()))
+			events = append(events, fmt.Sprintf("d %d %d %d %d %d", m.ID, m.Src, m.Dst, m.Latency(), m.HeadStalls))
 		},
 		OnHeaderHop: func(m *message.Message, node, dim int, dir topology.Dir) {
 			events = append(events, fmt.Sprintf("h %d %d %d %v", m.ID, node, dim, dir))
 		},
-	})
-	if err != nil {
+	}
+	if p.observed {
+		cfg.Telemetry = telemetry.New(telemetry.Options{}, p.g.ChannelSlots(), p.alg.NumVCs(p.g))
+		cfg.Forensics = forensics.New(forensics.Options{SampleEvery: 16}, p.g.ChannelSlots())
+	}
+	if err := n.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
 	half := p.cycles / 2
@@ -106,7 +115,12 @@ func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 	n.ResetWindow()
 	n.Reseed(p.seed + 0x9e3779b97f4a7c15)
 	run(p.cycles - half)
-	return fmt.Sprintf("%+v\n%+v\n%+v\n%v\n%v\n%v", first, n.Window(), n.Total(), n.ChannelFlitCounts(), n.WormStates(), strings.Join(events, "\n"))
+	fp := fmt.Sprintf("%+v\n%+v\n%+v\n%v\n%v\n%v", first, n.Window(), n.Total(), n.ChannelFlitCounts(), n.WormStates(), strings.Join(events, "\n"))
+	if p.observed {
+		n.SettleBlocked()
+		fp += fmt.Sprintf("\n%+v\n%+v", *cfg.Telemetry.Summary(), *cfg.Forensics.Summary())
+	}
+	return fp
 }
 
 // TestBatchScalarBitIdentity: every member of a batch of seeds run back to

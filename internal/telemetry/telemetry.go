@@ -130,11 +130,15 @@ func (c *Collector) FlitMove(ch int) { c.channelBusy[ch]++ }
 
 // HeadBlocked records one cycle in which a header of the given routing class
 // bid for an output virtual channel and found none free.
-func (c *Collector) HeadBlocked(class int) {
+func (c *Collector) HeadBlocked(class int) { c.HeadBlockedN(class, 1) }
+
+// HeadBlockedN records k such cycles at once: the engine parks a blocked
+// header and charges the cycles it sat out in one step when it is woken.
+func (c *Collector) HeadBlockedN(class int, k int64) {
 	for len(c.headBlocked) <= class {
 		c.headBlocked = append(c.headBlocked, 0)
 	}
-	c.headBlocked[class]++
+	c.headBlocked[class] += k
 }
 
 // VCAcquired / VCReleased track current virtual-channel ownership per class.
