@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,13 +26,28 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "figure to run: 3, 4, 5, vct (default: all)")
-	peaks := flag.Bool("peaks", false, "print only the peak-throughput summary per figure")
-	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	md := flag.Bool("md", false, "emit markdown report sections instead of tables")
-	quick := flag.Bool("quick", false, "shorter warmup/sampling for a fast sanity pass")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command; main turns a returned error into exit status 1.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "", "figure to run: 3, 4, 5, vct (default: all)")
+	peaks := fs.Bool("peaks", false, "print only the peak-throughput summary per figure")
+	csv := fs.Bool("csv", false, "emit CSV instead of tables")
+	md := fs.Bool("md", false, "emit markdown report sections instead of tables")
+	quick := fs.Bool("quick", false, "shorter warmup/sampling for a fast sanity pass")
+	seed := fs.Uint64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	base := core.Config{Seed: *seed}
 	if *quick {
@@ -46,8 +63,7 @@ func main() {
 		}
 		spec, err := core.FigureByID(id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		specs = []core.FigureSpec{spec}
 	}
@@ -56,26 +72,26 @@ func main() {
 		start := time.Now()
 		fr, err := core.RunFigure(spec, base)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		switch {
 		case *md:
-			fr.WriteMarkdown(os.Stdout)
+			fr.WriteMarkdown(stdout)
 		case *peaks:
-			fmt.Printf("# %s: %s\n", spec.ID, spec.Title)
+			fmt.Fprintf(stdout, "# %s: %s\n", spec.ID, spec.Title)
 			for _, p := range fr.Peaks() {
-				fmt.Printf("  %-7s peak throughput %.3f at offered %.2f\n", p.Algorithm, p.Throughput, p.AtLoad)
+				fmt.Fprintf(stdout, "  %-7s peak throughput %.3f at offered %.2f\n", p.Algorithm, p.Throughput, p.AtLoad)
 			}
 		case *csv:
-			fr.WriteCSV(os.Stdout)
+			fr.WriteCSV(stdout)
 		default:
-			fr.WriteTable(os.Stdout)
-			fmt.Printf("## peaks\n")
+			fr.WriteTable(stdout)
+			fmt.Fprintf(stdout, "## peaks\n")
 			for _, p := range fr.Peaks() {
-				fmt.Printf("  %-7s %.3f at offered %.2f\n", p.Algorithm, p.Throughput, p.AtLoad)
+				fmt.Fprintf(stdout, "  %-7s %.3f at offered %.2f\n", p.Algorithm, p.Throughput, p.AtLoad)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "# %s done in %.1fs\n", spec.ID, time.Since(start).Seconds())
+		fmt.Fprintf(stderr, "# %s done in %.1fs\n", spec.ID, time.Since(start).Seconds())
 	}
+	return nil
 }

@@ -314,7 +314,7 @@ type Result struct {
 	// ChannelFlits holds lifetime flit transfers per dense channel slot
 	// (wormhole/vct only); feed it to analysis.ChannelBalance or
 	// viz.ChannelHeatmap.
-	ChannelFlits []int64 `json:",omitempty"`
+	ChannelFlits stats.Counts `json:",omitempty"`
 
 	// Telemetry aggregates the run's collector when Config.Telemetry was
 	// set: per-channel utilization, head-blocked cycles, occupancy gauges.

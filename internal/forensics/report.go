@@ -93,8 +93,8 @@ type Summary struct {
 	MeanWaitWidth float64
 	// BlameByChannel[ch] is the blame mass of channel slot ch;
 	// RootsByChannel[ch] its tree-root occurrence count.
-	BlameByChannel []int64
-	RootsByChannel []int64
+	BlameByChannel stats.Counts
+	RootsByChannel stats.Counts
 	// LastWaitCycle is the most recent wait-for cycle witness, if any.
 	LastWaitCycle []CycleEdge `json:",omitempty"`
 	// Anatomy is the per-routing-class latency decomposition.

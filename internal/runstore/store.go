@@ -4,11 +4,15 @@
 //
 // The storage format is an append-only, schema-versioned JSONL file
 // (runs.jsonl): one Record per line, written atomically under a mutex and
-// recovered on open by replaying the log. A crash mid-append leaves at most
-// one truncated final line, which Open tolerates by truncating the file
-// back to the last complete record; corruption anywhere earlier is an
-// error, never a silent skip. Compact rewrites the log keeping one record
-// per hash.
+// recovered on open by replaying the log. Open reads the log in one read,
+// decodes its lines in parallel, then indexes them in one pass in file
+// order, so the index and any error are the same however the decoding was
+// scheduled. The first record per hash wins, on recovery as in Put. A crash
+// mid-append leaves at most one truncated final line, which Open tolerates
+// by truncating the file back to the last complete record; corruption
+// anywhere earlier is an error naming the first bad line's offset, never a
+// silent skip. Compact rewrites the log keeping one record per hash, through
+// a synced temp file renamed into place and a synced directory.
 //
 // The in-memory index (hash → *Record) makes Lookup O(1); Lookup and Store
 // implement core.ResultCache, so a Store attached to core.Config.Cache is
@@ -22,13 +26,13 @@
 package runstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -76,7 +80,8 @@ type Store struct {
 // Open loads (or creates) the run store in dir. A truncated final line —
 // the signature of a crash mid-append — is discarded and the file truncated
 // back to the last complete record; any earlier undecodable or
-// wrong-schema line is an error.
+// wrong-schema line is an error. Of several records under one hash the
+// first is kept.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
@@ -94,47 +99,44 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// recover replays the log into the index, handling the truncated tail.
+// recover replays the log into the index, handling the truncated tail. Only
+// the decoding runs in parallel; every rule that depends on order is applied
+// in the pass below, in file order.
 func (s *Store) recover() error {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+	fi, err := s.f.Stat()
+	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}
-	r := bufio.NewReaderSize(s.f, 1<<20)
-	var offset, good int64
+	data := make([]byte, fi.Size())
+	if _, err := s.f.ReadAt(data, 0); err != nil {
+		return fmt.Errorf("runstore: read %s: %w", s.path, err)
+	}
+	lines := splitLines(data)
+	recs, errs := decodeLines(lines)
+	var good int64
 	needNewline := false
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			complete := err == nil // a final line without '\n' is incomplete
-			var rec Record
-			if decodeErr := json.Unmarshal(line, &rec); decodeErr != nil {
-				if complete {
-					return fmt.Errorf("runstore: %s: corrupt record at offset %d: %w", s.path, offset, decodeErr)
-				}
-				// Truncated tail from a crash mid-append: drop it.
-				break
+	for i, line := range lines {
+		complete := line[len(line)-1] == '\n' // a final line without '\n' is incomplete
+		if errs[i] != nil {
+			if complete {
+				return fmt.Errorf("runstore: %s: corrupt record at offset %d: %w", s.path, good, errs[i])
 			}
-			if rec.Schema != Schema {
-				return fmt.Errorf("runstore: %s: record at offset %d has schema %q, this store speaks %q", s.path, offset, rec.Schema, Schema)
-			}
-			// A decodable but unterminated final line lost only its trailing
-			// newline in the crash; the record is whole. Keep it and restore
-			// the terminator below so the next append starts a fresh line.
-			needNewline = !complete
-			s.insert(&rec)
-			offset += int64(len(line))
-			good = offset
+			// Truncated tail from a crash mid-append: drop it.
+			break
 		}
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return fmt.Errorf("runstore: %s: %w", s.path, err)
+		if recs[i].Schema != Schema {
+			return fmt.Errorf("runstore: %s: record at offset %d has schema %q, this store speaks %q", s.path, good, recs[i].Schema, Schema)
 		}
+		// A decodable but unterminated final line lost only its trailing
+		// newline in the crash; the record is whole. Keep it and restore
+		// the terminator below so the next append starts a fresh line.
+		needNewline = !complete
+		s.insert(&recs[i])
+		good += int64(len(line))
 	}
 	// Truncate away any discarded tail so the next append starts on a clean
 	// line boundary.
-	if fi, err := s.f.Stat(); err == nil && fi.Size() > good {
+	if int64(len(data)) > good {
 		if err := s.f.Truncate(good); err != nil {
 			return fmt.Errorf("runstore: truncate recovered log: %w", err)
 		}
@@ -150,16 +152,52 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// insert indexes rec, newest record per hash winning, and keeps seq ahead
-// of everything seen.
-func (s *Store) insert(rec *Record) {
-	if _, exists := s.index[rec.Hash]; !exists {
-		s.order = append(s.order, rec.Hash)
+// splitLines cuts data after every '\n'. Each line keeps its terminator;
+// only the last may lack one.
+func splitLines(data []byte) [][]byte {
+	lines := bytes.SplitAfter(data, []byte{'\n'})
+	if last := len(lines) - 1; len(lines[last]) == 0 {
+		lines = lines[:last] // the empty piece after a final '\n', or an empty log
 	}
-	s.index[rec.Hash] = rec
+	return lines
+}
+
+// decodeLines decodes every line on min(GOMAXPROCS, lines) goroutines and
+// returns once all of them have finished. recs[i] and errs[i] belong to
+// lines[i].
+func decodeLines(lines [][]byte) (recs []Record, errs []error) {
+	recs, errs = make([]Record, len(lines)), make([]error, len(lines))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(lines)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(lines) {
+					return
+				}
+				errs[i] = json.Unmarshal(lines[i], &recs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return recs, errs
+}
+
+// insert indexes rec and keeps seq ahead of everything seen. The first
+// record per hash wins, as in Put: a later duplicate (two processes that
+// appended the same run) is counted for seq and otherwise ignored.
+func (s *Store) insert(rec *Record) {
 	if rec.Seq >= s.seq {
 		s.seq = rec.Seq + 1
 	}
+	if _, exists := s.index[rec.Hash]; exists {
+		return
+	}
+	s.order = append(s.order, rec.Hash)
+	s.index[rec.Hash] = rec
 }
 
 // Close releases the log file. Lookup keeps working from the in-memory
@@ -279,8 +317,9 @@ func (s *Store) Hits() int64 { return s.hits.Load() }
 func (s *Store) Misses() int64 { return s.misses.Load() }
 
 // Compact rewrites the log keeping exactly one record per hash (the indexed
-// one), via a temp file renamed into place — crash-safe: a crash mid-compact
-// leaves either the old complete log or the new one.
+// one), via a temp file renamed into place. The temp file is synced before
+// the rename and the directory after it, so a crash mid-compact leaves
+// either the old complete log or the new one.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -297,10 +336,12 @@ func (s *Store) Compact() error {
 		buf.WriteByte('\n')
 	}
 	tmp := s.path + ".compact"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
+	if err := writeSynced(tmp, buf.Bytes()); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("runstore: compact: %w", err)
 	}
 	if err := os.Rename(tmp, s.path); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("runstore: compact: %w", err)
 	}
 	// Reopen the append handle on the new inode, positioned at its end.
@@ -310,5 +351,40 @@ func (s *Store) Compact() error {
 	}
 	s.f.Close()
 	s.f = f
+	// The rename is durable only once the directory entry is.
+	if err := syncDir(filepath.Dir(s.path)); err != nil {
+		return fmt.Errorf("runstore: compact: %w", err)
+	}
 	return nil
+}
+
+// writeSynced writes data to a new file at path and syncs it to stable
+// storage before closing it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir flushes dir's entries, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }

@@ -256,7 +256,7 @@ type Summary struct {
 	Drops int64
 	// ChannelBusy[ch] is the busy-cycle count of physical channel slot ch;
 	// divide by Cycles for utilization (ChannelUtilization does).
-	ChannelBusy []int64
+	ChannelBusy stats.Counts
 	// HeadBlockedByClass[k] counts header-blocked cycles of routing class k.
 	HeadBlockedByClass []int64
 	// VCOccupancyMean/Max summarize owned virtual channels per class,
