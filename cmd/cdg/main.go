@@ -23,8 +23,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,18 +35,54 @@ import (
 	"wormsim/internal/topology"
 )
 
+// errCycle and errMismatch mark verdicts rather than failures — a dependency
+// cycle in an analyzed algorithm, a -certify cell that contradicts its
+// registered expectation — so the process exits 2 rather than 1.
+var (
+	errCycle    = errors.New("dependency cycle found")
+	errMismatch = errors.New("certification mismatch")
+)
+
 func main() {
-	algName := flag.String("alg", "", "algorithm to analyze (default: all); one of "+strings.Join(routing.Names(), ", "))
-	k := flag.Int("k", 4, "radix (keep small: the analysis is exact)")
-	n := flag.Int("n", 2, "dimensions")
-	mesh := flag.Bool("mesh", false, "mesh instead of torus")
-	witness := flag.Bool("witness", false, "print the cycle witness if one exists")
-	certify := flag.Bool("certify", false, "run the full certification matrix and write -o")
-	out := flag.String("o", "cdg_certificates.json", "certificate output path for -certify")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cdg: %v\n", err)
+	}
+	os.Exit(exitCode(err))
+}
+
+// exitCode maps run's error to the process status: 0 on success, 2 for a
+// cycle or a certification mismatch, 1 for anything else.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errCycle), errors.Is(err, errMismatch):
+		return 2
+	}
+	return 1
+}
+
+// run is the whole command; main turns its error into the exit status.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cdg", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	algName := fs.String("alg", "", "algorithm to analyze (default: all); one of "+strings.Join(routing.Names(), ", "))
+	k := fs.Int("k", 4, "radix (keep small: the analysis is exact)")
+	n := fs.Int("n", 2, "dimensions")
+	mesh := fs.Bool("mesh", false, "mesh instead of torus")
+	witness := fs.Bool("witness", false, "print the cycle witness if one exists")
+	certify := fs.Bool("certify", false, "run the full certification matrix and write -o")
+	out := fs.String("o", "cdg_certificates.json", "certificate output path for -certify")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *certify {
-		os.Exit(runCertify(*out))
+		return runCertify(*out, stdout, stderr)
 	}
 
 	var g *topology.Grid
@@ -58,62 +96,60 @@ func main() {
 	if *algName != "" {
 		names = []string{*algName}
 	}
-	exit := 0
+	cyclic := 0
 	for _, name := range names {
 		alg, err := routing.Get(name)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cdg: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		if err := alg.Compatible(g); err != nil {
-			fmt.Printf("%-8s on %s: skipped (%v)\n", name, g, err)
+			fmt.Fprintf(stdout, "%-8s on %s: skipped (%v)\n", name, g, err)
 			continue
 		}
 		res, err := cdg.Analyze(g, alg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cdg: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Println(res)
+		fmt.Fprintln(stdout, res)
 		if !res.Acyclic() {
-			exit = 2
+			cyclic++
 			if *witness {
-				fmt.Println("  " + res.DescribeCycle(g))
+				fmt.Fprintln(stdout, "  "+res.DescribeCycle(g))
 			}
 		}
 	}
-	os.Exit(exit)
+	if cyclic > 0 {
+		return fmt.Errorf("%w in %d of %d algorithm(s)", errCycle, cyclic, len(names))
+	}
+	return nil
 }
 
 // runCertify executes the certification gate: analyze every registered
-// algorithm on the full matrix, write the certificate file, and report 0
-// only if every verdict matches its registered expectation.
-func runCertify(path string) int {
+// algorithm on the full matrix, write the certificate file, and succeed only
+// if every verdict matches its registered expectation.
+func runCertify(path string, stdout, stderr io.Writer) error {
 	cert, err := cdg.Certify(nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cdg: %v\n", err)
-		return 1
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cdg: %v\n", err)
-		return 1
+		return err
 	}
 	werr := cert.WriteJSON(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
-		fmt.Fprintf(os.Stderr, "cdg: write %s: %v\n", path, werr)
-		return 1
+		return fmt.Errorf("write %s: %w", path, werr)
 	}
-	fmt.Printf("cdg: %d certificates -> %s: %d Dally-Seitz + %d Duato-escape certified, %d known-cyclic, %d skipped\n",
+	fmt.Fprintf(stdout, "cdg: %d certificates -> %s: %d Dally-Seitz + %d Duato-escape certified, %d known-cyclic, %d skipped\n",
 		len(cert.Certificates), path, cert.DallySeitz, cert.DuatoEscape, cert.KnownCyclic, cert.Skipped)
 	if !cert.AllOK {
 		for _, f := range cert.Failures {
-			fmt.Fprintf(os.Stderr, "cdg: FAIL %s\n", f)
+			fmt.Fprintf(stderr, "cdg: FAIL %s\n", f)
 		}
-		return 2
+		return fmt.Errorf("%w: %d cell(s) contradict their registered expectation", errMismatch, len(cert.Failures))
 	}
-	return 0
+	return nil
 }

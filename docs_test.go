@@ -1,6 +1,9 @@
 package wormsim
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,31 +14,43 @@ import (
 
 // TestDocsNameLiveCode keeps README.md, DESIGN.md and EXPERIMENTS.md from
 // naming code that is gone: every cmd/<x> or internal/<x> path they mention
-// must be a directory, and every Benchmark<Name> a declared benchmark. The
-// whole text is scanned, not only back-quoted spans, so fenced and indented
-// blocks (the command list, the repository layout) are covered too.
+// must be a directory, and every Benchmark<Name> a declared benchmark. In
+// README.md and DESIGN.md, every <pkg>.<Exported> whose <pkg> is a directory
+// under internal/ must also be a top-level declaration of that package;
+// EXPERIMENTS.md is a dated log whose entries name the API of their day, so
+// it is left out of that check. The whole text is scanned, not only
+// back-quoted spans, so fenced and indented blocks (the command list, the
+// repository layout) are covered too.
 func TestDocsNameLiveCode(t *testing.T) {
 	declared := declaredBenchmarks(t)
+	decls := internalDeclarations(t)
+	all := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 	refs := []struct {
 		kind   string
 		re     *regexp.Regexp
+		docs   []string
 		exists func(ref string) bool
 	}{
-		{"directory", regexp.MustCompile(`\b(?:cmd|internal)/[a-z0-9_]+`), func(ref string) bool {
+		{"directory", regexp.MustCompile(`\b(?:cmd|internal)/[a-z0-9_]+`), all, func(ref string) bool {
 			fi, err := os.Stat(ref)
 			return err == nil && fi.IsDir()
 		}},
-		{"benchmark", regexp.MustCompile(`\bBenchmark[A-Z][A-Za-z0-9_]*`), func(ref string) bool {
+		{"benchmark", regexp.MustCompile(`\bBenchmark[A-Z][A-Za-z0-9_]*`), all, func(ref string) bool {
 			return declared[ref]
 		}},
+		{"declaration", regexp.MustCompile(`\b[a-z][a-z0-9_]*\.[A-Z][A-Za-z0-9_]*`), all[:2], func(ref string) bool {
+			pkg, name, _ := strings.Cut(ref, ".")
+			names, ok := decls[pkg]
+			return !ok || names[name]
+		}},
 	}
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(text), "\n") {
-			for _, r := range refs {
+	for _, r := range refs {
+		for _, doc := range r.docs {
+			text, err := os.ReadFile(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(text), "\n") {
 				for _, ref := range r.re.FindAllString(line, -1) {
 					if !r.exists(ref) {
 						t.Errorf("%s:%d: names %s %s, which does not exist", doc, i+1, r.kind, ref)
@@ -44,6 +59,59 @@ func TestDocsNameLiveCode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// internalDeclarations maps each package directory under internal/ to the
+// exported top-level names (functions, types, variables, constants) of its
+// non-test files.
+func internalDeclarations(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]map[string]bool)
+	fset := token.NewFileSet()
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join("internal", d.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make(map[string]bool)
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					if decl.Recv == nil {
+						names[decl.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names[spec.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								names[id.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		out[d.Name()] = names
+	}
+	return out
 }
 
 // declaredBenchmarks returns the name of every func Benchmark* in the

@@ -694,39 +694,31 @@ func SweepN(cfg Config, loads []float64, workers int) ([]Result, error) {
 // per finished point with its load index and result, from the finishing
 // worker's goroutine (the callback must be safe for concurrent use —
 // telemetry.Progress is). It backs the CLIs' -progress flag. The points run
-// on a work-stealing Scheduler; Config hooks (OnSample, OnTick, a shared
-// PhaseProf) fire from whichever worker runs the point, so shared hooks must
-// be safe for concurrent use. Every point runs on its worker's recycled
-// engine.
+// on a Scheduler; Config hooks (OnSample, OnTick, a shared PhaseProf) fire
+// from whichever worker runs the point, so shared hooks must be safe for
+// concurrent use. Every point runs on its worker's recycled engine.
 func SweepObserved(cfg Config, loads []float64, workers int, onDone func(i int, r Result)) ([]Result, error) {
-	if workers > len(loads) {
-		workers = len(loads)
-	}
 	results := make([]Result, len(loads))
-	errs := make([]error, len(loads))
-	s := NewScheduler(workers)
-	for i := range loads {
-		i := i
-		s.Submit(func(w int) {
-			c := cfg
-			c.OfferedLoad = loads[i]
-			r, _, err := runCachedOn(s.Engine(w), c)
-			results[i] = r
-			if err != nil && !r.Deadlocked {
-				errs[i] = fmt.Errorf("core: sweep at rho=%.3g: %w", loads[i], err)
-			}
-			if onDone != nil {
-				onDone(i, r)
-			}
-		})
-	}
-	s.Close()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
+	err := each(workers, len(loads), func(eng *network.Network, i int) error {
+		var err error
+		results[i], err = sweepPoint(eng, cfg, loads[i])
+		if onDone != nil {
+			onDone(i, results[i])
 		}
+		return err
+	})
+	return results, err
+}
+
+// sweepPoint runs cfg at one offered load on eng under the Sweep convention:
+// a deadlock is recorded in the Result, any other error is returned.
+func sweepPoint(eng *network.Network, cfg Config, load float64) (Result, error) {
+	cfg.OfferedLoad = load
+	r, _, err := runCachedOn(eng, cfg)
+	if err != nil && !r.Deadlocked {
+		return r, fmt.Errorf("core: sweep at rho=%.3g: %w", load, err)
 	}
-	return results, nil
+	return r, nil
 }
 
 // PeakThroughput returns the maximum achieved throughput in results and the

@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
+
+	"wormsim/internal/network"
 )
 
 // FigureSpec defines one of the paper's evaluation figures as code: the
@@ -96,25 +99,32 @@ type FigureResult struct {
 	Series []Series
 }
 
-// RunFigure sweeps every algorithm of the spec over its load axis. base
-// supplies shared settings (sizes, seeds, methodology); its Algorithm,
-// Pattern, Switching and OfferedLoad fields are overridden by the spec.
-// Deadlocked points are recorded in their Result and do not abort the
-// figure.
+// RunFigure sweeps every algorithm of the spec over its load axis, as one
+// scheduler item per (algorithm, load) point across the machine's cores, so
+// no algorithm waits for another's slowest point. base supplies shared
+// settings (sizes, seeds, methodology); its Algorithm, Pattern, Switching
+// and OfferedLoad fields are overridden by the spec. Each Series equals
+// Sweep of its algorithm. Deadlocked points are recorded in their Result
+// and do not abort the figure.
 func RunFigure(spec FigureSpec, base Config) (FigureResult, error) {
-	fr := FigureResult{Spec: spec}
-	for _, alg := range spec.Algorithms {
-		cfg := base
-		cfg.Algorithm = alg
-		cfg.Pattern = spec.Pattern
-		cfg.Switching = spec.Switching
-		results, err := Sweep(cfg, spec.Loads)
-		if err != nil {
-			return fr, fmt.Errorf("core: figure %s, algorithm %s: %w", spec.ID, alg, err)
-		}
-		fr.Series = append(fr.Series, Series{Algorithm: alg, Results: results})
+	fr := FigureResult{Spec: spec, Series: make([]Series, len(spec.Algorithms))}
+	for a, alg := range spec.Algorithms {
+		fr.Series[a] = Series{Algorithm: alg, Results: make([]Result, len(spec.Loads))}
 	}
-	return fr, nil
+	base.Pattern = spec.Pattern
+	base.Switching = spec.Switching
+	nl := len(spec.Loads)
+	err := each(runtime.GOMAXPROCS(0), len(spec.Algorithms)*nl, func(eng *network.Network, k int) error {
+		s := &fr.Series[k/nl]
+		cfg := base
+		cfg.Algorithm = s.Algorithm
+		var err error
+		if s.Results[k%nl], err = sweepPoint(eng, cfg, spec.Loads[k%nl]); err != nil {
+			return fmt.Errorf("core: figure %s, algorithm %s: %w", spec.ID, s.Algorithm, err)
+		}
+		return nil
+	})
+	return fr, err
 }
 
 // WriteTable renders the figure as two aligned text tables (latency, then

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -81,9 +82,20 @@ func TestRunFigureTiny(t *testing.T) {
 	if len(fr.Series) != 2 {
 		t.Fatalf("series = %d", len(fr.Series))
 	}
-	for _, s := range fr.Series {
-		if len(s.Results) != 2 {
-			t.Fatalf("%s has %d results", s.Algorithm, len(s.Results))
+	// One task set across algorithms must reproduce each algorithm's own
+	// one-worker sweep exactly.
+	for i, s := range fr.Series {
+		if s.Algorithm != spec.Algorithms[i] {
+			t.Fatalf("series %d is %s, want %s", i, s.Algorithm, spec.Algorithms[i])
+		}
+		cfg := base
+		cfg.Algorithm, cfg.Pattern, cfg.Switching = s.Algorithm, spec.Pattern, spec.Switching
+		want, err := SweepN(cfg, spec.Loads, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Results, want) {
+			t.Errorf("%s: figure series diverged from its one-worker sweep:\ngot:  %+v\nwant: %+v", s.Algorithm, s.Results, want)
 		}
 	}
 

@@ -8,42 +8,32 @@ import (
 	"wormsim/internal/stats"
 )
 
-// Scheduler is a work-stealing pool for simulation work items. Each worker
-// owns a deque: it pushes and pops spawned work at the tail (children run
-// first, preserving locality of a load's replications) while idle workers
-// steal from the head (the oldest, typically largest pieces of work). This
-// keeps every core busy even when per-item costs are wildly skewed — near
-// saturation one offered load can cost an order of magnitude more than the
-// rest of its sweep.
+// Scheduler is a pool of workers pulling simulation work items from one
+// FIFO queue. Every caller either queues its whole task list up front (the
+// sweeps, through each) or one run at a time (the observatory API), so an
+// idle worker taking the oldest queued item is greedy list scheduling: no
+// worker sits idle while work is queued.
 //
-// Work items are whole simulation runs (milliseconds to minutes), so the
-// deques share one mutex: contention on it is unmeasurable at that
-// granularity, and a single lock keeps the scheduler trivially race-clean.
-// Each simulation itself stays single-threaded and seeded, so any schedule
-// produces results identical to a sequential pass.
+// Work items are whole simulation runs (milliseconds to minutes), so one
+// mutex guards the queue: contention on it is unmeasurable at that
+// granularity. Each simulation itself stays single-threaded and seeded, so
+// any schedule produces results identical to a sequential pass.
 //
 // Every worker owns one wormhole engine (Engine) that its items re-initialise
 // and run on in turn, so a sweep allocates an engine per worker rather than
 // per point.
 type Scheduler struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	// deques[w] is worker w's deque; head indexes the next stealable item
-	// (the slice is compacted when drained).
-	deques []dequeOf
-	// live counts submitted-but-unfinished items; next round-robins external
-	// submissions across deques.
+	mu sync.Mutex
+	// work wakes idle workers (an item was queued, or the pool closed);
+	// drained wakes Close once live reaches zero.
+	work, drained *sync.Cond
+	queue         []func(worker int)
+	// live counts submitted-but-unfinished items.
 	live   int
-	next   int
 	closed bool
 	wg     sync.WaitGroup
 	// engines[w] is worker w's recycled engine.
 	engines []network.Network
-}
-
-type dequeOf struct {
-	head  int
-	items []func(worker int)
 }
 
 // NewScheduler starts a pool of workers (minimum 1). Close it when done.
@@ -51,8 +41,9 @@ func NewScheduler(workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{deques: make([]dequeOf, workers), engines: make([]network.Network, workers)}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Scheduler{engines: make([]network.Network, workers)}
+	s.work = sync.NewCond(&s.mu)
+	s.drained = sync.NewCond(&s.mu)
 	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go s.worker(w) //lint:allow purity (worker pool; completion order never escapes — results land by point index)
@@ -60,84 +51,38 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
-// Workers returns the pool size.
-func (s *Scheduler) Workers() int { return len(s.deques) }
-
 // Engine returns the engine reserved for the items worker runs. A worker
 // runs one item at a time, so an item may use its worker's engine without
 // locking — for as long as it runs, and never another worker's.
 func (s *Scheduler) Engine(worker int) *network.Network { return &s.engines[worker] }
 
-// Submit enqueues one work item from outside the pool, distributing
-// round-robin across the worker deques. The item receives the id of the
-// worker that runs it, which it may pass to Spawn.
+// Submit queues one work item behind every item queued before it. It may be
+// called from inside a running item; Close waits for such items too. The item
+// receives the id of the worker that runs it.
 func (s *Scheduler) Submit(fn func(worker int)) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		panic("core: Submit on closed Scheduler")
 	}
-	w := s.next % len(s.deques)
-	s.next++
-	s.push(w, fn)
-	s.mu.Unlock()
-}
-
-// Spawn enqueues a child item at the tail of worker's own deque: the
-// spawning worker picks it up next (LIFO) unless an idle worker steals it
-// from the head first. Call it only from inside a running item, with the
-// worker id that item received.
-func (s *Scheduler) Spawn(worker int, fn func(worker int)) {
-	s.mu.Lock()
-	s.push(worker, fn)
-	s.mu.Unlock()
-}
-
-// push appends to worker w's deque and wakes a sleeper. Callers hold mu.
-func (s *Scheduler) push(w int, fn func(worker int)) {
-	s.deques[w].items = append(s.deques[w].items, fn)
+	s.queue = append(s.queue, fn)
 	s.live++
-	s.cond.Signal()
-}
-
-// pop takes worker w's newest own item, else steals the oldest item from
-// another deque, scanning victims round-robin from w+1. Callers hold mu.
-func (s *Scheduler) pop(w int) func(worker int) {
-	if d := &s.deques[w]; d.head < len(d.items) {
-		fn := d.items[len(d.items)-1]
-		d.items = d.items[:len(d.items)-1]
-		d.compact()
-		return fn
-	}
-	for i := 1; i < len(s.deques); i++ {
-		if d := &s.deques[(w+i)%len(s.deques)]; d.head < len(d.items) {
-			fn := d.items[d.head]
-			d.items[d.head] = nil
-			d.head++
-			d.compact()
-			return fn
-		}
-	}
-	return nil
-}
-
-// compact resets a drained deque so its backing array is reused.
-func (d *dequeOf) compact() {
-	if d.head == len(d.items) {
-		d.head, d.items = 0, d.items[:0]
-	}
+	s.work.Signal()
 }
 
 func (s *Scheduler) worker(w int) {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
-		if fn := s.pop(w); fn != nil {
+		if len(s.queue) > 0 {
+			fn := s.queue[0]
+			s.queue[0] = nil
+			s.queue = s.queue[1:]
 			s.mu.Unlock()
 			fn(w)
 			s.mu.Lock()
 			if s.live--; s.live == 0 {
-				s.cond.Broadcast()
+				s.drained.Broadcast()
 			}
 			continue
 		}
@@ -145,32 +90,45 @@ func (s *Scheduler) worker(w int) {
 			s.mu.Unlock()
 			return
 		}
-		s.cond.Wait()
+		s.work.Wait()
 	}
 }
 
-// Wait blocks until every submitted item (including spawned children) has
-// finished. Never call it from inside a work item — a worker waiting on its
-// own pool deadlocks it.
-func (s *Scheduler) Wait() {
-	s.mu.Lock()
-	for s.live > 0 {
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
-}
-
-// Close waits for outstanding work and stops the workers. The scheduler
-// cannot be reused afterwards.
+// Close waits for every submitted item, including items submitted by running
+// items, and stops the workers. The scheduler cannot be reused afterwards.
+// Never call it from inside a work item: a worker waiting on its own pool
+// deadlocks it.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	for s.live > 0 {
-		s.cond.Wait()
+		s.drained.Wait()
 	}
 	s.closed = true
-	s.cond.Broadcast()
+	s.work.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
+}
+
+// each runs fn(eng, i) for every i in [0, n) on a Scheduler of workers
+// workers (at most n), queued in index order; eng is the running worker's
+// recycled engine. Callers write results by index, so completion order
+// never shows. It returns the error of the lowest failing index.
+func each(workers, n int, fn func(eng *network.Network, i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	errs := make([]error, n)
+	s := NewScheduler(workers)
+	for i := 0; i < n; i++ {
+		s.Submit(func(w int) { errs[i] = fn(s.Engine(w), i) })
+	}
+	s.Close()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReplicatedResult aggregates the replications of one offered load.
@@ -187,46 +145,35 @@ type ReplicatedResult struct {
 	Deadlocks int
 }
 
-// SweepReplicated runs cfg at every load once per seed, fanning the (load,
-// seed) matrix through one work-stealing scheduler: each load is submitted
-// as an item that spawns one child per seed onto the running worker's deque,
-// so a worker that finishes a cheap load steals single replicas of the
-// expensive loads near saturation instead of idling. Each replica is an
-// independent point on its worker's recycled engine, under RunReplicas'
-// contract (instruments attach to the first seed of every load, the cache is
-// consulted per seed). Results are aggregated per load, in load order; they
-// are identical to running every (load, seed) pair sequentially. Deadlocked
-// replicas are recorded, not fatal; any other error aborts.
+// SweepReplicated runs cfg at every load once per seed, one scheduler item
+// per (load, seed) pair, so a worker that finishes a cheap load picks up
+// single replicas of the expensive loads near saturation instead of idling.
+// Each replica is an independent point on its worker's recycled engine, under
+// RunReplicas' contract (instruments attach to the first seed of every load,
+// the cache is consulted per seed). Results are aggregated per load, in load
+// order; they are identical to running every (load, seed) pair sequentially.
+// Deadlocked replicas are recorded, not fatal; any other error aborts.
 func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) ([]ReplicatedResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("core: SweepReplicated needs at least one seed")
 	}
 	out := make([]ReplicatedResult, len(loads))
-	errs := make([]error, len(loads)*len(seeds))
-	s := NewScheduler(workers)
 	for i := range loads {
 		out[i] = ReplicatedResult{OfferedLoad: loads[i], Replicas: make([]Result, len(seeds))}
-		i := i
-		s.Submit(func(w int) {
-			for j := range seeds {
-				j := j
-				s.Spawn(w, func(w int) {
-					c := cfg
-					c.OfferedLoad = loads[i]
-					r, err := runReplica(s.Engine(w), c, seeds[j], j == 0)
-					out[i].Replicas[j] = r
-					if err != nil {
-						errs[i*len(seeds)+j] = fmt.Errorf("core: replicated sweep at rho=%.3g: %w", loads[i], err)
-					}
-				})
-			}
-		})
 	}
-	s.Close()
-	for _, err := range errs {
+	err := each(workers, len(loads)*len(seeds), func(eng *network.Network, k int) error {
+		i, j := k/len(seeds), k%len(seeds)
+		c := cfg
+		c.OfferedLoad = loads[i]
+		r, err := runReplica(eng, c, seeds[j], j == 0)
+		out[i].Replicas[j] = r
 		if err != nil {
-			return out, err
+			return fmt.Errorf("core: replicated sweep at rho=%.3g: %w", loads[i], err)
 		}
+		return nil
+	})
+	if err != nil {
+		return out, err
 	}
 	for i := range out {
 		var lat, thr stats.Welford

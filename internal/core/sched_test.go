@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,36 +14,10 @@ func TestSchedulerRunsEveryItem(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			s.Submit(func(int) { ran.Add(1) })
 		}
-		s.Wait()
 		s.Close()
 		if ran.Load() != 100 {
 			t.Errorf("workers=%d: ran %d of 100 items", workers, ran.Load())
 		}
-	}
-}
-
-// TestSchedulerSpawnedChildrenComplete: Close must cover work spawned by
-// running items, not just direct submissions.
-func TestSchedulerSpawnedChildrenComplete(t *testing.T) {
-	s := NewScheduler(4)
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	for i := 0; i < 10; i++ {
-		i := i
-		s.Submit(func(w int) {
-			for j := 0; j < 10; j++ {
-				j := j
-				s.Spawn(w, func(int) {
-					mu.Lock()
-					seen[i*10+j] = true
-					mu.Unlock()
-				})
-			}
-		})
-	}
-	s.Close()
-	if len(seen) != 100 {
-		t.Fatalf("spawned children ran %d of 100", len(seen))
 	}
 }
 
@@ -56,7 +29,6 @@ func TestSchedulerSpawnedChildrenComplete(t *testing.T) {
 func TestSchedulerRunsItemsConcurrently(t *testing.T) {
 	const workers = 4
 	s := NewScheduler(workers)
-	defer s.Close()
 	var arrived atomic.Int64
 	ready := make(chan struct{})
 	release := make(chan struct{})
@@ -74,43 +46,7 @@ func TestSchedulerRunsItemsConcurrently(t *testing.T) {
 		t.Fatalf("only %d of %d items entered concurrently", arrived.Load(), workers)
 	}
 	close(release)
-	s.Wait()
-}
-
-// TestSchedulerDequeDiscipline drives push/pop directly (no worker
-// goroutines): a worker pops its own newest item first, while a thief takes
-// the victim's oldest — the work-stealing order that keeps spawned
-// replications local and hands stragglers the biggest remaining pieces.
-func TestSchedulerDequeDiscipline(t *testing.T) {
-	s := &Scheduler{deques: make([]dequeOf, 2)}
-	s.cond = sync.NewCond(&s.mu)
-	var log []string
-	item := func(name string) func(int) {
-		return func(int) { log = append(log, name) }
-	}
-	s.push(0, item("a"))
-	s.push(0, item("b"))
-	s.push(0, item("c"))
-	for _, step := range []struct {
-		worker int
-		want   string
-	}{
-		{0, "c"}, // own deque: newest first
-		{1, "a"}, // steal: victim's oldest
-		{0, "b"},
-	} {
-		fn := s.pop(step.worker)
-		if fn == nil {
-			t.Fatalf("pop(%d): empty, want %q", step.worker, step.want)
-		}
-		fn(step.worker)
-		if got := log[len(log)-1]; got != step.want {
-			t.Fatalf("pop(%d) ran %q, want %q", step.worker, got, step.want)
-		}
-	}
-	if s.pop(0) != nil || s.pop(1) != nil {
-		t.Fatal("deques should be empty")
-	}
+	s.Close()
 }
 
 // TestSweepSchedulerMatchesSequential: any worker count must reproduce the
@@ -180,81 +116,31 @@ func TestSweepReplicatedMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
-func TestReplicateBatchMatchesSequential(t *testing.T) {
-	cfg := Config{K: 4, N: 2, Algorithm: "nbc", Seed: 1}
-	seeds := []uint64{7, 13}
-	got, err := ReplicateBatch(cfg, "transpose", seeds, 2, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, seed := range seeds {
-		c := cfg
-		c.Seed = seed
-		burst, err := PermutationBurst(c, "transpose")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := RunBatch(c, burst, burst.LastCycle(), 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got[j], want) {
-			t.Errorf("seed %d: replica diverged from sequential run:\ngot:  %+v\nwant: %+v", seed, got[j], want)
-		}
-	}
-}
-
-func TestFindSaturationSetMatchesIndividualSearches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("saturation bisection is slow")
-	}
-	cfg := quick("ecube")
-	cfg.MaxSamples = 2
-	algs := []string{"ecube", "nbc"}
-	set, err := FindSaturationSet(cfg, algs, 0.1, 1.0, 0.1, 0.02, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, alg := range algs {
-		c := cfg
-		c.Algorithm = alg
-		load, at, err := FindSaturation(c, 0.1, 1.0, 0.1, 0.02)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if set[i].Load != load || !reflect.DeepEqual(set[i].At, at) {
-			t.Errorf("%s: set search found %g, individual %g", alg, set[i].Load, load)
-		}
-	}
-}
-
-// TestSchedulerZeroTasks: Wait and Close on an idle pool must return
-// immediately instead of parking forever on the condition variable.
+// TestSchedulerZeroTasks: Close on an idle pool must return immediately
+// instead of parking forever on the condition variable.
 func TestSchedulerZeroTasks(t *testing.T) {
 	s := NewScheduler(4)
 	done := make(chan struct{})
 	go func() {
-		s.Wait()
 		s.Close()
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Wait/Close with zero tasks did not return")
+		t.Fatal("Close with zero tasks did not return")
 	}
 }
 
-// TestSchedulerSingleWorker: with one worker there is nobody to steal from;
-// submissions and spawns must still all run, in some order, exactly once.
+// TestSchedulerSingleWorker: with one worker, outside submissions and items
+// submitted from inside running items must all run exactly once.
 func TestSchedulerSingleWorker(t *testing.T) {
 	s := NewScheduler(1)
 	var runs [40]atomic.Int64
 	for i := 0; i < 20; i++ {
-		i := i
-		s.Submit(func(w int) {
+		s.Submit(func(int) {
 			runs[i].Add(1)
-			s.Spawn(w, func(int) { runs[20+i].Add(1) })
+			s.Submit(func(int) { runs[20+i].Add(1) })
 		})
 	}
 	s.Close()
@@ -279,19 +165,18 @@ func TestSchedulerMoreWorkersThanTasks(t *testing.T) {
 	}
 }
 
-// TestSchedulerStealHeavyExactlyOnce funnels all submissions through one
-// producer while every worker's own spawns pile onto its local deque, so
-// most dispatch happens by stealing; each task must still run exactly once.
+// TestSchedulerStealHeavyExactlyOnce funnels half the items through one
+// outside producer while every running item queues the other half behind
+// it, so eight workers contend for one queue from both ends of its life;
+// each task must still run exactly once.
 func TestSchedulerStealHeavyExactlyOnce(t *testing.T) {
 	const tasks = 2000
 	s := NewScheduler(8)
 	var runs [tasks]atomic.Int64
 	for i := 0; i < tasks/2; i++ {
-		i := i
-		s.Submit(func(w int) {
+		s.Submit(func(int) {
 			runs[i].Add(1)
-			j := tasks/2 + i
-			s.Spawn(w, func(int) { runs[j].Add(1) })
+			s.Submit(func(int) { runs[tasks/2+i].Add(1) })
 		})
 	}
 	s.Close()
@@ -299,5 +184,29 @@ func TestSchedulerStealHeavyExactlyOnce(t *testing.T) {
 		if got := runs[i].Load(); got != 1 {
 			t.Fatalf("task %d ran %d times, want exactly once", i, got)
 		}
+	}
+}
+
+// TestSchedulerFIFO: one worker runs items in submission order, and items
+// submitted from inside a running item queue behind everything already
+// queued and run exactly once before Close returns. The first item holds the
+// worker until every outside submission is queued, so the order is fixed.
+func TestSchedulerFIFO(t *testing.T) {
+	s := NewScheduler(1)
+	var log []int // only the one worker appends
+	start := make(chan struct{})
+	s.Submit(func(int) { <-start; log = append(log, 0) })
+	for i := 1; i <= 5; i++ {
+		s.Submit(func(int) {
+			log = append(log, i)
+			if i%2 == 1 {
+				s.Submit(func(int) { log = append(log, 10+i) })
+			}
+		})
+	}
+	close(start)
+	s.Close()
+	if want := []int{0, 1, 2, 3, 4, 5, 11, 13, 15}; !reflect.DeepEqual(log, want) {
+		t.Errorf("run order %v, want %v", log, want)
 	}
 }

@@ -80,26 +80,6 @@ func TestHotspotSaturatesHotChannels(t *testing.T) {
 	}
 }
 
-func TestRunBatchFillsTelemetry(t *testing.T) {
-	cfg := Config{K: 8, N: 2, Algorithm: "ecube", Seed: 5,
-		Telemetry: &telemetry.Options{Metrics: true, Trace: true}}
-	cfg.ApplyDefaults()
-	wl, err := PermutationBurst(cfg, "transpose")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunBatch(cfg, wl, 0, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Telemetry == nil || res.Telemetry.Cycles == 0 {
-		t.Fatalf("batch telemetry missing: %+v", res.Telemetry)
-	}
-	if len(res.TraceEvents) == 0 {
-		t.Error("batch trace empty")
-	}
-}
-
 func TestSweepObservedCallback(t *testing.T) {
 	cfg := quickTelCfg()
 	cfg.Telemetry = nil

@@ -24,8 +24,8 @@ import (
 //
 // Admission consults the store exactly once per submission (Lookup, which
 // also feeds the hit/miss counters on /metrics); a miss enqueues the run on
-// a work-stealing core.Scheduler and the completed Result is appended to the
-// store before the run is reported done.
+// a FIFO core.Scheduler and the completed Result is appended to the store
+// before the run is reported done.
 type API struct {
 	store *runstore.Store
 	pub   *Publisher // optional: completed API runs publish ticks to the live feed

@@ -248,7 +248,7 @@ func (c *Collector) LastEvents(k int) []Event {
 }
 
 // Summary is the JSON-friendly aggregation of a run's metrics, attached to
-// core.Result and core.BatchResult.
+// core.Result.
 type Summary struct {
 	// Cycles the collector observed.
 	Cycles int64
