@@ -12,6 +12,9 @@ import (
 // Tick absorbs values so the fixture has no unused results.
 var Tick int64
 
+// boot reads the wall clock in a package-level initializer.
+var boot = time.Now().Unix() // WANT simdeterminism
+
 // Draw uses the forbidden global generator: the import is flagged and
 // so is the call site.
 func Draw() int { return rand.Intn(6) } // WANT simdeterminism
