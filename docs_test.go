@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,11 +17,13 @@ import (
 // naming code that is gone: every cmd/<x> or internal/<x> path they mention
 // must be a directory, and every Benchmark<Name> a declared benchmark. In
 // README.md and DESIGN.md, every <pkg>.<Exported> whose <pkg> is a directory
-// under internal/ must also be a top-level declaration of that package;
-// EXPERIMENTS.md is a dated log whose entries name the API of their day, so
-// it is left out of that check. The whole text is scanned, not only
-// back-quoted spans, so fenced and indented blocks (the command list, the
-// repository layout) are covered too.
+// under internal/ must also be a top-level declaration of that package, and
+// every -<name> after `go run ./cmd/<x>` (up to a # comment or a closing
+// back-quote) must be -h or a flag cmd/<x>/main.go defines; EXPERIMENTS.md
+// is a dated log whose entries name the API of their day, so it is left out
+// of those checks. The whole text is scanned, not only back-quoted spans, so
+// fenced and indented blocks (the command list, the repository layout) are
+// covered too.
 func TestDocsNameLiveCode(t *testing.T) {
 	declared := declaredBenchmarks(t)
 	decls := internalDeclarations(t)
@@ -59,6 +62,68 @@ func TestDocsNameLiveCode(t *testing.T) {
 			}
 		}
 	}
+
+	cmdRun := regexp.MustCompile("go run \\./cmd/([a-z0-9_]+)([^#`]*)")
+	flagArg := regexp.MustCompile(`\s-([A-Za-z][A-Za-z0-9_-]*)`)
+	flags := make(map[string]map[string]bool)
+	for _, doc := range all[:2] {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, m := range cmdRun.FindAllStringSubmatch(line, -1) {
+				if flags[m[1]] == nil {
+					flags[m[1]] = definedFlags(t, filepath.Join("cmd", m[1], "main.go"))
+				}
+				for _, f := range flagArg.FindAllStringSubmatch(m[2], -1) {
+					if f[1] != "h" && !flags[m[1]][f[1]] {
+						t.Errorf("%s:%d: passes -%s to cmd/%s, which defines no such flag", doc, i+1, f[1], m[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// flagDefiners are the flag.FlagSet methods whose first string-literal
+// argument is the flag's name.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "BoolFunc": true, "Duration": true, "DurationVar": true,
+	"Float64": true, "Float64Var": true, "Func": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "String": true, "StringVar": true, "TextVar": true,
+	"Uint": true, "UintVar": true, "Uint64": true, "Uint64Var": true, "Var": true,
+}
+
+// definedFlags returns the names of the flags a command's main.go defines.
+func definedFlags(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !flagDefiners[sel.Sel.Name] {
+			return true
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names[name] = true
+				break
+			}
+		}
+		return true
+	})
+	return names
 }
 
 // internalDeclarations maps each package directory under internal/ to the

@@ -114,7 +114,7 @@ func RunFigure(spec FigureSpec, base Config) (FigureResult, error) {
 	base.Pattern = spec.Pattern
 	base.Switching = spec.Switching
 	nl := len(spec.Loads)
-	err := each(runtime.GOMAXPROCS(0), len(spec.Algorithms)*nl, func(eng *network.Network, k int) error {
+	err := each(runtime.GOMAXPROCS(0), len(spec.Algorithms)*nl, func(eng *network.Network, k int) error { //lint:allow purity (worker count only sets parallelism; results are bit-identical at any width, test-pinned)
 		s := &fr.Series[k/nl]
 		cfg := base
 		cfg.Algorithm = s.Algorithm

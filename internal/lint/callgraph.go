@@ -201,35 +201,3 @@ func (r *Reach) Chain(fn *types.Func, anchor *Package) string {
 	}
 	return strings.Join(parts, " → ")
 }
-
-// PropagateUp runs the shared backward dataflow: the least fixpoint of a
-// bottom-up boolean fact, out(fn) = gen(fn) ∨ (∨ out(callee) over fn's
-// callees). CertifyPurity uses it to tier the functions that reach an effect.
-func (g *CallGraph) PropagateUp(gen map[*types.Func]bool) map[*types.Func]bool {
-	in := make(map[*types.Func][]*types.Func)
-	for fn, callees := range g.Out {
-		for _, c := range callees {
-			in[c] = append(in[c], fn)
-		}
-	}
-	out := make(map[*types.Func]bool, len(gen))
-	var queue []*types.Func
-	for fn, v := range gen {
-		if v && !out[fn] {
-			out[fn] = true
-			queue = append(queue, fn)
-		}
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, caller := range in[fn] {
-			if out[caller] {
-				continue
-			}
-			out[caller] = true
-			queue = append(queue, caller)
-		}
-	}
-	return out
-}

@@ -2,7 +2,7 @@ package lint
 
 import "testing"
 
-// TestCallGraphShapes pins the call-graph shapes the purity certification
+// TestCallGraphShapes pins the call-graph shapes the purity pass
 // leans on: a method value and a deferred call both make their bodies
 // reachable, while a call through a function-typed struct field (the hook
 // boundary) does not — so Step's reachable set is exactly

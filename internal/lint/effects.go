@@ -7,39 +7,14 @@ import (
 	"strings"
 )
 
-// This file is the purity pass's effect-inference layer: a per-function
-// scanner that extracts local effect facts (see funcEffects), plus the
-// standard-library classification tables those facts rest on. The purity
-// pass (purity.go) lifts the local facts to whole-program judgements by
-// propagating them over the cross-package call graph.
-
-// effectClass orders the effect lattice: pure < read-only < impure. A pure
-// function computes its result from its arguments alone; a read-only
-// function additionally observes shared state (package-level vars, atomic
-// loads) but never mutates or blocks; an impure function carries at least
-// one impurity fact.
-type effectClass int
-
-const (
-	effectPure effectClass = iota
-	effectReadOnly
-	effectImpure
-)
-
-// String renders the class as it appears in purity certificates.
-func (c effectClass) String() string {
-	switch c {
-	case effectPure:
-		return "pure"
-	case effectReadOnly:
-		return "read_only"
-	default:
-		return "impure"
-	}
-}
+// This file holds the one effect scanner, which extracts the local effect
+// facts of each function body (see funcEffects), and the standard-library
+// classification tables those facts rest on. The purity pass (purity.go)
+// lifts the facts to whole-program judgements over the call graph, and
+// simdeterminism reads their wall-clock, rand and map-order subset.
 
 // Impurity source codes. Each names one way a function can stop being a
-// pure function of its inputs; they key certificate exemptions and make
+// pure function of its inputs; they key purity exemptions and make
 // findings greppable.
 const (
 	srcGlobalWrite = "global-write"        // assignment to a package-level var
@@ -59,7 +34,6 @@ const (
 // human-readable detail.
 type impurity struct {
 	pos    token.Position
-	node   ast.Node
 	source string
 	detail string
 }
@@ -67,9 +41,6 @@ type impurity struct {
 // funcEffects holds one declared function's intraprocedural facts.
 type funcEffects struct {
 	impurities []impurity
-	// readsShared is set when the body reads a package-level var (its own
-	// package's or an imported one's) — the read-only tier of the lattice.
-	readsShared bool
 }
 
 // stdlibPurePkgs lists standard-library packages whose exported functions
@@ -108,9 +79,9 @@ var stdlibImpurePkgs = map[string]string{
 	"syscall":       srcIO,
 }
 
-// funcClass is a per-function override of the package-level tables.
+// funcClass is a stdlib call's impurity: its source and detail. The zero
+// value means the call is pure.
 type funcClass struct {
-	class  effectClass
 	source string
 	detail string
 }
@@ -122,46 +93,47 @@ type funcClass struct {
 // map-order iterators inside maps, context's timer constructors, and the
 // filesystem walkers inside path/filepath.
 var stdlibFuncClass = map[string]funcClass{
-	"time.Now":       {effectImpure, srcClock, "time.Now reads the wall clock"},
-	"time.Since":     {effectImpure, srcClock, "time.Since reads the wall clock"},
-	"time.Until":     {effectImpure, srcClock, "time.Until reads the wall clock"},
-	"time.Sleep":     {effectImpure, srcClock, "time.Sleep blocks on the wall clock"},
-	"time.After":     {effectImpure, srcClock, "time.After starts a wall-clock timer"},
-	"time.Tick":      {effectImpure, srcClock, "time.Tick starts a wall-clock ticker"},
-	"time.NewTimer":  {effectImpure, srcClock, "time.NewTimer starts a wall-clock timer"},
-	"time.NewTicker": {effectImpure, srcClock, "time.NewTicker starts a wall-clock ticker"},
+	"time.Now":       {srcClock, "time.Now reads the wall clock"},
+	"time.Since":     {srcClock, "time.Since reads the wall clock"},
+	"time.Until":     {srcClock, "time.Until reads the wall clock"},
+	"time.Sleep":     {srcClock, "time.Sleep blocks on the wall clock"},
+	"time.After":     {srcClock, "time.After starts a wall-clock timer"},
+	"time.Tick":      {srcClock, "time.Tick starts a wall-clock ticker"},
+	"time.NewTimer":  {srcClock, "time.NewTimer starts a wall-clock timer"},
+	"time.NewTicker": {srcClock, "time.NewTicker starts a wall-clock ticker"},
 
-	"fmt.Print":   {effectImpure, srcIO, "fmt.Print writes to stdout"},
-	"fmt.Printf":  {effectImpure, srcIO, "fmt.Printf writes to stdout"},
-	"fmt.Println": {effectImpure, srcIO, "fmt.Println writes to stdout"},
-	"fmt.Scan":    {effectImpure, srcIO, "fmt.Scan reads stdin"},
-	"fmt.Scanf":   {effectImpure, srcIO, "fmt.Scanf reads stdin"},
-	"fmt.Scanln":  {effectImpure, srcIO, "fmt.Scanln reads stdin"},
+	"fmt.Print":   {srcIO, "fmt.Print writes to stdout"},
+	"fmt.Printf":  {srcIO, "fmt.Printf writes to stdout"},
+	"fmt.Println": {srcIO, "fmt.Println writes to stdout"},
+	"fmt.Scan":    {srcIO, "fmt.Scan reads stdin"},
+	"fmt.Scanf":   {srcIO, "fmt.Scanf reads stdin"},
+	"fmt.Scanln":  {srcIO, "fmt.Scanln reads stdin"},
 
-	"maps.Keys":   {effectImpure, srcMapOrder, "maps.Keys yields keys in randomized order"},
-	"maps.Values": {effectImpure, srcMapOrder, "maps.Values yields values in randomized order"},
-	"maps.All":    {effectImpure, srcMapOrder, "maps.All iterates in randomized order"},
+	"maps.Keys":   {srcMapOrder, "maps.Keys yields keys in randomized order"},
+	"maps.Values": {srcMapOrder, "maps.Values yields values in randomized order"},
+	"maps.All":    {srcMapOrder, "maps.All iterates in randomized order"},
 
-	"context.WithTimeout":  {effectImpure, srcClock, "context.WithTimeout arms a wall-clock deadline"},
-	"context.WithDeadline": {effectImpure, srcClock, "context.WithDeadline arms a wall-clock deadline"},
+	"context.WithTimeout":  {srcClock, "context.WithTimeout arms a wall-clock deadline"},
+	"context.WithDeadline": {srcClock, "context.WithDeadline arms a wall-clock deadline"},
 
-	"path/filepath.Walk":         {effectImpure, srcIO, "filepath.Walk reads the filesystem"},
-	"path/filepath.WalkDir":      {effectImpure, srcIO, "filepath.WalkDir reads the filesystem"},
-	"path/filepath.Glob":         {effectImpure, srcIO, "filepath.Glob reads the filesystem"},
-	"path/filepath.Abs":          {effectImpure, srcIO, "filepath.Abs reads the working directory"},
-	"path/filepath.EvalSymlinks": {effectImpure, srcIO, "filepath.EvalSymlinks reads the filesystem"},
+	"path/filepath.Walk":         {srcIO, "filepath.Walk reads the filesystem"},
+	"path/filepath.WalkDir":      {srcIO, "filepath.WalkDir reads the filesystem"},
+	"path/filepath.Glob":         {srcIO, "filepath.Glob reads the filesystem"},
+	"path/filepath.Abs":          {srcIO, "filepath.Abs reads the working directory"},
+	"path/filepath.EvalSymlinks": {srcIO, "filepath.EvalSymlinks reads the filesystem"},
 }
 
-// classifyStdlibCall classifies a call to a function outside the module.
-// Resolution order: the per-function override table, then the sync family's
-// structural rules, then the package tables, and finally the conservative
-// default — an unclassified stdlib call is an impurity, so a new dependency
-// must be classified on purpose rather than slip through silently.
+// classifyStdlibCall classifies a call to a function outside the module:
+// the zero funcClass for a pure call, else its impurity. Resolution order:
+// the per-function override table, then the sync family's structural rules,
+// then the package tables, and finally the conservative default — an
+// unclassified stdlib call is an impurity, so a new dependency must be
+// classified on purpose rather than slip through silently.
 func classifyStdlibCall(fn *types.Func) funcClass {
 	pkg := fn.Pkg()
 	if pkg == nil {
 		// Universe-scope methods (error.Error) compute on their receiver.
-		return funcClass{class: effectPure}
+		return funcClass{}
 	}
 	path := pkg.Path()
 	key := path + "." + fn.Name()
@@ -182,31 +154,25 @@ func classifyStdlibCall(fn *types.Func) funcClass {
 
 	switch path {
 	case "sync/atomic":
-		// Loads observe shared state; everything else mutates it.
+		// Loads only observe shared state; everything else mutates it.
 		if strings.HasPrefix(fn.Name(), "Load") {
-			return funcClass{class: effectReadOnly}
+			return funcClass{}
 		}
-		return funcClass{
-			class:  effectImpure,
-			source: srcAtomic,
-			detail: "sync/atomic " + fn.Name() + " mutates shared state",
-		}
+		return funcClass{srcAtomic, "sync/atomic " + fn.Name() + " mutates shared state"}
 	case "sync":
 		// Mutexes, conditions and Once are synchronization, not data
-		// effects: read-only. sync.Map is shared mutable state with
-		// unordered iteration, so it gets the atomic rules.
+		// effects. sync.Map is shared mutable state with unordered
+		// iteration, so it gets the atomic rules.
 		if recv == "Map" {
 			switch fn.Name() {
 			case "Load", "Len":
-				return funcClass{class: effectReadOnly}
+				return funcClass{}
 			case "Range":
-				return funcClass{class: effectImpure, source: srcMapOrder,
-					detail: "sync.Map.Range iterates in unspecified order"}
+				return funcClass{srcMapOrder, "sync.Map.Range iterates in unspecified order"}
 			}
-			return funcClass{class: effectImpure, source: srcAtomic,
-				detail: "sync.Map." + fn.Name() + " mutates shared state"}
+			return funcClass{srcAtomic, "sync.Map." + fn.Name() + " mutates shared state"}
 		}
-		return funcClass{class: effectReadOnly}
+		return funcClass{}
 	}
 
 	if src, ok := stdlibImpurePkgs[path]; ok {
@@ -219,15 +185,13 @@ func classifyStdlibCall(fn *types.Func) funcClass {
 		case srcMachine:
 			verb = "reads machine state"
 		}
-		return funcClass{class: effectImpure, source: src,
-			detail: "call to " + displayKey(key) + " " + verb}
+		return funcClass{src, "call to " + displayKey(key) + " " + verb}
 	}
 	if stdlibPurePkgs[path] {
-		return funcClass{class: effectPure}
+		return funcClass{}
 	}
-	return funcClass{class: effectImpure, source: srcStdlib,
-		detail: "call to unclassified standard-library function " + displayKey(key) +
-			" (classify it in the effect tables)"}
+	return funcClass{srcStdlib, "call to unclassified standard-library function " + displayKey(key) +
+		" (classify it in the effect tables)"}
 }
 
 // displayKey shortens "path/filepath.Glob"-style keys to their last path
@@ -240,7 +204,7 @@ func displayKey(key string) string {
 }
 
 // effectsIndex lazily computes the local effect facts of every declared
-// function, shared between the purity pass and CertifyPurity so one Run
+// function, shared between the purity and simdeterminism passes so one Run
 // scans each body exactly once.
 func (prog *Program) effectsIndex() map[*types.Func]*funcEffects {
 	if prog.effects != nil {
@@ -248,31 +212,28 @@ func (prog *Program) effectsIndex() map[*types.Func]*funcEffects {
 	}
 	prog.effects = make(map[*types.Func]*funcEffects, len(prog.decls))
 	modPrefix := prog.modulePrefix()
-	for fn, fd := range prog.decls {
-		prog.effects[fn] = scanEffects(prog, prog.declPkg[fn], fd, modPrefix)
+	for _, e := range prog.funcDecls() {
+		prog.effects[e.Fn] = scanEffects(prog, e.Pkg, e.Decl.Body, modPrefix)
 	}
 	return prog.effects
 }
 
-// scanEffects extracts one function's local effect facts. Calls to module
-// functions are deliberately not facts: the call graph propagates their
-// effects instead. Calls through plain function values (hook fields like
-// Config.OnTick) have no static callee and produce no fact either — that
-// boundary is stated on Purity.
-func scanEffects(prog *Program, p *Package, fd *ast.FuncDecl, modPrefix string) *funcEffects {
+// scanEffects extracts the local effect facts of one subtree: a function
+// body, or a package-level var declaration whose initializers run at package
+// init. Calls to module functions are deliberately not facts: the call graph
+// propagates their effects instead. Calls through plain function values
+// (hook fields like Config.OnTick) have no static callee and produce no fact
+// either — that boundary is stated on Purity.
+func scanEffects(prog *Program, p *Package, root ast.Node, modPrefix string) *funcEffects {
 	fe := &funcEffects{}
-	if fd.Body == nil {
-		return fe
-	}
 	addImp := func(n ast.Node, source, detail string) {
 		fe.impurities = append(fe.impurities, impurity{
 			pos:    p.Fset.Position(n.Pos()),
-			node:   n,
 			source: source,
 			detail: detail,
 		})
 	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {
@@ -331,15 +292,8 @@ func scanEffects(prog *Program, p *Package, fd *ast.FuncDecl, modPrefix string) 
 					break
 				}
 			}
-			switch fc := classifyStdlibCall(fn); fc.class {
-			case effectImpure:
+			if fc := classifyStdlibCall(fn); fc.source != "" {
 				addImp(n, fc.source, fc.detail)
-			case effectReadOnly:
-				fe.readsShared = true
-			}
-		case *ast.Ident:
-			if v, ok := p.Info.Uses[n].(*types.Var); ok && isPkgLevelVar(v) {
-				fe.readsShared = true
 			}
 		}
 		return true

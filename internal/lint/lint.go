@@ -18,11 +18,9 @@
 //     enforced per target package and on everything reachable from the
 //     engine and result-serving entry points, across packages.
 //   - purity — the run entry points (core.Run, RunCached, Sweep,
-//     SweepReplicated) must be pure functions of their Config: an effect
-//     inference classifies every reachable function pure / read-only /
-//     impure, and every impurity is either fixed or an annotated exemption.
-//     CertifyPurity turns the result into machine-readable certificates
-//     (cmd/wormlint -certify-purity) — the theorem the run store's
+//     SweepReplicated, RunFigure) must be pure functions of their Config:
+//     every impurity they reach is either fixed or an annotated exemption,
+//     and the exemption list is golden-pinned — the theorem the run store's
 //     cache-hit contract rests on.
 //   - hotalloc — the engine's per-cycle call graph must stay allocation
 //     free: no make(map), map literals or closures reachable from Step,
@@ -31,10 +29,9 @@
 //     disabled telemetry stays a branch, never a panic.
 //   - errfmt — error strings follow Go conventions and error operands are
 //     wrapped with %w.
-//   - lintdirective — //lint:allow directives must name registered passes
-//     (stale suppressions rot).
-//   - unusedallow — an //lint:allow directive that no longer suppresses
-//     any finding is itself a finding.
+//
+// simdeterminism and purity read one set of effect facts (effects.go): each
+// function body is scanned once per Program.
 //
 // That is the whole suite, on purpose: it covers what only a
 // wormsim-specific analysis can see. Lock copying, atomic and mutex
@@ -46,6 +43,10 @@
 // annotating the line (or the line above it) with a directive:
 //
 //	//lint:allow <pass>[,<pass>...] [reason]
+//
+// A directive that names no registered pass, or whose pass ran and
+// suppressed nothing, is itself a [lintdirective] finding: stale
+// suppressions rot.
 //
 // Findings print as "file:line: [pass] message"; cmd/wormlint exits
 // non-zero if any survive, which makes the suite a CI gate.
@@ -74,8 +75,8 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pass, f.Msg)
 }
 
-// Pass is the common surface of every analyzer: an identity for -passes
-// selection and directives.
+// Pass is the common surface of every analyzer: the name //lint:allow
+// directives and -list use.
 type Pass interface {
 	Name() string
 	// Doc is a one-line description for -list.
@@ -89,129 +90,52 @@ type PackagePass interface {
 }
 
 // ProgramPass is an analyzer that needs the whole loaded module: the
-// cross-package call graph, devirtualization, or directive indexes.
+// cross-package call graph, devirtualization, or the effect facts.
 type ProgramPass interface {
 	Pass
 	RunProgram(prog *Program) []Finding
 }
 
-// AfterPass is an analyzer that runs after every other selected pass in the
-// same Run call, so it can observe which //lint:allow directives the run
-// actually exercised. unusedallow is the only implementation: a directive is
-// only provably stale relative to the passes that ran, so ran carries the
-// names of this run's passes.
-type AfterPass interface {
-	Pass
-	RunAfter(prog *Program, ran map[string]bool) []Finding
-}
-
-// DefaultPasses returns the full suite in reporting order. The lintdirective
-// pass always knows every registered name, even when the caller later runs a
-// subset, so an //lint:allow for a deselected pass is never misreported.
+// DefaultPasses returns the full suite in reporting order.
 func DefaultPasses() []Pass {
-	passes := []Pass{
+	return []Pass{
 		NewSimDeterminism(),
 		NewPurity(),
 		NewHotAlloc(),
 		NewHookGuard(),
 		ErrFmt{},
 	}
-	names := make([]string, 0, len(passes)+2)
-	for _, p := range passes {
-		names = append(names, p.Name())
-	}
-	names = append(names, "lintdirective", "unusedallow")
-	return append(passes, NewLintDirective(names), NewUnusedAllow(names))
 }
 
-// PassNames lists every registered pass name in reporting order.
-func PassNames() []string {
-	var names []string
-	for _, p := range DefaultPasses() {
-		names = append(names, p.Name())
-	}
-	return names
-}
-
-// SelectPasses resolves a comma-separated subset of pass names (as given to
-// cmd/wormlint -passes) against the registry, preserving reporting order.
-func SelectPasses(spec string) ([]Pass, error) {
-	want := make(map[string]bool)
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		want[name] = true
-	}
-	all := DefaultPasses()
-	var out []Pass
-	for _, p := range all {
-		if want[p.Name()] {
-			out = append(out, p)
-			delete(want, p.Name())
-		}
-	}
-	if len(want) > 0 {
-		var unknown []string
-		for name := range want {
-			unknown = append(unknown, name)
-		}
-		sort.Strings(unknown)
-		return nil, fmt.Errorf("lint: unknown pass(es) %s (run -list for the registry)", strings.Join(unknown, ", "))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: -passes selected nothing")
-	}
-	return out, nil
-}
-
-// Run applies every pass to the loaded packages, drops suppressed findings,
-// and returns the rest sorted by file, line, pass and message. Program
-// passes see all packages at once through a Program; package passes run per
-// package.
-func Run(pkgs []*Package, passes []Pass) []Finding {
-	return RunOn(NewProgram(pkgs), passes)
-}
-
-// RunOn is Run against an already-built Program, so a caller that needs the
-// Program for more than one job (findings plus certificate emission, as
-// cmd/wormlint does) loads and type-checks the module exactly once.
-func RunOn(prog *Program, passes []Pass) []Finding {
-	pkgs := prog.Pkgs
+// Run applies every pass to the program's packages, drops suppressed
+// findings, adds the stale-directive findings (see staleDirectives), and
+// returns the rest sorted by file, line, pass and message. Program passes
+// see all packages at once; package passes run per package. A Program can
+// serve several Run calls: its call graph and effect facts are built once.
+func Run(prog *Program, passes []Pass) []Finding {
 	var out []Finding
 	ran := make(map[string]bool, len(passes))
-	keep := func(pass string, raw []Finding) {
+	for _, pass := range passes {
+		ran[pass.Name()] = true
+		var raw []Finding
+		switch pp := pass.(type) {
+		case ProgramPass:
+			raw = pp.RunProgram(prog)
+		case PackagePass:
+			for _, p := range prog.Pkgs {
+				raw = append(raw, pp.Run(p)...)
+			}
+		}
 		for _, f := range raw {
-			if prog.Allowed(pass, f.Pos) {
-				// The directive earned its keep: record that for the
-				// unusedallow AfterPass.
-				prog.markUsed(pass, f.Pos)
+			k := allowKey{file: f.Pos.Filename, line: f.Pos.Line, pass: pass.Name()}
+			if _, ok := prog.allow[k]; ok {
+				prog.used[k] = true // the directive earned its keep
 				continue
 			}
 			out = append(out, f)
 		}
 	}
-	for _, pass := range passes {
-		ran[pass.Name()] = true
-		var raw []Finding
-		switch pp := pass.(type) {
-		case AfterPass:
-			continue // deferred below, once every suppression is recorded
-		case ProgramPass:
-			raw = pp.RunProgram(prog)
-		case PackagePass:
-			for _, p := range pkgs {
-				raw = append(raw, pp.Run(p)...)
-			}
-		}
-		keep(pass.Name(), raw)
-	}
-	for _, pass := range passes {
-		if ap, ok := pass.(AfterPass); ok {
-			keep(pass.Name(), ap.RunAfter(prog, ran))
-		}
-	}
+	out = append(out, staleDirectives(prog, ran)...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -228,6 +152,39 @@ func RunOn(prog *Program, passes []Pass) []Finding {
 	return out
 }
 
+// staleDirectives keeps the suppression mechanism honest. Each pass name in
+// a //lint:allow directive is a [lintdirective] finding when no registered
+// pass has that name (a typo, or a pass the suite no longer has), or when
+// the pass ran and suppressed no finding on either covered line (the
+// exemption the directive documents is gone, and would silently re-open if
+// the flagged code came back). A pass that did not run cannot prove its
+// directives stale. These findings cannot themselves be suppressed.
+func staleDirectives(prog *Program, ran map[string]bool) []Finding {
+	registered := make(map[string]bool)
+	for _, p := range DefaultPasses() {
+		registered[p.Name()] = true
+	}
+	var out []Finding
+	for _, p := range prog.Pkgs {
+		for _, d := range p.directives {
+			for _, pass := range d.passes {
+				used := func(line int) bool { return prog.used[allowKey{file: d.pos.Filename, line: line, pass: pass}] }
+				var msg string
+				switch {
+				case !registered[pass]:
+					msg = "unknown pass \"" + pass + "\" in //lint:allow directive; it suppresses nothing (run wormlint -list for the registry)"
+				case ran[pass] && !used(d.cover[0]) && !used(d.cover[1]):
+					msg = "//lint:allow " + pass + " suppresses no finding; the exemption it documents no longer exists — delete it"
+				default:
+					continue
+				}
+				out = append(out, Finding{Pos: d.pos, Pass: "lintdirective", Msg: msg})
+			}
+		}
+	}
+	return out
+}
+
 // Package is one parsed, type-checked package plus lint bookkeeping.
 type Package struct {
 	// Path is the import path, Dir the absolute directory.
@@ -239,12 +196,11 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	allow map[allowKey]bool
-	// allowReason maps each suppression back to the free-text reason its
-	// directive gave, for the purity certificates' exemption records.
-	allowReason map[allowKey]string
-	// directives records every //lint:allow comment for the lintdirective
-	// and unusedallow passes.
+	// allow maps each suppression to the free-text reason its directive
+	// gave, which the purity exemption list records.
+	allow map[allowKey]string
+	// directives records every //lint:allow comment for the stale-directive
+	// rule.
 	directives []allowDirective
 }
 
@@ -266,17 +222,16 @@ type allowDirective struct {
 // Allowed reports whether a //lint:allow directive suppresses pass findings
 // at pos.
 func (p *Package) Allowed(pass string, pos token.Position) bool {
-	return p.allow[allowKey{file: pos.Filename, line: pos.Line, pass: pass}]
+	_, ok := p.allow[allowKey{file: pos.Filename, line: pos.Line, pass: pass}]
+	return ok
 }
 
 // collectAllows indexes every //lint:allow directive: a directive covers
 // its own line and, so that whole-line comments can annotate the statement
-// below them, the line immediately after the comment group. The reason map
-// and raw directive list come back alongside for the purity certificates
-// and the lintdirective/unusedallow passes.
-func collectAllows(fset *token.FileSet, files []*ast.File) (map[allowKey]bool, map[allowKey]string, []allowDirective) {
-	allow := make(map[allowKey]bool)
-	reasons := make(map[allowKey]string)
+// below them, the line immediately after the comment group. The raw
+// directive list comes back alongside for the stale-directive rule.
+func collectAllows(fset *token.FileSet, files []*ast.File) (map[allowKey]string, []allowDirective) {
+	allow := make(map[allowKey]string)
 	var directives []allowDirective
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -304,9 +259,8 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (map[allowKey]bool, m
 					d.passes = append(d.passes, pass)
 					for _, line := range d.cover {
 						k := allowKey{file: pos.Filename, line: line, pass: pass}
-						allow[k] = true
-						if _, ok := reasons[k]; !ok {
-							reasons[k] = reason
+						if _, ok := allow[k]; !ok {
+							allow[k] = reason
 						}
 					}
 				}
@@ -316,7 +270,7 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (map[allowKey]bool, m
 			}
 		}
 	}
-	return allow, reasons, directives
+	return allow, directives
 }
 
 // walkStack traverses root in source order, calling fn for every node with

@@ -103,15 +103,15 @@ func wantLines(t *testing.T, pkgs []*Package, pass string) map[string]bool {
 }
 
 // checkFixture runs the passes over the fixture packages (through Run, so
-// //lint:allow suppression applies exactly as in wormlint) and requires the
-// file:line set reported by pass to equal the WANT-marked set, and no other
-// pass to report anything.
-func checkFixture(t *testing.T, pkgs []*Package, pass Pass, others ...Pass) {
+// //lint:allow suppression and the stale-directive rule apply exactly as in
+// wormlint) and requires the file:line set reported under name to equal the
+// WANT-marked set, and nothing else to be reported.
+func checkFixture(t *testing.T, pkgs []*Package, name string, passes ...Pass) {
 	t.Helper()
-	want := wantLines(t, pkgs, pass.Name())
+	want := wantLines(t, pkgs, name)
 	got := make(map[string]bool)
-	for _, f := range Run(pkgs, append([]Pass{pass}, others...)) {
-		if f.Pass != pass.Name() {
+	for _, f := range Run(NewProgram(pkgs), passes) {
+		if f.Pass != name {
 			t.Errorf("unexpected %s finding: %s", f.Pass, f)
 			continue
 		}
@@ -119,25 +119,37 @@ func checkFixture(t *testing.T, pkgs []*Package, pass Pass, others ...Pass) {
 	}
 	for key := range want {
 		if !got[key] {
-			t.Errorf("no %s finding at %s, want one", pass.Name(), key)
+			t.Errorf("no %s finding at %s, want one", name, key)
 		}
 	}
 	for key := range got {
 		if !want[key] {
-			t.Errorf("unexpected %s finding at %s", pass.Name(), key)
+			t.Errorf("unexpected %s finding at %s", name, key)
 		}
 	}
+}
+
+// only keeps pass's findings, dropping the stale-directive findings a run
+// over a fixture outside the pass's scope also produces.
+func only(pass string, fs []Finding) []Finding {
+	var out []Finding
+	for _, f := range fs {
+		if f.Pass == pass {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 func TestSimDeterminismFixture(t *testing.T) {
 	pkgs := loadFixtures(t, "simdet")
 	// The fixture is outside the simulation core, so target it explicitly.
-	checkFixture(t, pkgs, &SimDeterminism{Targets: []string{pkgs[0].Path}})
+	checkFixture(t, pkgs, "simdeterminism", &SimDeterminism{Targets: []string{pkgs[0].Path}})
 }
 
 func TestSimDeterminismIgnoresUntargetedPackages(t *testing.T) {
 	p := loadFixture(t, "simdet")
-	if got := Run([]*Package{p}, []Pass{NewSimDeterminism()}); len(got) != 0 {
+	if got := only("simdeterminism", Run(NewProgram([]*Package{p}), []Pass{NewSimDeterminism()})); len(got) != 0 {
 		t.Errorf("default targets flagged fixture package %s: %v", p.Path, got)
 	}
 }
@@ -145,12 +157,12 @@ func TestSimDeterminismIgnoresUntargetedPackages(t *testing.T) {
 func TestHotAllocFixture(t *testing.T) {
 	pkgs := loadFixtures(t, "hotallocbad")
 	// The fixture lives outside the engine package, so target it explicitly.
-	checkFixture(t, pkgs, &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
+	checkFixture(t, pkgs, "hotalloc", &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
 }
 
 func TestHotAllocIgnoresUntargetedPackages(t *testing.T) {
 	p := loadFixture(t, "hotallocbad")
-	if got := Run([]*Package{p}, []Pass{NewHotAlloc()}); len(got) != 0 {
+	if got := only("hotalloc", Run(NewProgram([]*Package{p}), []Pass{NewHotAlloc()})); len(got) != 0 {
 		t.Errorf("default target flagged fixture package %s: %v", p.Path, got)
 	}
 }
@@ -159,18 +171,18 @@ func TestHotAllocIgnoresUntargetedPackages(t *testing.T) {
 // finding, not silently disarm the gate.
 func TestHotAllocMissingRoot(t *testing.T) {
 	p := loadFixture(t, "hotallocbad")
-	got := Run([]*Package{p}, []Pass{&HotAlloc{TargetPkg: p.Path, Root: "(*Engine).Tick"}})
+	got := only("hotalloc", Run(NewProgram([]*Package{p}), []Pass{&HotAlloc{TargetPkg: p.Path, Root: "(*Engine).Tick"}}))
 	if len(got) != 1 || !strings.Contains(got[0].Msg, "root (*Engine).Tick not found") {
 		t.Errorf("missing root reported as %v, want one configuration finding", got)
 	}
 }
 
 func TestHookGuardFixture(t *testing.T) {
-	checkFixture(t, loadFixtures(t, "hookbad"), NewHookGuard())
+	checkFixture(t, loadFixtures(t, "hookbad"), "hookguard", NewHookGuard())
 }
 
 func TestErrFmtFixture(t *testing.T) {
-	checkFixture(t, loadFixtures(t, "errbad"), ErrFmt{})
+	checkFixture(t, loadFixtures(t, "errbad"), "errfmt", ErrFmt{})
 }
 
 // TestRepoClean is the in-process equivalent of `go run ./cmd/wormlint
@@ -181,14 +193,14 @@ func TestRepoClean(t *testing.T) {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
 	_, pkgs := loadModule(t)
-	for _, f := range Run(pkgs, DefaultPasses()) {
+	for _, f := range Run(NewProgram(pkgs), DefaultPasses()) {
 		t.Errorf("repo finding: %s", f)
 	}
 }
 
 func TestFindingString(t *testing.T) {
 	p := loadFixture(t, "errbad")
-	fs := Run([]*Package{p}, []Pass{ErrFmt{}})
+	fs := Run(NewProgram([]*Package{p}), []Pass{ErrFmt{}})
 	if len(fs) == 0 {
 		t.Fatal("no findings to format")
 	}

@@ -228,17 +228,16 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-check %s: %w", path, err)
 	}
 
-	allow, reasons, directives := collectAllows(l.Fset, files)
+	allow, directives := collectAllows(l.Fset, files)
 	p := &Package{
-		Path:        path,
-		Dir:         dir,
-		Fset:        l.Fset,
-		Files:       files,
-		Types:       tpkg,
-		Info:        info,
-		allow:       allow,
-		allowReason: reasons,
-		directives:  directives,
+		Path:       path,
+		Dir:        dir,
+		Fset:       l.Fset,
+		Files:      files,
+		Types:      tpkg,
+		Info:       info,
+		allow:      allow,
+		directives: directives,
 	}
 	l.pkgs[path] = p
 	return p, nil

@@ -2,8 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -18,14 +18,15 @@ type Program struct {
 	decls   map[*types.Func]*ast.FuncDecl
 	declPkg map[*types.Func]*Package
 	byPath  map[string]*Package
-	allow   map[allowKey]bool
-	reason  map[allowKey]string
-	// used records which suppressions this Run exercised, for unusedallow.
+	// allow merges the packages' suppressions and their reasons.
+	allow map[allowKey]string
+	// used records which suppressions Run exercised, for the
+	// stale-directive rule.
 	used map[allowKey]bool
 
 	graph *CallGraph
 	// graphBuilds counts buildCallGraph invocations; the build-once
-	// contract behind sharing one Program across passes and certifications.
+	// contract behind sharing one Program across passes and Run calls.
 	graphBuilds int
 	declList    []declEntry
 	effects     map[*types.Func]*funcEffects
@@ -46,22 +47,12 @@ func NewProgram(pkgs []*Package) *Program {
 		decls:   make(map[*types.Func]*ast.FuncDecl),
 		declPkg: make(map[*types.Func]*Package),
 		byPath:  make(map[string]*Package, len(pkgs)),
-		allow:   make(map[allowKey]bool),
-		reason:  make(map[allowKey]string),
+		allow:   make(map[allowKey]string),
 		used:    make(map[allowKey]bool),
 	}
 	for _, p := range pkgs {
 		prog.byPath[p.Path] = p
-		for k, v := range p.allow {
-			if v {
-				prog.allow[k] = true
-			}
-		}
-		for k, v := range p.allowReason {
-			if _, ok := prog.reason[k]; !ok {
-				prog.reason[k] = v
-			}
-		}
+		maps.Copy(prog.allow, p.allow) // keys are per file: no collisions
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -80,29 +71,6 @@ func NewProgram(pkgs []*Package) *Program {
 
 // Package returns the loaded package with the given import path, or nil.
 func (prog *Program) Package(path string) *Package { return prog.byPath[path] }
-
-// Allowed reports whether any loaded package carries an //lint:allow
-// directive suppressing pass findings at pos.
-func (prog *Program) Allowed(pass string, pos token.Position) bool {
-	return prog.allow[allowKey{file: pos.Filename, line: pos.Line, pass: pass}]
-}
-
-// AllowReason returns the free-text reason of the directive suppressing pass
-// findings at pos, or "" when there is none.
-func (prog *Program) AllowReason(pass string, pos token.Position) string {
-	return prog.reason[allowKey{file: pos.Filename, line: pos.Line, pass: pass}]
-}
-
-// markUsed records that a directive covering (pass, pos) suppressed a real
-// finding in this Run.
-func (prog *Program) markUsed(pass string, pos token.Position) {
-	prog.used[allowKey{file: pos.Filename, line: pos.Line, pass: pass}] = true
-}
-
-// usedAt reports whether a suppression keyed (file, line, pass) fired.
-func (prog *Program) usedAt(file string, line int, pass string) bool {
-	return prog.used[allowKey{file: file, line: line, pass: pass}]
-}
 
 // modulePrefix is the leading path segment of the loaded packages ("wormsim"
 // for the real module), used to tell module functions apart from the
@@ -140,8 +108,8 @@ func (prog *Program) FindFunc(pkgPath, spec string) *types.Func {
 }
 
 // Graph returns the program's call graph, building it on first use so
-// package-only pass runs never pay for it. The graph is cached: CI's lint
-// job and the certification gate share one type-checked load and one graph.
+// package-only pass runs never pay for it. The graph is cached, so every
+// whole-program pass of a wormlint run shares one graph.
 func (prog *Program) Graph() *CallGraph {
 	if prog.graph == nil {
 		prog.graphBuilds++

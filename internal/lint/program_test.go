@@ -5,7 +5,7 @@ import (
 )
 
 // TestProgramSharedAcrossPasses is the load-once contract behind cmd/wormlint:
-// one Program serves every pass and certification, so the call graph is built
+// one Program serves every pass and Run call, so the call graph is built
 // exactly once and the declaration index is computed exactly once no matter
 // how many whole-program passes consume them.
 func TestProgramSharedAcrossPasses(t *testing.T) {
@@ -13,16 +13,12 @@ func TestProgramSharedAcrossPasses(t *testing.T) {
 	prog := NewProgram(pkgs)
 
 	purity := &Purity{Entries: []FuncRef{{Pkg: pkgs[0].Path, Func: "Run"}}}
-	// Two whole-program passes plus two direct certifications, all against
-	// the same Program.
-	RunOn(prog, []Pass{purity})
-	RunOn(prog, []Pass{purity})
-	if _, err := CertifyPurity(prog, purity, ""); err != nil {
-		t.Fatalf("CertifyPurity: %v", err)
-	}
-	if _, err := CertifyPurity(prog, purity, ""); err != nil {
-		t.Fatalf("CertifyPurity (rerun): %v", err)
-	}
+	// Two Run calls, a second graph-hungry pass and two exemption lists,
+	// all against the same Program.
+	Run(prog, []Pass{purity})
+	Run(prog, []Pass{purity, &SimDeterminism{Roots: purity.Entries}})
+	purity.exemptions(prog)
+	purity.exemptions(prog)
 
 	if prog.graphBuilds > 1 {
 		t.Errorf("call graph built %d times on one Program, want at most 1", prog.graphBuilds)
@@ -59,7 +55,7 @@ func BenchmarkSharedProgram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		prog := NewProgram(pkgs)
 		for _, pass := range passes {
-			RunOn(prog, []Pass{pass})
+			Run(prog, []Pass{pass})
 		}
 	}
 }
@@ -72,7 +68,7 @@ func BenchmarkPerPassProgram(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pass := range passes {
-			Run(pkgs, []Pass{pass})
+			Run(NewProgram(pkgs), []Pass{pass})
 		}
 	}
 }

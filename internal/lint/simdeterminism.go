@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strconv"
 )
@@ -14,16 +15,20 @@ import (
 //
 //   - importing math/rand or math/rand/v2 (use wormsim/internal/rng, whose
 //     PCG streams are seeded, splittable and reproducible),
-//   - calling time.Now, time.Since or time.Until (wall-clock reads; inject
-//     a clock like telemetry.Progress does when one is genuinely needed),
-//   - ranging over a map (iteration order is randomized per run; iterate a
-//     sorted key slice instead),
+//   - the effect scanner's wall-clock facts: time.Now, Since, Until, Sleep
+//     and timers (inject a clock like telemetry.Progress does when one is
+//     genuinely needed),
+//   - its rand facts: calls into math/rand or crypto/rand,
+//   - its map-order facts: ranging over a map, maps.Keys/Values/All
+//     (iteration order is randomized per run; iterate a sorted key slice
+//     instead),
 //
 // in two scopes: everywhere inside the target packages (the declared
-// simulation core), and — via the program call graph — inside any function
-// in any package reachable from the root entry points (the engine's cycle
-// step, and the observatory's result-serving handlers), including through
-// devirtualized interface calls. A helper in an untargeted package becomes
+// simulation core: function bodies and package-level var initializers),
+// and — via the program call graph — inside any function in any package
+// reachable from the root entry points (the engine's cycle step, and the
+// observatory's result-serving handlers), including through devirtualized
+// interface calls. A helper in an untargeted package becomes
 // part of the determinism contract the moment a root can reach it.
 //
 // Intentional uses — order-independent reductions over maps, telemetry
@@ -95,13 +100,45 @@ func (*SimDeterminism) Doc() string {
 	return "forbid math/rand, wall-clock reads and map iteration in the simulation core and everything the engine reaches"
 }
 
+// determinismHints maps the effect sources simdeterminism enforces to the
+// fix its findings suggest.
+var determinismHints = map[string]string{
+	srcClock:    "inject a clock or //lint:allow simdeterminism with a reason",
+	srcRand:     "use wormsim/internal/rng streams",
+	srcMapOrder: "iterate sorted keys or //lint:allow simdeterminism with a reason",
+}
+
 // RunProgram reports determinism violations in targeted packages and in
-// functions reachable from the root entry points.
+// functions reachable from the root entry points. It reads the effect
+// scanner's facts (effects.go) rather than walking bodies itself; only the
+// import check and the package-level var initializers are its own.
 func (s *SimDeterminism) RunProgram(prog *Program) []Finding {
 	var out []Finding
+	report := func(fe *funcEffects, ctx string) {
+		for _, imp := range fe.impurities {
+			if hint, ok := determinismHints[imp.source]; ok {
+				out = append(out, Finding{Pos: imp.pos, Pass: s.Name(), Msg: imp.detail + ctx + "; " + hint})
+			}
+		}
+	}
+	modPrefix := prog.modulePrefix()
 	for _, p := range prog.Pkgs {
-		if s.targets(p.Path) {
-			out = append(out, s.checkPackage(p)...)
+		if !s.targets(p.Path) {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err == nil && (path == "math/rand" || path == "math/rand/v2") {
+					out = append(out, p.finding(s.Name(), imp,
+						"import %s is nondeterministic across runs; use wormsim/internal/rng streams", path))
+				}
+			}
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					report(scanEffects(prog, p, gd, modPrefix), "")
+				}
+			}
 		}
 	}
 
@@ -119,85 +156,16 @@ func (s *SimDeterminism) RunProgram(prog *Program) []Finding {
 		}
 		roots = append(roots, root)
 	}
-	if len(roots) == 0 {
-		return out
-	}
 	reach := prog.Graph().ReachableFrom(roots...)
-	for _, p := range prog.Pkgs {
-		if s.targets(p.Path) {
-			continue // already checked in full above
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok || !reach.Set[fn] {
-					continue
-				}
-				chain := reach.Chain(fn, p)
-				out = append(out, s.checkBody(p, fd.Body, " (reachable via "+chain+")")...)
-			}
+	effects := prog.effectsIndex()
+	for _, e := range prog.funcDecls() {
+		switch {
+		case s.targets(e.Pkg.Path):
+			report(effects[e.Fn], "")
+		case reach.Set[e.Fn]:
+			report(effects[e.Fn], " (reachable via "+reach.Chain(e.Fn, e.Pkg)+")")
 		}
 	}
-	return out
-}
-
-// checkPackage applies the full-package scope: imports plus every body.
-func (s *SimDeterminism) checkPackage(p *Package) []Finding {
-	var out []Finding
-	for _, f := range p.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if path == "math/rand" || path == "math/rand/v2" {
-				out = append(out, p.finding(s.Name(), imp,
-					"import %s is nondeterministic across runs; use wormsim/internal/rng streams", path))
-			}
-		}
-		out = append(out, s.checkBody(p, f, "")...)
-	}
-	return out
-}
-
-// checkBody flags wall-clock reads, map iteration and math/rand calls in
-// one subtree; ctx annotates reachability-scope findings with the witness
-// call chain.
-func (s *SimDeterminism) checkBody(p *Package, root ast.Node, ctx string) []Finding {
-	var out []Finding
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if name, ok := pkgFuncCall(p, n, "time"); ok {
-				switch name {
-				case "Now", "Since", "Until":
-					out = append(out, p.finding(s.Name(), n,
-						"time.%s reads the wall clock%s; inject a clock or //lint:allow simdeterminism with a reason", name, ctx))
-				}
-			}
-			if name, ok := pkgFuncCall(p, n, "math/rand"); ok {
-				out = append(out, p.finding(s.Name(), n,
-					"math/rand.%s is nondeterministic across runs%s; use wormsim/internal/rng streams", name, ctx))
-			} else if name, ok := pkgFuncCall(p, n, "math/rand/v2"); ok {
-				out = append(out, p.finding(s.Name(), n,
-					"math/rand/v2.%s is nondeterministic across runs%s; use wormsim/internal/rng streams", name, ctx))
-			}
-		case *ast.RangeStmt:
-			t := p.Info.TypeOf(n.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); isMap {
-				out = append(out, p.finding(s.Name(), n,
-					"iteration over map %s has randomized order%s; iterate sorted keys or //lint:allow simdeterminism with a reason", t.String(), ctx))
-			}
-		}
-		return true
-	})
 	return out
 }
 

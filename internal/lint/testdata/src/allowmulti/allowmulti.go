@@ -1,8 +1,8 @@
 // Package allowmulti is a wormlint test fixture for the comma-separated
-// //lint:allow form and the lintdirective pass. A single line violates both
+// //lint:allow form and the stale-directive rule. A single line violates both
 // simdeterminism (map iteration) and hotalloc (map literal on the hot path);
 // one directive naming both passes suppresses both. The unknown-pass
-// directive below must itself become a lintdirective finding.
+// directive below must itself become a [lintdirective] finding.
 package allowmulti
 
 // Sink absorbs values so the fixture has no unused results.

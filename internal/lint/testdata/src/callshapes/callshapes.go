@@ -1,4 +1,4 @@
-// Package callshapes pins the call-graph shapes the purity certification
+// Package callshapes pins the call-graph shapes the purity pass
 // leans on: method values and deferred calls create edges, while calls
 // through function-typed struct fields (the engine's hook boundary) do
 // not — from Step, exactly {Step, helper, cleanup} is reachable.

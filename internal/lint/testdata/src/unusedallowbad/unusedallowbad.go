@@ -1,5 +1,5 @@
-// Package unusedallowbad is a wormlint test fixture for the unusedallow
-// pass. ErrLive's directive suppresses a live errfmt finding and must stay;
+// Package unusedallowbad is a wormlint test fixture for the stale-directive
+// rule. ErrLive's directive suppresses a live errfmt finding and must stay;
 // the whole-line directive and the hookguard half of ErrPartial's directive
 // suppress nothing and are findings.
 package unusedallowbad
@@ -9,8 +9,8 @@ import "errors"
 // ErrLive is the control: its directive suppresses a real finding.
 var ErrLive = errors.New("Capitalized on purpose") //lint:allow errfmt (control: suppresses a live finding)
 
-//lint:allow errfmt (nothing below violates the style) // WANT unusedallow
+//lint:allow errfmt (nothing below violates the style) // WANT lintdirective
 var ErrClean = errors.New("clean message")
 
 // ErrPartial mixes a live pass with a stale one in one directive.
-var ErrPartial = errors.New("Another capital") //lint:allow errfmt,hookguard (no hook in sight) // WANT unusedallow
+var ErrPartial = errors.New("Another capital") //lint:allow errfmt,hookguard (no hook in sight) // WANT lintdirective

@@ -7,10 +7,10 @@ import (
 
 // TestUnusedAllowFixture: judged against a pass with live suppressions
 // (errfmt) and one that never fires there (hookguard), directives that
-// suppress nothing are findings at their WANT-marked lines; the control
-// directive with a live suppression is not.
+// suppress nothing are lintdirective findings at their WANT-marked lines;
+// the control directive with a live suppression is not.
 func TestUnusedAllowFixture(t *testing.T) {
-	checkFixture(t, loadFixtures(t, "unusedallowbad"), NewUnusedAllow(PassNames()), ErrFmt{}, NewHookGuard())
+	checkFixture(t, loadFixtures(t, "unusedallowbad"), "lintdirective", ErrFmt{}, NewHookGuard())
 }
 
 // TestUnusedAllowSkipsNotRun: a directive for a pass that did not run this
@@ -18,7 +18,7 @@ func TestUnusedAllowFixture(t *testing.T) {
 // multi-pass directive is provably dead when errfmt is deselected.
 func TestUnusedAllowSkipsNotRun(t *testing.T) {
 	pkgs := loadFixtures(t, "unusedallowbad")
-	fs := Run(pkgs, []Pass{NewHookGuard(), NewUnusedAllow(PassNames())})
+	fs := Run(NewProgram(pkgs), []Pass{NewHookGuard()})
 	if len(fs) != 1 {
 		t.Fatalf("got %d findings with errfmt deselected, want 1: %v", len(fs), fs)
 	}

@@ -15,21 +15,21 @@ import (
 // reached from the root in the sibling package.
 func TestCrossPackageHotAlloc(t *testing.T) {
 	pkgs := loadFixtures(t, "xleak", "xleak/dep")
-	checkFixture(t, pkgs, &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
+	checkFixture(t, pkgs, "hotalloc", &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
 }
 
 // TestCrossPackageSimDeterminism: the reachability scope must catch a
 // wall-clock read in an untargeted package the engine reaches.
 func TestCrossPackageSimDeterminism(t *testing.T) {
 	pkgs := loadFixtures(t, "xleak", "xleak/dep")
-	checkFixture(t, pkgs, &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "(*Engine).Step"}}})
+	checkFixture(t, pkgs, "simdeterminism", &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "(*Engine).Step"}}})
 }
 
 // TestWitnessChain: cross-package findings must explain how the engine
 // reaches the flagged line.
 func TestWitnessChain(t *testing.T) {
 	pkgs := loadFixtures(t, "xleak", "xleak/dep")
-	fs := Run(pkgs, []Pass{&HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"}})
+	fs := Run(NewProgram(pkgs), []Pass{&HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"}})
 	// Chains qualify names relative to the reported file's package: the
 	// root prints as xleak.(*Engine).Step, dep's own members unqualified.
 	var mixChain, routeChain bool
@@ -57,7 +57,7 @@ func TestWitnessChain(t *testing.T) {
 // observe the clock.
 func TestStoreCacheSimDeterminism(t *testing.T) {
 	pkgs := loadFixtures(t, "storecache", "storecache/store")
-	checkFixture(t, pkgs, &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "Sweep"}}})
+	checkFixture(t, pkgs, "simdeterminism", &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "Sweep"}}})
 }
 
 // TestAllowMultiPass: one //lint:allow simdeterminism,hotalloc directive must
@@ -70,7 +70,10 @@ func TestAllowMultiPass(t *testing.T) {
 		&HotAlloc{TargetPkg: p.Path, Root: "Step"},
 	}
 	byPass := make(map[string]int)
-	for _, f := range Run(pkgs, passes) {
+	for _, f := range Run(NewProgram(pkgs), passes) {
+		if f.Pass == "lintdirective" {
+			continue // the nosuchpass directive; see TestLintDirectiveUnknownPass
+		}
 		byPass[f.Pass]++
 		if !strings.Contains(fileLine(t, f), "both passes must still fire here") {
 			t.Errorf("finding on unexpected line: %s", f)
@@ -96,15 +99,16 @@ func fileLine(t *testing.T, f Finding) string {
 }
 
 // TestLintDirectiveUnknownPass: a directive naming an unregistered pass is
-// itself a finding — a typo, or a pass the suite no longer has, whose stale
-// directives must not linger looking like documented exemptions.
+// itself a finding, whether or not any pass runs — a typo, or a pass the
+// suite no longer has, whose stale directives must not linger looking like
+// documented exemptions.
 func TestLintDirectiveUnknownPass(t *testing.T) {
 	pkgs := loadFixtures(t, "allowmulti")
-	fs := Run(pkgs, []Pass{NewLintDirective(PassNames())})
+	fs := Run(NewProgram(pkgs), nil)
 	if len(fs) != 1 {
-		t.Fatalf("got %d lintdirective findings, want 1: %v", len(fs), fs)
+		t.Fatalf("got %d findings, want 1: %v", len(fs), fs)
 	}
-	if !strings.Contains(fs[0].Msg, "nosuchpass") {
+	if fs[0].Pass != "lintdirective" || !strings.Contains(fs[0].Msg, "nosuchpass") {
 		t.Errorf("finding does not name the unknown pass: %s", fs[0])
 	}
 
@@ -115,44 +119,22 @@ func TestLintDirectiveUnknownPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := &Package{Path: "old", Fset: fset, Files: []*ast.File{f}}
-	old.allow, old.allowReason, old.directives = collectAllows(fset, old.Files)
-	fs = Run([]*Package{old}, []Pass{NewLintDirective(PassNames())})
+	old.allow, old.directives = collectAllows(fset, old.Files)
+	fs = Run(NewProgram([]*Package{old}), nil)
 	if len(fs) != 1 || !strings.Contains(fs[0].Msg, `unknown pass "lockscope"`) {
 		t.Errorf("directive for a deleted pass reported as %v, want one unknown-pass finding", fs)
 	}
 }
 
-func TestSelectPasses(t *testing.T) {
-	ps, err := SelectPasses("errfmt, hotalloc")
-	if err != nil {
-		t.Fatalf("SelectPasses: %v", err)
-	}
-	if len(ps) != 2 || ps[0].Name() != "hotalloc" || ps[1].Name() != "errfmt" {
-		// Reporting order is registry order, not spec order.
-		t.Errorf("SelectPasses = %v, want [hotalloc errfmt]", names(ps))
-	}
-	if _, err := SelectPasses("errfmt,bogus,worse"); err == nil || !strings.Contains(err.Error(), "bogus, worse") {
-		t.Errorf("unknown passes not reported: %v", err)
-	}
-	if _, err := SelectPasses(" , "); err == nil {
-		t.Error("empty selection not rejected")
-	}
-}
-
-func names(ps []Pass) []string {
-	var out []string
-	for _, p := range ps {
-		out = append(out, p.Name())
-	}
-	return out
-}
-
-// TestPassNamesUnique pins the registry: the seven passes, in reporting
-// order, each name once (a duplicate would make -passes and directives
-// ambiguous).
+// TestPassNamesUnique pins the registry: the five passes, in reporting
+// order, each name once (a duplicate would make directives ambiguous).
 func TestPassNamesUnique(t *testing.T) {
-	want := []string{"simdeterminism", "purity", "hotalloc", "hookguard", "errfmt", "lintdirective", "unusedallow"}
-	if got := PassNames(); !slices.Equal(got, want) {
-		t.Errorf("PassNames() = %v, want %v", got, want)
+	want := []string{"simdeterminism", "purity", "hotalloc", "hookguard", "errfmt"}
+	var got []string
+	for _, p := range DefaultPasses() {
+		got = append(got, p.Name())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("DefaultPasses() names = %v, want %v", got, want)
 	}
 }
