@@ -60,7 +60,7 @@ type Config struct {
 
 	// MsgLen is the message length in flits (default 16).
 	MsgLen int
-	// BufDepth is the per-VC flit buffer depth for wormhole (default 2);
+	// BufDepth is the per-VC flit buffer depth for wormhole (default 4);
 	// vct forces MsgLen.
 	BufDepth int
 	// CCLimit is the congestion-control per-class limit (default 2;

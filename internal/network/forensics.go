@@ -15,7 +15,7 @@ func (n *Network) foreBlocked(id int32, m *message.Message) {
 	if n.fore == nil {
 		return
 	}
-	if n.vcCh[id] != -1 {
+	if id < n.chanVCs {
 		m.HeadStalls++
 	}
 	if !n.foreSampling {

@@ -15,9 +15,9 @@ import (
 
 // checkInvariants scans the whole simulator state for structural
 // violations and unbalanced ledgers. It runs inside the package so it can
-// reach private state. It returns how many headers are parked, so a test can
-// tell that it exercised parking.
-func checkInvariants(t *testing.T, n *Network) int {
+// reach private state. It returns how many headers are parked and how many
+// slots are credit-parked, so a test can tell that it exercised both.
+func checkInvariants(t *testing.T, n *Network) (parked, credParked int) {
 	t.Helper()
 	return checkInvariantsAfter(t, n, 0)
 }
@@ -25,7 +25,7 @@ func checkInvariants(t *testing.T, n *Network) int {
 // checkInvariantsAfter is checkInvariants for an engine whose private pool
 // held foreign messages, of another dimensionality than the current grid's,
 // when the run began (see ledgerError).
-func checkInvariantsAfter(t *testing.T, n *Network, foreign int) int {
+func checkInvariantsAfter(t *testing.T, n *Network, foreign int) (parked, credParked int) {
 	t.Helper()
 	if err := ledgerError(n, foreign); err != nil {
 		t.Fatal(err)
@@ -182,11 +182,12 @@ func ledgerError(n *Network, foreign int) error {
 }
 
 // checkScanBookkeeping validates the state that lets allocate and transfer
-// skip slots: the pending and transfer position bitsets and the per-node
-// parked-header lists. It returns how many headers are parked.
-func checkScanBookkeeping(t *testing.T, n *Network) int {
+// skip slots: the pending and transfer position bitsets, the per-node
+// parked-header lists and the credit waits. It returns how many headers are
+// parked and how many slots are credit-parked (routed and holding flits, but
+// off the transfer scan).
+func checkScanBookkeeping(t *testing.T, n *Network) (parked, credParked int) {
 	t.Helper()
-	bit := func(set []uint64, pos int) bool { return set[pos>>6]>>(uint(pos)&63)&1 != 0 }
 	// No mark at or beyond the end of the active list.
 	for pos := len(n.active); pos < len(n.hdrBits)*64; pos++ {
 		if bit(n.hdrBits, pos) || bit(n.xferBits, pos) {
@@ -212,7 +213,7 @@ func checkScanBookkeeping(t *testing.T, n *Network) int {
 			}
 			m := n.vcMsg[id]
 			ports := n.cfg.InjectionPorts
-			portsFull := ports > 0 && n.vcCh[id] == -1 && int(n.injecting[node]) >= ports
+			portsFull := ports > 0 && id >= n.chanVCs && int(n.injecting[node]) >= ports
 			switch stamp := m.BlockedSince; {
 			case stamp == -1 && !portsFull:
 				t.Fatalf("vc %d parked at node %d without a blocked-cycle stamp, and not for want of a port", id, node)
@@ -239,20 +240,50 @@ func checkScanBookkeeping(t *testing.T, n *Network) int {
 		out := n.vcOut[id]
 		// An arrived, unrouted header is pending or parked, never both; no
 		// other slot is either.
-		header := out.ch == outNone && (n.vcCh[id] == -1 || n.vcRecvd[id] > 0)
+		header := out.ch == outNone && (id >= n.chanVCs || n.vcRecvd[id] > 0)
 		pending, parked := bit(n.hdrBits, pos), parkedAt[id]
 		if header != (pending || parked) || pending && parked {
 			t.Fatalf("active[%d] = vc %d: header %v, pending %v, parked %v", pos, id, header, pending, parked)
 		}
-		// The transfer mark is exactly "routed and holding flits" (ejecting
-		// injection slots never drain).
-		work := out.ch != outNone && n.vcFlits[id] > 0 && (out.ch != outEject || n.vcCh[id] != -1)
-		if bit(n.xferBits, pos) != work {
-			t.Fatalf("active[%d] = vc %d: transfer mark %v, out %+v with %d flits", pos, id, !work, out, n.vcFlits[id])
+		// A marked slot is routed and holds flits (ejecting injection slots
+		// never drain). Such a slot left unmarked is credit-parked: it is the
+		// recorded wait of its downstream buffer, which is full and not
+		// ejecting. The converse does not hold: a parked slot that just
+		// received a flit is marked again, and parks again on its next visit.
+		work := out.ch != outNone && n.vcFlits[id] > 0 && (out.ch != outEject || id < n.chanVCs)
+		marked := bit(n.xferBits, pos)
+		if marked && !work {
+			t.Fatalf("active[%d] = vc %d: transfer mark set, out %+v with %d flits", pos, id, out, n.vcFlits[id])
+		}
+		if work && !marked {
+			if out.ch < 0 || n.credWait[out.ch*int32(n.numVCs)+int32(out.vc)] != id {
+				t.Fatalf("active[%d] = vc %d: routed (out %+v) with %d flits, unmarked, and not waiting for a credit", pos, id, out, n.vcFlits[id])
+			}
+			credParked++
 		}
 	}
-	return len(parkedAt)
+	// Every credit wait names a live slot routed to that buffer and holding
+	// flits, and the buffer really is full and not ejecting.
+	for tb, s := range n.credWait {
+		if s < 0 {
+			continue
+		}
+		if int32(tb) >= n.chanVCs {
+			t.Fatalf("injection slot %d has a credit wait (vc %d)", tb, s)
+		}
+		out := n.vcOut[s]
+		if n.vcMsg[s] == nil || n.vcAIdx[s] < 0 || out.ch < 0 || out.ch*int32(n.numVCs)+int32(out.vc) != int32(tb) || n.vcFlits[s] == 0 {
+			t.Fatalf("vc %d waits for a credit from buffer %d but is not a live slot routed there holding flits (out %+v, %d flits)", s, tb, out, n.vcFlits[s])
+		}
+		if int(n.vcFlits[tb]) < n.cfg.BufDepth || n.vcOut[tb].ch == outEject {
+			t.Fatalf("vc %d waits for a credit from buffer %d, which holds %d of %d flits with out %+v", s, tb, n.vcFlits[tb], n.cfg.BufDepth, n.vcOut[tb])
+		}
+	}
+	return len(parkedAt), credParked
 }
+
+// bit reports whether active position pos is set in a mark bitset.
+func bit(set []uint64, pos int) bool { return set[pos>>6]>>(uint(pos)&63)&1 != 0 }
 
 // blockedLedger reads the two sides of the lazy blocked-cycle account off the
 // slot state after a Step: how many headers bid in the cycle just executed and
@@ -263,7 +294,7 @@ func checkScanBookkeeping(t *testing.T, n *Network) int {
 func blockedLedger(n *Network) (lostBid, debt int64) {
 	last := n.now - 1
 	for _, id := range n.active {
-		if n.vcOut[id].ch == outNone && (n.vcCh[id] == -1 || n.vcRecvd[id] > 0) && n.vcReady[id] <= last {
+		if n.vcOut[id].ch == outNone && (id >= n.chanVCs || n.vcRecvd[id] > 0) && n.vcReady[id] <= last {
 			lostBid++
 		}
 	}
@@ -321,13 +352,14 @@ func TestScanBookkeepingAtSaturation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			maxParked := 0
+			maxParked, maxCredParked := 0, 0
 			var owed, maxDebt int64
 			for i := 0; i < 1000; i++ {
 				if err := n.Step(); err != nil {
 					t.Fatal(err)
 				}
-				maxParked = max(maxParked, checkInvariants(t, n))
+				parked, credParked := checkInvariants(t, n)
+				maxParked, maxCredParked = max(maxParked, parked), max(maxCredParked, credParked)
 				lostBid, debt := blockedLedger(n)
 				owed += lostBid
 				maxDebt = max(maxDebt, debt)
@@ -348,6 +380,9 @@ func TestScanBookkeepingAtSaturation(t *testing.T) {
 			}
 			if maxParked == 0 {
 				t.Fatal("no header was ever parked: the run does not exercise park/wake")
+			}
+			if kn.bufDepth < cfg.MsgLen && maxCredParked == 0 {
+				t.Fatal("no slot was ever credit-parked: the run does not exercise the credit wait")
 			}
 			if (kn.telemetry || kn.forensics) && maxDebt == 0 {
 				t.Fatal("no parked header ever owed a blocked cycle: the run does not exercise lazy accounting")

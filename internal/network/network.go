@@ -82,14 +82,20 @@
 // this cycle's rotation would have reached them before the winner.
 //
 // Transfer visits the slots marked in xferBits: routed and holding flits,
-// the only ones that can drain or request a channel.
+// the only ones that can drain or request a channel, less those waiting for
+// a credit. A slot whose visit finds its downstream buffer t full and not
+// ejecting is credit-parked (unmarked, and named by credWait[t]: t has one
+// upstream slot) until one of the two events that give t a credit back
+// re-marks it: applyMove sends one of t's flits on, or route turns t to
+// ejection. This too is exact: until then the credit test would have skipped
+// the slot, so every requester list, rotation pointer and winner is unchanged.
 //
-// Both shortcuts are checked against the engine that did neither:
+// These shortcuts are checked against the engine that took none of them:
 // TestEnginePins replays 1,122 configurations whose digests the full-scan
 // engine generated (every unrouted header retried, every live slot swept,
-// each cycle), TestScanBookkeepingAtSaturation audits the bitsets and parking
-// lists against the slot state they summarise, and the four benchmark digests
-// pin whole figures.
+// each cycle), TestScanBookkeepingAtSaturation audits the bitsets, parking
+// lists and credit waits against the slot state they summarise, and the four
+// benchmark digests pin whole figures.
 //
 // # One engine, recycled
 //
@@ -279,21 +285,20 @@ type Network struct {
 
 	// Virtual-channel state, struct-of-arrays: index ch*numVCs+class is the
 	// input buffer of that virtual channel at the channel's downstream node;
-	// indices >= chanVCs are injection slots, recycled through injFree.
-	// vcNode is where a buffer's flits reside (the downstream node, or the
-	// source node for an injection slot); vcCh is the owning physical
-	// channel (-1 for injection slots); vcFlits counts currently buffered
-	// flits while vcRecvd/vcSent are lifetime totals (an injection slot
-	// starts with vcFlits = message length); vcOut is the assigned output
-	// (ch == outNone while the header is unrouted); vcReady is the earliest
-	// cycle a header may bid for an output (arrival + RouteDelay); vcAIdx is
-	// the slot's position in active for swap-removal; parkNext links the
-	// slot into its node's parked-header list.
+	// indices >= chanVCs are injection slots, recycled through injFree. The
+	// id alone says which: a channel buffer's channel and class are id /
+	// numVCs and id % numVCs. vcNode is where a buffer's flits reside (the
+	// downstream node, or the source node for an injection slot); vcFlits
+	// counts currently buffered flits while vcRecvd/vcSent are lifetime
+	// totals (an injection slot starts with vcFlits = message length); vcOut
+	// is the assigned output (ch == outNone while the header is unrouted);
+	// vcReady is the earliest cycle a header may bid for an output (arrival +
+	// RouteDelay); vcAIdx is the slot's position in active for swap-removal;
+	// parkNext links the slot into its node's parked-header list; credWait[t]
+	// is the slot parked until buffer t returns a credit, or -1.
 	chanVCs  int32
 	vcMsg    []*message.Message
 	vcNode   []int32
-	vcCh     []int32
-	vcClass  []int16
 	vcFlits  []int32
 	vcRecvd  []int32
 	vcSent   []int32
@@ -301,6 +306,7 @@ type Network struct {
 	vcReady  []int64
 	vcAIdx   []int32
 	parkNext []int32
+	credWait []int32
 
 	// active lists every live vc id (owned buffers and injection slots);
 	// injFree is the free list of injection-slot ids.
@@ -316,7 +322,8 @@ type Network struct {
 	// hdrBits marks the pending headers: arrived, unrouted and not parked —
 	// the only slots allocate visits. xferBits marks the slots transfer can
 	// do something for: routed and holding flits (for an ejecting slot,
-	// in-network buffers only).
+	// in-network buffers only), less those credit-parked on a full
+	// downstream buffer (credWait).
 	hdrBits  []uint64
 	xferBits []uint64
 	// parkHead[node] heads the intrusive list (through parkNext, -1
@@ -422,7 +429,7 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	size := slots * numVCs
 	// Injection slots are appended past the channel buffers (newInjSlot).
-	// Reserve their room now: growing eleven arrays sized exactly chanVCs by
+	// Reserve their room now: growing ten arrays sized exactly chanVCs by
 	// append would recopy all of them mid-run. Congestion control admits at
 	// most CCLimit messages per class and node, and a message class is a
 	// virtual-channel class (hop schemes) or a first-hop direction (the
@@ -464,8 +471,6 @@ func (n *Network) Reset(cfg Config) error {
 
 		vcMsg:    recycle(old.vcMsg, size, room),
 		vcNode:   recycle(old.vcNode, size, room),
-		vcCh:     recycle(old.vcCh, size, room),
-		vcClass:  recycle(old.vcClass, size, room),
 		vcFlits:  recycle(old.vcFlits, size, room),
 		vcRecvd:  recycle(old.vcRecvd, size, room),
 		vcSent:   recycle(old.vcSent, size, room),
@@ -473,6 +478,7 @@ func (n *Network) Reset(cfg Config) error {
 		vcReady:  recycle(old.vcReady, size, room),
 		vcAIdx:   recycle(old.vcAIdx, size, room),
 		parkNext: recycle(old.parkNext, size, room),
+		credWait: recycle(old.credWait, size, room),
 		active:   recycle(old.active, 0, room),
 		injFree:  old.injFree[:0],
 		hdrBits:  recycle(old.hdrBits, room>>6+1, room>>6+1),
@@ -521,12 +527,11 @@ func (n *Network) Reset(cfg Config) error {
 	for ch := 0; ch < slots; ch++ {
 		for class := 0; class < numVCs; class++ {
 			id := ch*numVCs + class
-			n.vcCh[id] = int32(ch)
-			n.vcClass[id] = int16(class)
 			// -1 on mesh boundaries; such slots stay unused.
 			n.vcNode[id] = n.tbl.down[ch]
 			n.vcAIdx[id] = -1
 			n.vcOut[id] = outRoute{ch: outNone}
+			n.credWait[id] = -1
 		}
 	}
 	return nil
@@ -762,8 +767,6 @@ func (n *Network) newInjSlot() int32 {
 	id := int32(len(n.vcMsg))
 	n.vcMsg = append(n.vcMsg, nil)
 	n.vcNode = append(n.vcNode, 0)
-	n.vcCh = append(n.vcCh, -1)
-	n.vcClass = append(n.vcClass, 0)
 	n.vcFlits = append(n.vcFlits, 0)
 	n.vcRecvd = append(n.vcRecvd, 0)
 	n.vcSent = append(n.vcSent, 0)
@@ -771,6 +774,7 @@ func (n *Network) newInjSlot() int32 {
 	n.vcReady = append(n.vcReady, 0)
 	n.vcAIdx = append(n.vcAIdx, -1)
 	n.parkNext = append(n.parkNext, -1)
+	n.credWait = append(n.credWait, -1)
 	return id
 }
 
@@ -856,7 +860,7 @@ func (n *Network) settle(id int32, through int64) {
 	if n.tel != nil {
 		n.tel.HeadBlockedN(m.Class, k)
 	}
-	if n.fore != nil && n.vcCh[id] != -1 {
+	if n.fore != nil && id < n.chanVCs {
 		m.HeadStalls += int32(k)
 	}
 }
@@ -867,7 +871,7 @@ func (n *Network) settle(id int32, through int64) {
 // that this cycle's allocation visits before by would have bid once more.
 func (n *Network) portsFilled(node, by int32) {
 	for id := n.parkHead[node]; id >= 0; id = n.parkNext[id] {
-		if n.vcCh[id] != -1 {
+		if id < n.chanVCs {
 			continue
 		}
 		through := n.now - 1
@@ -980,7 +984,7 @@ func (n *Network) tryRoute(pos int32) {
 	// All injection ports busy: no bid, nothing to count until one frees up.
 	charged := int64(-1)
 	ports := n.cfg.InjectionPorts
-	if ports <= 0 || n.vcCh[id] != -1 || int(n.injecting[n.vcNode[id]]) < ports {
+	if ports <= 0 || id < n.chanVCs || int(n.injecting[n.vcNode[id]]) < ports {
 		if n.route(id) {
 			n.clearPending(pos)
 			return
@@ -1004,8 +1008,9 @@ func (n *Network) route(id int32) bool {
 	node := int(n.vcNode[id])
 	if m.Dst == node {
 		n.vcOut[id] = outRoute{ch: outEject}
-		if n.vcCh[id] != -1 {
+		if id < n.chanVCs {
 			n.setWork(n.vcAIdx[id])
+			n.creditReturned(id) // a full consuming buffer drains this cycle
 		}
 		return true
 	}
@@ -1041,7 +1046,7 @@ func (n *Network) route(id int32) bool {
 	n.vcOut[id] = outRoute{ch: int32(ch), vc: int16(c.VC), dim: int8(c.Dim), dir: int8(c.Dir)}
 	// A present header is a buffered flit, so the slot has work to transfer.
 	n.setWork(n.vcAIdx[id])
-	if n.vcCh[id] == -1 {
+	if id >= n.chanVCs {
 		n.injecting[node]++
 		m.FirstAlloc = n.now
 		if int(n.injecting[node]) == n.cfg.InjectionPorts && (n.tel != nil || n.fore != nil) {
@@ -1057,8 +1062,9 @@ func (n *Network) route(id int32) bool {
 }
 
 // transfer performs ejection, channel arbitration, and flit movement in one
-// pass over the slots marked in xferBits — the routed slots that hold flits;
-// an unrouted or empty slot can neither drain nor request a channel — in
+// pass over the slots marked in xferBits — the routed slots that hold flits,
+// less the credit-parked; an unrouted or empty slot can neither drain nor
+// request a channel — in
 // active-list order, two-phase: all arbitration decisions are made against
 // start-of-cycle state, then applied. Ejection — the paper's node model
 // consumes arriving flits without competing for network channels — is fused
@@ -1075,7 +1081,7 @@ func (n *Network) transfer() bool {
 	touched := n.touched[:0]
 	bufDepth := int32(n.cfg.BufDepth)
 	numVCs := int32(n.numVCs)
-	vcOut, vcFlits, reqs, marks := n.vcOut, n.vcFlits, n.reqs, n.xferBits
+	vcOut, vcFlits, reqs, marks, credWait := n.vcOut, n.vcFlits, n.reqs, n.xferBits, n.credWait
 	for w, words := 0, (len(n.active)+63)>>6; w < words; w++ {
 		for word := marks[w]; word != 0; {
 			b := uint(bits.TrailingZeros64(word))
@@ -1100,7 +1106,10 @@ func (n *Network) transfer() bool {
 			word &= word - 1
 			t := out.ch*numVCs + int32(out.vc)
 			if vcFlits[t] >= bufDepth && vcOut[t].ch != outEject {
-				continue // no credit downstream (full consuming buffers drain)
+				// No credit downstream (full consuming buffers drain): park.
+				marks[w] &^= 1 << b
+				credWait[t] = id
+				continue
 			}
 			if len(reqs[out.ch]) == 0 {
 				touched = append(touched, out.ch)
@@ -1185,6 +1194,7 @@ func (n *Network) applyMove(id int32) {
 	n.vcSent[id]++
 	n.vcFlits[t]++
 	n.vcRecvd[t]++
+	n.creditReturned(id)
 	if n.vcFlits[id] == 0 {
 		n.clearWork(n.vcAIdx[id])
 	}
@@ -1213,7 +1223,7 @@ func (n *Network) applyMove(id int32) {
 	}
 	if n.vcSent[id] == n.msgLen {
 		// Tail has left this buffer: release it.
-		if n.vcCh[id] == -1 {
+		if id >= n.chanVCs {
 			n.limiter.Release(int(n.vcNode[id]), n.vcMsg[id].Class)
 			n.injecting[n.vcNode[id]]--
 			n.wake(n.vcNode[id], n.now)
@@ -1224,15 +1234,31 @@ func (n *Network) applyMove(id int32) {
 			n.vcMsg[id] = nil
 			n.injFree = append(n.injFree, id)
 		} else {
-			n.owners[n.vcCh[id]]--
-			n.wake(n.tbl.up[n.vcCh[id]], n.now)
-			if n.tel != nil {
-				n.tel.VCReleased(int(n.vcClass[id]))
-			}
-			n.removeActive(id)
-			n.vcMsg[id] = nil
+			n.releaseChannel(id)
 		}
 	}
+}
+
+// creditReturned puts the slot credit-parked on buffer t, if any, back on
+// the transfer scan: t has just sent a flit on or turned to ejection.
+func (n *Network) creditReturned(t int32) {
+	if s := n.credWait[t]; s >= 0 {
+		n.credWait[t] = -1
+		n.setWork(n.vcAIdx[s])
+	}
+}
+
+// releaseChannel frees channel buffer id, which its worm's tail has left,
+// and wakes the headers parked where that channel starts.
+func (n *Network) releaseChannel(id int32) {
+	ch := id / int32(n.numVCs)
+	n.owners[ch]--
+	n.wake(n.tbl.up[ch], n.now)
+	if n.tel != nil {
+		n.tel.VCReleased(int(id) % n.numVCs)
+	}
+	n.removeActive(id)
+	n.vcMsg[id] = nil
 }
 
 // deliver completes message consumption at vc id: the tail flit has been
@@ -1240,14 +1266,10 @@ func (n *Network) applyMove(id int32) {
 func (n *Network) deliver(id int32) {
 	m := n.vcMsg[id]
 	m.DeliverTime = n.now
-	n.owners[n.vcCh[id]]--
-	n.wake(n.tbl.up[n.vcCh[id]], n.now)
-	n.removeActive(id)
-	n.vcMsg[id] = nil
+	n.releaseChannel(id)
 	n.inFlight--
 	n.window.Delivered++
 	if n.tel != nil {
-		n.tel.VCReleased(int(n.vcClass[id]))
 		n.tel.Deliver(n.now, m.ID, m.Dst)
 	}
 	if n.fore != nil {
@@ -1307,8 +1329,8 @@ func (n *Network) ChannelFlitCounts() []int64 {
 func (n *Network) OccupiedVCsByClass() []int {
 	counts := make([]int, n.numVCs)
 	for _, id := range n.active {
-		if n.vcCh[id] >= 0 && n.vcMsg[id] != nil {
-			counts[n.vcClass[id]]++
+		if id < n.chanVCs {
+			counts[int(id)%n.numVCs]++
 		}
 	}
 	return counts

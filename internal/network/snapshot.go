@@ -57,7 +57,11 @@ func (n *Network) WormStates() []telemetry.WormState {
 		if m == nil {
 			continue
 		}
-		refs = append(refs, wormRef{id: m.ID, vc: id, ch: n.vcCh[id], recvd: n.vcRecvd[id]})
+		ch := int32(-1)
+		if id < n.chanVCs {
+			ch = id / int32(n.numVCs)
+		}
+		refs = append(refs, wormRef{id: m.ID, vc: id, ch: ch, recvd: n.vcRecvd[id]})
 	}
 	n.wormRefs = refs
 	n.wormSort.refs = refs
@@ -75,15 +79,19 @@ func (n *Network) WormStates() []telemetry.WormState {
 			Holding: make([]telemetry.VCHold, j-i),
 		}
 		for k := i; k < j; k++ {
-			id := refs[k].vc
+			id, ch := refs[k].vc, refs[k].ch
+			class := 0
+			if ch >= 0 {
+				class = int(id) % n.numVCs
+			}
 			w.Holding[k-i] = telemetry.VCHold{
-				Ch: int(n.vcCh[id]), Class: int(n.vcClass[id]),
+				Ch: int(ch), Class: class,
 				Node: int(n.vcNode[id]), Flits: int(n.vcFlits[id]),
 			}
 			// The header sits in the buffer that has forwarded nothing yet:
 			// the injection slot before the first hop, or the deepest buffer
 			// that has received at least one flit.
-			if n.vcSent[id] == 0 && (n.vcRecvd[id] > 0 || n.vcCh[id] == -1) {
+			if n.vcSent[id] == 0 && (n.vcRecvd[id] > 0 || ch == -1) {
 				w.Routed = n.vcOut[id].ch != outNone
 				w.HeadNode = int(n.vcNode[id])
 			}
