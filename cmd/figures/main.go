@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	for _, spec := range specs {
 		start := time.Now()
-		fr, err := core.RunFigure(spec, base)
+		fr, err := core.RunFigure(spec, base, nil)
 		if err != nil {
 			return err
 		}

@@ -88,6 +88,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	algList := strings.Split(*algs, ",")
+	for i, alg := range algList {
+		algList[i] = strings.TrimSpace(alg)
+	}
 
 	// The run store turns the sweep into admission control: every point
 	// already recorded comes back without simulating a single cycle.
@@ -129,9 +132,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "observatory serving on http://%s/\n", s.Addr())
 	}
 
+	// The progress bar counts points, or whole algorithms when each point is
+	// replicated.
 	var prog *telemetry.Progress
 	if *progress {
-		prog = telemetry.NewProgress(stderr, "sweep", len(algList)*len(loads))
+		units := len(algList) * len(loads)
+		if *replicas != 1 {
+			units = len(algList)
+		}
+		prog = telemetry.NewProgress(stderr, "sweep", units)
 	}
 	// note prints a stderr annotation, first breaking out of the progress
 	// line's carriage-return rewrite cycle if one is active.
@@ -143,11 +152,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *replicas != 1 {
-		if err := sweepReplicated(cfg, algList, loads, *replicas, *format, stdout, stderr); err != nil {
+		if err := sweepReplicated(cfg, algList, loads, *replicas, *format, stdout, note, prog); err != nil {
 			return err
 		}
 		if store != nil {
 			note("store: hits=%d misses=%d\n", store.Hits(), store.Misses())
+		}
+		if prog != nil {
+			prog.Finish()
 		}
 		return nil
 	}
@@ -174,15 +186,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
-	for _, alg := range algList {
-		alg = strings.TrimSpace(alg)
-		c := cfg
-		c.Algorithm = alg
-		results, err := core.SweepObserved(c, loads, runtime.GOMAXPROCS(0), onDone)
-		if err != nil {
-			return fmt.Errorf("%s: %w", alg, err)
-		}
-		for _, r := range results {
+	spec := core.FigureSpec{ID: "sweep", Pattern: cfg.Pattern, Switching: cfg.Switching, Algorithms: algList, Loads: loads}
+	fr, err := core.RunFigure(spec, cfg, onDone)
+	if err != nil {
+		return err
+	}
+	for _, series := range fr.Series {
+		for _, r := range series.Results {
 			state := "ok"
 			switch {
 			case r.Deadlocked:
@@ -226,8 +236,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 				}
 			}
 		}
-		peak, at := core.PeakThroughput(results)
-		note("# %s peak throughput %.3f at offered %.2f\n", alg, peak, at)
+		peak, at := core.PeakThroughput(series.Results)
+		note("# %s peak throughput %.3f at offered %.2f\n", series.Algorithm, peak, at)
 	}
 	if store != nil {
 		note("store: hits=%d misses=%d\n", store.Hits(), store.Misses())
@@ -241,8 +251,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 // sweepReplicated runs the replicated sweep: every (algorithm, load) point
 // simulated at n seeds, one scheduler task per (load, seed)
 // (core.SweepReplicated), reported as mean +- across-seed spread. The
-// aggregate simulation rate lands on stderr per algorithm.
-func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, format string, stdout, stderr io.Writer) error {
+// aggregate simulation rate is noted on stderr per algorithm, and prog, if
+// set, steps once per algorithm.
+func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, format string, stdout io.Writer, note func(string, ...any), prog *telemetry.Progress) error {
 	eff := cfg
 	eff.ApplyDefaults()
 	if n <= 0 {
@@ -264,7 +275,6 @@ func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, 
 	}
 	enc := json.NewEncoder(stdout)
 	for _, alg := range algList {
-		alg = strings.TrimSpace(alg)
 		c := cfg
 		c.Algorithm = alg
 		start := time.Now()
@@ -294,8 +304,11 @@ func sweepReplicated(cfg core.Config, algList []string, loads []float64, n int, 
 					alg, cfg.Pattern, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread, rr.MeanThroughput, rr.Deadlocks)
 			}
 		}
-		fmt.Fprintf(stderr, "# %s: %d seeds x %d loads, %.3g replica-cycles/s aggregate over %v wall\n",
+		note("# %s: %d seeds x %d loads, %.3g replica-cycles/s aggregate over %v wall\n",
 			alg, n, len(loads), float64(cycles)/wall.Seconds(), wall.Round(time.Millisecond))
+		if prog != nil {
+			prog.Step(alg)
+		}
 	}
 	return nil
 }

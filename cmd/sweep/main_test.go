@@ -37,6 +37,24 @@ func TestStoreSmoke(t *testing.T) {
 	}
 }
 
+// TestReplicatedProgress: with -replicas the progress bar counts algorithms,
+// steps once per algorithm and finishes.
+func TestReplicatedProgress(t *testing.T) {
+	args := []string{
+		"-algs", "nbc,ecube", "-replicas", "2", "-progress", "-loads", "0.2",
+		"-k", "4", "-warmup", "200", "-sample", "200", "-maxsamples", "2",
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	for _, want := range []string{"[2/2]", "done in"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
 // TestBadArguments: usage mistakes come back from run as errors (main turns
 // them into exit status 1) instead of exiting past the deferred closes.
 func TestBadArguments(t *testing.T) {

@@ -30,7 +30,6 @@ import (
 	"wormsim/internal/observatory"
 	"wormsim/internal/routing"
 	"wormsim/internal/runstore"
-	"wormsim/internal/stats"
 	"wormsim/internal/telemetry"
 	"wormsim/internal/topology"
 	"wormsim/internal/viz"
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.InjectionPorts, "ports", 0, "concurrent injection ports per node (default 2, -1 unlimited)")
 	fs.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
 	seed := fs.Uint64("seed", 1, "random seed")
-	replicas := fs.Int("replicas", 1, "simulate this many seeds of the point, back to back on one recycled engine (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
+	replicas := fs.Int("replicas", 1, "simulate this many seeds of the point as independent runs across the machine's cores (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
 	fs.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles (default 5000)")
 	fs.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sampling period (default 2000)")
 	fs.IntVar(&cfg.MaxSamples, "maxsamples", 0, "maximum sampling periods (default 12)")
@@ -240,7 +239,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *replicas != 1 {
-		return runReplicated(stdout, cfg, *replicas, prog)
+		err := runReplicated(stdout, cfg, *replicas, prog)
+		if store != nil {
+			fmt.Fprintf(stderr, "store: hits=%d misses=%d\n", store.Hits(), store.Misses())
+		}
+		return err
 	}
 
 	res, hit, err := core.RunCached(cfg)
@@ -334,9 +337,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runReplicated simulates n seeds of the point (core.RunReplicas: independent
-// runs, back to back on one recycled engine) and prints per-replica results
-// plus the aggregate: mean latency with its across-seed spread, mean
+// runReplicated simulates n seeds of the point as independent replicas
+// across the machine's cores (core.SweepReplicated) and prints per-replica
+// results plus the aggregate: mean latency with its across-seed spread, mean
 // throughput, and the aggregate simulation rate achieved. n == 0 picks one
 // replica per sampling period budget (the convergence rule's MaxSamples).
 // A deadlocked replica makes the error errDeadlocked, after the report.
@@ -350,8 +353,9 @@ func runReplicated(w io.Writer, cfg core.Config, n int, prog *telemetry.Progress
 	for r := range seeds {
 		seeds[r] = cfg.Seed + uint64(r)*0x9e3779b97f4a7c15
 	}
+	workers := runtime.GOMAXPROCS(0)
 	start := time.Now()
-	results, err := core.RunReplicas(cfg, seeds)
+	reps, err := core.SweepReplicated(cfg, []float64{cfg.OfferedLoad}, seeds, workers)
 	wall := time.Since(start)
 	if prog != nil {
 		prog.Finish()
@@ -359,6 +363,7 @@ func runReplicated(w io.Writer, cfg core.Config, n int, prog *telemetry.Progress
 	if err != nil {
 		return err
 	}
+	agg, results := reps[0], reps[0].Replicas
 	fmt.Fprintf(w, "network      : %d-ary %d-cube", cfg.K, cfg.N)
 	if cfg.Mesh {
 		fmt.Fprintf(w, " (mesh)")
@@ -367,27 +372,18 @@ func runReplicated(w io.Writer, cfg core.Config, n int, prog *telemetry.Progress
 	fmt.Fprintf(w, "algorithm    : %s (%s switching, policy %s)\n", results[0].Algorithm, results[0].Switching, cfg.Policy)
 	fmt.Fprintf(w, "pattern      : %s (mean distance %.3f hops)\n", results[0].Pattern, results[0].MeanDistance)
 	fmt.Fprintf(w, "offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", results[0].OfferedLoad, results[0].InjectionRate)
-	fmt.Fprintf(w, "replicas     : %d seeds, independent runs on one recycled engine\n", n)
-	var lat, thr stats.Welford
+	fmt.Fprintf(w, "replicas     : %d seeds, independent runs on %d workers\n", n, min(workers, n))
 	var cycles int64
-	deadlocks := 0
 	for r, res := range results {
 		fmt.Fprintf(w, "  seed %-#18x: %s\n", seeds[r], res.String())
 		cycles += res.Cycles
-		if res.Deadlocked {
-			deadlocks++
-			continue
-		}
-		lat.Add(res.AvgLatency)
-		thr.Add(res.Throughput)
 	}
 	fmt.Fprintf(w, "aggregate    : latency %.1f +- %.1f cycles (across-seed spread); throughput %.4f; deadlocks %d/%d\n",
-		lat.Mean(), lat.StdDev(), thr.Mean(), deadlocks, n)
-	rate := float64(cycles) / wall.Seconds()
-	fmt.Fprintf(w, "rate         : %.3g replica-cycles/s aggregate (%.3g cycles/s per replica) over %v wall\n",
-		rate, rate/float64(n), wall.Round(time.Millisecond))
-	if deadlocks > 0 {
-		return fmt.Errorf("%w: %d of %d replicas", errDeadlocked, deadlocks, n)
+		agg.MeanLatency, agg.LatencySpread, agg.MeanThroughput, agg.Deadlocks, n)
+	fmt.Fprintf(w, "rate         : %.3g replica-cycles/s aggregate over %v wall\n",
+		float64(cycles)/wall.Seconds(), wall.Round(time.Millisecond))
+	if agg.Deadlocks > 0 {
+		return fmt.Errorf("%w: %d of %d replicas", errDeadlocked, agg.Deadlocks, n)
 	}
 	return nil
 }

@@ -37,6 +37,28 @@ func TestHeadBlockedReportIgnoresSamplingPeriod(t *testing.T) {
 	}
 }
 
+// TestReplicatedStoreNote: -replicas with -store reports the store's hits and
+// misses like a single point does, and a second identical pass is served
+// entirely from the store.
+func TestReplicatedStoreNote(t *testing.T) {
+	args := []string{
+		"-k", "4", "-alg", "nbc", "-load", "0.3", "-replicas", "3",
+		"-warmup", "200", "-sample", "200", "-maxsamples", "2", "-store", t.TempDir(),
+	}
+	pass := func(want string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("run: %v\n%s", err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+	pass("store: hits=0 misses=3")
+	pass("store: hits=3 misses=0")
+}
+
 // TestBadArguments: usage and configuration mistakes come back from run as
 // errors (main turns them into exit status 1) instead of exiting past the
 // deferred closes.

@@ -1,18 +1,15 @@
 // Package analysis derives the secondary observations the paper's
 // discussion rests on from raw simulation output: physical-channel load
-// balance (sec. 3.4 blames north-last for "skewing even uniform traffic"),
-// virtual-channel class balance (the imbalance bonus cards exist to fix),
-// saturation points, and curve crossovers (where 2pn overtakes e-cube under
-// local traffic).
+// balance (sec. 3.4 blames north-last for "skewing even uniform traffic")
+// and virtual-channel class balance (the imbalance bonus cards exist to
+// fix).
 package analysis
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
-	"wormsim/internal/core"
 	"wormsim/internal/topology"
 )
 
@@ -107,81 +104,4 @@ func ChannelBalance(g *topology.Grid, counts []int64) LoadBalance {
 func (lb LoadBalance) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f max/mean=%.2f cv=%.3f gini=%.3f",
 		lb.N, lb.Mean, lb.MaxOverMean, lb.CV, lb.Gini)
-}
-
-// SaturationPoint returns the offered load at which a swept series
-// saturates: the first point whose achieved throughput falls short of the
-// offered load by more than tolerance (absolute), or 0 if it never does
-// within the sweep. Results must be in increasing offered-load order.
-func SaturationPoint(results []core.Result, tolerance float64) float64 {
-	for _, r := range results {
-		if r.OfferedLoad-r.Throughput > tolerance {
-			return r.OfferedLoad
-		}
-	}
-	return 0
-}
-
-// Crossover returns the first offered load at which series a achieves
-// strictly higher throughput than series b, and whether such a point
-// exists. Both series must cover the same offered loads in order.
-func Crossover(a, b []core.Result) (float64, bool) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i].OfferedLoad != b[i].OfferedLoad {
-			return 0, false
-		}
-		if a[i].Throughput > b[i].Throughput {
-			return a[i].OfferedLoad, true
-		}
-	}
-	return 0, false
-}
-
-// LatencyAtThroughput interpolates the average latency a series pays to
-// achieve the given throughput (the paper's "lower message latency for a
-// given throughput" comparison between nhop and nbc). It reports false if
-// the series never reaches it.
-func LatencyAtThroughput(results []core.Result, throughput float64) (float64, bool) {
-	for i, r := range results {
-		if r.Throughput < throughput {
-			continue
-		}
-		if i == 0 || results[i-1].Throughput >= r.Throughput {
-			return r.AvgLatency, true
-		}
-		prev := results[i-1]
-		frac := (throughput - prev.Throughput) / (r.Throughput - prev.Throughput)
-		return prev.AvgLatency + frac*(r.AvgLatency-prev.AvgLatency), true
-	}
-	return 0, false
-}
-
-// WriteComparison renders a compact multi-series comparison: peak
-// throughput, saturation point and latency at a common reference
-// throughput.
-func WriteComparison(w io.Writer, series map[string][]core.Result, refThroughput float64) {
-	names := make([]string, 0, len(series))
-	for name := range series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "%-10s %10s %10s %16s\n", "series", "peak", "saturates", fmt.Sprintf("lat@%.2f", refThroughput))
-	for _, name := range names {
-		rs := series[name]
-		peak, _ := core.PeakThroughput(rs)
-		sat := SaturationPoint(rs, 0.02)
-		latStr := "-"
-		if lat, ok := LatencyAtThroughput(rs, refThroughput); ok {
-			latStr = fmt.Sprintf("%.1f", lat)
-		}
-		satStr := "-"
-		if sat > 0 {
-			satStr = fmt.Sprintf("%.2f", sat)
-		}
-		fmt.Fprintf(w, "%-10s %10.3f %10s %16s\n", name, peak, satStr, latStr)
-	}
 }

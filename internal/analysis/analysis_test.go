@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"wormsim/internal/core"
 	"wormsim/internal/network"
 	"wormsim/internal/routing"
 	"wormsim/internal/topology"
@@ -95,77 +94,5 @@ func TestChannelBalanceExcludesMeshBoundary(t *testing.T) {
 	lb := ChannelBalance(g, counts)
 	if lb.N != g.NumChannels() {
 		t.Errorf("mesh balance over %d carriers, want %d", lb.N, g.NumChannels())
-	}
-}
-
-func mkResults(loads, thr, lat []float64) []core.Result {
-	rs := make([]core.Result, len(loads))
-	for i := range loads {
-		rs[i] = core.Result{OfferedLoad: loads[i], Throughput: thr[i], AvgLatency: lat[i]}
-	}
-	return rs
-}
-
-func TestSaturationPoint(t *testing.T) {
-	rs := mkResults(
-		[]float64{0.1, 0.2, 0.3, 0.4},
-		[]float64{0.1, 0.2, 0.25, 0.26},
-		[]float64{20, 25, 80, 200},
-	)
-	if got := SaturationPoint(rs, 0.02); got != 0.3 {
-		t.Errorf("saturation at %v, want 0.3", got)
-	}
-	if got := SaturationPoint(rs[:2], 0.02); got != 0 {
-		t.Errorf("unsaturated series reported %v", got)
-	}
-}
-
-func TestCrossover(t *testing.T) {
-	a := mkResults([]float64{0.1, 0.2, 0.3}, []float64{0.1, 0.18, 0.28}, []float64{20, 30, 40})
-	b := mkResults([]float64{0.1, 0.2, 0.3}, []float64{0.1, 0.2, 0.22}, []float64{20, 30, 40})
-	load, ok := Crossover(a, b)
-	if !ok || load != 0.3 {
-		t.Errorf("crossover = %v,%v, want 0.3,true", load, ok)
-	}
-	if _, ok := Crossover(b, b); ok {
-		t.Error("identical series cannot cross")
-	}
-	misaligned := mkResults([]float64{0.15}, []float64{0.1}, []float64{20})
-	if _, ok := Crossover(a, misaligned); ok {
-		t.Error("misaligned series should not report a crossover")
-	}
-}
-
-func TestLatencyAtThroughput(t *testing.T) {
-	rs := mkResults(
-		[]float64{0.1, 0.2, 0.3},
-		[]float64{0.1, 0.2, 0.3},
-		[]float64{20, 40, 80},
-	)
-	lat, ok := LatencyAtThroughput(rs, 0.25)
-	if !ok || math.Abs(lat-60) > 1e-9 {
-		t.Errorf("interpolated latency %v,%v, want 60", lat, ok)
-	}
-	lat, ok = LatencyAtThroughput(rs, 0.05)
-	if !ok || lat != 20 {
-		t.Errorf("below-first throughput: %v,%v", lat, ok)
-	}
-	if _, ok := LatencyAtThroughput(rs, 0.9); ok {
-		t.Error("unreachable throughput reported a latency")
-	}
-}
-
-func TestWriteComparison(t *testing.T) {
-	series := map[string][]core.Result{
-		"fast": mkResults([]float64{0.1, 0.3}, []float64{0.1, 0.3}, []float64{20, 30}),
-		"slow": mkResults([]float64{0.1, 0.3}, []float64{0.1, 0.15}, []float64{25, 90}),
-	}
-	var b strings.Builder
-	WriteComparison(&b, series, 0.12)
-	out := b.String()
-	for _, want := range []string{"fast", "slow", "peak", "lat@0.12"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("comparison missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wormsim/internal/analysis"
-	"wormsim/internal/core"
 )
 
 func ExampleBalance() {
@@ -15,30 +14,4 @@ func ExampleBalance() {
 	// Output:
 	// even:   gini 0.000 max/mean 1.00
 	// skewed: gini 0.575 max/mean 3.00
-}
-
-func ExampleSaturationPoint() {
-	results := []core.Result{
-		{OfferedLoad: 0.2, Throughput: 0.20},
-		{OfferedLoad: 0.4, Throughput: 0.39},
-		{OfferedLoad: 0.6, Throughput: 0.45},
-	}
-	fmt.Println(analysis.SaturationPoint(results, 0.02))
-	// Output:
-	// 0.6
-}
-
-func ExampleCrossover() {
-	adaptive := []core.Result{
-		{OfferedLoad: 0.2, Throughput: 0.20},
-		{OfferedLoad: 0.4, Throughput: 0.38},
-	}
-	dor := []core.Result{
-		{OfferedLoad: 0.2, Throughput: 0.20},
-		{OfferedLoad: 0.4, Throughput: 0.31},
-	}
-	load, ok := analysis.Crossover(adaptive, dor)
-	fmt.Println(load, ok)
-	// Output:
-	// 0.4 true
 }

@@ -20,11 +20,6 @@ type Limiter struct {
 	nodes    int
 	classCap int
 	counts   []int32
-	accepted int64
-	dropped  int64
-	// droppedBy localizes discards per source node, the observable that
-	// shows hotspot backpressure reaching the edge of the network.
-	droppedBy []int64
 }
 
 // NewLimiter returns a limiter for nodes sources with the given per-class
@@ -36,8 +31,7 @@ func NewLimiter(nodes, limit int) *Limiter {
 	const initialClassCap = 8
 	return &Limiter{
 		limit: limit, nodes: nodes, classCap: initialClassCap,
-		counts:    make([]int32, nodes*initialClassCap),
-		droppedBy: make([]int64, nodes),
+		counts: make([]int32, nodes*initialClassCap),
 	}
 }
 
@@ -46,13 +40,12 @@ func NewLimiter(nodes, limit int) *Limiter {
 // be nil). The class capacity an earlier run widened is kept: it sets the
 // table layout, nothing a caller can observe.
 func (l *Limiter) Recycle(nodes, limit int) *Limiter {
-	if l == nil || limit <= 0 || cap(l.counts) < nodes*l.classCap || cap(l.droppedBy) < nodes {
+	if l == nil || limit <= 0 || cap(l.counts) < nodes*l.classCap {
 		return NewLimiter(nodes, limit)
 	}
-	counts, droppedBy := l.counts[:nodes*l.classCap], l.droppedBy[:nodes]
+	counts := l.counts[:nodes*l.classCap]
 	clear(counts)
-	clear(droppedBy)
-	*l = Limiter{limit: limit, nodes: nodes, classCap: l.classCap, counts: counts, droppedBy: droppedBy}
+	*l = Limiter{limit: limit, nodes: nodes, classCap: l.classCap, counts: counts}
 	return l
 }
 
@@ -89,12 +82,9 @@ func (l *Limiter) Admit(node, class int) bool {
 	}
 	idx := node*l.classCap + class
 	if int(l.counts[idx]) >= l.limit {
-		l.dropped++
-		l.droppedBy[node]++
 		return false
 	}
 	l.counts[idx]++
-	l.accepted++
 	return true
 }
 
@@ -118,41 +108,4 @@ func (l *Limiter) Resident(node, class int) int {
 		return 0
 	}
 	return int(l.counts[node*l.classCap+class])
-}
-
-// Accepted returns the total number of admitted messages.
-func (l *Limiter) Accepted() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.accepted
-}
-
-// Dropped returns the total number of discarded arrivals.
-func (l *Limiter) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped
-}
-
-// DroppedByNode returns per-source-node discard counts (nil for a nil
-// limiter). The returned slice is a copy.
-func (l *Limiter) DroppedByNode() []int64 {
-	if l == nil {
-		return nil
-	}
-	return append([]int64(nil), l.droppedBy...)
-}
-
-// ResetCounters zeroes the accepted/dropped statistics (kept across
-// sampling periods only if the caller wants cumulative numbers).
-func (l *Limiter) ResetCounters() {
-	if l == nil {
-		return
-	}
-	l.accepted, l.dropped = 0, 0
-	for i := range l.droppedBy {
-		l.droppedBy[i] = 0
-	}
 }

@@ -10,10 +10,9 @@ func TestNilLimiterAdmitsEverything(t *testing.T) {
 		}
 	}
 	l.Release(0, 0) // must not panic
-	if l.Limit() != 0 || l.Accepted() != 0 || l.Dropped() != 0 || l.Resident(0, 0) != 0 {
+	if l.Limit() != 0 || l.Resident(0, 0) != 0 {
 		t.Error("nil limiter statistics should be zero")
 	}
-	l.ResetCounters()
 	if NewLimiter(4, 0) != nil {
 		t.Error("limit 0 should return a nil limiter")
 	}
@@ -36,9 +35,6 @@ func TestAdmitUpToLimit(t *testing.T) {
 	// Other classes and nodes are unaffected.
 	if !l.Admit(1, 6) || !l.Admit(2, 5) {
 		t.Fatal("independent class/node refused")
-	}
-	if l.Accepted() != 4 || l.Dropped() != 1 {
-		t.Fatalf("accepted %d dropped %d", l.Accepted(), l.Dropped())
 	}
 }
 
@@ -66,34 +62,24 @@ func TestReleaseWithoutAdmitPanics(t *testing.T) {
 	l.Release(0, 0)
 }
 
-func TestResetCounters(t *testing.T) {
-	l := NewLimiter(1, 1)
-	l.Admit(0, 0)
-	l.Admit(0, 0)
-	l.ResetCounters()
-	if l.Accepted() != 0 || l.Dropped() != 0 {
-		t.Error("counters not reset")
-	}
-	// Residency survives the counter reset.
-	if l.Resident(0, 0) != 1 {
-		t.Error("residency lost on counter reset")
-	}
-}
-
 // TestRecycleStartsClean: a recycled limiter behaves as a new one — no
-// residency, counters or per-node drops survive, whether it shrinks, keeps a
-// widened class table or has to be rebuilt.
+// residency survives, whether it shrinks, keeps a widened class table or has
+// to be rebuilt.
 func TestRecycleStartsClean(t *testing.T) {
 	l := NewLimiter(4, 1)
-	l.Admit(3, 20) // widens the class table
-	l.Admit(3, 20) // dropped
+	if !l.Admit(3, 20) { // widens the class table
+		t.Fatal("first admit refused")
+	}
+	if l.Admit(3, 20) {
+		t.Fatal("admit past the limit accepted")
+	}
 	for _, nodes := range []int{2, 4, 64} {
 		l = l.Recycle(nodes, 2)
-		if l.Limit() != 2 || l.Accepted() != 0 || l.Dropped() != 0 || len(l.DroppedByNode()) != nodes {
+		if l.Limit() != 2 {
 			t.Fatalf("%d nodes: recycled limiter not clean: %+v", nodes, l)
 		}
 		for node := 0; node < nodes; node++ {
-			if l.Resident(node, 20) != 0 || l.DroppedByNode()[node] != 0 {
+			if l.Resident(node, 20) != 0 {
 				t.Fatalf("%d nodes: state survived at node %d", nodes, node)
 			}
 		}

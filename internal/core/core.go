@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"wormsim/internal/forensics"
 	"wormsim/internal/message"
@@ -118,17 +117,17 @@ type Config struct {
 	// (see telemetry.PhaseProfiler). Shared across the runs of a sweep; its
 	// accumulators are atomic. Not part of the persisted config.
 	PhaseProf *telemetry.PhaseProfiler `json:"-"`
-	// Cache, if set, is consulted by RunCached (and so by Sweep,
-	// SweepObserved and SweepReplicated) before simulating: a hit returns
-	// the stored Result without burning a single engine cycle, a miss runs
-	// the point and records it. Simulations are pure functions of the
+	// Cache, if set, is consulted by RunCached (and so by RunFigure and
+	// SweepReplicated) before simulating: a hit returns the stored Result
+	// without burning a single engine cycle, a miss runs the point and
+	// records it. Simulations are pure functions of the
 	// canonical config, so the cached and fresh paths are interchangeable —
 	// see runstore.Store, the persistent implementation. Must be safe for
 	// concurrent use by sweep workers. Not part of the persisted config.
 	Cache ResultCache `json:"-"`
 }
 
-// ResultCache is the admission-control hook Sweep and friends consult
+// ResultCache is the admission-control hook RunCached and the grids consult
 // before simulating: converged Results keyed by Config.Hash. Implementations
 // must be safe for concurrent use (sweep workers hit them in parallel) and
 // must return stored Results verbatim — the contract, pinned by
@@ -636,7 +635,7 @@ func cfgCycles(cfg Config, samples int) int64 {
 // the deadlock is a deterministic property of the config, already fully
 // described by Result.Deadlocked, and the original engine error (a
 // network.DeadlockError with live worm state) cannot outlive the run that
-// produced it. Callers following the Sweep convention — check
+// produced it. Callers following the grid convention — check
 // Result.Deadlocked, not just err — behave identically on both paths.
 func RunCached(cfg Config) (r Result, hit bool, err error) {
 	return runCachedOn(new(network.Network), cfg)
@@ -660,51 +659,6 @@ func runCachedOn(eng *network.Network, cfg Config) (r Result, hit bool, err erro
 		return r, false, fmt.Errorf("core: record run %s: %w", hash[:12], serr)
 	}
 	return r, false, err
-}
-
-// Sweep runs cfg at each offered load, in parallel across the machine's
-// cores (each individual simulation is single-threaded and deterministic,
-// so the results are identical to a sequential sweep). Results come back in
-// load order. Deadlocks are recorded in their Result rather than aborting
-// the sweep; any other error aborts.
-func Sweep(cfg Config, loads []float64) ([]Result, error) {
-	return SweepN(cfg, loads, runtime.GOMAXPROCS(0)) //lint:allow purity (worker count only sets parallelism; results are bit-identical at any width, test-pinned)
-}
-
-// SweepN is Sweep with an explicit worker count (minimum 1).
-func SweepN(cfg Config, loads []float64, workers int) ([]Result, error) {
-	return SweepObserved(cfg, loads, workers, nil)
-}
-
-// SweepObserved is SweepN with a completion callback: onDone is invoked once
-// per finished point with its load index and result, from the finishing
-// worker's goroutine (the callback must be safe for concurrent use —
-// telemetry.Progress is). It backs the CLIs' -progress flag. The points run
-// on a Scheduler; Config hooks (OnSample, OnTick, a shared PhaseProf) fire
-// from whichever worker runs the point, so shared hooks must be safe for
-// concurrent use. Every point runs on its worker's recycled engine.
-func SweepObserved(cfg Config, loads []float64, workers int, onDone func(i int, r Result)) ([]Result, error) {
-	results := make([]Result, len(loads))
-	err := each(workers, len(loads), func(eng *network.Network, i int) error {
-		var err error
-		results[i], err = sweepPoint(eng, cfg, loads[i])
-		if onDone != nil {
-			onDone(i, results[i])
-		}
-		return err
-	})
-	return results, err
-}
-
-// sweepPoint runs cfg at one offered load on eng under the Sweep convention:
-// a deadlock is recorded in the Result, any other error is returned.
-func sweepPoint(eng *network.Network, cfg Config, load float64) (Result, error) {
-	cfg.OfferedLoad = load
-	r, _, err := runCachedOn(eng, cfg)
-	if err != nil && !r.Deadlocked {
-		return r, fmt.Errorf("core: sweep at rho=%.3g: %w", load, err)
-	}
-	return r, nil
 }
 
 // PeakThroughput returns the maximum achieved throughput in results and the

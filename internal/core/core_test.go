@@ -268,12 +268,12 @@ func TestHopClassLatencyMonotoneTrend(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	c := quick("ecube")
 	loads := []float64{0.1, 0.3}
-	results, err := Sweep(c, loads)
+	fr, err := RunFigure(FigureSpec{ID: "sweep", Algorithms: []string{"ecube"}, Loads: loads}, quick(""), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := fr.Series[0].Results
 	if len(results) != 2 {
 		t.Fatalf("got %d results", len(results))
 	}

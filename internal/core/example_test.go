@@ -35,24 +35,24 @@ func Example() {
 	// throughput within 10% of offered: true
 }
 
-// ExampleSweep shows the parallel load sweep used to regenerate the
+// ExampleRunFigure shows the parallel load sweep used to regenerate the
 // paper's curves.
-func ExampleSweep() {
+func ExampleRunFigure() {
+	spec := core.FigureSpec{ID: "example", Pattern: "uniform", Algorithms: []string{"ecube"}, Loads: []float64{0.1, 0.3}}
 	cfg := core.Config{
 		K: 8, N: 2,
-		Algorithm:    "ecube",
 		Seed:         1,
 		WarmupCycles: 800,
 		SampleCycles: 400,
 		GapCycles:    100,
 		MaxSamples:   3,
 	}
-	results, err := core.Sweep(cfg, []float64{0.1, 0.3})
+	fr, err := core.RunFigure(spec, cfg, nil)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	for _, r := range results {
+	for _, r := range fr.Series[0].Results {
 		fmt.Printf("rho=%.1f achieved within 15%%: %v\n",
 			r.OfferedLoad, r.Throughput > 0.85*r.OfferedLoad)
 	}

@@ -103,10 +103,17 @@ type FigureResult struct {
 // scheduler item per (algorithm, load) point across the machine's cores, so
 // no algorithm waits for another's slowest point. base supplies shared
 // settings (sizes, seeds, methodology); its Algorithm, Pattern, Switching
-// and OfferedLoad fields are overridden by the spec. Each Series equals
-// Sweep of its algorithm. Deadlocked points are recorded in their Result
-// and do not abort the figure.
-func RunFigure(spec FigureSpec, base Config) (FigureResult, error) {
+// and OfferedLoad fields are overridden by the spec. Every point runs on its
+// worker's recycled engine and equals a sequential Run of its config.
+// Deadlocked points are recorded in their Result and do not abort the
+// figure; any other error does.
+//
+// onDone, if set, is invoked once per finished point with its flat index i
+// (algorithm-major: the point is Series[i/len(Loads)].Results[i%len(Loads)])
+// and its Result. It and the Config hooks (OnSample, OnTick, a shared
+// PhaseProf) fire from whichever worker ran the point, so they must be safe
+// for concurrent use — telemetry.Progress and observatory.Publisher are.
+func RunFigure(spec FigureSpec, base Config, onDone func(i int, r Result)) (FigureResult, error) {
 	fr := FigureResult{Spec: spec, Series: make([]Series, len(spec.Algorithms))}
 	for a, alg := range spec.Algorithms {
 		fr.Series[a] = Series{Algorithm: alg, Results: make([]Result, len(spec.Loads))}
@@ -118,9 +125,14 @@ func RunFigure(spec FigureSpec, base Config) (FigureResult, error) {
 		s := &fr.Series[k/nl]
 		cfg := base
 		cfg.Algorithm = s.Algorithm
-		var err error
-		if s.Results[k%nl], err = sweepPoint(eng, cfg, spec.Loads[k%nl]); err != nil {
-			return fmt.Errorf("core: figure %s, algorithm %s: %w", spec.ID, s.Algorithm, err)
+		cfg.OfferedLoad = spec.Loads[k%nl]
+		r, _, err := runCachedOn(eng, cfg)
+		s.Results[k%nl] = r
+		if onDone != nil {
+			onDone(k, r)
+		}
+		if err != nil && !r.Deadlocked {
+			return fmt.Errorf("core: figure %s, algorithm %s, rho=%.3g: %w", spec.ID, s.Algorithm, cfg.OfferedLoad, err)
 		}
 		return nil
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -61,6 +62,59 @@ func TestFigurePatternsMatchPaper(t *testing.T) {
 	}
 }
 
+// sequentialFigure is the reference RunFigure is held to: every point of
+// spec run by Run in order, one fresh engine each.
+func sequentialFigure(t *testing.T, spec FigureSpec, base Config) []Series {
+	t.Helper()
+	want := make([]Series, len(spec.Algorithms))
+	for a, alg := range spec.Algorithms {
+		want[a].Algorithm = alg
+		for _, load := range spec.Loads {
+			cfg := base
+			cfg.Algorithm, cfg.Pattern, cfg.Switching, cfg.OfferedLoad = alg, spec.Pattern, spec.Switching, load
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[a].Results = append(want[a].Results, r)
+		}
+	}
+	return want
+}
+
+// TestRunFigureCallback: onDone fires once per point, and its flat index
+// names the point's Series cell, algorithm-major.
+func TestRunFigureCallback(t *testing.T) {
+	spec := FigureSpec{ID: "cb", Pattern: "uniform", Switching: Wormhole,
+		Algorithms: []string{"ecube", "nbc"}, Loads: []float64{0.1, 0.3, 0.5}}
+	var mu sync.Mutex
+	seen := map[int]Result{}
+	fr, err := RunFigure(spec, quick(""), func(i int, r Result) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, dup := seen[i]; dup {
+			t.Errorf("callback fired twice for index %d", i)
+		}
+		seen[i] = r
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl, n := len(spec.Loads), len(spec.Algorithms)*len(spec.Loads)
+	if len(seen) != n {
+		t.Fatalf("callback fired for %d distinct indices, want %d", len(seen), n)
+	}
+	for i, r := range seen {
+		if i < 0 || i >= n {
+			t.Fatalf("callback index %d out of range", i)
+		}
+		if cell := fr.Series[i/nl].Results[i%nl]; !reflect.DeepEqual(r, cell) {
+			t.Errorf("index %d: callback result (%s rho=%g) is not Series[%d].Results[%d] (%s rho=%g)",
+				i, r.Algorithm, r.OfferedLoad, i/nl, i%nl, cell.Algorithm, cell.OfferedLoad)
+		}
+	}
+}
+
 // TestRunFigureTiny drives the full figure machinery on a reduced spec.
 func TestRunFigureTiny(t *testing.T) {
 	spec := FigureSpec{
@@ -75,28 +129,14 @@ func TestRunFigureTiny(t *testing.T) {
 		K: 8, N: 2, Seed: 3,
 		WarmupCycles: 400, SampleCycles: 400, GapCycles: 100, MaxSamples: 4,
 	}
-	fr, err := RunFigure(spec, base)
+	fr, err := RunFigure(spec, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fr.Series) != 2 {
-		t.Fatalf("series = %d", len(fr.Series))
-	}
-	// One task set across algorithms must reproduce each algorithm's own
-	// one-worker sweep exactly.
-	for i, s := range fr.Series {
-		if s.Algorithm != spec.Algorithms[i] {
-			t.Fatalf("series %d is %s, want %s", i, s.Algorithm, spec.Algorithms[i])
-		}
-		cfg := base
-		cfg.Algorithm, cfg.Pattern, cfg.Switching = s.Algorithm, spec.Pattern, spec.Switching
-		want, err := SweepN(cfg, spec.Loads, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(s.Results, want) {
-			t.Errorf("%s: figure series diverged from its one-worker sweep:\ngot:  %+v\nwant: %+v", s.Algorithm, s.Results, want)
-		}
+	// One task set across algorithms must reproduce a sequential Run of
+	// every point exactly.
+	if want := sequentialFigure(t, spec, base); !reflect.DeepEqual(fr.Series, want) {
+		t.Errorf("figure diverged from sequential Runs:\ngot:  %+v\nwant: %+v", fr.Series, want)
 	}
 
 	var table strings.Builder

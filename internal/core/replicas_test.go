@@ -32,10 +32,21 @@ func (c *mapCache) Store(hash string, _ Config, r Result) error {
 	return nil
 }
 
-// TestRunReplicasMatchesRun pins the batch plumbing's contract: every
-// replica's Result is equal — field for field — to a scalar Run of the same
-// config and seed, across switching techniques and algorithms.
-func TestRunReplicasMatchesRun(t *testing.T) {
+// replicas runs cfg at its own offered load once per seed through
+// SweepReplicated on two workers and returns the replicas in seed order.
+func replicas(t *testing.T, cfg Config, seeds []uint64) []Result {
+	t.Helper()
+	reps, err := SweepReplicated(cfg, []float64{cfg.OfferedLoad}, seeds, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps[0].Replicas
+}
+
+// TestSweepReplicatedMatchesRun pins the replica contract: every replica's
+// Result is equal — field for field — to a Run of the same config and seed,
+// across switching techniques and algorithms.
+func TestSweepReplicatedMatchesRun(t *testing.T) {
 	seeds := []uint64{5, 19, 77}
 	cases := []struct {
 		name string
@@ -62,10 +73,7 @@ func TestRunReplicasMatchesRun(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := RunReplicas(tc.cfg, seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := replicas(t, tc.cfg, seeds)
 			if len(got) != len(seeds) {
 				t.Fatalf("got %d results for %d seeds", len(got), len(seeds))
 			}
@@ -77,26 +85,23 @@ func TestRunReplicasMatchesRun(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got[i], want) {
-					t.Errorf("seed %d: replica result diverges from scalar Run\n got: %+v\nwant: %+v", seed, got[i], want)
+					t.Errorf("seed %d: replica result diverges from Run\n got: %+v\nwant: %+v", seed, got[i], want)
 				}
 			}
 		})
 	}
 }
 
-// TestRunReplicasObserverInstruments: telemetry and forensics attach to the
-// first replica only, whose summaries match an instrumented scalar Run; the
-// sibling replicas' numbers match bare scalar runs (instrumentation is
+// TestSweepReplicatedObserverInstruments: telemetry and forensics attach to
+// the first replica only, whose summaries match an instrumented Run; the
+// sibling replicas' numbers match bare runs (instrumentation is
 // observation, never perturbation).
-func TestRunReplicasObserverInstruments(t *testing.T) {
+func TestSweepReplicatedObserverInstruments(t *testing.T) {
 	cfg := quick("nbc")
 	cfg.Telemetry = &telemetry.Options{Trace: true, TraceCap: 1 << 14}
 	cfg.Forensics = &forensics.Options{SampleEvery: 16}
 	seeds := []uint64{5, 19}
-	got, err := RunReplicas(cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replicas(t, cfg, seeds)
 
 	obs := cfg
 	obs.Seed = seeds[0]
@@ -105,7 +110,7 @@ func TestRunReplicasObserverInstruments(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got[0], want0) {
-		t.Errorf("observer replica diverges from instrumented scalar Run\n got: %+v\nwant: %+v", got[0], want0)
+		t.Errorf("observer replica diverges from instrumented Run\n got: %+v\nwant: %+v", got[0], want0)
 	}
 	if got[0].Telemetry == nil || got[0].Forensics == nil || len(got[0].TraceEvents) == 0 {
 		t.Fatal("observer replica missing instrument output")
@@ -121,19 +126,19 @@ func TestRunReplicasObserverInstruments(t *testing.T) {
 		t.Error("non-observer replica carries instrument output")
 	}
 	if !reflect.DeepEqual(got[1], want1) {
-		t.Errorf("sibling replica diverges from bare scalar Run\n got: %+v\nwant: %+v", got[1], want1)
+		t.Errorf("sibling replica diverges from bare Run\n got: %+v\nwant: %+v", got[1], want1)
 	}
 }
 
-// TestRunReplicasCache: the per-seed cache consult serves hits without
-// engine work, fills misses, and mixes freely with scalar RunCached entries
-// (same hashes, same stored bits).
-func TestRunReplicasCache(t *testing.T) {
+// TestSweepReplicatedCache: the per-seed cache consult serves hits without
+// engine work, fills misses, and mixes freely with RunCached entries (same
+// hashes, same stored bits).
+func TestSweepReplicatedCache(t *testing.T) {
 	cfg := quick("phop")
 	cfg.Cache = newMapCache()
 	seeds := []uint64{5, 19, 77}
 
-	// Pre-populate one seed via the scalar path.
+	// Pre-populate one seed through RunCached.
 	pre := cfg
 	pre.Seed = seeds[1]
 	preRes, hit, err := RunCached(pre)
@@ -144,25 +149,19 @@ func TestRunReplicasCache(t *testing.T) {
 		t.Fatal("empty cache reported a hit")
 	}
 
-	first, err := RunReplicas(cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := replicas(t, cfg, seeds)
 	if !reflect.DeepEqual(first[1], preRes) {
-		t.Error("cache hit differs from stored scalar result")
+		t.Error("cache hit differs from stored RunCached result")
 	}
 
-	// Every seed is now stored; a second call must be all hits, and a
-	// scalar RunCached must hit the batch-stored entries.
+	// Every seed is now stored; a second call must be all hits, and
+	// RunCached must hit the entries the replicas stored.
 	mc := cfg.Cache.(*mapCache)
 	stored := len(mc.m)
 	if stored != len(seeds) {
 		t.Fatalf("cache holds %d entries, want %d", stored, len(seeds))
 	}
-	second, err := RunReplicas(cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := replicas(t, cfg, seeds)
 	if !reflect.DeepEqual(first, second) {
 		t.Error("cached replay differs from first run")
 	}
@@ -173,29 +172,26 @@ func TestRunReplicasCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !hit {
-		t.Error("scalar RunCached missed a batch-stored entry")
+		t.Error("RunCached missed an entry a replica stored")
 	}
 	if !reflect.DeepEqual(r2, first[2]) {
-		t.Error("scalar hit differs from batch result")
+		t.Error("RunCached hit differs from the replica's result")
 	}
 }
 
-// TestRunReplicasEmptyAndSingle: degenerate widths work — zero seeds is a
-// no-op, one seed matches scalar Run exactly.
-func TestRunReplicasEmptyAndSingle(t *testing.T) {
-	if rs, err := RunReplicas(quick("ecube"), nil); err != nil || len(rs) != 0 {
-		t.Fatalf("empty seeds: %v, %d results", err, len(rs))
+// TestSweepReplicatedEmptyAndSingle: degenerate widths work — zero seeds is
+// an error, one seed matches Run exactly.
+func TestSweepReplicatedEmptyAndSingle(t *testing.T) {
+	if _, err := SweepReplicated(quick("ecube"), []float64{0.3}, nil, 2); err == nil {
+		t.Fatal("zero seeds: no error")
 	}
 	cfg := quick("ecube")
-	got, err := RunReplicas(cfg, []uint64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := replicas(t, cfg, []uint64{cfg.Seed})
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got[0], want) {
-		t.Errorf("single replica diverges from scalar Run\n got: %+v\nwant: %+v", got[0], want)
+		t.Errorf("single replica diverges from Run\n got: %+v\nwant: %+v", got[0], want)
 	}
 }

@@ -148,11 +148,20 @@ type ReplicatedResult struct {
 // SweepReplicated runs cfg at every load once per seed, one scheduler item
 // per (load, seed) pair, so a worker that finishes a cheap load picks up
 // single replicas of the expensive loads near saturation instead of idling.
-// Each replica is an independent point on its worker's recycled engine, under
-// RunReplicas' contract (instruments attach to the first seed of every load,
-// the cache is consulted per seed). Results are aggregated per load, in load
-// order; they are identical to running every (load, seed) pair sequentially.
-// Deadlocked replicas are recorded, not fatal; any other error aborts.
+// Each replica is an independent point on its worker's recycled engine, and
+// its Result equals, field for field, Run of the same config at that seed.
+// Results are aggregated per load, in load order, with Replicas in seed
+// order; they are identical at any worker count.
+//
+// Deadlocked replicas are recorded in their Result (Deadlocked set, the
+// other fields describing the run up to the stall) and counted in
+// Deadlocks, not returned as an error; any other error aborts.
+//
+// Config.Telemetry, Forensics and OnSample attach to the first seed of
+// every load only; OnTick fires for every replica (ticks carry their Seed).
+// Config.Cache is consulted per seed with the hashes RunCached uses, so
+// stores written by either are interchangeable — but only for uninstrumented
+// configs, where a stored Result carries everything a run produces.
 func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) ([]ReplicatedResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("core: SweepReplicated needs at least one seed")
@@ -190,4 +199,24 @@ func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) (
 		out[i].MeanThroughput = thr.Mean()
 	}
 	return out, nil
+}
+
+// runReplica runs the replica of cfg at seed on eng under SweepReplicated's
+// contract; observed marks the one replica the instruments attach to.
+func runReplica(eng *network.Network, cfg Config, seed uint64, observed bool) (Result, error) {
+	cfg.Seed = seed
+	if cfg.Telemetry != nil || cfg.Forensics != nil {
+		// Storing the bare siblings of an instrumented replica, or serving it
+		// from a store, would mix Results with and without summaries under
+		// one call.
+		cfg.Cache = nil
+	}
+	if !observed {
+		cfg.Telemetry, cfg.Forensics, cfg.OnSample = nil, nil, nil
+	}
+	r, _, err := runCachedOn(eng, cfg)
+	if err != nil && !r.Deadlocked {
+		return r, fmt.Errorf("core: replica seed=%#x: %w", seed, err)
+	}
+	return r, nil
 }

@@ -49,26 +49,21 @@ func TestSchedulerRunsItemsConcurrently(t *testing.T) {
 	s.Close()
 }
 
-// TestSweepSchedulerMatchesSequential: any worker count must reproduce the
-// one-worker sweep exactly (each point is an independent seeded simulation).
+// TestSweepSchedulerMatchesSequential: the scheduled figure must reproduce a
+// sequential Run of every point exactly (each point is an independent seeded
+// simulation, whichever worker's recycled engine it lands on).
 func TestSweepSchedulerMatchesSequential(t *testing.T) {
-	cfg := quick("2pn")
-	loads := []float64{0.1, 0.2, 0.3, 0.4}
-	seq, err := SweepN(cfg, loads, 1)
+	spec := FigureSpec{ID: "sched", Pattern: "uniform", Switching: Wormhole,
+		Algorithms: []string{"2pn"}, Loads: []float64{0.1, 0.2, 0.3, 0.4}}
+	fr, err := RunFigure(spec, quick(""), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepN(cfg, loads, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel sweep diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+	if want := sequentialFigure(t, spec, quick("")); !reflect.DeepEqual(fr.Series, want) {
+		t.Errorf("scheduled sweep diverged from sequential Runs:\nseq: %+v\npar: %+v", want, fr.Series)
 	}
 }
 
-// TestSweepReplicatedMatchesIndividualRuns: every (load, replication) cell
-// must equal the same config run directly.
 // TestSweepReplicatedMatchesIndividualRuns: at any width the (load, seed)
 // matrix equals sequential Runs — every replica is an independent point on
 // its worker's recycled engine, so which replicas shared an engine, and in

@@ -80,25 +80,6 @@ func TestHotspotSaturatesHotChannels(t *testing.T) {
 	}
 }
 
-func TestSweepObservedCallback(t *testing.T) {
-	cfg := quickTelCfg()
-	cfg.Telemetry = nil
-	loads := []float64{0.1, 0.3, 0.5}
-	var done int32
-	results, err := SweepObserved(cfg, loads, 2, func(i int, r Result) {
-		atomic.AddInt32(&done, 1)
-		if r.OfferedLoad != loads[i] {
-			t.Errorf("callback index %d got load %g", i, r.OfferedLoad)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(done) != len(loads) || len(results) != len(loads) {
-		t.Errorf("callback fired %d times for %d loads", done, len(loads))
-	}
-}
-
 // TestSafIgnoresTelemetry: the saf engine has no flit channels; a telemetry
 // request must not break it.
 func TestSafIgnoresTelemetry(t *testing.T) {

@@ -17,8 +17,8 @@
 //     its seeds: no math/rand, no wall clock, no iteration over maps —
 //     enforced per target package and on everything reachable from the
 //     engine and result-serving entry points, across packages.
-//   - purity — the run entry points (core.Run, RunCached, Sweep,
-//     SweepReplicated, RunFigure) must be pure functions of their Config:
+//   - purity — the run entry points (core.Run, RunCached, SweepReplicated,
+//     RunFigure) must be pure functions of their Config:
 //     every impurity they reach is either fixed or an annotated exemption,
 //     and the exemption list is golden-pinned — the theorem the run store's
 //     cache-hit contract rests on.

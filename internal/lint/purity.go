@@ -44,14 +44,14 @@ type Purity struct {
 	Entries []FuncRef
 }
 
-// NewPurity certifies the five run entry points: the bare engine run, the
-// cache-consulting run, the two sweep drivers and the figure driver.
+// NewPurity certifies the four run entry points: the bare engine run, the
+// cache-consulting run and the two grids, the replicated sweep and the
+// figure.
 func NewPurity() *Purity {
 	const core = "wormsim/internal/core"
 	return &Purity{Entries: []FuncRef{
 		{Pkg: core, Func: "Run"},
 		{Pkg: core, Func: "RunCached"},
-		{Pkg: core, Func: "Sweep"},
 		{Pkg: core, Func: "SweepReplicated"},
 		{Pkg: core, Func: "RunFigure"},
 	}}
@@ -62,7 +62,7 @@ func (*Purity) Name() string { return "purity" }
 
 // Doc describes the pass.
 func (*Purity) Doc() string {
-	return "prove runs are pure functions of their configs: no unannotated effect reachable from Run/RunCached/Sweep/SweepReplicated/RunFigure"
+	return "prove runs are pure functions of their configs: no unannotated effect reachable from Run/RunCached/SweepReplicated/RunFigure"
 }
 
 // reachedImpurity is one impurity on an entry point's call graph: the fact,

@@ -20,7 +20,7 @@ func simulate(load float64) Result { return Result{Latency: 10 * load} }
 
 // Sweep is the determinism root: for each point it first tries the store
 // (the cache-hit branch) and only simulates on a miss — exactly the shape
-// of core.Sweep with a Config.Cache attached.
+// of core.RunFigure with a Config.Cache attached.
 func Sweep(s *store.Store, loads []float64) []Result {
 	out := make([]Result, 0, len(loads))
 	for _, load := range loads {

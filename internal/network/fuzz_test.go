@@ -6,7 +6,7 @@ import (
 	"wormsim/internal/routing"
 )
 
-// FuzzScalarBatchEquivalence is the differential fuzz of engine recycling:
+// FuzzRecycleEquivalence is the differential fuzz of engine recycling:
 // a scalar run on a fresh engine against the same run as the second member
 // of a batch, on an engine that has just been driven through a different
 // configuration. Config A — fuzzer-chosen topology and algorithm, offered
@@ -23,7 +23,7 @@ import (
 // telemetry and forensics, and B's summaries are part of the comparison. The
 // seed corpus passes in-tree with `go test`; nightly CI lets the fuzzer
 // explore for five minutes.
-func FuzzScalarBatchEquivalence(f *testing.F) {
+func FuzzRecycleEquivalence(f *testing.F) {
 	// shapes = A's grid | B's grid << 4, algPicks likewise; knobs = B's
 	// delay | ports<<2 | buffer depth pick<<4 | half duplex (A too)<<6 |
 	// least-congested selection<<7 | observed (A too)<<8.

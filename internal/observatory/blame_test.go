@@ -160,7 +160,7 @@ func TestForensicsRunIsBitIdentical(t *testing.T) {
 		Telemetry: &telemetry.Options{Metrics: true},
 	}
 	loads := []float64{0.3, 0.6}
-	base, err := core.SweepN(cfg, loads, 2)
+	base, err := sweep(cfg, loads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestForensicsRunIsBitIdentical(t *testing.T) {
 		}(path)
 	}
 
-	got, err := core.SweepObserved(obs, loads, 2, pub.PublishPoint)
+	got, err := sweep(obs, loads, pub.PublishPoint)
 	close(stop)
 	wg.Wait()
 	if err != nil {

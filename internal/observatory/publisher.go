@@ -153,8 +153,8 @@ func (p *Publisher) PublishTick(ev core.TickEvent) {
 	p.mu.Unlock()
 }
 
-// PublishPoint records a completed sweep point (the core.SweepObserved
-// onDone hook; safe for concurrent workers).
+// PublishPoint records a completed sweep point (the core.RunFigure onDone
+// hook, i its flat point index; safe for concurrent workers).
 func (p *Publisher) PublishPoint(i int, r core.Result) {
 	done := p.sweepDone.Add(1)
 	p.mu.Lock()

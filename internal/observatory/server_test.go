@@ -170,6 +170,15 @@ func TestSlowSubscriberNeverBlocks(t *testing.T) {
 	}
 }
 
+// sweep runs cfg over loads as a one-algorithm core.RunFigure and returns
+// the results in load order.
+func sweep(cfg core.Config, loads []float64, onDone func(int, core.Result)) ([]core.Result, error) {
+	spec := core.FigureSpec{ID: "sweep", Pattern: cfg.Pattern, Switching: cfg.Switching,
+		Algorithms: []string{cfg.Algorithm}, Loads: loads}
+	fr, err := core.RunFigure(spec, cfg, onDone)
+	return fr.Series[0].Results, err
+}
+
 // TestObservedRunIsBitIdentical is the determinism acceptance test: a sweep
 // with the observatory attached and clients hammering every endpoint must
 // produce results bit-identical to the same sweep with no observer. Run
@@ -182,7 +191,7 @@ func TestObservedRunIsBitIdentical(t *testing.T) {
 		Telemetry: &telemetry.Options{Metrics: true, Trace: true, TraceCap: 128},
 	}
 	loads := []float64{0.2, 0.5}
-	base, err := core.SweepN(cfg, loads, 2)
+	base, err := sweep(cfg, loads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +247,7 @@ func TestObservedRunIsBitIdentical(t *testing.T) {
 		resp.Body.Close()
 	}()
 
-	got, err := core.SweepObserved(obs, loads, 2, pub.PublishPoint)
+	got, err := sweep(obs, loads, pub.PublishPoint)
 	close(stop)
 	cancelSSE()
 	wg.Wait()

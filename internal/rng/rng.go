@@ -116,38 +116,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 	return s.Uint53() < BernoulliThreshold(p)
 }
 
-// Geometric returns a sample from the geometric distribution on {1, 2, ...}
-// with success probability p: P(X = t) = p(1-p)^(t-1). This is the
-// distribution of interarrival times of a Bernoulli(p) process, the
-// "geometrically distributed message interarrival times" of the paper.
-// It panics if p <= 0 or p > 1.
-func (s *Stream) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric needs 0 < p <= 1")
-	}
-	if p == 1 {
-		return 1
-	}
-	// Inversion would need math.Log; counting trials is exact, branch-free of
-	// float edge cases, and fast for the small means used here (p >= ~0.003).
-	t := 1
-	for !s.Bernoulli(p) {
-		t++
-	}
-	return t
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

@@ -138,75 +138,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(23)
-	for _, p := range []float64{0.5, 0.1, 0.02} {
-		sum := 0
-		const draws = 50000
-		for i := 0; i < draws; i++ {
-			v := s.Geometric(p)
-			if v < 1 {
-				t.Fatalf("Geometric(%v) returned %d < 1", p, v)
-			}
-			sum += v
-		}
-		got := float64(sum) / draws
-		want := 1 / p
-		if math.Abs(got-want) > 0.05*want {
-			t.Errorf("Geometric(%v) mean %.2f, want about %.2f", p, got, want)
-		}
-	}
-	if v := s.Geometric(1); v != 1 {
-		t.Errorf("Geometric(1) = %d, want 1", v)
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	New(1).Geometric(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(31)
-	f := func(n uint8) bool {
-		size := int(n%50) + 1
-		p := s.Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	s := New(37)
-	const n, draws = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		counts[s.Perm(n)[0]]++
-	}
-	want := float64(draws) / n
-	for v, got := range counts {
-		if math.Abs(float64(got)-want) > 5*math.Sqrt(want) {
-			t.Errorf("Perm first element %d: got %d, want about %.0f", v, got, want)
-		}
-	}
-}
-
 func TestShuffle(t *testing.T) {
 	s := New(41)
 	data := []int{0, 1, 2, 3, 4, 5, 6, 7}

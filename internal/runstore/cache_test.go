@@ -11,6 +11,15 @@ import (
 	"wormsim/internal/telemetry"
 )
 
+// sweep runs cfg over loads as a one-algorithm core.RunFigure and returns
+// the results in load order.
+func sweep(cfg core.Config, loads []float64, onDone func(int, core.Result)) ([]core.Result, error) {
+	spec := core.FigureSpec{ID: "sweep", Pattern: cfg.Pattern, Switching: cfg.Switching,
+		Algorithms: []string{cfg.Algorithm}, Loads: loads}
+	fr, err := core.RunFigure(spec, cfg, onDone)
+	return fr.Series[0].Results, err
+}
+
 // TestSweepWarmStoreBitIdentical is the admission-control acceptance test:
 // re-running an identical sweep against a warm store must perform zero
 // engine cycles for cached points (proven by an OnTick canary — the engine
@@ -25,7 +34,7 @@ func TestSweepWarmStoreBitIdentical(t *testing.T) {
 	loads := []float64{0.2, 0.4, 0.6}
 
 	// Reference: no store attached.
-	bare, err := core.SweepN(cfg, loads, 2)
+	bare, err := sweep(cfg, loads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +48,7 @@ func TestSweepWarmStoreBitIdentical(t *testing.T) {
 	// Cold pass: every point is a miss, simulated and recorded.
 	cold := cfg
 	cold.Cache = s
-	coldRes, err := core.SweepN(cold, loads, 2)
+	coldRes, err := sweep(cold, loads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +70,7 @@ func TestSweepWarmStoreBitIdentical(t *testing.T) {
 	warm.Cache = s
 	warm.TickCycles = 1
 	warm.OnTick = func(core.TickEvent) { ticks.Add(1) }
-	warmRes, err := core.SweepN(warm, loads, 2)
+	warmRes, err := sweep(warm, loads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +107,7 @@ func TestSweepWarmStoreAcrossReopen(t *testing.T) {
 	}
 	cold := cfg
 	cold.Cache = s
-	first, err := core.SweepN(cold, loads, 2)
+	first, err := sweep(cold, loads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +120,7 @@ func TestSweepWarmStoreAcrossReopen(t *testing.T) {
 	defer s2.Close()
 	warm := cfg
 	warm.Cache = s2
-	second, err := core.SweepN(warm, loads, 2)
+	second, err := sweep(warm, loads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

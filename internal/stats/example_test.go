@@ -49,7 +49,7 @@ func ExampleHistogram() {
 }
 
 func ExampleConvergence() {
-	c := stats.NewConvergence()
+	c := &stats.Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
 	tight := stats.NewStratified([]float64{1})
 	for i := 0; i < 100; i++ {
 		tight.Add(0, 42)

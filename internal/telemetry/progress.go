@@ -10,7 +10,7 @@ import (
 
 // Progress renders live completion status with an ETA to a terminal-ish
 // writer (stderr), one carriage-return-rewritten line. It is safe for
-// concurrent Step calls (core.Sweep completes points from worker
+// concurrent Step calls (core.RunFigure completes points from worker
 // goroutines).
 type Progress struct {
 	mu    sync.Mutex

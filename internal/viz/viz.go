@@ -1,7 +1,6 @@
 // Package viz renders small text visualizations of simulation output:
-// per-node traffic heatmaps for two-dimensional networks (which make the
-// hotspot tree and north-last's skew visible at a glance) and horizontal
-// bar charts for per-class distributions.
+// per-node traffic heatmaps for two-dimensional networks, which make the
+// hotspot tree and north-last's skew visible at a glance.
 package viz
 
 import (
@@ -70,37 +69,4 @@ func NodeTraffic(g *topology.Grid, counts []int64) []float64 {
 		}
 	}
 	return perNode
-}
-
-// BarChart renders labeled horizontal bars scaled to width characters for
-// the largest value.
-func BarChart(labels []string, values []float64, width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	max := 0.0
-	for _, v := range values {
-		if v > max {
-			max = v
-		}
-	}
-	labelWidth := 0
-	for _, l := range labels {
-		if len(l) > labelWidth {
-			labelWidth = len(l)
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		label := ""
-		if i < len(labels) {
-			label = labels[i]
-		}
-		bar := 0
-		if max > 0 {
-			bar = int(v / max * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s %10.3f %s\n", labelWidth, label, v, strings.Repeat("#", bar))
-	}
-	return b.String()
 }

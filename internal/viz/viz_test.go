@@ -105,25 +105,6 @@ func TestHeatmapShowsHotspotTree(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart([]string{"a", "bb"}, []float64{1, 2}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("chart lines = %d", len(lines))
-	}
-	if !strings.HasSuffix(lines[1], strings.Repeat("#", 10)) {
-		t.Errorf("max bar should span full width: %q", lines[1])
-	}
-	if strings.Count(lines[0], "#") != 5 {
-		t.Errorf("half bar should span half width: %q", lines[0])
-	}
-	// Zero width falls back to the default, zero values render no bars.
-	out = BarChart([]string{"x"}, []float64{0}, 0)
-	if strings.Contains(out, "#") {
-		t.Errorf("zero value rendered a bar: %q", out)
-	}
-}
-
 func TestHeatmapSVG(t *testing.T) {
 	g := topology.NewTorus(4, 2)
 	counts := make([]int64, g.ChannelSlots())
