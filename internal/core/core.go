@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"wormsim/internal/forensics"
 	"wormsim/internal/message"
@@ -354,17 +355,30 @@ type safAdapter struct {
 
 func (a safAdapter) Reseed(seed uint64) { a.wl.Reseed(seed) }
 
-// Run executes one simulation point.
+// engines holds the wormhole engines idle between runs. Run is the only
+// function that reads or writes it.
+var engines sync.Pool
+
+// Run executes one simulation point on an engine recycled from an earlier
+// point, or on a new one if none is idle, so a caller running points one
+// after another, or a sweep's workers, re-use engines instead of building one
+// per point. The engine goes back to the pool whether the run succeeded,
+// deadlocked or failed, since Reset re-initialises any state such a run
+// leaves; a run that panics drops it.
 func Run(cfg Config) (Result, error) {
-	return runOn(new(network.Network), cfg)
+	eng, _ := engines.Get().(*network.Network)
+	if eng == nil {
+		eng = new(network.Network)
+	}
+	r, err := runOn(eng, cfg)
+	engines.Put(eng)
+	return r, err
 }
 
 // runOn is Run on a caller-supplied wormhole engine, re-initialised for the
-// point (network.Reset): the sweeps hand every point the engine of the
-// scheduler worker it runs on, so a grid of points builds one engine per
-// worker instead of one per point. The Result is a function of cfg alone —
-// what eng ran before cannot show (store-and-forward points leave it
-// untouched).
+// point (network.Reset). The Result is a function of cfg alone — what eng
+// ran before cannot show, and no part of the Result aliases eng's memory
+// (store-and-forward points leave eng untouched).
 func runOn(eng *network.Network, cfg Config) (Result, error) {
 	cfg.ApplyDefaults()
 	if cfg.K < 2 || cfg.N < 1 {
@@ -638,20 +652,15 @@ func cfgCycles(cfg Config, samples int) int64 {
 // produced it. Callers following the grid convention — check
 // Result.Deadlocked, not just err — behave identically on both paths.
 func RunCached(cfg Config) (r Result, hit bool, err error) {
-	return runCachedOn(new(network.Network), cfg)
-}
-
-// runCachedOn is RunCached with misses simulated on eng (see runOn).
-func runCachedOn(eng *network.Network, cfg Config) (r Result, hit bool, err error) {
 	if cfg.Cache == nil || (cfg.Telemetry != nil && cfg.Telemetry.Trace) {
-		r, err = runOn(eng, cfg)
+		r, err = Run(cfg)
 		return r, false, err
 	}
 	hash := cfg.Hash()
 	if r, ok := cfg.Cache.Lookup(hash); ok {
 		return r, true, nil
 	}
-	r, err = runOn(eng, cfg)
+	r, err = Run(cfg)
 	if err != nil && !r.Deadlocked {
 		return r, false, err
 	}

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-
-	"wormsim/internal/network"
 )
 
 // FigureSpec defines one of the paper's evaluation figures as code: the
@@ -103,8 +101,8 @@ type FigureResult struct {
 // scheduler item per (algorithm, load) point across the machine's cores, so
 // no algorithm waits for another's slowest point. base supplies shared
 // settings (sizes, seeds, methodology); its Algorithm, Pattern, Switching
-// and OfferedLoad fields are overridden by the spec. Every point runs on its
-// worker's recycled engine and equals a sequential Run of its config.
+// and OfferedLoad fields are overridden by the spec. Every point equals a
+// sequential Run of its config.
 // Deadlocked points are recorded in their Result and do not abort the
 // figure; any other error does.
 //
@@ -121,12 +119,12 @@ func RunFigure(spec FigureSpec, base Config, onDone func(i int, r Result)) (Figu
 	base.Pattern = spec.Pattern
 	base.Switching = spec.Switching
 	nl := len(spec.Loads)
-	err := each(runtime.GOMAXPROCS(0), len(spec.Algorithms)*nl, func(eng *network.Network, k int) error { //lint:allow purity (worker count only sets parallelism; results are bit-identical at any width, test-pinned)
+	err := each(runtime.GOMAXPROCS(0), len(spec.Algorithms)*nl, func(k int) error { //lint:allow purity (worker count only sets parallelism; results are bit-identical at any width, test-pinned)
 		s := &fr.Series[k/nl]
 		cfg := base
 		cfg.Algorithm = s.Algorithm
 		cfg.OfferedLoad = spec.Loads[k%nl]
-		r, _, err := runCachedOn(eng, cfg)
+		r, _, err := RunCached(cfg)
 		s.Results[k%nl] = r
 		if onDone != nil {
 			onDone(k, r)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wormsim/internal/network"
 	"wormsim/internal/stats"
 )
 
@@ -17,23 +16,19 @@ import (
 // Work items are whole simulation runs (milliseconds to minutes), so one
 // mutex guards the queue: contention on it is unmeasurable at that
 // granularity. Each simulation itself stays single-threaded and seeded, so
-// any schedule produces results identical to a sequential pass.
-//
-// Every worker owns one wormhole engine (Engine) that its items re-initialise
-// and run on in turn, so a sweep allocates an engine per worker rather than
-// per point.
+// any schedule produces results identical to a sequential pass. Items that
+// simulate take their engines from Run's pool, so a sweep builds about one
+// engine per worker rather than one per point.
 type Scheduler struct {
 	mu sync.Mutex
 	// work wakes idle workers (an item was queued, or the pool closed);
 	// drained wakes Close once live reaches zero.
 	work, drained *sync.Cond
-	queue         []func(worker int)
+	queue         []func()
 	// live counts submitted-but-unfinished items.
 	live   int
 	closed bool
 	wg     sync.WaitGroup
-	// engines[w] is worker w's recycled engine.
-	engines []network.Network
 }
 
 // NewScheduler starts a pool of workers (minimum 1). Close it when done.
@@ -41,25 +36,19 @@ func NewScheduler(workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{engines: make([]network.Network, workers)}
+	s := &Scheduler{}
 	s.work = sync.NewCond(&s.mu)
 	s.drained = sync.NewCond(&s.mu)
 	s.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go s.worker(w) //lint:allow purity (worker pool; completion order never escapes — results land by point index)
+	for range workers {
+		go s.worker() //lint:allow purity (worker pool; completion order never escapes — results land by point index)
 	}
 	return s
 }
 
-// Engine returns the engine reserved for the items worker runs. A worker
-// runs one item at a time, so an item may use its worker's engine without
-// locking — for as long as it runs, and never another worker's.
-func (s *Scheduler) Engine(worker int) *network.Network { return &s.engines[worker] }
-
 // Submit queues one work item behind every item queued before it. It may be
-// called from inside a running item; Close waits for such items too. The item
-// receives the id of the worker that runs it.
-func (s *Scheduler) Submit(fn func(worker int)) {
+// called from inside a running item; Close waits for such items too.
+func (s *Scheduler) Submit(fn func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -70,7 +59,7 @@ func (s *Scheduler) Submit(fn func(worker int)) {
 	s.work.Signal()
 }
 
-func (s *Scheduler) worker(w int) {
+func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()
 	for {
@@ -79,7 +68,7 @@ func (s *Scheduler) worker(w int) {
 			s.queue[0] = nil
 			s.queue = s.queue[1:]
 			s.mu.Unlock()
-			fn(w)
+			fn()
 			s.mu.Lock()
 			if s.live--; s.live == 0 {
 				s.drained.Broadcast()
@@ -109,18 +98,18 @@ func (s *Scheduler) Close() {
 	s.wg.Wait()
 }
 
-// each runs fn(eng, i) for every i in [0, n) on a Scheduler of workers
-// workers (at most n), queued in index order; eng is the running worker's
-// recycled engine. Callers write results by index, so completion order
-// never shows. It returns the error of the lowest failing index.
-func each(workers, n int, fn func(eng *network.Network, i int) error) error {
+// each runs fn(i) for every i in [0, n) on a Scheduler of workers workers
+// (at most n), queued in index order. Callers write results by index, so
+// completion order never shows. It returns the error of the lowest failing
+// index.
+func each(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
 	errs := make([]error, n)
 	s := NewScheduler(workers)
 	for i := 0; i < n; i++ {
-		s.Submit(func(w int) { errs[i] = fn(s.Engine(w), i) })
+		s.Submit(func() { errs[i] = fn(i) })
 	}
 	s.Close()
 	for _, err := range errs {
@@ -148,8 +137,8 @@ type ReplicatedResult struct {
 // SweepReplicated runs cfg at every load once per seed, one scheduler item
 // per (load, seed) pair, so a worker that finishes a cheap load picks up
 // single replicas of the expensive loads near saturation instead of idling.
-// Each replica is an independent point on its worker's recycled engine, and
-// its Result equals, field for field, Run of the same config at that seed.
+// Each replica is an independent point, and its Result equals, field for
+// field, Run of the same config at that seed.
 // Results are aggregated per load, in load order, with Replicas in seed
 // order; they are identical at any worker count.
 //
@@ -170,11 +159,11 @@ func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) (
 	for i := range loads {
 		out[i] = ReplicatedResult{OfferedLoad: loads[i], Replicas: make([]Result, len(seeds))}
 	}
-	err := each(workers, len(loads)*len(seeds), func(eng *network.Network, k int) error {
+	err := each(workers, len(loads)*len(seeds), func(k int) error {
 		i, j := k/len(seeds), k%len(seeds)
 		c := cfg
 		c.OfferedLoad = loads[i]
-		r, err := runReplica(eng, c, seeds[j], j == 0)
+		r, err := runReplica(c, seeds[j], j == 0)
 		out[i].Replicas[j] = r
 		if err != nil {
 			return fmt.Errorf("core: replicated sweep at rho=%.3g: %w", loads[i], err)
@@ -201,9 +190,9 @@ func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) (
 	return out, nil
 }
 
-// runReplica runs the replica of cfg at seed on eng under SweepReplicated's
+// runReplica runs the replica of cfg at seed under SweepReplicated's
 // contract; observed marks the one replica the instruments attach to.
-func runReplica(eng *network.Network, cfg Config, seed uint64, observed bool) (Result, error) {
+func runReplica(cfg Config, seed uint64, observed bool) (Result, error) {
 	cfg.Seed = seed
 	if cfg.Telemetry != nil || cfg.Forensics != nil {
 		// Storing the bare siblings of an instrumented replica, or serving it
@@ -214,7 +203,7 @@ func runReplica(eng *network.Network, cfg Config, seed uint64, observed bool) (R
 	if !observed {
 		cfg.Telemetry, cfg.Forensics, cfg.OnSample = nil, nil, nil
 	}
-	r, _, err := runCachedOn(eng, cfg)
+	r, _, err := RunCached(cfg)
 	if err != nil && !r.Deadlocked {
 		return r, fmt.Errorf("core: replica seed=%#x: %w", seed, err)
 	}

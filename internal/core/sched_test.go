@@ -12,7 +12,7 @@ func TestSchedulerRunsEveryItem(t *testing.T) {
 		s := NewScheduler(workers)
 		var ran atomic.Int64
 		for i := 0; i < 100; i++ {
-			s.Submit(func(int) { ran.Add(1) })
+			s.Submit(func() { ran.Add(1) })
 		}
 		s.Close()
 		if ran.Load() != 100 {
@@ -33,7 +33,7 @@ func TestSchedulerRunsItemsConcurrently(t *testing.T) {
 	ready := make(chan struct{})
 	release := make(chan struct{})
 	for i := 0; i < workers; i++ {
-		s.Submit(func(int) {
+		s.Submit(func() {
 			if arrived.Add(1) == workers {
 				close(ready)
 			}
@@ -51,7 +51,7 @@ func TestSchedulerRunsItemsConcurrently(t *testing.T) {
 
 // TestSweepSchedulerMatchesSequential: the scheduled figure must reproduce a
 // sequential Run of every point exactly (each point is an independent seeded
-// simulation, whichever worker's recycled engine it lands on).
+// simulation, whichever pooled engine it lands on).
 func TestSweepSchedulerMatchesSequential(t *testing.T) {
 	spec := FigureSpec{ID: "sched", Pattern: "uniform", Switching: Wormhole,
 		Algorithms: []string{"2pn"}, Loads: []float64{0.1, 0.2, 0.3, 0.4}}
@@ -66,10 +66,10 @@ func TestSweepSchedulerMatchesSequential(t *testing.T) {
 
 // TestSweepReplicatedMatchesIndividualRuns: at any width the (load, seed)
 // matrix equals sequential Runs — every replica is an independent point on
-// its worker's recycled engine, so which replicas shared an engine, and in
-// which order, cannot show. The saturated load leaves each engine full of
-// worms for whatever runs next on it. CI runs this under -race: the workers'
-// engines must not be shared.
+// a pooled engine, so which replicas shared an engine, and in which order,
+// cannot show. The saturated load leaves each engine full of worms for
+// whatever runs next on it. CI runs this under -race: no engine may be
+// shared by two running workers.
 func TestSweepReplicatedMatchesIndividualRuns(t *testing.T) {
 	cfg := quick("nbc")
 	loads := []float64{0.15, 0.9}
@@ -133,9 +133,9 @@ func TestSchedulerSingleWorker(t *testing.T) {
 	s := NewScheduler(1)
 	var runs [40]atomic.Int64
 	for i := 0; i < 20; i++ {
-		s.Submit(func(int) {
+		s.Submit(func() {
 			runs[i].Add(1)
-			s.Submit(func(int) { runs[20+i].Add(1) })
+			s.Submit(func() { runs[20+i].Add(1) })
 		})
 	}
 	s.Close()
@@ -152,7 +152,7 @@ func TestSchedulerMoreWorkersThanTasks(t *testing.T) {
 	s := NewScheduler(16)
 	var ran atomic.Int64
 	for i := 0; i < 3; i++ {
-		s.Submit(func(int) { ran.Add(1) })
+		s.Submit(func() { ran.Add(1) })
 	}
 	s.Close()
 	if ran.Load() != 3 {
@@ -169,9 +169,9 @@ func TestSchedulerStealHeavyExactlyOnce(t *testing.T) {
 	s := NewScheduler(8)
 	var runs [tasks]atomic.Int64
 	for i := 0; i < tasks/2; i++ {
-		s.Submit(func(int) {
+		s.Submit(func() {
 			runs[i].Add(1)
-			s.Submit(func(int) { runs[tasks/2+i].Add(1) })
+			s.Submit(func() { runs[tasks/2+i].Add(1) })
 		})
 	}
 	s.Close()
@@ -190,12 +190,12 @@ func TestSchedulerFIFO(t *testing.T) {
 	s := NewScheduler(1)
 	var log []int // only the one worker appends
 	start := make(chan struct{})
-	s.Submit(func(int) { <-start; log = append(log, 0) })
+	s.Submit(func() { <-start; log = append(log, 0) })
 	for i := 1; i <= 5; i++ {
-		s.Submit(func(int) {
+		s.Submit(func() {
 			log = append(log, i)
 			if i%2 == 1 {
-				s.Submit(func(int) { log = append(log, 10+i) })
+				s.Submit(func() { log = append(log, 10+i) })
 			}
 		})
 	}

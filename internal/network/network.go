@@ -99,16 +99,12 @@
 //
 // # One engine, recycled
 //
-// This is the only flit-level engine. Replicated experiments (one point at
-// many seeds) run as independent points, back to back, rather than stepping
-// the replicas of a point in lockstep: a lockstep kernel has to visit every
-// blocked header of every replica each cycle, while here a parked header costs
-// nothing, so past saturation — where replicated sweeps spend their time — the
-// independent runs are several times cheaper per replica-cycle (DESIGN.md
-// §6). What lockstep shared across replicas was construction, and Reset gives
-// that back: a Network re-initialised for its next run re-uses its arrays,
-// bitsets, channel tables and message pool, and is indistinguishable from a
-// new one (see Reset).
+// This is the only flit-level engine: every point, replica and figure runs on
+// it, one independent run at a time. A Network is built once and re-used:
+// Reset re-initialises it for its next run, re-using its arrays, bitsets,
+// channel tables and message pool, and leaves it indistinguishable from a new
+// one. core.Run keeps idle engines in one pool and hands each run one of them
+// (DESIGN.md §6).
 package network
 
 import (

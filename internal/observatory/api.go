@@ -130,7 +130,7 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	a.pending[hash] = st
 	a.mu.Unlock()
 
-	a.sched.Submit(func(int) { a.run(hash, canonical) })
+	a.sched.Submit(func() { a.run(hash, canonical) })
 	writeJSON(w, http.StatusAccepted, runStatus{Hash: hash, State: "queued"})
 }
 

@@ -285,7 +285,7 @@ func TestAPIErrors(t *testing.T) {
 	// whole lifecycle.
 	gate := make(chan struct{})
 	for range 2 {
-		srv.api.sched.Submit(func(int) { <-gate })
+		srv.api.sched.Submit(func() { <-gate })
 	}
 	var k1 core.Config
 	k1.K = 1
