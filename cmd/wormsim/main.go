@@ -1,7 +1,13 @@
-// Command wormsim runs a single simulation point and prints a detailed
-// report: configuration, latency with its 95% error bound, achieved
-// normalized throughput, message accounting, per-hop-class latencies and
-// the virtual-channel load balance.
+// Command wormsim runs one simulation point, or a grid of them.
+//
+// One algorithm at one offered load prints a detailed report:
+// configuration, latency with its 95% error bound, achieved normalized
+// throughput, message accounting, per-hop-class latencies and the
+// virtual-channel load balance. A comma list for -alg, a load range or list
+// for -load, or an explicit -format runs the grid of (algorithm, load)
+// points and prints one CSV, table or JSON row per point, suitable for
+// regenerating the paper's curves. -replicas runs every point at several
+// seeds and reports the across-seed spread.
 //
 // Examples:
 //
@@ -10,6 +16,8 @@
 //	wormsim -alg 2pn -switching vct -load 0.6
 //	wormsim -alg ecube -k 8 -mesh -pattern transpose -load 0.3
 //	wormsim -alg nbc -load 0.6 -http :8080 -linger 10m   # live observatory
+//	wormsim -alg phop,nbc,ecube -load 0.1:1.0:0.1        # CSV grid
+//	wormsim -alg nlast,ecube -pattern transpose -load 0.05,0.3,0.6 -format table
 package main
 
 import (
@@ -20,6 +28,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,40 +58,58 @@ func main() {
 	}
 }
 
+// cli is one invocation's output streams, attachments and the flags the
+// run modes read.
+type cli struct {
+	stdout, stderr io.Writer
+	store          *runstore.Store
+	pub            *observatory.Publisher
+	prog           *telemetry.Progress
+
+	format, blameOut, tracePath, traceFormat string
+	verbose                                  bool
+}
+
 // run is the whole command: it returns instead of exiting so the deferred
 // store, API and server closes happen on failure too.
 func run(args []string, stdout, stderr io.Writer) error {
+	c := &cli{stdout: stdout, stderr: stderr}
 	fs := flag.NewFlagSet("wormsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cfg := core.Config{}
+	cfg := core.Config{OfferedLoad: 0.4} // the -load default
+	var loads []float64                  // set by an explicit -load
 	fs.IntVar(&cfg.K, "k", 16, "radix (nodes per dimension)")
 	fs.IntVar(&cfg.N, "n", 2, "dimensions")
 	fs.BoolVar(&cfg.Mesh, "mesh", false, "mesh instead of torus")
-	fs.StringVar(&cfg.Algorithm, "alg", "ecube", "routing algorithm: "+strings.Join(routing.Names(), ", "))
+	fs.StringVar(&cfg.Algorithm, "alg", "ecube", "routing algorithm, or a comma list of them: "+strings.Join(routing.Names(), ", "))
 	fs.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement)")
 	fs.StringVar(&cfg.Policy, "policy", "random", "output VC selection policy: random, first, leastcongested")
-	sw := fs.String("switching", "wormhole", "switching technique: wormhole, vct, saf")
-	fs.Float64Var(&cfg.OfferedLoad, "load", 0.4, "offered channel utilization (fraction of capacity)")
-	fs.Float64Var(&cfg.InjectionRate, "rate", 0, "per-node injection rate (overrides -load if set)")
+	fs.StringVar((*string)(&cfg.Switching), "switching", "wormhole", "switching technique: wormhole, vct, saf")
+	fs.Func("load", "offered channel utilization (fraction of capacity): one value, a lo:hi:step range or a comma list (default 0.4)", func(s string) (err error) {
+		loads, err = core.ParseLoads(s)
+		return err
+	})
+	fs.Float64Var(&cfg.InjectionRate, "rate", 0, "per-node injection rate (overrides -load if set; one load only)")
 	fs.IntVar(&cfg.MsgLen, "flits", 16, "message length in flits")
 	fs.IntVar(&cfg.BufDepth, "bufdepth", 0, "per-VC flit buffer depth (default 4; vct forces message length)")
 	fs.IntVar(&cfg.CCLimit, "cclimit", 0, "congestion-control per-class limit (default 2, -1 disables)")
 	fs.IntVar(&cfg.InjectionPorts, "ports", 0, "concurrent injection ports per node (default 2, -1 unlimited)")
 	fs.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
-	seed := fs.Uint64("seed", 1, "random seed")
-	replicas := fs.Int("replicas", 1, "simulate this many seeds of the point as independent runs across the machine's cores (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
+	replicas := fs.Int("replicas", 1, "simulate this many seeds of every point as independent runs across the machine's cores, reported with their across-seed spread (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
 	fs.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles (default 5000)")
 	fs.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sampling period (default 2000)")
 	fs.IntVar(&cfg.MaxSamples, "maxsamples", 0, "maximum sampling periods (default 12)")
-	verbose := fs.Bool("v", false, "print per-hop-class latencies and VC load balance")
-	metrics := fs.Bool("metrics", false, "collect and print telemetry: per-channel utilization, head-blocked cycles, VC occupancy")
-	fore := fs.Bool("forensics", false, "congestion forensics: sampled wait-for graphs, root-cause blame attribution and per-worm latency anatomy")
+	fs.StringVar(&c.format, "format", "", "grid output format: csv, table or json (one JSON object per line); the default is the detailed report for one point and csv for several")
+	fs.BoolVar(&c.verbose, "v", false, "print per-hop-class latencies and VC load balance")
+	metrics := fs.Bool("metrics", false, "collect and print telemetry: per-channel utilization, head-blocked cycles, VC occupancy (a grid prints one stderr line per point; json embeds the full summary)")
+	fore := fs.Bool("forensics", false, "congestion forensics: sampled wait-for graphs, root-cause blame attribution and per-worm latency anatomy (a grid prints one stderr line per point; json embeds the full summary)")
 	foreEvery := fs.Int64("forensics-every", 0, "forensics sampling period in cycles (default 64; 1 samples every cycle; implies -forensics)")
-	blameOut := fs.String("blameout", "", "write the forensics summary to PREFIX.json and the blame heatmap to PREFIX.svg (implies -forensics)")
-	tracePath := fs.String("trace", "", "write a worm lifecycle trace to this file (Chrome trace_event JSON for chrome://tracing)")
-	traceFormat := fs.String("traceformat", "chrome", "trace file format: chrome or jsonl")
+	fs.StringVar(&c.blameOut, "blameout", "", "write the forensics summary to PREFIX.json and the blame heatmap to PREFIX.svg (implies -forensics)")
+	fs.StringVar(&c.tracePath, "trace", "", "write a worm lifecycle trace to this file (a grid writes one per point to FILE-<alg>-<load>.json)")
+	fs.StringVar(&c.traceFormat, "traceformat", "chrome", "trace file format: chrome (trace_event JSON for chrome://tracing) or jsonl")
 	traceSample := fs.Int64("tracesample", 1, "trace every Nth worm")
-	progress := fs.Bool("progress", false, "live per-sample progress with ETA on stderr")
+	progress := fs.Bool("progress", false, "live progress with ETA on stderr: per sampling period for one point, per point for a grid, per algorithm with -replicas")
 	httpAddr := fs.String("http", "", "serve the live observatory (Prometheus /metrics, /snapshot, SSE /events, /heatmap, pprof, /api/runs) on this address, e.g. :8080")
 	storeDir := fs.String("store", "", "persistent run store directory: cached points skip simulation entirely; with -http the store backs the /api/runs and /api/compare endpoints")
 	fs.Int64Var(&cfg.TickCycles, "tick", 0, "observatory publication period in simulated cycles (default 1000)")
@@ -96,85 +123,75 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
-	cfg.Switching = core.Switching(*sw)
-	cfg.Seed = *seed
-
 	if *configPath != "" {
-		loaded, err := core.LoadConfig(*configPath)
-		if err != nil {
+		// The file replaces the flag defaults; parsing again puts every
+		// explicitly passed flag back on top of it.
+		defaultLoad := cfg.OfferedLoad
+		var err error
+		if cfg, err = core.LoadConfig(*configPath); err != nil {
 			return err
 		}
-		// Explicitly passed flags win over the file; everything else comes
-		// from the file.
-		flagged := cfg
-		cfg = loaded
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "k":
-				cfg.K = flagged.K
-			case "n":
-				cfg.N = flagged.N
-			case "mesh":
-				cfg.Mesh = flagged.Mesh
-			case "alg":
-				cfg.Algorithm = flagged.Algorithm
-			case "pattern":
-				cfg.Pattern = flagged.Pattern
-			case "policy":
-				cfg.Policy = flagged.Policy
-			case "switching":
-				cfg.Switching = flagged.Switching
-			case "load":
-				cfg.OfferedLoad = flagged.OfferedLoad
-			case "rate":
-				cfg.InjectionRate = flagged.InjectionRate
-			case "flits":
-				cfg.MsgLen = flagged.MsgLen
-			case "bufdepth":
-				cfg.BufDepth = flagged.BufDepth
-			case "cclimit":
-				cfg.CCLimit = flagged.CCLimit
-			case "ports":
-				cfg.InjectionPorts = flagged.InjectionPorts
-			case "routedelay":
-				cfg.RouteDelay = flagged.RouteDelay
-			case "seed":
-				cfg.Seed = flagged.Seed
-			case "warmup":
-				cfg.WarmupCycles = flagged.WarmupCycles
-			case "sample":
-				cfg.SampleCycles = flagged.SampleCycles
-			case "maxsamples":
-				cfg.MaxSamples = flagged.MaxSamples
-			}
-		})
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
 		if cfg.OfferedLoad == 0 && cfg.InjectionRate == 0 {
-			cfg.OfferedLoad = flagged.OfferedLoad // the -load default
+			cfg.OfferedLoad = defaultLoad
 		}
 	}
+	algs := strings.Split(cfg.Algorithm, ",")
+	for i, alg := range algs {
+		algs[i] = strings.TrimSpace(alg)
+	}
+	if loads == nil {
+		loads = []float64{cfg.OfferedLoad}
+	}
+	cfg.Algorithm, cfg.OfferedLoad = algs[0], loads[0]
+	if len(loads) > 1 && cfg.InjectionRate != 0 {
+		return errors.New("-rate sets one injection rate; it cannot be combined with several -load values")
+	}
+	grid := len(algs)*len(loads) > 1 || c.format != ""
+	if grid && c.format == "" {
+		c.format = "csv"
+	}
+	switch c.format {
+	case "", "csv", "table", "json":
+	default:
+		return fmt.Errorf("unknown format %q (csv, table, json)", c.format)
+	}
+	// A flag the chosen mode would ignore is a usage error, not a silent no-op.
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil:
+		case *replicas != 1 && slices.Contains([]string{"v", "metrics", "forensics", "forensics-every", "blameout", "trace"}, f.Name):
+			err = fmt.Errorf("-%s is not supported with -replicas", f.Name)
+		case grid && slices.Contains([]string{"v", "blameout", "saveconfig"}, f.Name):
+			err = fmt.Errorf("-%s is not supported with a grid (several points or -format)", f.Name)
+		}
+	})
+	if err != nil {
+		return err
+	}
+
 	// Telemetry flags augment whatever the config file requested.
-	if *metrics || *tracePath != "" {
-		opts := telemetry.Options{}
-		if cfg.Telemetry != nil {
-			opts = *cfg.Telemetry
+	if *metrics || c.tracePath != "" {
+		if cfg.Telemetry == nil {
+			cfg.Telemetry = &telemetry.Options{}
 		}
-		opts.Metrics = opts.Metrics || *metrics
-		opts.Trace = opts.Trace || *tracePath != ""
+		cfg.Telemetry.Metrics = cfg.Telemetry.Metrics || *metrics
+		cfg.Telemetry.Trace = cfg.Telemetry.Trace || c.tracePath != ""
 		if *traceSample > 1 {
-			opts.SampleEvery = *traceSample
+			cfg.Telemetry.SampleEvery = *traceSample
 		}
-		cfg.Telemetry = &opts
 	}
 	// Forensics flags likewise augment the config file's request.
-	if *fore || *foreEvery > 0 || *blameOut != "" {
-		opts := forensics.Options{}
-		if cfg.Forensics != nil {
-			opts = *cfg.Forensics
+	if *fore || *foreEvery > 0 || c.blameOut != "" {
+		if cfg.Forensics == nil {
+			cfg.Forensics = &forensics.Options{}
 		}
 		if *foreEvery > 0 {
-			opts.SampleEvery = *foreEvery
+			cfg.Forensics.SampleEvery = *foreEvery
 		}
-		cfg.Forensics = &opts
 	}
 	if *saveConfig != "" {
 		if err := cfg.Save(*saveConfig); err != nil {
@@ -186,31 +203,41 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The run store: content-addressed persistence for every completed
 	// point. Attached to the config it short-circuits repeat runs; attached
 	// to the observatory it backs the /api/runs and /api/compare surface.
-	var store *runstore.Store
 	if *storeDir != "" {
 		s, err := runstore.Open(*storeDir)
 		if err != nil {
 			return err
 		}
 		defer s.Close()
-		store = s
-		cfg.Cache = store
+		c.store = s
+		cfg.Cache = s
 	}
 	// The observatory: a publisher fed by the engine's tick hook, served
-	// over HTTP. The phase profiler rides along whenever either is wanted.
-	var pub *observatory.Publisher
+	// over HTTP. The snapshot follows whichever point published last, and
+	// a grid's completed points stream out as SSE "point" events. The phase
+	// profiler rides along whenever either is wanted.
+	var pp *telemetry.PhaseProfiler
+	if *phaseprof || *httpAddr != "" {
+		pp = telemetry.NewPhaseProfiler()
+		cfg.PhaseProf = pp
+	}
 	var obsrv *observatory.Server
 	if *httpAddr != "" {
-		pub = observatory.NewPublisher()
+		c.pub = observatory.NewPublisher()
 	}
-	if pub != nil {
+	if c.pub != nil {
+		c.pub.SetPhases(pp)
+		cfg.OnTick = c.pub.PublishTick
+		if grid {
+			c.pub.SetSweepTotal(len(algs) * len(loads))
+		}
 		var api *observatory.API
-		if store != nil {
-			pub.SetStore(store)
-			api = observatory.NewAPI(store, pub, runtime.GOMAXPROCS(0))
+		if c.store != nil {
+			c.pub.SetStore(c.store)
+			api = observatory.NewAPI(c.store, c.pub, runtime.GOMAXPROCS(0))
 			defer api.Close()
 		}
-		s, err := observatory.Listen(*httpAddr, pub, api)
+		s, err := observatory.Listen(*httpAddr, c.pub, api)
 		if err != nil {
 			return err
 		}
@@ -218,111 +245,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 		obsrv = s
 		fmt.Fprintf(stderr, "observatory serving on http://%s/\n", s.Addr())
 	}
-	var pp *telemetry.PhaseProfiler
-	if *phaseprof || pub != nil {
-		pp = telemetry.NewPhaseProfiler()
-		cfg.PhaseProf = pp
-	}
-	if pub != nil {
-		pub.SetPhases(pp)
-		cfg.OnTick = pub.PublishTick
-	}
-
-	var prog *telemetry.Progress
 	if *progress {
-		eff := cfg
-		eff.ApplyDefaults()
-		prog = telemetry.NewProgress(stderr, "sample", eff.MaxSamples)
-		cfg.OnSample = func(ev core.SampleEvent) {
-			prog.Step(fmt.Sprintf("lat=%.1f+-%.1f", ev.Mean, ev.Bound))
+		switch {
+		case !grid:
+			eff := cfg
+			eff.ApplyDefaults()
+			c.prog = telemetry.NewProgress(stderr, "sample", eff.MaxSamples)
+			cfg.OnSample = func(ev core.SampleEvent) {
+				c.prog.Step(fmt.Sprintf("lat=%.1f+-%.1f", ev.Mean, ev.Bound))
+			}
+		case *replicas != 1:
+			c.prog = telemetry.NewProgress(stderr, "sweep", len(algs))
+		default:
+			c.prog = telemetry.NewProgress(stderr, "sweep", len(algs)*len(loads))
 		}
 	}
 
-	if *replicas != 1 {
-		err := runReplicated(stdout, cfg, *replicas, prog)
-		if store != nil {
-			fmt.Fprintf(stderr, "store: hits=%d misses=%d\n", store.Hits(), store.Misses())
-		}
+	switch {
+	case *replicas != 1:
+		err = c.replicated(cfg, algs, loads, *replicas)
+	case grid:
+		err = c.grid(cfg, algs, loads)
+	default:
+		err = c.point(cfg)
+	}
+	c.finish()
+	if c.store != nil {
+		c.note("store: hits=%d misses=%d\n", c.store.Hits(), c.store.Misses())
+	}
+	if err != nil && !errors.Is(err, errDeadlocked) {
 		return err
-	}
-
-	res, hit, err := core.RunCached(cfg)
-	if prog != nil {
-		prog.Finish()
-	}
-	if err != nil && !res.Deadlocked {
-		return err
-	}
-	if hit {
-		fmt.Fprintf(stderr, "result served from run store %s (cache hit %s, zero cycles simulated)\n",
-			store.Path(), cfg.Hash()[:12])
-	}
-	if store != nil {
-		fmt.Fprintf(stderr, "store: hits=%d misses=%d\n", store.Hits(), store.Misses())
-	}
-
-	fmt.Fprintf(stdout, "network      : %d-ary %d-cube", cfg.K, cfg.N)
-	if cfg.Mesh {
-		fmt.Fprintf(stdout, " (mesh)")
-	}
-	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "algorithm    : %s (%s switching, policy %s)\n", res.Algorithm, res.Switching, cfg.Policy)
-	fmt.Fprintf(stdout, "pattern      : %s (mean distance %.3f hops)\n", res.Pattern, res.MeanDistance)
-	fmt.Fprintf(stdout, "offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", res.OfferedLoad, res.InjectionRate)
-	fmt.Fprintf(stdout, "latency      : %.1f +- %.1f cycles (95%%); p50 %.0f, p95 %.0f, p99 %.0f, max %.0f\n",
-		res.AvgLatency, res.LatencyBound, res.LatencyP50, res.LatencyP95, res.LatencyP99, res.LatencyMax)
-	fmt.Fprintf(stdout, "throughput   : %.4f of capacity\n", res.Throughput)
-	fmt.Fprintf(stdout, "messages     : %d generated, %d admitted, %d dropped, %d delivered\n",
-		res.Generated, res.Admitted, res.Dropped, res.Delivered)
-	fmt.Fprintf(stdout, "samples      : %d (converged: %v, deadlocked: %v)\n", res.Samples, res.Converged, res.Deadlocked)
-
-	if *verbose {
-		fmt.Fprintln(stdout, "\nhop class latencies (cycles):")
-		for d, l := range res.HopClassLatency {
-			if l >= 0 && d > 0 {
-				fmt.Fprintf(stdout, "  %2d hops: %8.1f\n", d, l)
-			}
-		}
-		if len(res.VCFlitShare) > 0 {
-			fmt.Fprintln(stdout, "virtual-channel load balance (share of flit transfers):")
-			for v, s := range res.VCFlitShare {
-				fmt.Fprintf(stdout, "  vc%-2d: %6.2f%% %s\n", v, 100*s, strings.Repeat("#", int(s*120)))
-			}
-		}
-		if len(res.ChannelFlits) > 0 {
-			g := cfg.Grid()
-			fmt.Fprintf(stdout, "physical-channel load balance: %v\n", analysis.ChannelBalance(g, res.ChannelFlits))
-			if g.N() == 2 {
-				fmt.Fprintln(stdout, "per-node traffic heatmap (outgoing flits; darker = busier):")
-				fmt.Fprint(stdout, viz.ChannelHeatmap(g, res.ChannelFlits))
-			}
-		}
-	}
-	if *metrics || (cfg.Telemetry != nil && cfg.Telemetry.Metrics) {
-		if res.Telemetry == nil {
-			fmt.Fprintln(stderr, "wormsim: -metrics: no telemetry collected (saf switching has no flit-level channels)")
-		} else {
-			printTelemetry(stdout, cfg.Grid(), res.Telemetry)
-		}
-	}
-	if cfg.Forensics != nil {
-		if res.Forensics == nil {
-			fmt.Fprintln(stderr, "wormsim: -forensics: nothing collected (saf switching has no virtual channels)")
-		} else {
-			printForensics(stdout, cfg.Grid(), res.Forensics)
-		}
-	}
-	if *blameOut != "" && res.Forensics != nil {
-		if werr := writeBlame(*blameOut, cfg, res.Forensics); werr != nil {
-			return werr
-		}
-		fmt.Fprintf(stderr, "wrote blame summary to %s.json and heatmap to %s.svg\n", *blameOut, *blameOut)
-	}
-	if *tracePath != "" {
-		if werr := writeTrace(*tracePath, *traceFormat, res.TraceEvents); werr != nil {
-			return werr
-		}
-		fmt.Fprintf(stderr, "wrote %d trace events to %s (%s format)\n", len(res.TraceEvents), *tracePath, *traceFormat)
 	}
 	if *phaseprof && pp != nil {
 		fmt.Fprintf(stdout, "\n%s", pp.Snapshot())
@@ -331,19 +283,200 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "observatory lingering %v on http://%s/ (interrupt to exit)\n", *linger, obsrv.Addr())
 		time.Sleep(*linger)
 	}
+	return err
+}
+
+// note prints a stderr annotation, first breaking out of the progress
+// line's carriage-return rewrite cycle if one is active.
+func (c *cli) note(format string, a ...any) {
+	if c.prog != nil {
+		fmt.Fprintln(c.stderr)
+	}
+	fmt.Fprintf(c.stderr, format, a...)
+}
+
+// finish ends the progress line, if one is active.
+func (c *cli) finish() {
+	if c.prog != nil {
+		c.prog.Finish()
+		c.prog = nil
+	}
+}
+
+// point runs the single point cfg describes and prints the detailed report,
+// plus whatever -v, -metrics, -forensics, -blameout and -trace ask for. A
+// deadlocked run makes the error errDeadlocked, after the report.
+func (c *cli) point(cfg core.Config) error {
+	res, hit, err := core.RunCached(cfg)
+	c.finish()
+	if err != nil && !res.Deadlocked {
+		return err
+	}
+	if hit {
+		c.note("result served from run store %s (cache hit %s, zero cycles simulated)\n",
+			c.store.Path(), cfg.Hash()[:12])
+	}
+
+	w := c.stdout
+	printHeader(w, cfg, res)
+	fmt.Fprintf(w, "latency      : %.1f +- %.1f cycles (95%%); p50 %.0f, p95 %.0f, p99 %.0f, max %.0f\n",
+		res.AvgLatency, res.LatencyBound, res.LatencyP50, res.LatencyP95, res.LatencyP99, res.LatencyMax)
+	fmt.Fprintf(w, "throughput   : %.4f of capacity\n", res.Throughput)
+	fmt.Fprintf(w, "messages     : %d generated, %d admitted, %d dropped, %d delivered\n",
+		res.Generated, res.Admitted, res.Dropped, res.Delivered)
+	fmt.Fprintf(w, "samples      : %d (converged: %v, deadlocked: %v)\n", res.Samples, res.Converged, res.Deadlocked)
+
+	if c.verbose {
+		fmt.Fprintln(w, "\nhop class latencies (cycles):")
+		for d, l := range res.HopClassLatency {
+			if l >= 0 && d > 0 {
+				fmt.Fprintf(w, "  %2d hops: %8.1f\n", d, l)
+			}
+		}
+		if len(res.VCFlitShare) > 0 {
+			fmt.Fprintln(w, "virtual-channel load balance (share of flit transfers):")
+			for v, s := range res.VCFlitShare {
+				fmt.Fprintf(w, "  vc%-2d: %6.2f%% %s\n", v, 100*s, strings.Repeat("#", int(s*120)))
+			}
+		}
+		if len(res.ChannelFlits) > 0 {
+			g := cfg.Grid()
+			fmt.Fprintf(w, "physical-channel load balance: %v\n", analysis.ChannelBalance(g, res.ChannelFlits))
+			if g.N() == 2 {
+				fmt.Fprintln(w, "per-node traffic heatmap (outgoing flits; darker = busier):")
+				fmt.Fprint(w, viz.ChannelHeatmap(g, res.ChannelFlits))
+			}
+		}
+	}
+	if cfg.Telemetry != nil && cfg.Telemetry.Metrics {
+		if res.Telemetry == nil {
+			fmt.Fprintln(c.stderr, "wormsim: -metrics: no telemetry collected (saf switching has no flit-level channels)")
+		} else {
+			printTelemetry(w, cfg.Grid(), res.Telemetry)
+		}
+	}
+	if cfg.Forensics != nil {
+		if res.Forensics == nil {
+			fmt.Fprintln(c.stderr, "wormsim: -forensics: nothing collected (saf switching has no virtual channels)")
+		} else {
+			printForensics(w, cfg.Grid(), res.Forensics)
+		}
+	}
+	if c.blameOut != "" && res.Forensics != nil {
+		if werr := writeBlame(c.blameOut, cfg, res.Forensics); werr != nil {
+			return werr
+		}
+		fmt.Fprintf(c.stderr, "wrote blame summary to %s.json and heatmap to %s.svg\n", c.blameOut, c.blameOut)
+	}
+	if c.tracePath != "" {
+		if werr := writeTrace(c.tracePath, c.traceFormat, res.TraceEvents); werr != nil {
+			return werr
+		}
+		fmt.Fprintf(c.stderr, "wrote %d trace events to %s (%s format)\n", len(res.TraceEvents), c.tracePath, c.traceFormat)
+	}
 	if res.Deadlocked {
 		return fmt.Errorf("%w: %w", errDeadlocked, err)
 	}
 	return nil
 }
 
-// runReplicated simulates n seeds of the point as independent replicas
-// across the machine's cores (core.SweepReplicated) and prints per-replica
-// results plus the aggregate: mean latency with its across-seed spread, mean
-// throughput, and the aggregate simulation rate achieved. n == 0 picks one
-// replica per sampling period budget (the convergence rule's MaxSamples).
-// A deadlocked replica makes the error errDeadlocked, after the report.
-func runReplicated(w io.Writer, cfg core.Config, n int, prog *telemetry.Progress) error {
+// printHeader prints the lines the single-point reports open with: the
+// network, algorithm, pattern and offered load.
+func printHeader(w io.Writer, cfg core.Config, res core.Result) {
+	fmt.Fprintf(w, "network      : %d-ary %d-cube", cfg.K, cfg.N)
+	if cfg.Mesh {
+		fmt.Fprintf(w, " (mesh)")
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "algorithm    : %s (%s switching, policy %s)\n", res.Algorithm, res.Switching, cfg.Policy)
+	fmt.Fprintf(w, "pattern      : %s (mean distance %.3f hops)\n", res.Pattern, res.MeanDistance)
+	fmt.Fprintf(w, "offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", res.OfferedLoad, res.InjectionRate)
+}
+
+// grid runs every (algorithm, load) point in one core.RunFigure call across
+// the machine's cores and prints a row per point. Stderr gets a note per
+// point for -metrics and -forensics and each algorithm's peak throughput;
+// -trace writes each point's trace to its own file. Deadlocked points are
+// rows with state "deadlock", not errors.
+func (c *cli) grid(cfg core.Config, algs []string, loads []float64) error {
+	w := c.stdout
+	switch c.format {
+	case "csv":
+		fmt.Fprintln(w, "algorithm,pattern,switching,offered,latency,latency_bound,throughput,injection_rate,generated,dropped,delivered,samples,state")
+	case "table":
+		fmt.Fprintf(w, "%-8s %-10s %8s %10s %10s %10s %8s\n", "alg", "pattern", "offered", "latency", "bound", "thruput", "state")
+	}
+	onDone := func(i int, r core.Result) {
+		if c.pub != nil {
+			c.pub.PublishPoint(i, r)
+		}
+		if c.prog != nil {
+			c.prog.Step(fmt.Sprintf("%s rho=%.2f lat=%.1f", r.Algorithm, r.OfferedLoad, r.AvgLatency))
+		}
+	}
+	spec := core.FigureSpec{ID: "grid", Pattern: cfg.Pattern, Switching: cfg.Switching, Algorithms: algs, Loads: loads}
+	fr, err := core.RunFigure(spec, cfg, onDone)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	for _, series := range fr.Series {
+		for _, r := range series.Results {
+			state := "ok"
+			switch {
+			case r.Deadlocked:
+				state = "deadlock"
+			case !r.Converged:
+				state = "max-samples"
+			}
+			switch c.format {
+			case "csv":
+				fmt.Fprintf(w, "%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%.5f,%d,%d,%d,%d,%s\n",
+					r.Algorithm, r.Pattern, r.Switching, r.OfferedLoad, r.AvgLatency, r.LatencyBound,
+					r.Throughput, r.InjectionRate, r.Generated, r.Dropped, r.Delivered, r.Samples, state)
+			case "json":
+				r.ChannelFlits = nil // keep the records small
+				if err := enc.Encode(r); err != nil {
+					return err
+				}
+			default:
+				fmt.Fprintf(w, "%-8s %-10s %8.2f %10.1f %10.1f %10.4f %8s\n",
+					r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, state)
+			}
+			if cfg.Telemetry != nil && cfg.Telemetry.Metrics && r.Telemetry != nil {
+				top := r.Telemetry.BusiestChannels(1)[0]
+				c.note("# %s rho=%.2f: max ch util %.1f%% (ch %d), head-blocked %d, inj backlog mean %.2f, drops %d\n",
+					r.Algorithm, r.OfferedLoad, 100*r.Telemetry.ChannelUtilization(top), top,
+					r.Telemetry.TotalHeadBlocked(), r.Telemetry.InjQueueMean, r.Telemetry.Drops)
+			}
+			if f := r.Forensics; cfg.Forensics != nil && f != nil {
+				blame := "no head-blocked worms"
+				if top := f.TopRoots(1); len(top) > 0 {
+					blame = fmt.Sprintf("top root ch %d carries %.1f%% of %d blamed worm-cycles (%.1f%% attributed)",
+						top[0].Ch, 100*top[0].Share, f.BlockedObserved, 100*f.AttributedFraction())
+				}
+				c.note("# %s rho=%.2f: %s, %d wait-for cycles\n", r.Algorithm, r.OfferedLoad, blame, f.WaitCycles)
+			}
+			if c.tracePath != "" {
+				path := fmt.Sprintf("%s-%s-%.2f.json", c.tracePath, r.Algorithm, r.OfferedLoad)
+				if err := writeTrace(path, c.traceFormat, r.TraceEvents); err != nil {
+					return err
+				}
+			}
+		}
+		peak, at := core.PeakThroughput(series.Results)
+		c.note("# %s peak throughput %.3f at offered %.2f\n", series.Algorithm, peak, at)
+	}
+	return nil
+}
+
+// replicated simulates every point at n seeds (0 = MaxSamples of them) as
+// independent runs across the machine's cores, one core.SweepReplicated call
+// per algorithm. A grid prints a row per point (mean latency, across-seed
+// spread, mean throughput, deadlocks) and notes each algorithm's simulation
+// rate on stderr. One point prints per-seed results plus the aggregate, and a
+// deadlocked replica makes the error errDeadlocked, after the report.
+func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int) error {
 	eff := cfg
 	eff.ApplyDefaults()
 	if n <= 0 {
@@ -354,36 +487,67 @@ func runReplicated(w io.Writer, cfg core.Config, n int, prog *telemetry.Progress
 		seeds[r] = cfg.Seed + uint64(r)*0x9e3779b97f4a7c15
 	}
 	workers := runtime.GOMAXPROCS(0)
-	start := time.Now()
-	reps, err := core.SweepReplicated(cfg, []float64{cfg.OfferedLoad}, seeds, workers)
-	wall := time.Since(start)
-	if prog != nil {
-		prog.Finish()
+	w := c.stdout
+	switch c.format {
+	case "csv":
+		fmt.Fprintln(w, "algorithm,pattern,switching,offered,mean_latency,latency_spread,mean_throughput,replicas,deadlocks")
+	case "table":
+		fmt.Fprintf(w, "%-8s %-10s %8s %12s %10s %10s %10s\n", "alg", "pattern", "offered", "mean_lat", "spread", "thruput", "deadlocks")
 	}
-	if err != nil {
-		return err
-	}
-	agg, results := reps[0], reps[0].Replicas
-	fmt.Fprintf(w, "network      : %d-ary %d-cube", cfg.K, cfg.N)
-	if cfg.Mesh {
-		fmt.Fprintf(w, " (mesh)")
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "algorithm    : %s (%s switching, policy %s)\n", results[0].Algorithm, results[0].Switching, cfg.Policy)
-	fmt.Fprintf(w, "pattern      : %s (mean distance %.3f hops)\n", results[0].Pattern, results[0].MeanDistance)
-	fmt.Fprintf(w, "offered load : %.3f of capacity (%.5f msgs/node/cycle)\n", results[0].OfferedLoad, results[0].InjectionRate)
-	fmt.Fprintf(w, "replicas     : %d seeds, independent runs on %d workers\n", n, min(workers, n))
-	var cycles int64
-	for r, res := range results {
-		fmt.Fprintf(w, "  seed %-#18x: %s\n", seeds[r], res.String())
-		cycles += res.Cycles
-	}
-	fmt.Fprintf(w, "aggregate    : latency %.1f +- %.1f cycles (across-seed spread); throughput %.4f; deadlocks %d/%d\n",
-		agg.MeanLatency, agg.LatencySpread, agg.MeanThroughput, agg.Deadlocks, n)
-	fmt.Fprintf(w, "rate         : %.3g replica-cycles/s aggregate over %v wall\n",
-		float64(cycles)/wall.Seconds(), wall.Round(time.Millisecond))
-	if agg.Deadlocks > 0 {
-		return fmt.Errorf("%w: %d of %d replicas", errDeadlocked, agg.Deadlocks, n)
+	enc := json.NewEncoder(w)
+	for _, alg := range algs {
+		a := cfg
+		a.Algorithm = alg
+		start := time.Now()
+		reps, err := core.SweepReplicated(a, loads, seeds, workers)
+		wall := time.Since(start)
+		if err != nil {
+			return fmt.Errorf("%s: %w", alg, err)
+		}
+		var cycles int64
+		for _, rr := range reps {
+			for _, r := range rr.Replicas {
+				cycles += r.Cycles
+			}
+		}
+		if c.format == "" { // one point, so this is the only iteration
+			c.finish()
+			agg := reps[0]
+			printHeader(w, cfg, agg.Replicas[0])
+			fmt.Fprintf(w, "replicas     : %d seeds, independent runs on %d workers\n", n, min(workers, n))
+			for r, res := range agg.Replicas {
+				fmt.Fprintf(w, "  seed %-#18x: %s\n", seeds[r], res.String())
+			}
+			fmt.Fprintf(w, "aggregate    : latency %.1f +- %.1f cycles (across-seed spread); throughput %.4f; deadlocks %d/%d\n",
+				agg.MeanLatency, agg.LatencySpread, agg.MeanThroughput, agg.Deadlocks, n)
+			fmt.Fprintf(w, "rate         : %.3g replica-cycles/s aggregate over %v wall\n",
+				float64(cycles)/wall.Seconds(), wall.Round(time.Millisecond))
+			if agg.Deadlocks > 0 {
+				return fmt.Errorf("%w: %d of %d replicas", errDeadlocked, agg.Deadlocks, n)
+			}
+			return nil
+		}
+		for _, rr := range reps {
+			switch c.format {
+			case "csv":
+				fmt.Fprintf(w, "%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%d,%d\n",
+					alg, cfg.Pattern, eff.Switching, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread,
+					rr.MeanThroughput, len(rr.Replicas), rr.Deadlocks)
+			case "json":
+				rr.Replicas = nil // keep the records small
+				if err := enc.Encode(rr); err != nil {
+					return err
+				}
+			default:
+				fmt.Fprintf(w, "%-8s %-10s %8.2f %12.1f %10.1f %10.4f %10d\n",
+					alg, cfg.Pattern, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread, rr.MeanThroughput, rr.Deadlocks)
+			}
+		}
+		c.note("# %s: %d seeds x %d loads, %.3g replica-cycles/s aggregate over %v wall\n",
+			alg, n, len(loads), float64(cycles)/wall.Seconds(), wall.Round(time.Millisecond))
+		if c.prog != nil {
+			c.prog.Step(alg)
+		}
 	}
 	return nil
 }
@@ -396,13 +560,7 @@ func printTelemetry(w io.Writer, g *topology.Grid, s *telemetry.Summary) {
 	fmt.Fprintf(w, "\ntelemetry (%d cycles observed):\n", s.Cycles)
 	fmt.Fprintln(w, "  busiest physical channels (busy cycles / observed cycles):")
 	for _, ch := range s.BusiestChannels(10) {
-		up, dim, dir := g.ChannelInfo(ch)
-		down := "edge"
-		if d := g.Neighbor(up, dim, dir); d >= 0 {
-			down = nodeName(g, d)
-		}
-		fmt.Fprintf(w, "    ch %4d  %s d%d%v -> %-8s %6.1f%%\n",
-			ch, nodeName(g, up), dim, dir, down, 100*s.ChannelUtilization(ch))
+		fmt.Fprintf(w, "    ch %4d  %s %6.1f%%\n", ch, channelName(g, ch), 100*s.ChannelUtilization(ch))
 	}
 	if hb := s.TotalHeadBlocked(); hb > 0 {
 		fmt.Fprintf(w, "  head-blocked cycles by routing class: %v (total %d)\n", s.HeadBlockedByClass, hb)
@@ -428,13 +586,7 @@ func printForensics(w io.Writer, g *topology.Grid, f *forensics.Summary) {
 	}
 	fmt.Fprintln(w, "  top roots on the topology:")
 	for _, r := range roots {
-		up, dim, dir := g.ChannelInfo(r.Ch)
-		down := "edge"
-		if d := g.Neighbor(up, dim, dir); d >= 0 {
-			down = nodeName(g, d)
-		}
-		fmt.Fprintf(w, "    ch %4d  %s d%d%v -> %-8s %5.1f%% of blame\n",
-			r.Ch, nodeName(g, up), dim, dir, down, 100*r.Share)
+		fmt.Fprintf(w, "    ch %4d  %s %5.1f%% of blame\n", r.Ch, channelName(g, r.Ch), 100*r.Share)
 	}
 }
 
@@ -458,6 +610,17 @@ func writeBlame(prefix string, cfg core.Config, f *forensics.Summary) error {
 		cfg.Algorithm, cfg.Pattern, cfg.OfferedLoad, f.SampleEvery)
 	svg := viz.BlameSVG(cfg.Grid(), f.BlameByChannel, rootChs, title)
 	return os.WriteFile(prefix+".svg", []byte(svg), 0o644)
+}
+
+// channelName renders a channel by its endpoints, e.g. "(3,2) d1+ -> (3,3)   "
+// (padded to align a column), with "edge" downstream of a mesh boundary.
+func channelName(g *topology.Grid, ch int) string {
+	up, dim, dir := g.ChannelInfo(ch)
+	down := "edge"
+	if d := g.Neighbor(up, dim, dir); d >= 0 {
+		down = nodeName(g, d)
+	}
+	return fmt.Sprintf("%s d%d%v -> %-8s", nodeName(g, up), dim, dir, down)
 }
 
 // nodeName renders a node as its coordinate tuple, e.g. "(3,3)".

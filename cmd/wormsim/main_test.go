@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"wormsim/internal/core"
 )
 
 // TestHeadBlockedReportIgnoresSamplingPeriod runs a saturated hot-spot point
@@ -69,11 +72,121 @@ func TestBadArguments(t *testing.T) {
 	}{
 		{[]string{"-k", "4", "-switching", "bogus"}, "bogus"},
 		{[]string{"-config", "/nonexistent/wormsim.json"}, "nonexistent"},
+		{[]string{"-format", "bogus", "-load", "0.2", "-k", "4"}, `unknown format "bogus"`},
+		{[]string{"-load", "0.2:oops:0.1"}, "oops"},
+		{[]string{"-load", "0.2,0.3", "-rate", "0.01"}, "-rate"},
+		{[]string{"-replicas", "2", "-metrics"}, "-metrics is not supported with -replicas"},
+		{[]string{"-alg", "nbc,ecube", "-v"}, "-v is not supported with a grid"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(tc.args, &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestStoreSmoke replays CI's store-smoke job in process: the same tiny grid
+// twice against one -store directory. The cold pass simulates every point,
+// the warm pass answers every point from the store, and the CSV is
+// byte-identical.
+func TestStoreSmoke(t *testing.T) {
+	args := []string{
+		"-alg", "nbc,ecube", "-load", "0.2:0.4:0.1",
+		"-k", "8", "-warmup", "500", "-sample", "300", "-maxsamples", "3",
+		"-store", t.TempDir(),
+	}
+	pass := func(wantStore string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("run: %v\n%s", err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), wantStore) {
+			t.Errorf("stderr lacks %q:\n%s", wantStore, stderr.String())
+		}
+		return stdout.String()
+	}
+	cold := pass("store: hits=0 misses=6")
+	warm := pass("store: hits=6 misses=0")
+	if cold != warm {
+		t.Errorf("warm CSV differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	if got := strings.Count(cold, "\n"); got != 7 {
+		t.Errorf("CSV has %d lines, want a header and 6 points:\n%s", got, cold)
+	}
+}
+
+// TestSinglePointFormat: an explicit -format turns one point into a grid
+// row, header included, instead of the detailed report.
+func TestSinglePointFormat(t *testing.T) {
+	args := []string{"-alg", "nbc", "-load", "0.3", "-format", "csv", "-k", "4", "-warmup", "200", "-sample", "200", "-maxsamples", "2"}
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "algorithm,pattern,") || !strings.HasPrefix(lines[1], "nbc,uniform,wormhole,0.300,") {
+		t.Errorf("want a CSV header and one nbc row, got:\n%s", stdout.String())
+	}
+}
+
+// TestReplicatedProgress: with -replicas the progress bar counts algorithms,
+// steps once per algorithm and finishes.
+func TestReplicatedProgress(t *testing.T) {
+	args := []string{
+		"-alg", "nbc,ecube", "-replicas", "2", "-progress", "-load", "0.2",
+		"-k", "4", "-warmup", "200", "-sample", "200", "-maxsamples", "2",
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\n%s", err, stderr.String())
+	}
+	for _, want := range []string{"[2/2]", "done in"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
+// TestPhaseProfEveryMode: -phaseprof prints the phase report after a single
+// point, a grid and both with -replicas.
+func TestPhaseProfEveryMode(t *testing.T) {
+	base := []string{"-k", "4", "-warmup", "200", "-sample", "200", "-maxsamples", "2", "-phaseprof"}
+	for _, mode := range [][]string{
+		{"-alg", "nbc"},
+		{"-alg", "nbc,ecube"},
+		{"-alg", "nbc", "-replicas", "2"},
+		{"-alg", "nbc,ecube", "-replicas", "2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(append(mode, base...), &stdout, &stderr); err != nil {
+			t.Errorf("run %v: %v\n%s", mode, err, stderr.String())
+		} else if !strings.Contains(stdout.String(), "\nphase profile: ") {
+			t.Errorf("%v: stdout lacks the phase report:\n%s", mode, stdout.String())
+		}
+	}
+}
+
+// TestConfigFlagsOverride: every flag passed next to -config overrides the
+// file, -tick included, and the file fills in the rest.
+func TestConfigFlagsOverride(t *testing.T) {
+	dir := t.TempDir()
+	saved, out := filepath.Join(dir, "c.json"), filepath.Join(dir, "out.json")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-k", "4", "-alg", "nbc", "-tick", "7", "-saveconfig", saved}, &stdout, &stderr); err != nil {
+		t.Fatalf("save: %v\n%s", err, stderr.String())
+	}
+	args := []string{"-config", saved, "-tick", "50", "-k", "6", "-switching", "vct", "-seed", "9", "-saveconfig", out}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("override: %v\n%s", err, stderr.String())
+	}
+	cfg, err := core.LoadConfig(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.TickCycles != 50 || cfg.K != 6 || cfg.Switching != core.CutThrough || cfg.Seed != 9 || cfg.Algorithm != "nbc" || cfg.OfferedLoad != 0.4 {
+		t.Errorf("got tick %d, k %d, switching %s, seed %d, alg %s, load %g; want 50, 6, vct, 9, nbc, 0.4",
+			cfg.TickCycles, cfg.K, cfg.Switching, cfg.Seed, cfg.Algorithm, cfg.OfferedLoad)
 	}
 }

@@ -23,7 +23,8 @@ import (
 // is a dated log whose entries name the API of their day, so it is left out
 // of those checks. The whole text is scanned, not only back-quoted spans, so
 // fenced and indented blocks (the command list, the repository layout) are
-// covered too. Go comments name benchmarks as well: every Benchmark<Name> in
+// covered too. The `go run ./cmd/<x>` check also covers the CI workflows and
+// the verify skill: the command must exist and define every flag passed. Go comments name benchmarks as well: every Benchmark<Name> in
 // a // comment of a non-test .go file under internal/, cmd/ or examples/
 // must be declared too.
 func TestDocsNameLiveCode(t *testing.T) {
@@ -102,13 +103,25 @@ func TestDocsNameLiveCode(t *testing.T) {
 	cmdRun := regexp.MustCompile("go run \\./cmd/([a-z0-9_]+)([^#`]*)")
 	flagArg := regexp.MustCompile(`\s-([A-Za-z][A-Za-z0-9_-]*)`)
 	flags := make(map[string]map[string]bool)
-	for _, doc := range all[:2] {
+	runDocs := all[:2]
+	for _, pattern := range []string{".github/workflows/*.yml", ".claude/skills/verify/SKILL.md"} {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runDocs = append(runDocs, matches...)
+	}
+	for _, doc := range runDocs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
 			for _, m := range cmdRun.FindAllStringSubmatch(line, -1) {
+				if fi, err := os.Stat(filepath.Join("cmd", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s:%d: runs cmd/%s, which does not exist", doc, i+1, m[1])
+					continue
+				}
 				if flags[m[1]] == nil {
 					flags[m[1]] = definedFlags(t, filepath.Join("cmd", m[1], "main.go"))
 				}
