@@ -90,15 +90,15 @@ type Config struct {
 
 	// Telemetry, when set, attaches a metrics/trace collector to the run and
 	// fills Result.Telemetry / Result.TraceEvents (wormhole and vct engines
-	// only; the saf engine has no flit-level channels to meter). The engine
-	// builds a collector of its own from these options for every run, so a
+	// only; the saf engine has no flit-level channels to meter). Each engine
+	// Resets a collector of its own from these options for every run, so a
 	// shared Config stays safe for parallel sweeps.
 	Telemetry *telemetry.Options `json:",omitempty"`
 	// Forensics, when set, attaches the congestion forensics analyzer —
 	// sampled wait-for graphs, root-cause blame attribution and per-worm
 	// latency anatomy — and fills Result.Forensics (wormhole and vct
-	// engines only). Like Telemetry, every run gets its own analyzer built
-	// from these options, and attaching one is bit-identical to not
+	// engines only). Like Telemetry, every run gets its engine's analyzer
+	// Reset from these options, and attaching one is bit-identical to not
 	// (TestForensicsRunIsBitIdentical).
 	Forensics *forensics.Options `json:",omitempty"`
 	// OnSample, if set, is called after every completed sampling period —
@@ -106,11 +106,12 @@ type Config struct {
 	// the persisted config.
 	OnSample func(SampleEvent) `json:"-"`
 	// OnTick, if set, is called every TickCycles simulated cycles (and once
-	// more at the end of the run with Final set) with a self-contained copy
-	// of the live engine state — the publication feed behind the CLIs'
-	// -http observatory server. The hook only receives copies and must not
-	// (and cannot, through the event) touch engine state, so an attached
-	// observer never perturbs results. Wormhole and vct engines only.
+	// more at the end of the run with Final set) with the run's counters and
+	// a TickEvent.Load that copies the bulk engine state during the call —
+	// the publication feed behind the CLIs' -http observatory server. The
+	// hook only receives copies and cannot touch engine state through the
+	// event, so an attached observer never perturbs results. Wormhole and vct
+	// engines only.
 	OnTick func(TickEvent) `json:"-"`
 	// TickCycles is the publication period for OnTick (default 1000).
 	TickCycles int64 `json:",omitempty"`
@@ -142,11 +143,16 @@ type ResultCache interface {
 	Store(hash string, cfg Config, r Result) error
 }
 
-// TickEvent is one OnTick publication: the run's identity plus a deep copy
-// of the observable engine state at one cycle. Everything in it is owned by
-// the receiver — handing it to another goroutine is safe.
+// TickEvent is one OnTick publication: the run's identity and counters at
+// one cycle, with the bulk engine state loaded on demand. The cheap fields —
+// identity, Cycle, InFlight, Counters, Blame, Events and Final — are filled
+// on every tick and owned by the receiver: handing them to another goroutine
+// is safe. The bulk fields — Worms, ChannelFlits, Telemetry and Forensics —
+// are the only borrowed part: they stay nil until Load copies them, and Load
+// works only while the OnTick call that delivered the event runs. The final
+// tick of a run arrives loaded.
 type TickEvent struct {
-	// Identity of the run (the sweep CLI shares one hook across points).
+	// Identity of the run (a grid shares one hook across points).
 	Algorithm   string
 	Pattern     string
 	Switching   Switching
@@ -160,6 +166,15 @@ type TickEvent struct {
 	InFlight int
 	// Counters are the run's cumulative totals.
 	Counters network.Counters
+	// Blame is the head of the forensics summary (attribution totals and the
+	// four heaviest root channels) when Config.Forensics is set.
+	Blame *forensics.Head `json:",omitempty"`
+	// Events holds the lifecycle events recorded since the previous tick
+	// (bounded to the most recent 64), when tracing is on.
+	Events []telemetry.Event
+	// Final marks the closing publication after the measurement loop.
+	Final bool
+
 	// Worms is the canonical in-flight model (network.WormStates).
 	Worms []telemetry.WormState
 	// ChannelFlits is the lifetime per-channel-slot flit transfer vector.
@@ -168,11 +183,63 @@ type TickEvent struct {
 	Telemetry *telemetry.Summary
 	// Forensics is the analyzer summary when Config.Forensics is set.
 	Forensics *forensics.Summary
-	// Events holds the lifecycle events recorded since the previous tick
-	// (bounded to the most recent 64), when tracing is on.
-	Events []telemetry.Event
-	// Final marks the closing publication after the measurement loop.
-	Final bool
+
+	// src and seq let Load reach the engine during the tick's OnTick call.
+	src *tickSource
+	seq uint64
+}
+
+// Load fills ev's bulk fields with copies of the engine state at ev.Cycle.
+// It does so only during the OnTick call that delivered ev (or a copy of
+// it), from any goroutine; after that call returns, on an event already
+// loaded, or on an event built by hand, it does nothing.
+func (ev *TickEvent) Load() {
+	s := ev.src
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.open != ev.seq {
+		return
+	}
+	ev.src = nil
+	ev.Worms = s.wn.WormStates()
+	ev.ChannelFlits = s.wn.ChannelFlitCounts()
+	ev.Telemetry, ev.Forensics = s.wn.Observers()
+}
+
+// Loaded reports whether ev carries bulk state: it was loaded, is a final
+// tick, or was built by hand with a bulk field set.
+func (ev *TickEvent) Loaded() bool {
+	return ev.Worms != nil || ev.ChannelFlits != nil || ev.Telemetry != nil || ev.Forensics != nil
+}
+
+// tickSource is the engine one run's ticks load from. open is the sequence
+// number of the tick whose OnTick call is running, 0 between calls; mu
+// orders a Load from another goroutine against the engine's next step.
+type tickSource struct {
+	mu   sync.Mutex
+	wn   *network.Network
+	open uint64
+	last uint64
+}
+
+// deliver hands ev to hook with Load enabled for the length of the call,
+// loading it first when it is the run's final tick.
+func (s *tickSource) deliver(hook func(TickEvent), ev TickEvent) {
+	s.mu.Lock()
+	s.last++
+	s.open = s.last
+	s.mu.Unlock()
+	ev.src, ev.seq = s, s.last
+	if ev.Final {
+		ev.Load()
+	}
+	hook(ev)
+	s.mu.Lock()
+	s.open = 0
+	s.mu.Unlock()
 }
 
 // SampleEvent reports one completed sampling period to Config.OnSample.
@@ -355,9 +422,14 @@ type safAdapter struct {
 
 func (a safAdapter) Reseed(seed uint64) { a.wl.Reseed(seed) }
 
-// engines holds the wormhole engines idle between runs. Run is the only
-// function that reads or writes it.
-var engines sync.Pool
+// engines holds the wormhole engines idle between runs, most recently used
+// last. Run is the only function that reads or writes it. It has no size
+// cap: idle engines never outnumber the most runs that were ever in flight
+// at once.
+var engines struct {
+	sync.Mutex
+	idle []*network.Network
+}
 
 // Run executes one simulation point on an engine recycled from an earlier
 // point, or on a new one if none is idle, so a caller running points one
@@ -366,12 +438,19 @@ var engines sync.Pool
 // deadlocked or failed, since Reset re-initialises any state such a run
 // leaves; a run that panics drops it.
 func Run(cfg Config) (Result, error) {
-	eng, _ := engines.Get().(*network.Network)
+	var eng *network.Network
+	engines.Lock()
+	if n := len(engines.idle); n > 0 {
+		eng, engines.idle = engines.idle[n-1], engines.idle[:n-1] //lint:allow purity (engine free list; Reset leaves a recycled engine indistinguishable from a new one, test-pinned)
+	}
+	engines.Unlock()
 	if eng == nil {
 		eng = new(network.Network)
 	}
 	r, err := runOn(eng, cfg)
-	engines.Put(eng)
+	engines.Lock()
+	engines.idle = append(engines.idle, eng) //lint:allow purity (engine free list; Reset leaves a recycled engine indistinguishable from a new one, test-pinned)
+	engines.Unlock()
 	return r, err
 }
 
@@ -482,31 +561,30 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 		return res, fmt.Errorf("core: unknown switching %q", cfg.Switching)
 	}
 
-	// The tick publication: every tickGap cycles OnTick receives a deep copy
-	// of the observable state (wormhole/vct only — the saf engine has no
-	// flit-level channels to publish).
+	// The tick publication: every tickGap cycles OnTick receives the cheap
+	// fields of the observable state and a way to Load the rest
+	// (wormhole/vct only — the saf engine has no flit-level channels to
+	// publish).
 	var tickGap, sinceTick, lastRecorded int64
+	var ticks *tickSource
 	if cfg.OnTick != nil && wn != nil {
 		tickGap = cfg.TickCycles
 		if tickGap <= 0 {
 			tickGap = 1000
 		}
+		ticks = &tickSource{wn: wn}
 	}
 	emitTick := func(final bool) {
-		tel, fore := wn.Observers()
 		events, next := wn.Trace(lastRecorded, 64)
 		lastRecorded = next
-		cfg.OnTick(TickEvent{
+		ticks.deliver(cfg.OnTick, TickEvent{
 			Algorithm: cfg.Algorithm, Pattern: cfg.Pattern, Switching: cfg.Switching,
 			K: cfg.K, N: cfg.N, Mesh: cfg.Mesh, OfferedLoad: cfg.OfferedLoad, Seed: cfg.Seed,
 			Cycle: wn.Now(), InFlight: wn.InFlight(),
-			Counters:     wn.Total(),
-			Worms:        wn.WormStates(),
-			ChannelFlits: wn.ChannelFlitCounts(),
-			Telemetry:    tel,
-			Forensics:    fore,
-			Events:       events,
-			Final:        final,
+			Counters: wn.Total(),
+			Blame:    wn.BlameHead(4),
+			Events:   events,
+			Final:    final,
 		})
 	}
 	runFor := func(cycles int64) error {

@@ -110,7 +110,10 @@ func TestTicksCountParkedHeaders(t *testing.T) {
 		cfg.Telemetry = &telemetry.Options{Metrics: true}
 		cfg.Forensics = &forensics.Options{SampleEvery: every}
 		cfg.TickCycles = 37
-		cfg.OnTick = func(ev TickEvent) { ticks = append(ticks, ev.Telemetry.TotalHeadBlocked()) }
+		cfg.OnTick = func(ev TickEvent) {
+			ev.Load()
+			ticks = append(ticks, ev.Telemetry.TotalHeadBlocked())
+		}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

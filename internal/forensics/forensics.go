@@ -8,7 +8,7 @@
 // into inject-queue wait, virtual-channel allocation stalls, blocked-behind
 // time and ideal drain time, aggregated per routing class.
 //
-// The network engine builds its *Analyzer from the Options in its Config and
+// The network engine Resets its *Analyzer from the Options in its Config and
 // guards every hook with a nil check, so a detached analyzer costs one
 // predictable branch per hook and an attached one never alters results
 // (TestForensicsRunIsBitIdentical). The
@@ -95,9 +95,9 @@ type classAnat struct {
 
 // Analyzer reconstructs wait-for graphs and latency anatomy for one run. It
 // is not safe for concurrent use; each run owns its analyzer (the network
-// engine builds one per run from shared Options). All per-cycle state lives
-// in reused generation-stamped slices, so steady-state sampling allocates
-// nothing.
+// engine keeps one and Resets it for every run that asks for forensics).
+// All per-cycle state lives in reused generation-stamped slices, so
+// steady-state sampling allocates nothing.
 type Analyzer struct {
 	opts Options
 
@@ -152,12 +152,46 @@ type Analyzer struct {
 // New returns an analyzer for a network with the given number of physical
 // channel slots.
 func New(opts Options, channelSlots int) *Analyzer {
-	return &Analyzer{
-		opts:       opts.withDefaults(),
-		blame:      make([]int64, channelSlots),
-		roots:      make([]int64, channelSlots),
-		lastRootCh: -1,
+	a := new(Analyzer)
+	a.Reset(opts, channelSlots)
+	return a
+}
+
+// Reset re-initialises a for a new run, as New would build it, on the
+// arrays its earlier runs grew: the network engine recycles its analyzer
+// with itself. Nothing a caller can observe depends on what a analyzed
+// before; the slot stamps are cleared, so no record of an earlier run can
+// match.
+func (a *Analyzer) Reset(opts Options, channelSlots int) {
+	clear(a.recGen)
+	*a = Analyzer{
+		opts:          opts.withDefaults(),
+		recs:          a.recs[:0],
+		recAt:         a.recAt,
+		recGen:        a.recGen,
+		state:         a.state,
+		rootCh:        a.rootCh,
+		rootRec:       a.rootRec,
+		depth:         a.depth,
+		treeSz:        a.treeSz,
+		stack:         a.stack[:0],
+		blame:         zeroed(a.blame, channelSlots),
+		roots:         zeroed(a.roots, channelSlots),
+		lastRootCh:    -1,
+		lastWaitCycle: a.lastWaitCycle[:0],
+		anat:          a.anat[:0],
 	}
+}
+
+// zeroed returns a zeroed slice of length n on s's backing array when it
+// is large enough.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // SampleEvery returns the effective sampling period.

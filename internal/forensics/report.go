@@ -3,7 +3,6 @@ package forensics
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"wormsim/internal/stats"
@@ -160,31 +159,62 @@ func (s *Summary) AttributedFraction() float64 {
 // first, ties broken by channel index for determinism. Channels with zero
 // blame are omitted.
 func (s *Summary) TopRoots(k int) []Root {
-	idx := make([]int, 0, len(s.BlameByChannel))
-	for ch, b := range s.BlameByChannel {
-		if b > 0 {
-			idx = append(idx, ch)
-		}
+	return topRoots(s.BlameByChannel, s.RootsByChannel, s.Attributed, k)
+}
+
+// topRoots ranks the channels of a blame vector by insertion into a list of
+// at most k, so a tick's blame head allocates only what it returns.
+func topRoots(blame, roots []int64, attributed int64, k int) []Root {
+	out := make([]Root, 0, max(0, min(k, len(blame))))
+	if k <= 0 {
+		return out
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if s.BlameByChannel[ia] != s.BlameByChannel[ib] {
-			return s.BlameByChannel[ia] > s.BlameByChannel[ib]
+	for ch, b := range blame {
+		if b <= 0 || (len(out) == k && b <= out[k-1].Blame) {
+			continue
 		}
-		return ia < ib
-	})
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make([]Root, 0, k)
-	for _, ch := range idx[:k] {
-		r := Root{Ch: ch, Blame: s.BlameByChannel[ch], Roots: s.RootsByChannel[ch]}
-		if s.Attributed > 0 {
-			r.Share = float64(r.Blame) / float64(s.Attributed)
+		i := len(out)
+		if i < k {
+			out = append(out, Root{})
+		} else {
+			i--
 		}
-		out = append(out, r)
+		for ; i > 0 && out[i-1].Blame < b; i-- {
+			out[i] = out[i-1]
+		}
+		r := Root{Ch: ch, Blame: b, Roots: roots[ch]}
+		if attributed > 0 {
+			r.Share = float64(b) / float64(attributed)
+		}
+		out[i] = r
 	}
 	return out
+}
+
+// Head is the part of a Summary the observatory's live blame feed prints on
+// every tick: the five attribution totals and the heaviest root channels.
+type Head struct {
+	Samples            int64
+	BlockedObserved    int64
+	AttributedFraction float64
+	Trees              int64
+	WaitCycles         int64
+	TopRoots           []Root
+}
+
+// Head returns the head of what Summary would return, with its k heaviest
+// roots, without copying the analyzer's per-channel arrays and anatomy.
+func (a *Analyzer) Head(k int) *Head {
+	s := Summary{
+		BlockedObserved: a.observed, Attributed: a.attributed,
+		BlameByChannel: a.blame, RootsByChannel: a.roots,
+	}
+	return &Head{
+		Samples: a.samples, BlockedObserved: a.observed,
+		AttributedFraction: s.AttributedFraction(),
+		Trees:              a.trees, WaitCycles: a.waitCycles,
+		TopRoots: s.TopRoots(k),
+	}
 }
 
 // Render writes a human-readable forensics report, the CLI's -forensics

@@ -20,13 +20,16 @@ import (
 // wakes blocked headers, so the comparison also covers state the parking
 // lists carry; both runs on the recycled engine pass checkInvariants after
 // every cycle. With the observed bit set both configurations run under
-// telemetry and forensics, and B's summaries are part of the comparison. The
+// telemetry and forensics, and B's summaries are part of the comparison;
+// with the alternative-observers bit B runs under other options than A's,
+// so its collector and analyzer are A's, Reset to a new shape. The
 // seed corpus passes in-tree with `go test`; nightly CI lets the fuzzer
 // explore for five minutes.
 func FuzzRecycleEquivalence(f *testing.F) {
 	// shapes = A's grid | B's grid << 4, algPicks likewise; knobs = B's
 	// delay | ports<<2 | buffer depth pick<<4 | half duplex (A too)<<6 |
-	// least-congested selection<<7 | observed (A too)<<8.
+	// least-congested selection<<7 | observed (A too)<<8 | B observed with
+	// other options<<9.
 	f.Add(uint64(11), uint8(0|2<<4), uint8(0|5<<4), uint16(200), uint8(20), uint16(0))
 	f.Add(uint64(7), uint8(1|1<<4), uint8(1|1<<4), uint16(128), uint8(35), uint16(0))
 	f.Add(uint64(23), uint8(4|0<<4), uint8(2|7<<4), uint16(96), uint8(10), uint16(0))
@@ -48,6 +51,10 @@ func FuzzRecycleEquivalence(f *testing.F) {
 	// second seed — draws those messages from the pool.
 	f.Add(uint64(33), uint8(2|2<<4), uint8(0|0<<4), uint16(400), uint8(150), uint16(1<<8))
 	f.Add(uint64(37), uint8(0|2<<4), uint8(5|4<<4), uint16(350), uint8(195), uint16(2|1<<2|1<<8))
+	// A observed on the largest grid, B on a smaller one under tracing and
+	// every-cycle forensics: the recycled observers shrink and change mode.
+	f.Add(uint64(41), uint8(4|0<<4), uint8(0|3<<4), uint16(300), uint8(120), uint16(1<<8|1<<9))
+	f.Add(uint64(43), uint8(4|3<<4), uint8(4|1<<4), uint16(250), uint8(40), uint16(1|1<<2|1<<8|1<<9))
 	names := routing.Names()
 	f.Fuzz(func(t *testing.T, seed uint64, shapes, algPicks uint8, cycles uint16, ratePct uint8, knobs uint16) {
 		point := func(shape, algPick uint8) (fpPoint, bool) {
@@ -79,9 +86,11 @@ func FuzzRecycleEquivalence(f *testing.F) {
 		if knobs>>7&1 == 1 {
 			b.policy = routing.LeastCongestedPolicy{}
 		}
-		// Observers on both: each run gets a fresh collector and analyzer, and
-		// the parked headers A abandons leave their stamps on pooled messages.
+		// Observers on both: B's run recycles the collector and analyzer A's
+		// run used, and the parked headers A abandons leave their stamps on
+		// pooled messages.
 		a.observed, b.observed = knobs>>8&1 == 1, knobs>>8&1 == 1
+		b.altObservers = knobs>>9&1 == 1
 
 		// The recycled engine has its state and ledgers audited every cycle.
 		eng := new(Network)

@@ -71,11 +71,11 @@
 // HeadStalls for the latency anatomy. Three things keep that identical to
 // counting every cycle. On a cycle forensics samples, every node is woken
 // before allocation, so the wait-for edges are captured by real failed bids in
-// the usual order. The engine builds both observers itself and hands out
-// their summaries only through Observers, which first charges every parked
-// header up to the last executed cycle (settleBlocked), as the watchdog does
-// before it writes a deadlock report, so no reader sees a count short of
-// what the parked headers owe. And under an InjectionPorts budget a header in
+// the usual order. The engine keeps both observers itself and hands out
+// what they count only through Observers and BlameHead, which first charge
+// every parked header up to the last executed cycle (settleBlocked), as the
+// watchdog does before it writes a deadlock report, so no reader sees a
+// count short of what the parked headers owe. And under an InjectionPorts budget a header in
 // its injection slot stops bidding, and being counted, once other headers'
 // first hops have taken every port of its node: the grant that takes the last
 // one closes the account of those parked there (portsFilled), down to whether
@@ -257,6 +257,11 @@ type Network struct {
 	tel     *telemetry.Collector
 	prof    *telemetry.PhaseTimer
 	fore    *forensics.Analyzer
+	// collector and analyzer outlive the runs that use them, so Reset
+	// recycles them as it does the arrays; tel and fore point at them while
+	// the Config asks for them and are nil otherwise.
+	collector *telemetry.Collector
+	analyzer  *forensics.Analyzer
 	// foreSampling caches StartCycle's verdict for the current cycle so the
 	// allocation loop tests a bool instead of re-deriving the sample phase.
 	foreSampling bool
@@ -387,8 +392,9 @@ func New(cfg Config) (*Network, error) {
 // capacity covers what cfg needs (consecutive configurations may differ in
 // grid, virtual-channel count and buffer depth, so capacity is compared,
 // never assumed), the channel tables are kept while the grid shape is
-// unchanged, and the message pool carries its free list over. The observers
-// Config asks for are built new for every run. On error n is left as it was.
+// unchanged, and the message pool carries its free list over, as the
+// telemetry collector and forensics analyzer do their arrays (their own Reset
+// methods). On error n is left as it was.
 // A Network must not be Reset while a Step is running.
 func (n *Network) Reset(cfg Config) error {
 	if cfg.Grid == nil || cfg.Algorithm == nil || cfg.Workload == nil {
@@ -415,13 +421,24 @@ func (n *Network) Reset(cfg Config) error {
 	g := cfg.Grid
 	numVCs := cfg.Algorithm.NumVCs(g)
 	slots, nodes := g.ChannelSlots(), g.Nodes()
+	collector, analyzer := n.collector, n.analyzer
 	var tel *telemetry.Collector
 	if cfg.Telemetry != nil {
-		tel = telemetry.New(*cfg.Telemetry, numVCs)
+		if collector != nil {
+			collector.Reset(*cfg.Telemetry, numVCs)
+		} else {
+			collector = telemetry.New(*cfg.Telemetry, numVCs)
+		}
+		tel = collector
 	}
 	var fore *forensics.Analyzer
 	if cfg.Forensics != nil {
-		fore = forensics.New(*cfg.Forensics, slots)
+		if analyzer != nil {
+			analyzer.Reset(*cfg.Forensics, slots)
+		} else {
+			analyzer = forensics.New(*cfg.Forensics, slots)
+		}
+		fore = analyzer
 	}
 	size := slots * numVCs
 	// Injection slots are appended past the channel buffers (newInjSlot).
@@ -499,6 +516,7 @@ func (n *Network) Reset(cfg Config) error {
 		window: Counters{FlitMovesByClass: recycle(old.window.FlitMovesByClass, numVCs, numVCs)},
 		base:   Counters{FlitMovesByClass: recycle(old.base.FlitMovesByClass, numVCs, numVCs)},
 	}
+	n.collector, n.analyzer = collector, analyzer
 	if n.pool == nil {
 		n.pool = message.NewPool()
 	}
@@ -890,9 +908,9 @@ func (n *Network) visitRank(pos int32) int32 {
 }
 
 // settleBlocked brings the observers' blocked-cycle counts up to the last
-// executed cycle by charging every parked header what it owes: Observers and
-// the watchdog call it before anything reads the counts. It changes nothing
-// else, and nothing at all on an unobserved network.
+// executed cycle by charging every parked header what it owes: Observers,
+// BlameHead and the watchdog call it before anything reads the counts. It
+// changes nothing else, and nothing at all on an unobserved network.
 func (n *Network) settleBlocked() {
 	if n.tel != nil || n.fore != nil {
 		for _, head := range n.parkHead {
@@ -918,6 +936,18 @@ func (n *Network) Observers() (*telemetry.Summary, *forensics.Summary) {
 		fore = n.fore.Summary()
 	}
 	return tel, fore
+}
+
+// BlameHead returns the head of the forensics summary with its k heaviest
+// roots, as Observers' would give it, without copying the analyzer's arrays;
+// nil when no analyzer is attached. Like Observers it settles the parked
+// headers first.
+func (n *Network) BlameHead(k int) *forensics.Head {
+	n.settleBlocked()
+	if n.fore == nil {
+		return nil
+	}
+	return n.fore.Head(k)
 }
 
 // Trace returns the lifecycle events the collector retains that were

@@ -55,9 +55,11 @@ type fpPoint struct {
 	cycles            int64
 	// check runs checkInvariants after every cycle.
 	check bool
-	// observed attaches a fresh telemetry collector and forensics analyzer and
-	// adds their summaries to the fingerprint.
-	observed bool
+	// observed attaches a telemetry collector and forensics analyzer and
+	// adds their summaries and trace to the fingerprint; altObservers
+	// observes with tracing on and every-cycle forensics instead of the
+	// defaults.
+	observed, altObservers bool
 }
 
 // fingerprint re-initialises n for the point, runs it for its cycles (with a
@@ -65,7 +67,7 @@ type fpPoint struct {
 // loop) and fingerprints everything observable: per-window counters, the
 // delivery sequence, the header-hop trace, per-channel flit counts and the
 // final in-flight state — and, for an observed point, the telemetry and
-// forensics summaries with the parked headers settled. Pass new(Network) for a
+// forensics summaries with the parked headers settled, and the trace. Pass new(Network) for a
 // fresh engine.
 func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 	t.Helper()
@@ -106,6 +108,10 @@ func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 		cfg.Telemetry = &telemetry.Options{}
 		cfg.Forensics = &forensics.Options{SampleEvery: 16}
 	}
+	if p.altObservers {
+		cfg.Telemetry = &telemetry.Options{Trace: true, TraceCap: 64, SampleEvery: 3}
+		cfg.Forensics = &forensics.Options{SampleEvery: 1}
+	}
 	if err := n.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +122,10 @@ func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 	n.Reseed(p.seed + 0x9e3779b97f4a7c15)
 	run(p.cycles - half)
 	fp := fmt.Sprintf("%+v\n%+v\n%+v\n%v\n%v\n%v", first, n.Window(), n.Total(), n.ChannelFlitCounts(), n.WormStates(), strings.Join(events, "\n"))
-	if p.observed {
+	if p.observed || p.altObservers {
 		tel, fore := n.Observers()
-		fp += fmt.Sprintf("\n%+v\n%+v", *tel, *fore)
+		trace, _ := n.Trace(0, 0)
+		fp += fmt.Sprintf("\n%+v\n%+v\n%v", *tel, *fore, trace)
 	}
 	return fp
 }

@@ -2,6 +2,8 @@ package observatory
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -120,9 +122,9 @@ func TestBlameSSEFrame(t *testing.T) {
 	frames, cancel := pub.Subscribe()
 	defer cancel()
 	pub.PublishTick(core.TickEvent{Algorithm: "nbc", K: 4, N: 2, Cycle: 50,
-		Forensics: &forensics.Summary{
-			SampleEvery: 1, Samples: 2, BlockedObserved: 10, Attributed: 10,
-			Trees: 2, BlameByChannel: []int64{0, 0, 10}, RootsByChannel: []int64{0, 0, 2},
+		Blame: &forensics.Head{
+			Samples: 2, BlockedObserved: 10, AttributedFraction: 1, Trees: 2,
+			TopRoots: []forensics.Root{{Ch: 2, Blame: 10, Roots: 2, Share: 1}},
 		}})
 	tick := string(<-frames)
 	if !strings.Contains(tick, "event: tick") {
@@ -134,7 +136,7 @@ func TestBlameSSEFrame(t *testing.T) {
 			t.Errorf("blame frame missing %q: %q", want, blame)
 		}
 	}
-	// Ticks without a forensics summary must not emit a blame frame.
+	// Ticks without a blame head must not emit a blame frame.
 	pub.PublishTick(core.TickEvent{Algorithm: "nbc", K: 4, N: 2, Cycle: 60})
 	if next := string(<-frames); !strings.Contains(next, "event: tick") {
 		t.Errorf("expected plain tick, got %q", next)
@@ -143,6 +145,68 @@ func TestBlameSSEFrame(t *testing.T) {
 	case extra := <-frames:
 		t.Errorf("unexpected frame after forensics-less tick: %q", extra)
 	default:
+	}
+}
+
+// framesDigest is the SHA-256 of every SSE frame goldenBlameConfig's run
+// publishes, as they were when every tick carried a full copy of the engine
+// state.
+const framesDigest = "7b0a9089386d04d2243880a67d921ceb107809ced79953e375696daeef979fb3"
+
+// TestFramesIndependentOfPolling: the tick, blame and worm frames of one
+// observed run are the same bytes whether or not a reader polls the
+// snapshot, and equal those of full-copy ticks. Unpolled ticks load nothing;
+// a poll — here before every other tick — makes the next tick's state the
+// snapshot's, stamped with its cycle.
+func TestFramesIndependentOfPolling(t *testing.T) {
+	run := func(poll bool) (digest string, loaded int) {
+		pub := testPublisher()
+		frames := make(chan []byte, 1<<16) // never full: no frame is dropped
+		pub.subs[frames] = struct{}{}
+		cfg := goldenBlameConfig()
+		ticks := 0
+		cfg.OnTick = func(ev core.TickEvent) {
+			ticks++
+			polled := poll && ticks%2 == 0
+			if polled {
+				pub.Snapshot()
+			}
+			pub.PublishTick(ev)
+			if ev.Final {
+				return
+			}
+			switch st := pub.latest().State; {
+			case polled && (st == nil || st.Cycle != ev.Cycle || st.Forensics == nil):
+				t.Errorf("tick at cycle %d after a poll: state %+v", ev.Cycle, st)
+			case polled:
+				loaded++
+			case !poll && st != nil:
+				t.Errorf("tick at cycle %d loaded state nobody asked for", ev.Cycle)
+			}
+		}
+		if _, err := core.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if st := pub.latest().State; st == nil || !st.Final {
+			t.Errorf("the final tick is not the snapshot's state: %+v", st)
+		}
+		close(frames)
+		h := sha256.New()
+		for f := range frames {
+			h.Write(f)
+		}
+		return hex.EncodeToString(h.Sum(nil)), loaded
+	}
+	bare, _ := run(false)
+	if bare != framesDigest {
+		t.Errorf("frames digest %s, want %s", bare, framesDigest)
+	}
+	polled, loaded := run(true)
+	if polled != bare {
+		t.Errorf("frames with a poller (digest %s) differ from frames without (%s)", polled, bare)
+	}
+	if loaded < 2 {
+		t.Errorf("only %d polled ticks loaded their state", loaded)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 
+	"wormsim/internal/core"
 	"wormsim/internal/forensics"
 	"wormsim/internal/stats"
 	"wormsim/internal/topology"
@@ -60,7 +61,13 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 	mw.metric("wormsim_flit_moves_total", "counter",
 		"Flit transfers across physical channels.", "", float64(t.FlitMoves))
 
-	if tel := ev.Telemetry; tel != nil {
+	// The observer summaries and the channel labels come from the last
+	// loaded state, which may trail the tick by one poll.
+	var st core.TickEvent
+	if s.State != nil {
+		st = *s.State
+	}
+	if tel := st.Telemetry; tel != nil {
 		mw.metric("wormsim_congestion_drops_total", "counter",
 			"Messages discarded by congestion control.", "", float64(tel.Drops))
 		for class, v := range tel.HeadBlockedByClass {
@@ -88,7 +95,7 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 		// Per-channel busy cycles, labeled with the channel's topology
 		// coordinates. A 16-ary 2-cube torus has 1024 channel slots; one
 		// series each is fine for a scrape.
-		g := grid(ev.K, ev.N, ev.Mesh)
+		g := grid(st.K, st.N, st.Mesh)
 		for ch, busy := range tel.ChannelBusy {
 			if busy == 0 {
 				continue // idle channels stay out of the exposition
@@ -100,7 +107,7 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	if f := ev.Forensics; f != nil {
+	if f := st.Forensics; f != nil {
 		mw.metric("wormsim_forensics_samples_total", "counter",
 			"Wait-for graph samples taken by the congestion forensics analyzer.", "", float64(f.Samples))
 		mw.metric("wormsim_forensics_blocked_observed_total", "counter",
@@ -115,7 +122,7 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 		mw.metric("wormsim_forensics_wait_cycles_total", "counter",
 			"Runtime wait-for cycles detected (near-deadlock early warning).", "", float64(f.WaitCycles))
 
-		g := grid(ev.K, ev.N, ev.Mesh)
+		g := grid(st.K, st.N, st.Mesh)
 		for ch, v := range f.BlameByChannel {
 			if v == 0 {
 				continue // channels never blamed stay out of the exposition

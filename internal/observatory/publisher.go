@@ -4,10 +4,12 @@
 // heatmap and the net/http/pprof profiling endpoints.
 //
 // The simulation core stays single-threaded and deterministic; it only ever
-// calls Publisher.PublishTick with deep copies of its state (core.TickEvent).
-// The publisher stores the latest copy behind an atomic pointer, so HTTP
-// handlers read without locks and never touch — let alone perturb — engine
-// state. TestObservedRunIsBitIdentical pins that contract under -race.
+// calls Publisher.PublishTick with copies of its state (core.TickEvent),
+// and the publisher loads the bulk of that state only when a reader has
+// asked for a snapshot since the last load. It stores the latest copy
+// behind an atomic pointer, so HTTP handlers read without locks and never
+// touch — let alone perturb — engine state. TestObservedRunIsBitIdentical
+// pins that contract under -race.
 package observatory
 
 import (
@@ -23,12 +25,18 @@ import (
 )
 
 // Snapshot is the publisher's current view of the simulation: the most
-// recent tick plus sweep-level aggregates. Handlers receive it as an
-// immutable value; every field is a copy owned by the snapshot.
+// recent tick, the most recent loaded engine state, and sweep-level
+// aggregates. Handlers receive it as an immutable value; every field is a
+// copy owned by the snapshot.
 type Snapshot struct {
 	// Tick is the latest engine publication (from whichever run published
-	// last, when a sweep runs points in parallel).
+	// last, when a sweep runs points in parallel), without its bulk fields.
 	Tick core.TickEvent
+	// State is the latest publication that carried bulk state: one loaded
+	// because Snapshot was called since the load before it, or a run's final
+	// tick. Its identity and Cycle say which run and cycle the state was
+	// taken at; nil until the first such publication.
+	State *core.TickEvent `json:",omitempty"`
 	// CyclesPerSec is the simulated-cycle rate estimated across the last two
 	// ticks of the same run (0 until two ticks have arrived).
 	CyclesPerSec float64
@@ -51,6 +59,9 @@ type Publisher struct {
 	now func() time.Time
 
 	snap atomic.Pointer[Snapshot]
+	// wanted is set by Snapshot and cleared by the next PublishTick, which
+	// then loads the bulk state for the readers to come.
+	wanted atomic.Bool
 
 	mu       sync.Mutex // guards the write side: rate state, results, subscribers
 	lastWall time.Time
@@ -115,14 +126,20 @@ func runKey(ev core.TickEvent) string {
 }
 
 // PublishTick installs ev as the current snapshot and notifies subscribers.
-// It is the Config.OnTick hook; ev is already a deep copy owned by the
-// publisher.
+// It is the Config.OnTick hook. The SSE frames come from ev's cheap fields;
+// the bulk state is loaded, and becomes the snapshot's State, only when
+// Snapshot was called since the last load.
 func (p *Publisher) PublishTick(ev core.TickEvent) {
+	if p.wanted.Swap(false) {
+		ev.Load()
+	}
 	wall := p.now() // clock read stays outside the critical section
 	p.mu.Lock()
 	rate := 0.0
+	var state *core.TickEvent
 	if prev := p.snap.Load(); prev != nil {
 		rate = prev.CyclesPerSec
+		state = prev.State
 		if key := runKey(ev); key == p.lastKey && ev.Cycle > prev.Tick.Cycle {
 			if dt := wall.Sub(p.lastWall).Seconds(); dt > 0 {
 				rate = float64(ev.Cycle-prev.Tick.Cycle) / dt
@@ -131,8 +148,15 @@ func (p *Publisher) PublishTick(ev core.TickEvent) {
 	}
 	p.lastKey = runKey(ev)
 	p.lastWall = wall
+	if ev.Loaded() {
+		loaded := ev
+		state = &loaded
+	}
+	tick := ev
+	tick.Worms, tick.ChannelFlits, tick.Telemetry, tick.Forensics = nil, nil, nil, nil
 	s := &Snapshot{
-		Tick:         ev,
+		Tick:         tick,
+		State:        state,
 		CyclesPerSec: rate,
 		SweepTotal:   int(p.sweepTotal.Load()),
 		SweepDone:    int(p.sweepDone.Load()),
@@ -144,8 +168,8 @@ func (p *Publisher) PublishTick(ev core.TickEvent) {
 	}
 	p.snap.Store(s)
 	p.broadcastLocked(tickMessage(ev, rate))
-	if ev.Forensics != nil {
-		p.broadcastLocked(blameMessage(ev))
+	if ev.Blame != nil {
+		p.broadcastLocked(blameMessage(ev.Cycle, ev.Blame))
 	}
 	for _, e := range ev.Events {
 		p.broadcastLocked(sseMessage("worm", e))
@@ -178,7 +202,18 @@ func (p *Publisher) PublishPoint(i int, r core.Result) {
 }
 
 // Snapshot returns the current state, or nil before the first publication.
-func (p *Publisher) Snapshot() *Snapshot { return p.snap.Load() }
+// It asks the next PublishTick to load the engine state, so a reader polling
+// it sees a State at most one poll old.
+func (p *Publisher) Snapshot() *Snapshot {
+	if !p.wanted.Load() {
+		p.wanted.Store(true)
+	}
+	return p.snap.Load()
+}
+
+// latest returns the current state without asking for a load, for readers
+// of the cheap fields only.
+func (p *Publisher) latest() *Snapshot { return p.snap.Load() }
 
 // Subscribe registers an SSE consumer. The returned channel carries
 // ready-to-send SSE frames; it is buffered and the publisher drops frames
@@ -223,8 +258,7 @@ func sseMessage(event string, v any) []byte {
 // blameMessage is the SSE frame for the forensics view of one tick: blame
 // and attribution totals plus the current top root channels. Clients wanting
 // the full anatomy (histograms, per-channel blame vector) poll /blame.
-func blameMessage(ev core.TickEvent) []byte {
-	f := ev.Forensics
+func blameMessage(cycle int64, h *forensics.Head) []byte {
 	return sseMessage("blame", struct {
 		Cycle      int64            `json:"cycle"`
 		Samples    int64            `json:"samples"`
@@ -233,8 +267,8 @@ func blameMessage(ev core.TickEvent) []byte {
 		Trees      int64            `json:"trees"`
 		WaitCycles int64            `json:"waitCycles"`
 		TopRoots   []forensics.Root `json:"topRoots,omitempty"`
-	}{ev.Cycle, f.Samples, f.BlockedObserved, f.AttributedFraction(),
-		f.Trees, f.WaitCycles, f.TopRoots(4)})
+	}{cycle, h.Samples, h.BlockedObserved, h.AttributedFraction,
+		h.Trees, h.WaitCycles, h.TopRoots})
 }
 
 // tickMessage is the SSE frame for one engine tick: a compact progress

@@ -94,7 +94,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	status := "waiting for first tick"
-	if snap := s.pub.Snapshot(); snap != nil {
+	if snap := s.pub.latest(); snap != nil {
 		ev := snap.Tick
 		status = fmt.Sprintf("%s %s rho=%.2f — cycle %d, %d worms in flight",
 			ev.Algorithm, ev.Pattern, ev.OfferedLoad, ev.Cycle, ev.InFlight)
@@ -150,7 +150,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	frames, cancel := s.pub.Subscribe()
 	defer cancel()
 	// Open with the current state so late joiners see something immediately.
-	if snap := s.pub.Snapshot(); snap != nil {
+	if snap := s.pub.latest(); snap != nil {
 		w.Write(tickMessage(snap.Tick, snap.CyclesPerSec)) //nolint:errcheck
 	}
 	fl.Flush()
@@ -187,11 +187,11 @@ type blameRoot struct {
 func (s *Server) handleBlame(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	snap := s.pub.Snapshot()
-	if snap == nil || snap.Tick.Forensics == nil {
+	if snap == nil || snap.State == nil || snap.State.Forensics == nil {
 		http.Error(w, `{"error":"no forensics summary yet (run with -forensics)"}`, http.StatusServiceUnavailable)
 		return
 	}
-	ev := snap.Tick
+	ev := snap.State
 	f := ev.Forensics
 	g := grid(ev.K, ev.N, ev.Mesh)
 	roots := []blameRoot{}
@@ -218,11 +218,11 @@ func (s *Server) handleBlame(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleBlameSVG(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "image/svg+xml")
 	snap := s.pub.Snapshot()
-	if snap == nil || snap.Tick.Forensics == nil || snap.Tick.K < 1 || snap.Tick.N < 1 {
+	if snap == nil || snap.State == nil || snap.State.Forensics == nil || snap.State.K < 1 || snap.State.N < 1 {
 		fmt.Fprint(w, `<svg xmlns="http://www.w3.org/2000/svg" width="360" height="48"><text x="16" y="28" font-family="system-ui,sans-serif" font-size="13" fill="#52514e">no forensics summary yet (run with -forensics)</text></svg>`)
 		return
 	}
-	ev := snap.Tick
+	ev := snap.State
 	f := ev.Forensics
 	top := f.TopRoots(4)
 	rootChs := make([]int, len(top))
@@ -251,11 +251,11 @@ func (s *Server) handleHeatmapSVG(w http.ResponseWriter, _ *http.Request) {
 	// Zero-cycle or otherwise empty snapshots (no tick yet, a degenerate
 	// topology, or an engine that published before moving any flit) get a
 	// valid placeholder document, never a malformed grid.
-	if snap == nil || snap.Tick.K < 1 || snap.Tick.N < 1 || len(snap.Tick.ChannelFlits) == 0 {
+	if snap == nil || snap.State == nil || snap.State.K < 1 || snap.State.N < 1 || len(snap.State.ChannelFlits) == 0 {
 		fmt.Fprint(w, `<svg xmlns="http://www.w3.org/2000/svg" width="320" height="48"><text x="16" y="28" font-family="system-ui,sans-serif" font-size="13" fill="#52514e">waiting for first tick</text></svg>`)
 		return
 	}
-	ev := snap.Tick
+	ev := snap.State
 	title := fmt.Sprintf("%s %s rho=%.2f — cycle %d", ev.Algorithm, ev.Pattern, ev.OfferedLoad, ev.Cycle)
 	fmt.Fprint(w, viz.HeatmapSVG(grid(ev.K, ev.N, ev.Mesh), ev.ChannelFlits, title))
 }

@@ -5,7 +5,7 @@
 // advance, delivery, watchdog kill) into a bounded sampled ring buffer,
 // exportable as JSONL or Chrome trace_event JSON for chrome://tracing.
 //
-// The network engine builds its *Collector from the Options in its Config
+// The network engine Resets its *Collector from the Options in its Config
 // and guards every hook with a nil check, so a disabled collector costs one
 // predictable branch per hook. What the engine counts anyway — cycles,
 // congestion drops, per-channel busy cycles — the collector does not count
@@ -50,7 +50,7 @@ func (o Options) withDefaults() Options {
 
 // Collector accumulates metrics and trace events for one simulation run. It
 // is not safe for concurrent use; each run owns its collector (the network
-// engine builds one per run from shared Options).
+// engine keeps one and Resets it for every run that asks for telemetry).
 type Collector struct {
 	opts Options
 
@@ -76,10 +76,29 @@ type Collector struct {
 // New returns a collector for a network with the given number of
 // virtual-channel classes.
 func New(opts Options, classes int) *Collector {
-	return &Collector{
-		opts:      opts.withDefaults(),
-		occupied:  make([]int64, classes),
-		occupancy: make([]stats.Gauge, classes),
+	c := new(Collector)
+	c.Reset(opts, classes)
+	return c
+}
+
+// Reset re-initialises c for a new run, as New would build it, on the
+// arrays and trace ring its earlier runs grew: the network engine recycles
+// its collector with itself. Summaries and Events are copies, so nothing
+// they returned changes.
+func (c *Collector) Reset(opts Options, classes int) {
+	occupied, occupancy := c.occupied, c.occupancy
+	if cap(occupied) < classes {
+		occupied, occupancy = make([]int64, classes), make([]stats.Gauge, classes)
+	}
+	occupied, occupancy = occupied[:classes], occupancy[:classes]
+	clear(occupied)
+	clear(occupancy)
+	*c = Collector{
+		opts:        opts.withDefaults(),
+		headBlocked: c.headBlocked[:0],
+		occupied:    occupied,
+		occupancy:   occupancy,
+		ring:        c.ring[:0],
 	}
 }
 
