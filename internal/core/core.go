@@ -136,7 +136,9 @@ type Config struct {
 // runstore's bit-identity tests, is that a cache hit is indistinguishable
 // from re-running the simulation.
 type ResultCache interface {
-	// Lookup returns the Result stored under hash, if any.
+	// Lookup returns the Result stored under hash, if any. Its slices and
+	// pointers may be shared with the cache's own copy: callers read them
+	// and never write through them.
 	Lookup(hash string) (Result, bool)
 	// Store records a completed run under hash. cfg is the canonical config
 	// the hash digests, for later inspection and comparison queries.

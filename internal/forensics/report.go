@@ -19,7 +19,7 @@ type ComponentStats struct {
 	P95     float64
 	Max     float64
 	Share   float64
-	Buckets []stats.CumBucket `json:",omitempty"`
+	Buckets stats.CumBuckets `json:",omitempty"`
 }
 
 // componentStats flattens one histogram against the class's total latency

@@ -17,6 +17,10 @@ type Stream struct {
 
 const pcgMultiplier = 6364136223846793005
 
+// pcgMultiplier2 is pcgMultiplier squared modulo 2^64: two PCG steps are
+// one, state*pcgMultiplier2 + inc*(pcgMultiplier+1).
+const pcgMultiplier2 = pcgMultiplier * pcgMultiplier % (1 << 64)
+
 // New returns a stream seeded with seed on the default stream id 0.
 func New(seed uint64) *Stream { return NewStream(seed, 0) }
 
@@ -84,6 +88,20 @@ func (s *Stream) Uint53() uint64 {
 	return s.Uint64() >> 11
 }
 
+// Uint53Below reports whether Uint53() < thr, and leaves the stream where
+// Uint53 would, but computes the second PCG output only when the first
+// does not decide: Uint53() is out1<<21 | out2>>11 for the two outputs, so
+// it is below thr exactly when out1 < thr>>21, or out1 == thr>>21 (one
+// draw in 2^32) and out2>>11 < thr's low 21 bits.
+func (s *Stream) Uint53Below(thr uint64) bool {
+	s1 := s.state
+	s.state = s1*pcgMultiplier2 + s.inc*(pcgMultiplier+1)
+	if hi := uint64(pcgOutput(s1)); hi != thr>>21 {
+		return hi < thr>>21
+	}
+	return uint64(pcgOutput(s1*pcgMultiplier+s.inc))>>11 < thr&(1<<21-1)
+}
+
 // BernoulliThreshold converts a probability into the Uint53 cutoff that
 // makes "Uint53() < threshold" equivalent to "Float64() < p": with
 // k = Uint53(), Float64() is exactly k/2^53, so k/2^53 < p iff
@@ -113,7 +131,7 @@ func (s *Stream) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.Uint53() < BernoulliThreshold(p)
+	return s.Uint53Below(BernoulliThreshold(p))
 }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.

@@ -240,3 +240,59 @@ func TestBernoulliDrawCount(t *testing.T) {
 		t.Fatalf("interior Bernoulli consumed != 1 Uint64: %#x vs %#x", got, want)
 	}
 }
+
+// TestUint53BelowMatchesUint53: Uint53Below gives the verdict of
+// Uint53() < thr and leaves the same state, at rates across [0, 1] and at
+// thresholds built from the next draw, which share its high 32 bits and so
+// take the branch that computes the second output.
+func TestUint53BelowMatchesUint53(t *testing.T) {
+	check := func(s *Stream, thr uint64) {
+		t.Helper()
+		ref := *s
+		want := ref.Uint53() < thr
+		if got := s.Uint53Below(thr); got != want || *s != ref {
+			t.Fatalf("thr %#x: Uint53Below %v state %+v, Uint53 < thr %v state %+v", thr, got, *s, want, ref)
+		}
+	}
+	s := NewStream(21, 9)
+	for _, p := range []float64{0, 1e-9, 0.0025, 0.1, 0.25, 0.5, 0.7311, 0.9999999, 1} {
+		thr := BernoulliThreshold(p)
+		for i := 0; i < 2000; i++ {
+			check(s, thr)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		next := *s
+		k := next.Uint53()
+		for _, thr := range []uint64{k, k + 1, k &^ (1<<21 - 1), k | (1<<21 - 1), k>>21<<21 | uint64(i)&(1<<21-1)} {
+			c := *s
+			check(&c, thr)
+		}
+		s.Uint53()
+	}
+}
+
+// BenchmarkBernoulliTrial times one trial at rate 0.3 both ways.
+func BenchmarkBernoulliTrial(b *testing.B) {
+	thr := BernoulliThreshold(0.3)
+	b.Run("Uint53", func(b *testing.B) {
+		s, n := New(1), 0
+		for i := 0; i < b.N; i++ {
+			if s.Uint53() < thr {
+				n++
+			}
+		}
+		sinkInt = n
+	})
+	b.Run("Uint53Below", func(b *testing.B) {
+		s, n := New(1), 0
+		for i := 0; i < b.N; i++ {
+			if s.Uint53Below(thr) {
+				n++
+			}
+		}
+		sinkInt = n
+	})
+}
+
+var sinkInt int

@@ -3,11 +3,13 @@ package runstore
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"wormsim/internal/core"
+	"wormsim/internal/forensics"
 	"wormsim/internal/telemetry"
 )
 
@@ -131,6 +133,106 @@ func TestSweepWarmStoreAcrossReopen(t *testing.T) {
 	sj, _ := json.Marshal(second)
 	if !bytes.Equal(fj, sj) {
 		t.Error("results not byte-identical across store reopen")
+	}
+}
+
+// observedCold runs an observed 4×4 hot-spot sweep against a new store in
+// a temporary directory and closes it: every record carries telemetry and
+// forensics summaries, latency-anatomy buckets included.
+func observedCold(t *testing.T) (cfg core.Config, loads []float64, dir string, cold []core.Result) {
+	t.Helper()
+	cfg = core.Config{
+		K: 4, N: 2, Algorithm: "nbc", Pattern: "hotspot:0.2:5", Seed: 7,
+		WarmupCycles: 200, SampleCycles: 100, GapCycles: 50,
+		MinSamples: 2, MaxSamples: 2,
+		Telemetry: &telemetry.Options{Metrics: true},
+		Forensics: &forensics.Options{SampleEvery: 1},
+	}
+	loads, dir = []float64{0.3, 0.6}, t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := cfg
+	c.Cache = s
+	if cold, err = sweep(c, loads, nil); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, loads, dir, cold
+}
+
+// TestObservedWarmStoreAcrossReopen: observed records, whose bucket lists
+// and count vectors decode without reflection, come back from a reopened
+// store DeepEqual to the simulated Results and encode to the same bytes.
+func TestObservedWarmStoreAcrossReopen(t *testing.T) {
+	cfg, loads, dir, cold := observedCold(t)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cfg.Cache = s
+	warm, err := sweep(cfg, loads, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Misses() != 0 || s.Hits() != int64(len(loads)) {
+		t.Errorf("reopened store: hits=%d misses=%d, want %d/0", s.Hits(), s.Misses(), len(loads))
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Errorf("warm observed sweep diverged:\ncold %+v\nwarm %+v", cold, warm)
+	}
+	cj, _ := json.Marshal(cold)
+	wj, _ := json.Marshal(warm)
+	if !bytes.Equal(cj, wj) {
+		t.Error("warm observed sweep JSON not byte-identical to the cold one")
+	}
+	for i, r := range warm {
+		if r.Telemetry == nil || r.Forensics == nil || len(r.Forensics.Anatomy) == 0 {
+			t.Fatalf("load %g: no observer summaries", loads[i])
+		}
+		for _, ca := range r.Forensics.Anatomy {
+			if ca.Delivered > 0 && (len(ca.Inject.Buckets) == 0 || len(ca.Drain.Buckets) == 0) {
+				t.Errorf("load %g class %d: %d delivered but empty bucket lists", loads[i], ca.Class, ca.Delivered)
+			}
+		}
+	}
+}
+
+// TestCacheHitsLeaveLogUnchanged: the Results that Lookup, Get and List
+// hand out share their slices and pointers with the index Compact writes,
+// so none of the readers here may write through them — a warm figure, Get
+// and List of every record, then Compact, leave runs.jsonl byte-identical.
+func TestCacheHitsLeaveLogUnchanged(t *testing.T) {
+	cfg, loads, dir, _ := observedCold(t)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = s
+	if _, err := sweep(cfg, loads, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range s.List() {
+		if _, ok := s.Get(rec.Hash); !ok {
+			t.Fatalf("Get %s: not found", rec.Hash)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != len(loads) || !bytes.Equal(before, after) {
+		t.Errorf("%d records; log after warm reads and Compact differs from the cold log:\n%s\n%s", s.Len(), before, after)
 	}
 }
 

@@ -219,6 +219,8 @@ func (s *Store) Path() string { return s.path }
 // Lookup returns the Result stored under hash and counts the outcome in
 // Hits/Misses. It is the core.ResultCache read side: nothing here reads a
 // clock or mutates the record, so a hit is bit-identical to re-simulating.
+// The Result shares its slices and pointers with the index that Compact
+// writes back: it is read-only, as are those of Get and List.
 func (s *Store) Lookup(hash string) (core.Result, bool) {
 	s.mu.Lock()
 	rec, ok := s.index[hash]
@@ -232,7 +234,8 @@ func (s *Store) Lookup(hash string) (core.Result, bool) {
 }
 
 // Get returns the full record under hash without touching the hit/miss
-// counters — the query path for the observatory API.
+// counters — the query path for the observatory API. The record's Result
+// is read-only (see Lookup).
 func (s *Store) Get(hash string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,6 +292,7 @@ func (s *Store) Len() int {
 
 // List returns copies of every record in first-stored order — a
 // deterministic enumeration for the API's listing and comparison queries.
+// The copies are shallow: their Results are read-only (see Lookup).
 func (s *Store) List() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()

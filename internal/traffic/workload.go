@@ -98,7 +98,7 @@ func (b *Bernoulli) Arrivals(_ int64, dst []Arrival) []Arrival {
 	nodes := b.g.Nodes()
 	arr, thr := b.arr, b.thr
 	for src := 0; src < nodes; src++ {
-		if b.rate < 1 && arr.Uint53() >= thr {
+		if b.rate < 1 && !arr.Uint53Below(thr) {
 			continue
 		}
 		d := b.pattern.Dest(src, b.dst)
