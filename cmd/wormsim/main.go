@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&cfg.Algorithm, "alg", "ecube", "routing algorithm, or a comma list of them: "+strings.Join(routing.Names(), ", "))
 	fs.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement)")
 	fs.StringVar(&cfg.Policy, "policy", "random", "output VC selection policy: random, first, leastcongested")
-	fs.StringVar((*string)(&cfg.Switching), "switching", "wormhole", "switching technique: wormhole, vct, saf")
+	fs.StringVar((*string)(&cfg.Switching), "switching", "wormhole", "switching technique: wormhole, vct")
 	fs.Func("load", "offered channel utilization (fraction of capacity): one value, a lo:hi:step range or a comma list (default 0.4)", func(s string) (err error) {
 		loads, err = core.ParseLoads(s)
 		return err
@@ -349,18 +349,10 @@ func (c *cli) point(cfg core.Config) error {
 		}
 	}
 	if cfg.Telemetry != nil && cfg.Telemetry.Metrics {
-		if res.Telemetry == nil {
-			fmt.Fprintln(c.stderr, "wormsim: -metrics: no telemetry collected (saf switching has no flit-level channels)")
-		} else {
-			printTelemetry(w, cfg.Grid(), res.Telemetry)
-		}
+		printTelemetry(w, cfg.Grid(), res.Telemetry)
 	}
 	if cfg.Forensics != nil {
-		if res.Forensics == nil {
-			fmt.Fprintln(c.stderr, "wormsim: -forensics: nothing collected (saf switching has no virtual channels)")
-		} else {
-			printForensics(w, cfg.Grid(), res.Forensics)
-		}
+		printForensics(w, cfg.Grid(), res.Forensics)
 	}
 	if c.blameOut != "" && res.Forensics != nil {
 		if werr := writeBlame(c.blameOut, cfg, res.Forensics); werr != nil {

@@ -71,6 +71,7 @@ func TestBadArguments(t *testing.T) {
 		want string
 	}{
 		{[]string{"-k", "4", "-switching", "bogus"}, "bogus"},
+		{[]string{"-k", "4", "-switching", "saf"}, `"saf" (want wormhole or vct)`},
 		{[]string{"-config", "/nonexistent/wormsim.json"}, "nonexistent"},
 		{[]string{"-format", "bogus", "-load", "0.2", "-k", "4"}, `unknown format "bogus"`},
 		{[]string{"-load", "0.2:oops:0.1"}, "oops"},

@@ -1,20 +1,19 @@
 // Package core runs the paper's experiments end to end: it assembles a
 // topology, routing algorithm, traffic workload and switching technique
-// into a simulation, applies the warmup / sampling / convergence
-// methodology of section 3, and reports average message latency and
-// normalized throughput for a given offered load.
+// (wormhole or virtual cut-through) into a simulation on the flit-level
+// engine, applies the warmup / sampling / convergence methodology of
+// section 3, and reports average message latency and normalized throughput
+// for a given offered load.
 package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"wormsim/internal/forensics"
 	"wormsim/internal/message"
 	"wormsim/internal/network"
 	"wormsim/internal/routing"
-	"wormsim/internal/saf"
 	"wormsim/internal/stats"
 	"wormsim/internal/telemetry"
 	"wormsim/internal/topology"
@@ -24,14 +23,24 @@ import (
 // Switching selects the switching technique.
 type Switching string
 
-// The three switching techniques of the paper: wormhole everywhere,
-// virtual cut-through in sec. 3.4, store-and-forward as the substrate the
-// hop schemes derive from.
+// The two switching techniques the engine implements: wormhole everywhere,
+// virtual cut-through in sec. 3.4. (Store-and-forward, the substrate the
+// hop schemes derive from, enters only through Lemma 1's premise, which
+// the routing tests and the CDG certificates check directly.)
 const (
 	Wormhole   Switching = "wormhole"
 	CutThrough Switching = "vct"
-	StoreFwd   Switching = "saf"
 )
+
+// check returns an error unless s names a switching technique the engine
+// implements; "" is wormhole, the default.
+func (s Switching) check() error {
+	switch s {
+	case "", Wormhole, CutThrough:
+		return nil
+	}
+	return fmt.Errorf("core: unknown switching %q (want %s or %s)", s, Wormhole, CutThrough)
+}
 
 // Config specifies one simulation point. The zero value is completed by
 // ApplyDefaults to the paper's setup: a 16-ary 2-cube with 16-flit worms.
@@ -48,7 +57,7 @@ type Config struct {
 	// Policy selects among free output VCs: random (default), first,
 	// leastcongested.
 	Policy string
-	// Switching is wormhole (default), vct or saf.
+	// Switching is wormhole (default) or vct.
 	Switching Switching
 
 	// OfferedLoad is the offered channel utilization rho (fraction of
@@ -67,10 +76,10 @@ type Config struct {
 	// negative disables).
 	CCLimit int
 	// InjectionPorts caps concurrently injecting messages per node
-	// (wormhole/vct only; default 2, negative = unlimited).
+	// (default 2, negative = unlimited).
 	InjectionPorts int
 	// RouteDelay is the router pipeline latency in cycles per header hop
-	// (wormhole/vct only; default 0, the paper's idealization).
+	// (default 0, the paper's idealization).
 	RouteDelay int
 
 	Seed uint64
@@ -89,17 +98,15 @@ type Config struct {
 	Tolerance float64
 
 	// Telemetry, when set, attaches a metrics/trace collector to the run and
-	// fills Result.Telemetry / Result.TraceEvents (wormhole and vct engines
-	// only; the saf engine has no flit-level channels to meter). Each engine
-	// Resets a collector of its own from these options for every run, so a
-	// shared Config stays safe for parallel sweeps.
+	// fills Result.Telemetry / Result.TraceEvents. Each engine Resets a
+	// collector of its own from these options for every run, so a shared
+	// Config stays safe for parallel sweeps.
 	Telemetry *telemetry.Options `json:",omitempty"`
 	// Forensics, when set, attaches the congestion forensics analyzer —
 	// sampled wait-for graphs, root-cause blame attribution and per-worm
-	// latency anatomy — and fills Result.Forensics (wormhole and vct
-	// engines only). Like Telemetry, every run gets its engine's analyzer
-	// Reset from these options, and attaching one is bit-identical to not
-	// (TestForensicsRunIsBitIdentical).
+	// latency anatomy — and fills Result.Forensics. Like Telemetry, every
+	// run gets its engine's analyzer Reset from these options, and attaching
+	// one is bit-identical to not (TestForensicsRunIsBitIdentical).
 	Forensics *forensics.Options `json:",omitempty"`
 	// OnSample, if set, is called after every completed sampling period —
 	// the live-progress hook behind the CLIs' -progress flag. Not part of
@@ -110,8 +117,7 @@ type Config struct {
 	// a TickEvent.Load that copies the bulk engine state during the call —
 	// the publication feed behind the CLIs' -http observatory server. The
 	// hook only receives copies and cannot touch engine state through the
-	// event, so an attached observer never perturbs results. Wormhole and vct
-	// engines only.
+	// event, so an attached observer never perturbs results.
 	OnTick func(TickEvent) `json:"-"`
 	// TickCycles is the publication period for OnTick (default 1000).
 	TickCycles int64 `json:",omitempty"`
@@ -377,12 +383,11 @@ type Result struct {
 
 	// HopClassLatency[i] is the mean latency of messages needing i hops
 	// (-1 where unobserved); VCFlitShare[v] the fraction of flit transfers
-	// on virtual-channel class v (wormhole/vct only).
+	// on virtual-channel class v.
 	HopClassLatency []float64
 	VCFlitShare     []float64
-	// ChannelFlits holds lifetime flit transfers per dense channel slot
-	// (wormhole/vct only); feed it to analysis.ChannelBalance or
-	// viz.ChannelHeatmap.
+	// ChannelFlits holds lifetime flit transfers per dense channel slot;
+	// feed it to analysis.ChannelBalance or viz.ChannelHeatmap.
 	ChannelFlits stats.Counts `json:",omitempty"`
 
 	// Telemetry aggregates the run's collector when Config.Telemetry was
@@ -409,20 +414,6 @@ func (r Result) String() string {
 	return fmt.Sprintf("%-5s %-9s rho=%.2f lat=%7.1f+-%-5.1f thr=%.3f drops=%d [%s]",
 		r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, r.Dropped, state)
 }
-
-// stepper abstracts the two engines for the measurement loop.
-type stepper interface {
-	Step() error
-	Reseed(seed uint64)
-}
-
-// safAdapter adds Reseed to the saf engine.
-type safAdapter struct {
-	*saf.Network
-	wl traffic.Workload
-}
-
-func (a safAdapter) Reseed(seed uint64) { a.wl.Reseed(seed) }
 
 // engines holds the wormhole engines idle between runs, most recently used
 // last. Run is the only function that reads or writes it. It has no size
@@ -456,12 +447,14 @@ func Run(cfg Config) (Result, error) {
 	return r, err
 }
 
-// runOn is Run on a caller-supplied wormhole engine, re-initialised for the
-// point (network.Reset). The Result is a function of cfg alone — what eng
-// ran before cannot show, and no part of the Result aliases eng's memory
-// (store-and-forward points leave eng untouched).
+// runOn is Run on a caller-supplied engine, re-initialised for the point
+// (network.Reset). The Result is a function of cfg alone — what eng ran
+// before cannot show, and no part of the Result aliases eng's memory.
 func runOn(eng *network.Network, cfg Config) (Result, error) {
 	cfg.ApplyDefaults()
+	if err := cfg.Switching.check(); err != nil {
+		return Result{}, err
+	}
 	if cfg.K < 2 || cfg.N < 1 {
 		return Result{}, fmt.Errorf("core: a %d-ary %d-cube needs radix k >= 2 and dimension n >= 1", cfg.K, cfg.N)
 	}
@@ -532,66 +525,44 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 		}
 	}
 
-	var st stepper
-	var wn *network.Network
-	var sn *saf.Network
-	switch cfg.Switching {
-	case Wormhole, CutThrough:
-		err = eng.Reset(network.Config{
-			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
-			MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
-			InjectionPorts: cfg.InjectionPorts, RouteDelay: cfg.RouteDelay,
-			Seed: cfg.Seed, OnDeliver: onDeliver, Telemetry: cfg.Telemetry, Phases: cfg.PhaseProf,
-			Forensics: cfg.Forensics,
-		})
-		if err != nil {
-			return res, err
-		}
-		wn = eng
-		st = wn
-	case StoreFwd:
-		sn, err = saf.New(saf.Config{
-			Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
-			MsgLen: cfg.MsgLen, CCLimit: cfg.CCLimit,
-			Seed: cfg.Seed, OnDeliver: onDeliver,
-		})
-		if err != nil {
-			return res, err
-		}
-		st = safAdapter{sn, wl}
-	default:
-		return res, fmt.Errorf("core: unknown switching %q", cfg.Switching)
+	err = eng.Reset(network.Config{
+		Grid: g, Algorithm: alg, Policy: policy, Workload: wl,
+		MsgLen: cfg.MsgLen, BufDepth: cfg.BufDepth, CCLimit: cfg.CCLimit,
+		InjectionPorts: cfg.InjectionPorts, RouteDelay: cfg.RouteDelay,
+		Seed: cfg.Seed, OnDeliver: onDeliver, Telemetry: cfg.Telemetry, Phases: cfg.PhaseProf,
+		Forensics: cfg.Forensics,
+	})
+	if err != nil {
+		return res, err
 	}
 
 	// The tick publication: every tickGap cycles OnTick receives the cheap
-	// fields of the observable state and a way to Load the rest
-	// (wormhole/vct only — the saf engine has no flit-level channels to
-	// publish).
+	// fields of the observable state and a way to Load the rest.
 	var tickGap, sinceTick, lastRecorded int64
 	var ticks *tickSource
-	if cfg.OnTick != nil && wn != nil {
+	if cfg.OnTick != nil {
 		tickGap = cfg.TickCycles
 		if tickGap <= 0 {
 			tickGap = 1000
 		}
-		ticks = &tickSource{wn: wn}
+		ticks = &tickSource{wn: eng}
 	}
 	emitTick := func(final bool) {
-		events, next := wn.Trace(lastRecorded, 64)
+		events, next := eng.Trace(lastRecorded, 64)
 		lastRecorded = next
 		ticks.deliver(cfg.OnTick, TickEvent{
 			Algorithm: cfg.Algorithm, Pattern: cfg.Pattern, Switching: cfg.Switching,
 			K: cfg.K, N: cfg.N, Mesh: cfg.Mesh, OfferedLoad: cfg.OfferedLoad, Seed: cfg.Seed,
-			Cycle: wn.Now(), InFlight: wn.InFlight(),
-			Counters: wn.Total(),
-			Blame:    wn.BlameHead(4),
+			Cycle: eng.Now(), InFlight: eng.InFlight(),
+			Counters: eng.Total(),
+			Blame:    eng.BlameHead(4),
 			Events:   events,
 			Final:    final,
 		})
 	}
 	runFor := func(cycles int64) error {
 		for i := int64(0); i < cycles; i++ {
-			if err := st.Step(); err != nil {
+			if err := eng.Step(); err != nil {
 				return err
 			}
 			if tickGap > 0 {
@@ -607,115 +578,74 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 	weights := wl.HopClassWeights()
 	conv := &stats.Convergence{MinSamples: cfg.MinSamples, MaxSamples: cfg.MaxSamples, Tolerance: cfg.Tolerance}
 	var thr stats.Welford
-	var deadlock error
-
-	finish := func() {
-		res.Cycles = cfgCycles(cfg, conv.Samples())
-		if wn != nil {
-			t := wn.Total()
-			res.Generated, res.Admitted, res.Dropped, res.Delivered = t.Generated, t.Admitted, t.Dropped, t.Delivered
-			if t.FlitMoves > 0 {
-				res.VCFlitShare = make([]float64, len(t.FlitMovesByClass))
-				for i, f := range t.FlitMovesByClass {
-					res.VCFlitShare[i] = float64(f) / float64(t.FlitMoves)
-				}
-			}
-		} else {
-			res.Generated, res.Admitted, res.Dropped, res.Delivered = sn.Counts()
-		}
-		res.HopClassLatency = make([]float64, len(hopStats))
-		for i := range hopStats {
-			if hopStats[i].Count() == 0 {
-				res.HopClassLatency[i] = -1 // unobserved (JSON has no NaN)
-			} else {
-				res.HopClassLatency[i] = hopStats[i].Mean()
-			}
-		}
-		if wn != nil {
-			res.ChannelFlits = wn.ChannelFlitCounts()
-			res.Telemetry, res.Forensics = wn.Observers()
-			res.TraceEvents, _ = wn.Trace(0, 0)
-		}
-		res.Samples = conv.Samples()
-		res.Throughput = thr.Mean()
-		if latHist.Count() > 0 {
-			q := latHist.Quantiles(0.5, 0.95, 0.99)
-			res.LatencyP50, res.LatencyP95, res.LatencyP99 = q[0], q[1], q[2]
-			res.LatencyMax = latHist.Max()
-		}
-		if tickGap > 0 {
-			emitTick(true)
-		}
-	}
-
-	if err := runFor(cfg.WarmupCycles); err != nil {
-		deadlock = err
-	}
-	var lastBound float64
+	deadlock := runFor(cfg.WarmupCycles)
 	for deadlock == nil {
 		sample = stats.NewStratified(weights)
-		if wn != nil {
-			wn.ResetWindow()
-		}
-		startMoves, startCycles := engineWindow(wn, sn)
+		eng.ResetWindow()
+		start := eng.Total()
 		if err := runFor(cfg.SampleCycles); err != nil {
 			deadlock = err
 			break
 		}
-		endMoves, endCycles := engineWindow(wn, sn)
-		if endCycles > startCycles {
-			thr.Add(float64(endMoves-startMoves) / (float64(endCycles-startCycles) * float64(g.NumChannels())))
+		end := eng.Total()
+		if end.Cycles > start.Cycles {
+			thr.Add(float64(end.FlitMoves-start.FlitMoves) / (float64(end.Cycles-start.Cycles) * float64(g.NumChannels())))
 		}
-		conv.Record(sample.Mean())
-		lastBound = sample.ErrorBound()
-		done := conv.Done(sample)
+		done := conv.Add(sample)
 		if cfg.OnSample != nil {
 			cfg.OnSample(SampleEvent{
 				Sample: conv.Samples(), MaxSamples: cfg.MaxSamples,
-				Mean: sample.Mean(), Bound: lastBound, Done: done,
+				Mean: sample.Mean(), Bound: sample.ErrorBound(), Done: done,
 			})
 		}
 		sample = nil
 		if done {
-			res.Converged = conv.Samples() < cfg.MaxSamples
 			break
 		}
 		// Unmeasured gap with fresh random streams, per the paper.
-		st.Reseed(cfg.Seed + uint64(conv.Samples())*0x9e3779b97f4a7c15)
+		eng.Reseed(cfg.Seed + uint64(conv.Samples())*0x9e3779b97f4a7c15)
 		if err := runFor(cfg.GapCycles); err != nil {
 			deadlock = err
 			break
 		}
 	}
 
-	acrossBound, acrossMean := conv.AcrossSampleBound()
-	res.AvgLatency = acrossMean
-	res.LatencyBound = math.Max(lastBound, acrossBound)
-	if math.IsInf(res.LatencyBound, 1) {
-		res.LatencyBound = lastBound
+	res.AvgLatency, res.LatencyBound, res.Converged = conv.Estimate()
+	res.Cycles = cfg.WarmupCycles + int64(conv.Samples())*(cfg.SampleCycles+cfg.GapCycles)
+	t := eng.Total()
+	res.Generated, res.Admitted, res.Dropped, res.Delivered = t.Generated, t.Admitted, t.Dropped, t.Delivered
+	if t.FlitMoves > 0 {
+		res.VCFlitShare = make([]float64, len(t.FlitMovesByClass))
+		for i, f := range t.FlitMovesByClass {
+			res.VCFlitShare[i] = float64(f) / float64(t.FlitMoves)
+		}
 	}
-	finish()
+	res.HopClassLatency = make([]float64, len(hopStats))
+	for i := range hopStats {
+		if hopStats[i].Count() == 0 {
+			res.HopClassLatency[i] = -1 // unobserved (JSON has no NaN)
+		} else {
+			res.HopClassLatency[i] = hopStats[i].Mean()
+		}
+	}
+	res.ChannelFlits = eng.ChannelFlitCounts()
+	res.Telemetry, res.Forensics = eng.Observers()
+	res.TraceEvents, _ = eng.Trace(0, 0)
+	res.Samples = conv.Samples()
+	res.Throughput = thr.Mean()
+	if latHist.Count() > 0 {
+		q := latHist.Quantiles(0.5, 0.95, 0.99)
+		res.LatencyP50, res.LatencyP95, res.LatencyP99 = q[0], q[1], q[2]
+		res.LatencyMax = latHist.Max()
+	}
+	if tickGap > 0 {
+		emitTick(true)
+	}
 	if deadlock != nil {
 		res.Deadlocked = true
-		res.Converged = false
 		return res, deadlock
 	}
 	return res, nil
-}
-
-// engineWindow reads cumulative flit moves and cycles from whichever engine
-// is active.
-func engineWindow(wn *network.Network, sn *saf.Network) (moves, cycles int64) {
-	if wn != nil {
-		t := wn.Total()
-		return t.FlitMoves, t.Cycles
-	}
-	return sn.FlitMoves(), sn.Now()
-}
-
-// cfgCycles estimates cycles simulated for reporting.
-func cfgCycles(cfg Config, samples int) int64 {
-	return cfg.WarmupCycles + int64(samples)*(cfg.SampleCycles+cfg.GapCycles)
 }
 
 // RunCached executes one simulation point through cfg.Cache: a hit returns
@@ -732,6 +662,11 @@ func cfgCycles(cfg Config, samples int) int64 {
 // produced it. Callers following the grid convention — check
 // Result.Deadlocked, not just err — behave identically on both paths.
 func RunCached(cfg Config) (r Result, hit bool, err error) {
+	// A store may hold points of a switching technique since retired; never
+	// serve one for a config Run rejects.
+	if err := cfg.Switching.check(); err != nil {
+		return Result{}, false, err
+	}
 	if cfg.Cache == nil || (cfg.Telemetry != nil && cfg.Telemetry.Trace) {
 		r, err = Run(cfg)
 		return r, false, err

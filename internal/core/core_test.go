@@ -167,6 +167,24 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunCachedRejectsRetiredSwitching: a store written while
+// store-and-forward was a switching technique may hold "saf" records. A
+// cache lookup must not serve one for a config Run now rejects.
+func TestRunCachedRejectsRetiredSwitching(t *testing.T) {
+	c := quick("phop")
+	c.Switching = "saf"
+	cache := newMapCache()
+	cache.m[c.Hash()] = Result{Algorithm: "phop", Switching: "saf", AvgLatency: 180, Converged: true}
+	c.Cache = cache
+	r, hit, err := RunCached(c)
+	if err == nil || !strings.Contains(err.Error(), "wormhole or vct") {
+		t.Errorf("RunCached(saf) error = %v, want one naming wormhole or vct", err)
+	}
+	if hit || r.Switching != "" {
+		t.Errorf("RunCached(saf) served the stored record: hit %v, %+v", hit, r)
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	a, err := Run(quick("nbc"))
 	if err != nil {
@@ -178,37 +196,6 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if a.AvgLatency != b.AvgLatency || a.Throughput != b.Throughput || a.Delivered != b.Delivered {
 		t.Errorf("same seed diverged: %v vs %v", a, b)
-	}
-}
-
-func TestRunSAFSwitching(t *testing.T) {
-	c := quick("phop")
-	c.Switching = StoreFwd
-	c.OfferedLoad = 0.1
-	res, err := Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Switching != StoreFwd {
-		t.Error("switching echo wrong")
-	}
-	// SAF latency is far above the wormhole latency at the same low load.
-	cw := quick("phop")
-	cw.OfferedLoad = 0.1
-	resW, err := Run(cw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AvgLatency < 2*resW.AvgLatency {
-		t.Errorf("saf latency %v should dwarf wormhole %v", res.AvgLatency, resW.AvgLatency)
-	}
-}
-
-func TestRunSAFRejectsChannelAlgorithms(t *testing.T) {
-	c := quick("ecube")
-	c.Switching = StoreFwd
-	if _, err := Run(c); err == nil {
-		t.Error("saf with ecube should be rejected (no deadlock-free buffer form)")
 	}
 }
 

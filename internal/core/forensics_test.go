@@ -157,19 +157,3 @@ func TestForensicsSampledEstimates(t *testing.T) {
 			ss.BlockedObserved, se.BlockedObserved, ratio)
 	}
 }
-
-// TestSafIgnoresForensics: the saf engine has no virtual channels; a
-// forensics request must not break it.
-func TestSafIgnoresForensics(t *testing.T) {
-	cfg := quickForeCfg()
-	cfg.Algorithm = "phop"
-	cfg.Switching = StoreFwd
-	cfg.OfferedLoad = 0.2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Forensics != nil {
-		t.Error("saf run filled Forensics")
-	}
-}

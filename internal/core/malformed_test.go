@@ -12,7 +12,7 @@ import (
 // used to panic inside it. They are also FuzzConfig's seeds.
 var malformedConfigs = []Config{
 	{K: 1},
-	{K: 1, Switching: StoreFwd},
+	{Switching: "saf"}, // not a technique the engine implements
 	{N: -1},
 	{MsgLen: -4},
 	{OfferedLoad: -0.5},
@@ -51,7 +51,7 @@ func FuzzConfig(f *testing.F) {
 	}
 	f.Add(int8(4), int8(2), false, "nbc", "uniform", "wormhole", int8(8), int8(2), int8(1), int8(1), 0.6, 0.0,
 		uint8(0), int16(0), int8(0), int16(0), uint8(0))
-	f.Add(int8(5), int8(1), true, "phop", "local:1", "saf", int8(4), int8(0), int8(0), int8(0), 0.3, 0.0,
+	f.Add(int8(5), int8(1), true, "phop", "local:1", "wormhole", int8(4), int8(0), int8(0), int8(0), 0.3, 0.0,
 		uint8(31), int16(16), int8(1), int16(20), uint8(1))
 	// Observed: metrics, a tiny trace ring, every-cycle forensics and a tick
 	// every 7 cycles, every other one loaded; then negative sampling and

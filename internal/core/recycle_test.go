@@ -28,7 +28,7 @@ func recycleConfigs() []Config {
 		with("nbc", func(c *Config) { c.OfferedLoad = 0.9 }),
 		quick("ecube"),
 		with("nlast", func(c *Config) { c.Switching = CutThrough }),
-		with("phop", func(c *Config) { c.Switching = StoreFwd; c.OfferedLoad = 0.1 }),
+		with("phop", func(c *Config) { c.OfferedLoad = 0.1 }),
 		with("nbc", func(c *Config) {
 			c.Telemetry = &telemetry.Options{Trace: true, TraceCap: 1 << 12}
 			c.Forensics = &forensics.Options{SampleEvery: 16}

@@ -64,9 +64,8 @@ func TestSweepReplicatedMatchesRun(t *testing.T) {
 			c.Switching = CutThrough
 			return c
 		}()},
-		{"phop-saf-fallback", func() Config {
+		{"phop-low-load", func() Config {
 			c := quick("phop")
-			c.Switching = StoreFwd
 			c.OfferedLoad = 0.1
 			return c
 		}()},

@@ -80,19 +80,27 @@ func TestHotspotSaturatesHotChannels(t *testing.T) {
 	}
 }
 
-// TestSafIgnoresTelemetry: the saf engine has no flit channels; a telemetry
-// request must not break it.
-func TestSafIgnoresTelemetry(t *testing.T) {
-	cfg := quickTelCfg()
-	cfg.Algorithm = "phop"
-	cfg.Switching = StoreFwd
-	cfg.OfferedLoad = 0.2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Telemetry != nil {
-		t.Error("saf run filled Telemetry")
+// TestRequestedObserversReport: on either switching technique, a requested
+// collector or analyzer always comes back as a summary — from a fresh run
+// and from a cache hit alike — so a caller may print Result.Telemetry and
+// Result.Forensics without a nil check.
+func TestRequestedObserversReport(t *testing.T) {
+	for _, sw := range []Switching{Wormhole, CutThrough} {
+		cfg := quickForeCfg()
+		cfg.Switching = sw
+		cfg.Cache = newMapCache()
+		for _, wantHit := range []bool{false, true} {
+			res, hit, err := RunCached(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit != wantHit {
+				t.Fatalf("%s: hit = %v, want %v", sw, hit, wantHit)
+			}
+			if res.Telemetry == nil || res.Forensics == nil {
+				t.Errorf("%s (hit %v): Telemetry %v, Forensics %v; want both", sw, hit, res.Telemetry != nil, res.Forensics != nil)
+			}
+		}
 	}
 }
 

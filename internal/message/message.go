@@ -10,9 +10,9 @@ import (
 	"wormsim/internal/topology"
 )
 
-// Message is one worm (or packet, under store-and-forward / virtual
-// cut-through switching). Fields are updated by the routing algorithm as the
-// header advances; flit occupancy is tracked by the network simulator.
+// Message is one worm (or packet, under virtual cut-through switching).
+// Fields are updated by the routing algorithm as the header advances; flit
+// occupancy is tracked by the network simulator.
 type Message struct {
 	ID  int64
 	Src int

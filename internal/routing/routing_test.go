@@ -183,6 +183,14 @@ func TestFigure2PositiveHop(t *testing.T) {
 // chosen classes. It checks candidates are minimal and within VC bounds.
 func randomWalk(t *testing.T, g *topology.Grid, a Algorithm, src, dst int, r *rng.Stream) []int {
 	t.Helper()
+	return visitWalk(t, g, a, src, dst, r, nil)
+}
+
+// visitWalk is randomWalk calling visit, if set, with the message and the
+// candidates quoted at every node before the next hop is chosen.
+func visitWalk(t *testing.T, g *topology.Grid, a Algorithm, src, dst int, r *rng.Stream,
+	visit func(m *message.Message, cands []Candidate)) []int {
+	t.Helper()
 	m := message.New(g, 0, src, dst, 16, 0, func(int) bool { return r.Bernoulli(0.5) })
 	a.Init(g, m)
 	cur := src
@@ -204,6 +212,9 @@ func randomWalk(t *testing.T, g *topology.Grid, a Algorithm, src, dst int, r *rn
 			if !g.HasChannel(cur, c.Dim, c.Dir) {
 				t.Fatalf("%s: candidate %v uses a missing channel", a.Name(), c)
 			}
+		}
+		if visit != nil {
+			visit(m, cands)
 		}
 		c := cands[r.Intn(len(cands))]
 		a.Allocated(g, m, cur, c)
@@ -320,10 +331,64 @@ func TestNbcClassBound(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		classes := randomWalk(t, g, BonusCards{}, src, dst, r)
-		for _, c := range classes {
+		var want []int // BonusStart + NegHops before each hop past the first
+		classes := visitWalk(t, g, BonusCards{}, src, dst, r, func(m *message.Message, _ []Candidate) {
+			if m.HopsTaken > 0 {
+				want = append(want, m.BonusStart+m.NegHops)
+			}
+		})
+		for i, c := range classes {
 			if c < 0 || c > maxClass {
 				t.Fatalf("nbc class %d out of [0,%d]: %v", c, maxClass, classes)
+			}
+			if i > 0 && c != want[i-1] {
+				t.Fatalf("nbc hop %d on class %d, want BonusStart + NegHops = %d: %v", i, c, want[i-1], classes)
+			}
+		}
+	}
+}
+
+// TestHopSchemeClassIsArrivalState checks the Lemma 1 correspondence the
+// hop schemes rest on: past the first hop, the class of a message's next
+// virtual channel is the rank of the store-and-forward buffer it would
+// occupy at its current node, a function of its hop counters alone. So every
+// candidate quoted at a node has one class — HopsTaken for phop, NegHops
+// for nhop, BonusStart + NegHops for nbc — whichever direction it names.
+func TestHopSchemeClassIsArrivalState(t *testing.T) {
+	rank := map[string]func(m *message.Message) int{
+		"phop": func(m *message.Message) int { return m.HopsTaken },
+		"nhop": func(m *message.Message) int { return m.NegHops },
+		"nbc":  func(m *message.Message) int { return m.BonusStart + m.NegHops },
+	}
+	for _, topo := range []*topology.Grid{topology.NewTorus(16, 2), topology.NewMesh(8, 2), topology.NewTorus(4, 3)} {
+		r := rng.New(13)
+		for _, name := range []string{"phop", "nhop", "nbc"} {
+			a, _ := Get(name)
+			if a.Compatible(topo) != nil {
+				continue
+			}
+			checked := 0
+			for trial := 0; trial < 300; trial++ {
+				src, dst := r.Intn(topo.Nodes()), r.Intn(topo.Nodes())
+				if src == dst {
+					continue
+				}
+				visitWalk(t, topo, a, src, dst, r, func(m *message.Message, cands []Candidate) {
+					if m.HopsTaken == 0 {
+						return
+					}
+					want := rank[name](m)
+					for _, c := range cands {
+						if c.VC != want {
+							t.Fatalf("%s on %v: %v after %d hops quotes %v, want class %d on every candidate",
+								name, topo, m, m.HopsTaken, cands, want)
+						}
+					}
+					checked++
+				})
+			}
+			if checked == 0 {
+				t.Fatalf("%s on %v: no hop past the first was checked", name, topo)
 			}
 		}
 	}

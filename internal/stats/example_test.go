@@ -50,14 +50,21 @@ func ExampleHistogram() {
 
 func ExampleConvergence() {
 	c := &stats.Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
-	tight := stats.NewStratified([]float64{1})
-	for i := 0; i < 100; i++ {
-		tight.Add(0, 42)
+	for sample := 1; ; sample++ {
+		// One sampling period: every delivery took 42 cycles.
+		s := stats.NewStratified([]float64{1})
+		for i := 0; i < 100; i++ {
+			s.Add(0, 42)
+		}
+		if c.Add(s) {
+			break
+		}
+		fmt.Println("sample", sample, "not done")
 	}
-	for _, sampleMean := range []float64{42, 42, 42} {
-		c.Record(sampleMean)
-	}
-	fmt.Println("samples:", c.Samples(), "done:", c.Done(tight))
+	mean, bound, converged := c.Estimate()
+	fmt.Println("samples:", c.Samples(), "mean:", mean, "bound:", bound, "converged:", converged)
 	// Output:
-	// samples: 3 done: true
+	// sample 1 not done
+	// sample 2 not done
+	// samples: 3 mean: 42 bound: 0 converged: true
 }

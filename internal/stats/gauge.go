@@ -37,9 +37,6 @@ func (g *Gauge) Min() float64 { return g.min }
 // Max returns the largest observed level (0 with no samples).
 func (g *Gauge) Max() float64 { return g.max }
 
-// Reset clears the gauge.
-func (g *Gauge) Reset() { *g = Gauge{} }
-
 // String renders a compact summary.
 func (g *Gauge) String() string {
 	return fmt.Sprintf("mean=%.2f min=%.0f max=%.0f n=%d", g.Mean(), g.min, g.max, g.w.Count())

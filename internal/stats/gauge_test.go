@@ -22,9 +22,9 @@ func TestGauge(t *testing.T) {
 	if g.Min() != 1 || g.Max() != 5 {
 		t.Errorf("Min/Max = %g/%g, want 1/5", g.Min(), g.Max())
 	}
-	g.Reset()
-	g.Observe(-2)
-	if g.Min() != -2 || g.Max() != -2 {
-		t.Errorf("after reset, Min/Max = %g/%g, want -2/-2", g.Min(), g.Max())
+	var neg Gauge
+	neg.Observe(-2)
+	if neg.Min() != -2 || neg.Max() != -2 {
+		t.Errorf("first observation -2: Min/Max = %g/%g, want -2/-2", neg.Min(), neg.Max())
 	}
 }

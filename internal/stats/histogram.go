@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram is a streaming histogram for non-negative integer-valued
@@ -107,54 +106,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for len(h.buckets) < len(other.buckets) {
-		h.buckets = append(h.buckets, 0)
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // String renders a compact summary with the conventional tail quantiles.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.0f",
 		h.count, h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(0.99), h.max)
-}
-
-// Render draws the nonempty buckets as text bars, widest bucket scaled to
-// width characters.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	var peak int64
-	for _, c := range h.buckets {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		return "(empty)\n"
-	}
-	var b strings.Builder
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		bar := int(float64(c) / float64(peak) * float64(width))
-		fmt.Fprintf(&b, "%8.0f-%8.0f %8d %s\n", bucketLow(i), bucketLow(i+1), c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }
 
 // CumBucket is one cumulative histogram bucket in Prometheus exposition

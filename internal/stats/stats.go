@@ -26,22 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// Merge folds other into w (parallel-variance combination).
-func (w *Welford) Merge(other Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = other
-		return
-	}
-	n := w.n + other.n
-	delta := other.mean - w.mean
-	w.mean += delta * float64(other.n) / float64(n)
-	w.m2 += other.m2 + delta*delta*float64(w.n)*float64(other.n)/float64(n)
-	w.n = n
-}
-
 // Count returns the number of observations.
 func (w *Welford) Count() int64 { return w.n }
 
@@ -67,9 +51,6 @@ func (w *Welford) StdErr() float64 {
 	}
 	return w.StdDev() / math.Sqrt(float64(w.n))
 }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // Stratified estimates a population mean by stratified sampling: the
 // population (messages) is partitioned into strata (hop classes) with known
@@ -106,12 +87,6 @@ func (s *Stratified) Count() int64 {
 	}
 	return n
 }
-
-// StratumMean returns the mean of stratum i.
-func (s *Stratified) StratumMean(i int) float64 { return s.strata[i].Mean() }
-
-// StratumCount returns the observation count of stratum i.
-func (s *Stratified) StratumCount(i int) int64 { return s.strata[i].Count() }
 
 // Mean returns the stratified estimate of the population mean: sum of
 // weight_i * mean_i over observed strata, renormalized by the total observed
@@ -158,13 +133,6 @@ func (s *Stratified) Variance() float64 {
 // standard deviations of the estimator (a 95% confidence half-width).
 func (s *Stratified) ErrorBound() float64 { return 2 * math.Sqrt(s.Variance()) }
 
-// Reset clears all strata but keeps the weights.
-func (s *Stratified) Reset() {
-	for i := range s.strata {
-		s.strata[i].Reset()
-	}
-}
-
 // Converged reports whether the relative error bound is within tol of the
 // mean (and there is at least one observation).
 func (s *Stratified) Converged(tol float64) bool {
@@ -176,10 +144,10 @@ func (s *Stratified) Converged(tol float64) bool {
 }
 
 // Convergence runs the paper's two-criterion stopping rule over sampling
-// periods: terminate once (a) the stratified latency bound of the latest
-// sample and (b) the across-sample bound over the latest sample means are
-// both within Tolerance of their respective means, subject to MinSamples
-// and MaxSamples.
+// periods and reports the run's latency estimate: terminate once (a) the
+// stratified latency bound of the latest sample and (b) the across-sample
+// bound over the latest sample means are both within Tolerance of their
+// respective means, subject to MinSamples and MaxSamples.
 type Convergence struct {
 	// MinSamples and MaxSamples bound the number of sampling periods
 	// (paper: at least 3, at most 10-15).
@@ -189,19 +157,41 @@ type Convergence struct {
 	Tolerance float64
 
 	sampleMeans []float64
+	lastBound   float64 // stratified bound of the latest sample
+	done        bool    // Add's latest answer
 }
 
-// Record adds a completed sample's mean latency.
-func (c *Convergence) Record(sampleMean float64) {
-	c.sampleMeans = append(c.sampleMeans, sampleMean)
+// Add records a finished sampling period — its stratified mean and bound —
+// and reports whether the stopping rule terminates the run here.
+func (c *Convergence) Add(sample *Stratified) bool {
+	c.sampleMeans = append(c.sampleMeans, sample.Mean())
+	c.lastBound = sample.ErrorBound()
+	c.done = c.stop(sample)
+	return c.done
 }
 
 // Samples returns the number of recorded samples.
 func (c *Convergence) Samples() int { return len(c.sampleMeans) }
 
-// AcrossSampleBound returns the across-sample error bound (2 * stderr of the
+// Estimate reports the run's latency estimate: the mean of the latest three
+// or more sample means (0 with fewer than two samples), the larger of the
+// two convergence bounds (the latest stratified bound alone with fewer than
+// two samples, and 0 with none), and whether the stopping rule was met.
+func (c *Convergence) Estimate() (mean, bound float64, converged bool) {
+	across, mean := c.acrossSampleBound()
+	bound = math.Max(c.lastBound, across)
+	if math.IsInf(bound, 1) {
+		bound = c.lastBound
+	}
+	// A run that meets the rule on its last allowed sample reports not
+	// converged; ROADMAP item 4 fixes this with its re-pin.
+	converged = c.done && len(c.sampleMeans) < c.MaxSamples
+	return mean, bound, converged
+}
+
+// acrossSampleBound returns the across-sample error bound (2 * stderr of the
 // sample means) and their mean, over the latest three or more samples.
-func (c *Convergence) AcrossSampleBound() (bound, mean float64) {
+func (c *Convergence) acrossSampleBound() (bound, mean float64) {
 	n := len(c.sampleMeans)
 	if n < 2 {
 		return math.Inf(1), 0
@@ -218,9 +208,9 @@ func (c *Convergence) AcrossSampleBound() (bound, mean float64) {
 	return 2 * w.StdErr(), w.Mean()
 }
 
-// Done reports whether the stopping rule is satisfied, given the latest
+// stop reports whether the stopping rule is satisfied, given the latest
 // sample's stratified estimator.
-func (c *Convergence) Done(latest *Stratified) bool {
+func (c *Convergence) stop(latest *Stratified) bool {
 	n := len(c.sampleMeans)
 	if n >= c.MaxSamples {
 		return true
@@ -231,9 +221,6 @@ func (c *Convergence) Done(latest *Stratified) bool {
 	if !latest.Converged(c.Tolerance) {
 		return false
 	}
-	bound, mean := c.AcrossSampleBound()
+	bound, mean := c.acrossSampleBound()
 	return mean != 0 && bound <= c.Tolerance*math.Abs(mean)
 }
-
-// Reset clears the recorded samples.
-func (c *Convergence) Reset() { c.sampleMeans = nil }

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"wormsim/internal/rng"
 )
@@ -49,34 +48,6 @@ func TestWelfordEdgeCases(t *testing.T) {
 	if w.Mean() != 5 || w.Variance() != 0 {
 		t.Error("single observation: mean 5, variance 0")
 	}
-	w.Reset()
-	if w.Count() != 0 {
-		t.Error("reset failed")
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	r := rng.New(5)
-	f := func(na, nb uint8) bool {
-		var all, a, b Welford
-		for i := 0; i < int(na%40); i++ {
-			x := r.Float64() * 10
-			a.Add(x)
-			all.Add(x)
-		}
-		for i := 0; i < int(nb%40)+1; i++ {
-			x := r.Float64() * 10
-			b.Add(x)
-			all.Add(x)
-		}
-		a.Merge(b)
-		return a.Count() == all.Count() &&
-			almost(a.Mean(), all.Mean(), 1e-9) &&
-			almost(a.Variance(), all.Variance(), 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestStratifiedExactPopulation(t *testing.T) {
@@ -96,8 +67,8 @@ func TestStratifiedExactPopulation(t *testing.T) {
 	if s.ErrorBound() != 0 {
 		t.Errorf("bound = %v", s.ErrorBound())
 	}
-	if s.Count() != 20 || s.StratumCount(1) != 10 || s.StratumMean(2) != 20 {
-		t.Error("stratum accounting wrong")
+	if s.Count() != 20 {
+		t.Errorf("count = %d, want 20", s.Count())
 	}
 }
 
@@ -140,10 +111,6 @@ func TestStratifiedConverged(t *testing.T) {
 	if !s.Converged(0.05) {
 		t.Error("constant data should converge")
 	}
-	s.Reset()
-	if s.Count() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestStratifiedAddPanics(t *testing.T) {
@@ -183,80 +150,140 @@ func TestStratifiedUnbiasedOnSyntheticPopulation(t *testing.T) {
 	}
 }
 
+// constant returns a finished sample whose every delivery took mean cycles:
+// stratified mean mean, bound 0.
+func constant(mean float64) *Stratified {
+	s := NewStratified([]float64{1})
+	for i := 0; i < 50; i++ {
+		s.Add(0, mean)
+	}
+	return s
+}
+
+// pair returns a finished sample of the two deliveries a and b.
+func pair(a, b float64) *Stratified {
+	s := NewStratified([]float64{1})
+	s.Add(0, a)
+	s.Add(0, b)
+	return s
+}
+
 func TestConvergenceStoppingRule(t *testing.T) {
 	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
-	tight := NewStratified([]float64{1})
-	for i := 0; i < 50; i++ {
-		tight.Add(0, 100)
-	}
 	// Fewer than MinSamples: never done.
-	c.Record(100)
-	if c.Done(tight) {
+	if c.Add(constant(100)) {
 		t.Error("done after 1 sample")
 	}
-	c.Record(100)
-	if c.Done(tight) {
+	if c.Add(constant(100)) {
 		t.Error("done after 2 samples")
 	}
-	c.Record(100)
-	if !c.Done(tight) {
+	if !c.Add(constant(100)) {
 		t.Error("3 identical samples with a tight estimator should stop")
 	}
 	if c.Samples() != 3 {
 		t.Errorf("samples = %d", c.Samples())
 	}
+	if mean, bound, converged := c.Estimate(); mean != 100 || bound != 0 || !converged {
+		t.Errorf("Estimate = %v, %v, %v; want 100, 0, true", mean, bound, converged)
+	}
 }
 
 func TestConvergenceRejectsScatter(t *testing.T) {
 	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
-	tight := NewStratified([]float64{1})
-	for i := 0; i < 50; i++ {
-		tight.Add(0, 100)
-	}
 	// Widely scattered sample means keep it running even though the latest
 	// stratified bound is tight.
-	c.Record(50)
-	c.Record(150)
-	c.Record(100)
-	if c.Done(tight) {
+	c.Add(constant(50))
+	c.Add(constant(150))
+	if c.Add(constant(100)) {
 		t.Error("scattered samples should not converge")
+	}
+	if _, _, converged := c.Estimate(); converged {
+		t.Error("a run still going reports converged")
 	}
 }
 
 func TestConvergenceMaxSamplesForcesStop(t *testing.T) {
 	c := &Convergence{MinSamples: 3, MaxSamples: 5, Tolerance: 0.05}
-	loose := NewStratified([]float64{1})
-	loose.Add(0, 1)
-	loose.Add(0, 100)
-	for i := 0; i < 5; i++ {
-		c.Record(float64(i * 50))
+	for i := 0; i < 4; i++ {
+		if c.Add(pair(1, 100)) {
+			t.Fatalf("loose sample %d stopped the run", i+1)
+		}
 	}
-	if !c.Done(loose) {
+	if !c.Add(pair(1, 100)) {
 		t.Error("MaxSamples must force termination")
+	}
+	if _, _, converged := c.Estimate(); converged {
+		t.Error("a run stopped by MaxSamples with loose bounds reports converged")
+	}
+}
+
+// TestConvergenceLastAllowedSampleNotConverged pins a known defect: a run
+// whose last allowed sample meets both criteria is reported as not
+// converged, because Estimate cannot tell it from a run MaxSamples cut
+// short. ROADMAP item 4 fixes it in its re-pin; until then runs report it
+// this way bit for bit.
+func TestConvergenceLastAllowedSampleNotConverged(t *testing.T) {
+	c := &Convergence{MinSamples: 3, MaxSamples: 3, Tolerance: 0.05}
+	for i := 0; i < 3; i++ {
+		c.Add(constant(100))
+	}
+	mean, bound, converged := c.Estimate()
+	if mean != 100 || bound != 0 {
+		t.Errorf("Estimate mean, bound = %v, %v; want 100, 0", mean, bound)
+	}
+	if converged {
+		t.Error("the defect is fixed: update this pin together with ROADMAP item 4's re-pin")
+	}
+}
+
+// TestConvergenceEstimateBeforeTwoSamples: with one sample there is no
+// across-sample bound, so the reported bound is that sample's stratified
+// bound, not +Inf, and the reported mean is 0.
+func TestConvergenceEstimateBeforeTwoSamples(t *testing.T) {
+	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
+	s := pair(1, 3)
+	c.Add(s)
+	mean, bound, converged := c.Estimate()
+	if mean != 0 || bound != s.ErrorBound() || converged {
+		t.Errorf("Estimate = %v, %v, %v; want 0, %v, false", mean, bound, converged, s.ErrorBound())
+	}
+	if bound != 2 {
+		t.Errorf("bound = %v, want 2 (two standard errors of {1, 3})", bound)
+	}
+}
+
+// TestConvergenceEstimateWithoutSamples: a run that stops before its first
+// sample (a deadlock during warm-up) reports mean 0 and bound 0.
+func TestConvergenceEstimateWithoutSamples(t *testing.T) {
+	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
+	if mean, bound, converged := c.Estimate(); mean != 0 || bound != 0 || converged {
+		t.Errorf("Estimate = %v, %v, %v; want 0, 0, false", mean, bound, converged)
 	}
 }
 
 func TestConvergenceWindow(t *testing.T) {
 	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
+	if b, _ := c.acrossSampleBound(); !math.IsInf(b, 1) {
+		t.Error("bound with <2 samples should be +Inf")
+	}
 	// Early noisy samples must not prevent convergence once the latest
 	// three agree (the paper uses the latest three or more samples).
-	c.Record(10)
-	c.Record(500)
-	c.Record(100)
-	c.Record(100)
-	c.Record(100)
-	bound, mean := c.AcrossSampleBound()
+	for _, m := range []float64{10, 500, 100, 100} {
+		c.Add(constant(m))
+	}
+	if !c.Add(pair(99, 101)) {
+		t.Error("the latest three samples agree; the run should stop")
+	}
+	bound, mean := c.acrossSampleBound()
 	if !almost(mean, 100, 1e-9) {
 		t.Errorf("windowed mean = %v, want 100", mean)
 	}
 	if bound != 0 {
 		t.Errorf("windowed bound = %v, want 0", bound)
 	}
-	c.Reset()
-	if c.Samples() != 0 {
-		t.Error("reset failed")
-	}
-	if b, _ := c.AcrossSampleBound(); !math.IsInf(b, 1) {
-		t.Error("bound with <2 samples should be +Inf")
+	// The reported bound is the larger of the latest stratified bound and
+	// the across-sample bound.
+	if _, b, _ := c.Estimate(); b != pair(99, 101).ErrorBound() {
+		t.Errorf("Estimate bound = %v, want the latest stratified bound %v", b, pair(99, 101).ErrorBound())
 	}
 }
