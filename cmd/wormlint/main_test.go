@@ -46,3 +46,17 @@ func TestUsageExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestFindingsExitOne: a completed check with a finding prints it and exits
+// 1, which CI tells apart from a load failure's 2. The errfmt fixture holds
+// exactly one finding.
+func TestFindingsExitOne(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"../../internal/lint/testdata/src/errbad"}, &stdout, &stderr)
+	if got := exitCode(err); got != 1 {
+		t.Errorf("run = %v: exit %d, want 1\n%s", err, got, stderr.String())
+	}
+	if lines := strings.Split(strings.TrimSpace(stdout.String()), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "[errfmt]") {
+		t.Errorf("want one [errfmt] finding, got:\n%s", stdout.String())
+	}
+}

@@ -49,13 +49,23 @@ import (
 var errDeadlocked = errors.New("deadlocked")
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "wormsim: %v\n", err)
-		if errors.Is(err, errDeadlocked) {
-			os.Exit(2)
-		}
-		os.Exit(1)
 	}
+	os.Exit(exitCode(err))
+}
+
+// exitCode maps run's error to the process status: 0 success, 2 a
+// deadlocked run, 1 anything else.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errDeadlocked):
+		return 2
+	}
+	return 1
 }
 
 // cli is one invocation's output streams, attachments and the flags the
@@ -367,6 +377,9 @@ func (c *cli) point(cfg core.Config) error {
 		fmt.Fprintf(c.stderr, "wrote %d trace events to %s (%s format)\n", len(res.TraceEvents), c.tracePath, c.traceFormat)
 	}
 	if res.Deadlocked {
+		if hit { // a cache hit carries no engine error
+			err = errors.New("recorded in the run store")
+		}
 		return fmt.Errorf("%w: %w", errDeadlocked, err)
 	}
 	return nil

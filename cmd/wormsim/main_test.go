@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wormsim/internal/core"
+	"wormsim/internal/runstore"
 )
 
 // TestHeadBlockedReportIgnoresSamplingPeriod runs a saturated hot-spot point
@@ -189,5 +190,55 @@ func TestConfigFlagsOverride(t *testing.T) {
 	if cfg.TickCycles != 50 || cfg.K != 6 || cfg.Switching != core.CutThrough || cfg.Seed != 9 || cfg.Algorithm != "nbc" || cfg.OfferedLoad != 0.4 {
 		t.Errorf("got tick %d, k %d, switching %s, seed %d, alg %s, load %g; want 50, 6, vct, 9, nbc, 0.4",
 			cfg.TickCycles, cfg.K, cfg.Switching, cfg.Seed, cfg.Algorithm, cfg.OfferedLoad)
+	}
+}
+
+// TestExitCode: a deadlocked point and a deadlocked -replicas run exit 2,
+// a bad config exits 1. No run the CLI can configure wedges in test time, so
+// the deadlocks come from a run store: a first pass records real runs, and
+// copies of those records marked deadlocked seed a second store that a
+// rerun is served from. The status depends on the sentinel surviving each
+// fmt.Errorf wrap on the way out of run.
+func TestExitCode(t *testing.T) {
+	base := []string{"-k", "4", "-alg", "nbc", "-load", "0.3", "-warmup", "200", "-sample", "200", "-maxsamples", "2"}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"point", base},
+		{"replicas", append([]string{"-replicas", "2"}, base...)},
+	} {
+		fresh, wedged := t.TempDir(), t.TempDir()
+		var stdout, stderr bytes.Buffer
+		if err := run(append([]string{"-store", fresh}, tc.args...), &stdout, &stderr); err != nil {
+			t.Fatalf("%s: record: %v\n%s", tc.name, err, stderr.String())
+		}
+		src, err := runstore.Open(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := runstore.Open(wedged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range src.List() {
+			rec.Result.Deadlocked = true
+			if err := dst.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src.Close()
+		if err := dst.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err = run(append([]string{"-store", wedged}, tc.args...), &stdout, &stderr)
+		if got := exitCode(err); got != 2 || strings.Contains(err.Error(), "%!") {
+			t.Errorf("%s: deadlocked run returned %q: exit %d, want 2 and a well-formed message", tc.name, err, got)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-k", "4", "-switching", "bogus"}, &stdout, &stderr)
+	if got := exitCode(err); got != 1 {
+		t.Errorf("bad config returned %v: exit %d, want 1", err, got)
 	}
 }

@@ -15,16 +15,15 @@ import (
 
 // TestDocsNameLiveCode keeps README.md, DESIGN.md and EXPERIMENTS.md from
 // naming code that is gone: every cmd/<x> or internal/<x> path they mention
-// must be a directory, and every Benchmark<Name> a declared benchmark. In
-// README.md and DESIGN.md, every <pkg>.<Exported> whose <pkg> is a directory
-// under internal/ must also be a top-level declaration of that package, and
-// every -<name> after `go run ./cmd/<x>` (up to a # comment or a closing
-// back-quote) must be -h or a flag cmd/<x>/main.go defines; EXPERIMENTS.md
-// is a dated log whose entries name the API of their day, so it is left out
-// of those checks. The whole text is scanned, not only back-quoted spans, so
-// fenced and indented blocks (the command list, the repository layout) are
-// covered too. The `go run ./cmd/<x>` check also covers the CI workflows and
-// the verify skill: the command must exist and define every flag passed. Go comments name benchmarks as well: every Benchmark<Name> in
+// must be a directory, every Benchmark<Name> a declared benchmark, and every
+// <pkg>.<Exported> whose <pkg> is a directory under internal/ a top-level
+// declaration of that package; every -<name> after `go run ./cmd/<x>` (up
+// to a # comment or a closing back-quote) must be -h or a flag
+// cmd/<x>/main.go defines. The whole text is scanned, not only back-quoted
+// spans, so fenced and indented blocks (the command list, the repository
+// layout) are covered too. The `go run ./cmd/<x>` check also covers the CI
+// workflows and the verify skill: the command must exist and define every
+// flag passed. Go comments name benchmarks as well: every Benchmark<Name> in
 // a // comment of a non-test .go file under internal/, cmd/ or examples/
 // must be declared too.
 func TestDocsNameLiveCode(t *testing.T) {
@@ -34,24 +33,23 @@ func TestDocsNameLiveCode(t *testing.T) {
 	refs := []struct {
 		kind   string
 		re     *regexp.Regexp
-		docs   []string
 		exists func(ref string) bool
 	}{
-		{"directory", regexp.MustCompile(`\b(?:cmd|internal)/[a-z0-9_]+`), all, func(ref string) bool {
+		{"directory", regexp.MustCompile(`\b(?:cmd|internal)/[a-z0-9_]+`), func(ref string) bool {
 			fi, err := os.Stat(ref)
 			return err == nil && fi.IsDir()
 		}},
-		{"benchmark", regexp.MustCompile(`\bBenchmark[A-Z][A-Za-z0-9_]*`), all, func(ref string) bool {
+		{"benchmark", regexp.MustCompile(`\bBenchmark[A-Z][A-Za-z0-9_]*`), func(ref string) bool {
 			return declared[ref]
 		}},
-		{"declaration", regexp.MustCompile(`\b[a-z][a-z0-9_]*\.[A-Z][A-Za-z0-9_]*`), all[:2], func(ref string) bool {
+		{"declaration", regexp.MustCompile(`\b[a-z][a-z0-9_]*\.[A-Z][A-Za-z0-9_]*`), func(ref string) bool {
 			pkg, name, _ := strings.Cut(ref, ".")
 			names, ok := decls[pkg]
 			return !ok || names[name]
 		}},
 	}
 	for _, r := range refs {
-		for _, doc := range r.docs {
+		for _, doc := range all {
 			text, err := os.ReadFile(doc)
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +101,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 	cmdRun := regexp.MustCompile("go run \\./cmd/([a-z0-9_]+)([^#`]*)")
 	flagArg := regexp.MustCompile(`\s-([A-Za-z][A-Za-z0-9_-]*)`)
 	flags := make(map[string]map[string]bool)
-	runDocs := all[:2]
+	runDocs := all
 	for _, pattern := range []string{".github/workflows/*.yml", ".claude/skills/verify/SKILL.md"} {
 		matches, err := filepath.Glob(pattern)
 		if err != nil {

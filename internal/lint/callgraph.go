@@ -35,20 +35,8 @@ type devirtKey struct {
 func buildCallGraph(prog *Program) *CallGraph {
 	g := &CallGraph{prog: prog, Out: make(map[*types.Func][]*types.Func, len(prog.decls))}
 	devirt := make(map[devirtKey][]*types.Func)
-	for _, p := range prog.Pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				g.Out[fn] = g.collectEdges(p, fd.Body, devirt)
-			}
-		}
+	for _, e := range prog.funcDecls() {
+		g.Out[e.Fn] = g.collectEdges(e.Pkg, e.Decl.Body, devirt)
 	}
 	return g
 }

@@ -47,36 +47,26 @@ type funcEffects struct {
 // are pure or argument-mediated: they compute over their operands and write
 // only through writers the caller passed in. A call into one of these is
 // never an impurity by itself (specific exceptions live in
-// stdlibFuncClass).
+// stdlibFuncClass). The list holds only packages the module calls; any
+// other package falls to the unclassified default in classifyStdlibCall.
 var stdlibPurePkgs = map[string]bool{
-	"bufio": true, "bytes": true, "cmp": true, "container/heap": true,
-	"container/list": true, "container/ring": true, "context": true,
-	"crypto/md5": true, "crypto/sha1": true, "crypto/sha256": true,
-	"crypto/sha512": true, "encoding": true, "encoding/base64": true,
-	"encoding/binary": true, "encoding/csv": true, "encoding/hex": true,
-	"encoding/json": true, "errors": true, "fmt": true, "hash": true,
-	"hash/adler32": true, "hash/crc32": true, "hash/crc64": true,
-	"hash/fnv": true, "io": true, "maps": true, "math": true,
-	"math/big": true, "math/bits": true, "math/cmplx": true, "path": true,
-	"path/filepath": true, "regexp": true, "regexp/syntax": true,
+	"bufio": true, "bytes": true, "cmp": true, "context": true,
+	"crypto/sha256": true, "encoding/hex": true, "encoding/json": true,
+	"errors": true, "fmt": true, "hash": true, "maps": true, "math": true,
+	"math/big": true, "math/bits": true, "path/filepath": true,
 	"slices": true, "sort": true, "strconv": true, "strings": true,
-	"time": true, "unicode": true, "unicode/utf16": true,
-	"unicode/utf8": true,
+	"time": true, "unicode": true, "unicode/utf8": true,
 }
 
 // stdlibImpurePkgs maps standard-library packages whose calls are impure by
-// nature to the impurity source they carry.
+// nature to the impurity source they carry: the packages the module calls,
+// plus every source of randomness, which simdeterminism forbids whether or
+// not anything calls it yet.
 var stdlibImpurePkgs = map[string]string{
-	"crypto/rand":  srcRand,
-	"database/sql": srcIO, "flag": srcIO, "io/fs": srcIO,
-	"io/ioutil": srcIO, "log": srcIO, "log/slog": srcIO,
-	"math/rand": srcRand, "math/rand/v2": srcRand,
-	"net": srcIO, "net/http": srcIO, "net/rpc": srcIO, "net/url": srcIO,
-	"os": srcIO, "os/exec": srcIO, "os/signal": srcIO, "os/user": srcIO,
-	"runtime": srcMachine, "runtime/debug": srcMachine,
-	"runtime/metrics": srcMachine, "runtime/pprof": srcMachine,
-	"runtime/trace": srcMachine,
-	"syscall":       srcIO,
+	"crypto/rand": srcRand, "math/rand": srcRand, "math/rand/v2": srcRand,
+	"flag": srcIO, "io/fs": srcIO, "log": srcIO, "net": srcIO,
+	"net/http": srcIO, "net/url": srcIO, "os": srcIO, "syscall": srcIO,
+	"runtime": srcMachine,
 }
 
 // funcClass is a stdlib call's impurity: its source and detail. The zero

@@ -4,21 +4,15 @@ import (
 	"go/ast"
 	"go/types"
 	"strconv"
-	"strings"
-	"unicode"
-	"unicode/utf8"
 )
 
-// ErrFmt enforces the repo's error conventions on errors.New and
-// fmt.Errorf:
-//
-//   - error strings start lower-case (identifiers and acronyms like
-//     "Intn" or "JSON" are fine) and do not end with punctuation or a
-//     newline — they get embedded mid-sentence by callers;
-//   - an error operand to fmt.Errorf is wrapped with %w, not flattened
-//     with %v or %s, so callers can errors.Is/As/Unwrap through it. Where
-//     flattening is intentional (to cut an Unwrap chain at an API
-//     boundary) annotate with //lint:allow errfmt.
+// ErrFmt requires fmt.Errorf to wrap an error operand with %w, not flatten
+// it with %v or %s, so callers can errors.Is/As/Unwrap through it. The
+// sentinels the CLIs map to exit statuses (a deadlock, a dependency cycle,
+// lint findings) travel through such wraps, and a flattened one changes the
+// exit status without failing to compile. Where flattening is intentional
+// (to cut an Unwrap chain at an API boundary) annotate with
+// //lint:allow errfmt.
 type ErrFmt struct{}
 
 // Name returns "errfmt".
@@ -26,96 +20,34 @@ func (ErrFmt) Name() string { return "errfmt" }
 
 // Doc describes the pass.
 func (ErrFmt) Doc() string {
-	return "enforce error-string style and %w wrapping of error operands"
+	return "require %w wrapping of error operands in fmt.Errorf"
 }
 
-// Run reports convention violations.
-func (ErrFmt) Run(p *Package) []Finding {
+// RunProgram reports flattened error operands in every package.
+func (ErrFmt) RunProgram(prog *Program) []Finding {
 	var out []Finding
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+	for _, p := range prog.Pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				if name, ok := pkgFuncCall(p, call, "fmt"); !ok || name != "Errorf" {
+					return true
+				}
+				lit, ok := call.Args[0].(*ast.BasicLit)
+				if !ok {
+					return true
+				}
+				if format, err := strconv.Unquote(lit.Value); err == nil {
+					out = append(out, checkWrap(p, call, format)...)
+				}
 				return true
-			}
-			var isErrorf bool
-			if name, ok := pkgFuncCall(p, call, "errors"); ok && name == "New" {
-				isErrorf = false
-			} else if name, ok := pkgFuncCall(p, call, "fmt"); ok && name == "Errorf" {
-				isErrorf = true
-			} else {
-				return true
-			}
-			if len(call.Args) == 0 {
-				return true
-			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok {
-				return true
-			}
-			msg, err := strconv.Unquote(lit.Value)
-			if err != nil {
-				return true
-			}
-			out = append(out, checkErrString(p, lit, msg)...)
-			if isErrorf {
-				out = append(out, checkWrap(p, call, msg)...)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return out
-}
-
-// checkErrString applies the style rules to one error message literal.
-func checkErrString(p *Package, lit *ast.BasicLit, msg string) []Finding {
-	var out []Finding
-	if msg == "" {
-		return nil
-	}
-	if last, _ := utf8.DecodeLastRuneInString(msg); strings.ContainsRune(".!?: \n", last) {
-		out = append(out, p.finding(ErrFmt{}.Name(), lit,
-			"error string ends with %q; drop trailing punctuation (callers embed it mid-sentence)", last))
-	}
-	if word := firstWord(msg); isCapitalizedSentenceWord(word) {
-		out = append(out, p.finding(ErrFmt{}.Name(), lit,
-			"error string starts with capitalized word %q; error strings start lower-case", word))
-	}
-	return out
-}
-
-// firstWord returns the leading run of letters and digits.
-func firstWord(s string) string {
-	end := len(s)
-	for i, r := range s {
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
-			end = i
-			break
-		}
-	}
-	return s[:end]
-}
-
-// isCapitalizedSentenceWord reports whether word looks like the start of a
-// capitalized sentence — upper-case first rune, all later runes lower-case.
-// Identifier-ish words (Intn, JSON, VCs) have interior upper-case or digits
-// and pass.
-func isCapitalizedSentenceWord(word string) bool {
-	if word == "" {
-		return false
-	}
-	for i, r := range word {
-		if i == 0 {
-			if !unicode.IsUpper(r) {
-				return false
-			}
-			continue
-		}
-		if !unicode.IsLower(r) {
-			return false
-		}
-	}
-	return utf8.RuneCountInString(word) > 1
 }
 
 // checkWrap flags error-typed operands of fmt.Errorf formatted with %v or

@@ -69,34 +69,36 @@ func (h *HookGuard) Doc() string {
 	return "require telemetry/observatory hook call sites to be nil-guarded"
 }
 
-// Run reports unguarded hook calls.
-func (h *HookGuard) Run(p *Package) []Finding {
+// RunProgram reports unguarded hook calls in every package.
+func (h *HookGuard) RunProgram(prog *Program) []Finding {
 	var out []Finding
-	for _, f := range p.Files {
-		walkStack(f, func(n ast.Node, stack []ast.Node) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			ht := h.hookType(p, sel.X)
-			if ht == nil || ht.TypePath == p.Path {
-				return // not a hook, or the type's own package
-			}
-			if ht.NilSafe[sel.Sel.Name] {
-				return
-			}
-			recv := types.ExprString(sel.X)
-			if guardedByIf(stack, call, recv) || guardedByEarlyExit(p, stack, call, recv) {
-				return
-			}
-			out = append(out, p.finding(h.Name(), call,
-				"%s hook %s.%s is not nil-guarded; wrap it in `if %s != nil { ... }`",
-				ht.TypeName, recv, sel.Sel.Name, recv))
-		})
+	for _, p := range prog.Pkgs {
+		for _, f := range p.Files {
+			walkStack(f, func(n ast.Node, stack []ast.Node) {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				ht := h.hookType(p, sel.X)
+				if ht == nil || ht.TypePath == p.Path {
+					return // not a hook, or the type's own package
+				}
+				if ht.NilSafe[sel.Sel.Name] {
+					return
+				}
+				recv := types.ExprString(sel.X)
+				if guardedByIf(stack, call, recv) || guardedByEarlyExit(p, stack, call, recv) {
+					return
+				}
+				out = append(out, p.finding(h.Name(), call,
+					"%s hook %s.%s is not nil-guarded; wrap it in `if %s != nil { ... }`",
+					ht.TypeName, recv, sel.Sel.Name, recv))
+			})
+		}
 	}
 	return out
 }

@@ -3,13 +3,12 @@
 // passes that machine-enforce the invariants the paper's methodology and
 // the simulator's design rest on.
 //
-// Passes come in two shapes. A PackagePass inspects one package at a time
-// (syntactic and local-type rules). A ProgramPass sees the whole loaded
-// module at once through a Program: a cross-package static call graph with
-// conservative devirtualization of interface and method-value calls, plus a
-// shared reaching-facts dataflow driver (see callgraph.go). The hot-path
-// passes are program passes, so "no allocation reachable from Step" holds
-// across package boundaries, not just inside internal/network.
+// Every pass sees the whole loaded module at once through a Program: a
+// cross-package static call graph with conservative devirtualization of
+// interface and method-value calls, plus a shared reaching-facts dataflow
+// driver (see callgraph.go). The hot-path passes walk that graph, so "no
+// allocation reachable from Step" holds across package boundaries, not just
+// inside internal/network; hookguard and errfmt loop over Program.Pkgs.
 //
 // The passes:
 //
@@ -27,8 +26,8 @@
 //     through cross-package calls and devirtualized interface calls.
 //   - hookguard — telemetry hook call sites must be nil-guarded so that
 //     disabled telemetry stays a branch, never a panic.
-//   - errfmt — error strings follow Go conventions and error operands are
-//     wrapped with %w.
+//   - errfmt — fmt.Errorf wraps error operands with %w, so the sentinels
+//     the CLIs map to exit statuses survive every wrap.
 //
 // simdeterminism and purity read one set of effect facts (effects.go): each
 // function body is scanned once per Program.
@@ -75,24 +74,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pass, f.Msg)
 }
 
-// Pass is the common surface of every analyzer: the name //lint:allow
-// directives and -list use.
+// Pass is one analyzer. Name is what //lint:allow directives and -list use.
 type Pass interface {
 	Name() string
 	// Doc is a one-line description for -list.
 	Doc() string
-}
-
-// PackagePass is an analyzer that inspects one package at a time.
-type PackagePass interface {
-	Pass
-	Run(p *Package) []Finding
-}
-
-// ProgramPass is an analyzer that needs the whole loaded module: the
-// cross-package call graph, devirtualization, or the effect facts.
-type ProgramPass interface {
-	Pass
 	RunProgram(prog *Program) []Finding
 }
 
@@ -109,24 +95,14 @@ func DefaultPasses() []Pass {
 
 // Run applies every pass to the program's packages, drops suppressed
 // findings, adds the stale-directive findings (see staleDirectives), and
-// returns the rest sorted by file, line, pass and message. Program passes
-// see all packages at once; package passes run per package. A Program can
+// returns the rest sorted by file, line, pass and message. A Program can
 // serve several Run calls: its call graph and effect facts are built once.
 func Run(prog *Program, passes []Pass) []Finding {
 	var out []Finding
 	ran := make(map[string]bool, len(passes))
 	for _, pass := range passes {
 		ran[pass.Name()] = true
-		var raw []Finding
-		switch pp := pass.(type) {
-		case ProgramPass:
-			raw = pp.RunProgram(prog)
-		case PackagePass:
-			for _, p := range prog.Pkgs {
-				raw = append(raw, pp.Run(p)...)
-			}
-		}
-		for _, f := range raw {
+		for _, f := range pass.RunProgram(prog) {
 			k := allowKey{file: f.Pos.Filename, line: f.Pos.Line, pass: pass.Name()}
 			if _, ok := prog.allow[k]; ok {
 				prog.used[k] = true // the directive earned its keep
@@ -217,13 +193,6 @@ type allowDirective struct {
 	pos    token.Position
 	passes []string
 	cover  [2]int
-}
-
-// Allowed reports whether a //lint:allow directive suppresses pass findings
-// at pos.
-func (p *Package) Allowed(pass string, pos token.Position) bool {
-	_, ok := p.allow[allowKey{file: pos.Filename, line: pos.Line, pass: pass}]
-	return ok
 }
 
 // collectAllows indexes every //lint:allow directive: a directive covers

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,10 +8,6 @@ import (
 	"sync"
 	"testing"
 )
-
-func position(file string, line int) token.Position {
-	return token.Position{Filename: file, Line: line}
-}
 
 // The test process type-checks the standard library and each package it
 // touches once: every test draws on one Loader (it memoizes by import path),
@@ -253,16 +248,17 @@ func TestAllowDirectiveScope(t *testing.T) {
 	if sameLine == 0 || lineAbove == 0 {
 		t.Fatal("fixture directives not found")
 	}
-	pos := func(line int) bool {
-		return p.Allowed("simdeterminism", position(file, line))
+	allowed := func(pass string, line int) bool {
+		_, ok := p.allow[allowKey{file: file, line: line, pass: pass}]
+		return ok
 	}
-	if !pos(sameLine) {
+	if !allowed("simdeterminism", sameLine) {
 		t.Errorf("directive does not cover its own line %d", sameLine)
 	}
-	if !pos(lineAbove + 1) {
+	if !allowed("simdeterminism", lineAbove+1) {
 		t.Errorf("whole-line directive does not cover the line below %d", lineAbove)
 	}
-	if pos(sameLine) && p.Allowed("errfmt", position(file, sameLine)) {
+	if allowed("simdeterminism", sameLine) && allowed("errfmt", sameLine) {
 		t.Error("directive for simdeterminism leaked to errfmt")
 	}
 }

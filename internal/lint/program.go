@@ -107,9 +107,9 @@ func (prog *Program) FindFunc(pkgPath, spec string) *types.Func {
 	return nil
 }
 
-// Graph returns the program's call graph, building it on first use so
-// package-only pass runs never pay for it. The graph is cached, so every
-// whole-program pass of a wormlint run shares one graph.
+// Graph returns the program's call graph, building it on first use so a run
+// of only the graph-free passes (hookguard, errfmt) never pays for it. The
+// graph is cached, so every pass of a wormlint run shares one graph.
 func (prog *Program) Graph() *CallGraph {
 	if prog.graph == nil {
 		prog.graphBuilds++
@@ -119,8 +119,8 @@ func (prog *Program) Graph() *CallGraph {
 }
 
 // funcDecls returns every declared function body in deterministic program
-// order, built once and shared by all whole-program passes so each pass walk
-// is a slice scan rather than a fresh AST traversal.
+// order, built once and shared by the call graph, the effect scan and the
+// passes, so each walk is a slice scan rather than a fresh AST traversal.
 func (prog *Program) funcDecls() []declEntry {
 	if prog.declList == nil {
 		for _, q := range prog.Pkgs {

@@ -3,20 +3,9 @@
 package errbad
 
 import (
-	"errors"
 	"fmt"
 	"os"
 )
-
-// ErrClosed ends with a period.
-var ErrClosed = errors.New("connection closed.") // WANT errfmt
-
-// ErrBig starts a capitalized sentence.
-var ErrBig = errors.New("Too many worms") // WANT errfmt
-
-// ErrJSON starts with an acronym; interior upper-case marks it as an
-// identifier, not a capitalized sentence.
-var ErrJSON = errors.New("JSON field missing")
 
 // Open flattens the underlying error, hiding it from errors.Is.
 func Open(path string) error {

@@ -1,16 +1,23 @@
 // Package unusedallowbad is a wormlint test fixture for the stale-directive
-// rule. ErrLive's directive suppresses a live errfmt finding and must stay;
-// the whole-line directive and the hookguard half of ErrPartial's directive
+// rule. Live's directive suppresses a live errfmt finding and must stay; the
+// whole-line directive and the hookguard half of Partial's directive
 // suppress nothing and are findings.
 package unusedallowbad
 
-import "errors"
+import "fmt"
 
-// ErrLive is the control: its directive suppresses a real finding.
-var ErrLive = errors.New("Capitalized on purpose") //lint:allow errfmt (control: suppresses a live finding)
+// Live is the control: its directive suppresses a real finding.
+func Live(err error) error {
+	return fmt.Errorf("live: %v", err) //lint:allow errfmt (control: suppresses a live finding)
+}
 
-//lint:allow errfmt (nothing below violates the style) // WANT lintdirective
-var ErrClean = errors.New("clean message")
+// Clean wraps with %w, so the directive above it has nothing to suppress.
+func Clean(err error) error {
+	//lint:allow errfmt (nothing below flattens an error) // WANT lintdirective
+	return fmt.Errorf("clean: %w", err)
+}
 
-// ErrPartial mixes a live pass with a stale one in one directive.
-var ErrPartial = errors.New("Another capital") //lint:allow errfmt,hookguard (no hook in sight) // WANT lintdirective
+// Partial mixes a live pass with a stale one in one directive.
+func Partial(err error) error {
+	return fmt.Errorf("partial: %v", err) //lint:allow errfmt,hookguard (no hook in sight) // WANT lintdirective
+}

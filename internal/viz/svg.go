@@ -26,21 +26,6 @@ const (
 	svgLegendH   = 34 // vertical room for the legend strip
 )
 
-// rampColor maps v in [0, max] onto blueRamp.
-func rampColor(v, max float64) string {
-	if max <= 0 || v <= 0 {
-		return blueRamp[0]
-	}
-	idx := int(v / max * float64(len(blueRamp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(blueRamp) {
-		idx = len(blueRamp) - 1
-	}
-	return blueRamp[idx]
-}
-
 // HeatmapSVG renders the same per-node traffic aggregation as ChannelHeatmap
 // as a standalone SVG document: one cell per node of a 2-D grid, filled from
 // a sequential blue ramp scaled to the busiest node, with a hover tooltip
@@ -52,20 +37,10 @@ func HeatmapSVG(g *topology.Grid, counts []int64, title string) string {
 		// A run that has not moved a flit yet (or an engine without
 		// flit-level channels) publishes no counts; render a valid
 		// placeholder instead of an empty grid pretending to be data.
-		w, h := 360, 48
-		fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
-		fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`+"\n", w, h, svgSurface)
-		fmt.Fprintf(&b, `<text x="%d" y="28" font-family="system-ui,sans-serif" font-size="13" fill="%s">no channel data yet</text>`+"\n", svgPad, svgMutedInk)
-		b.WriteString("</svg>\n")
-		return b.String()
+		return svgNotice("no channel data yet")
 	}
 	if g.N() != 2 {
-		w, h := 360, 48
-		fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
-		fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`+"\n", w, h, svgSurface)
-		fmt.Fprintf(&b, `<text x="%d" y="28" font-family="system-ui,sans-serif" font-size="13" fill="%s">heatmap needs a 2-D grid, have %d dims</text>`+"\n", svgPad, svgMutedInk, g.N())
-		b.WriteString("</svg>\n")
-		return b.String()
+		return svgNotice(fmt.Sprintf("heatmap needs a 2-D grid, have %d dims", g.N()))
 	}
 
 	k := g.K()
@@ -96,7 +71,7 @@ func HeatmapSVG(g *topology.Grid, counts []int64, title string) string {
 			cx := svgPad + x*(svgCell+svgGap)
 			cy := top + y*(svgCell+svgGap)
 			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" rx="3" fill="%s"><title>node (%d,%d): %.0f flits</title></rect>`+"\n",
-				cx, cy, svgCell, svgCell, rampColor(v, max), x, y, v)
+				cx, cy, svgCell, svgCell, rampAt(blueRamp, v, max), x, y, v)
 		}
 	}
 
