@@ -82,7 +82,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *certify {
-		return runCertify(*out, stdout, stderr)
+		cert, err := cdg.Certify(nil)
+		if err != nil {
+			return err
+		}
+		return runCertify(cert, *out, stdout, stderr)
 	}
 
 	var g *topology.Grid
@@ -124,14 +128,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runCertify executes the certification gate: analyze every registered
-// algorithm on the full matrix, write the certificate file, and succeed only
-// if every verdict matches its registered expectation.
-func runCertify(path string, stdout, stderr io.Writer) error {
-	cert, err := cdg.Certify(nil)
-	if err != nil {
-		return err
-	}
+// runCertify is the certification gate's report and verdict: write cert to
+// the certificate file, summarize it, and succeed only if every cell matches
+// its registered expectation.
+func runCertify(cert *cdg.Certification, path string, stdout, stderr io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -223,7 +223,7 @@ func TestExitCode(t *testing.T) {
 		}
 		for _, rec := range src.List() {
 			rec.Result.Deadlocked = true
-			if err := dst.Put(rec); err != nil {
+			if err := dst.Store(rec.Hash, rec.Config, rec.Result); err != nil {
 				t.Fatal(err)
 			}
 		}

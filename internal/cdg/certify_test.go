@@ -6,10 +6,36 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// fullCertification is Certify(nil), computed once: the full matrix is the
+// package's slowest analysis, and every test below reads the same cells.
+var fullCertification = sync.OnceValues(func() (*Certification, error) { return Certify(nil) })
+
+// certificates returns the full certification's cells for the algorithms
+// named, in certification order.
+func certificates(t *testing.T, algs ...string) []Certificate {
+	t.Helper()
+	cert, err := fullCertification()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Certificate
+	for _, c := range cert.Certificates {
+		if slices.Contains(algs, c.Algorithm) {
+			out = append(out, c)
+		}
+	}
+	if len(out) != len(algs)*len(Matrix()) {
+		t.Fatalf("full certification holds %d cells of %v, want %d", len(out), algs, len(algs)*len(Matrix()))
+	}
+	return out
+}
 
 // TestCertifyGolden locks the full certification output: every registered
 // algorithm on the full matrix, byte-for-byte. Any change to an algorithm,
@@ -17,7 +43,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // witness shows up as a diff here; run `go test ./internal/cdg -run
 // Golden -update` to re-bless after reviewing it.
 func TestCertifyGolden(t *testing.T) {
-	cert, err := Certify(nil)
+	cert, err := fullCertification()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +87,7 @@ func diffHint(got, want []byte) string {
 // cell except the 2pn family on tori, and the 2pnsrc torus witness is a
 // genuine ring cycle (length >= 3).
 func TestCertifyExpectations(t *testing.T) {
-	cert, err := Certify([]string{"ecube", "nlast", "2pn", "2pnsrc", "phop", "nhop", "nbc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cert.Certificates {
+	for _, c := range certificates(t, "ecube", "nlast", "2pn", "2pnsrc", "phop", "nhop", "nbc") {
 		if c.Skipped != "" {
 			continue
 		}
@@ -97,15 +119,9 @@ func TestCertifyUnknownAlgorithm(t *testing.T) {
 // connected — one candidate per admissible physical hop, never empty before
 // arrival — or the Duato argument would be vacuous.
 func TestEscapeSubfunctionStillRoutes(t *testing.T) {
-	for _, algName := range []string{"2pn", "2pnsrc"} {
-		base, err := Certify([]string{algName})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range base.Certificates {
-			if c.Method == MethodDuatoEscape && c.EscapeEdges == 0 {
-				t.Errorf("%s on %s: escape subfunction produced no dependency edges", c.Algorithm, c.Instance)
-			}
+	for _, c := range certificates(t, "2pn", "2pnsrc") {
+		if c.Method == MethodDuatoEscape && c.EscapeEdges == 0 {
+			t.Errorf("%s on %s: escape subfunction produced no dependency edges", c.Algorithm, c.Instance)
 		}
 	}
 }

@@ -64,15 +64,7 @@ func (c Config) Canonical() Config {
 // hooks, cache attachment or observatory tick period hash identically;
 // anything that changes the Result (including the Telemetry options, which
 // select what Result.Telemetry carries) changes the hash.
-func (c Config) Hash() string {
-	data, err := json.Marshal(c.Canonical())
-	if err != nil {
-		// Every persisted Config field is a plain value; Marshal cannot fail.
-		panic(fmt.Sprintf("core: canonical config does not marshal: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
+func (c Config) Hash() string { return digest(c.Canonical()) }
 
 // PairKey is Hash with the algorithm identity masked out: configs that
 // differ only in routing algorithm share a PairKey. The observatory's
@@ -82,8 +74,14 @@ func (c Config) Hash() string {
 func (c Config) PairKey() string {
 	n := c.Canonical()
 	n.Algorithm = "*"
-	data, err := json.Marshal(n)
+	return digest(n)
+}
+
+// digest is the hex SHA-256 of a canonical config's JSON encoding.
+func digest(canonical Config) string {
+	data, err := json.Marshal(canonical)
 	if err != nil {
+		// Every persisted Config field is a plain value; Marshal cannot fail.
 		panic(fmt.Sprintf("core: canonical config does not marshal: %v", err))
 	}
 	sum := sha256.Sum256(data)

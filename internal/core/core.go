@@ -32,9 +32,12 @@ const (
 	CutThrough Switching = "vct"
 )
 
-// check returns an error unless s names a switching technique the engine
-// implements; "" is wormhole, the default.
-func (s Switching) check() error {
+// Check returns an error unless s names a switching technique the engine
+// implements; "" is wormhole, the default. It is the one admission rule for
+// switching: Run refuses a config it rejects, and RunCached and the
+// observatory's run API refuse one before they consult a store, so a stored
+// record of a retired technique is never served.
+func (s Switching) Check() error {
 	switch s {
 	case "", Wormhole, CutThrough:
 		return nil
@@ -452,7 +455,7 @@ func Run(cfg Config) (Result, error) {
 // before cannot show, and no part of the Result aliases eng's memory.
 func runOn(eng *network.Network, cfg Config) (Result, error) {
 	cfg.ApplyDefaults()
-	if err := cfg.Switching.check(); err != nil {
+	if err := cfg.Switching.Check(); err != nil {
 		return Result{}, err
 	}
 	if cfg.K < 2 || cfg.N < 1 {
@@ -664,7 +667,7 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 func RunCached(cfg Config) (r Result, hit bool, err error) {
 	// A store may hold points of a switching technique since retired; never
 	// serve one for a config Run rejects.
-	if err := cfg.Switching.check(); err != nil {
+	if err := cfg.Switching.Check(); err != nil {
 		return Result{}, false, err
 	}
 	if cfg.Cache == nil || (cfg.Telemetry != nil && cfg.Telemetry.Trace) {

@@ -22,10 +22,12 @@ import (
 // algorithms point-by-point across everything else held equal
 // (core.Config.PairKey alignment).
 //
-// Admission consults the store exactly once per submission (Lookup, which
-// also feeds the hit/miss counters on /metrics); a miss enqueues the run on
-// a FIFO core.Scheduler and the completed Result is appended to the store
-// before the run is reported done.
+// Admission is core's: a config core.Switching.Check refuses is answered
+// 400 before the store is consulted, exactly as core.RunCached refuses it.
+// Otherwise the store is consulted once per submission (Lookup, which also
+// feeds the hit/miss counters on /metrics); a miss enqueues the run on a
+// FIFO core.Scheduler and the completed Result is written with Store, the
+// path RunCached writes by, before the run is reported done.
 type API struct {
 	store *runstore.Store
 	pub   *Publisher // optional: completed API runs publish ticks to the live feed
@@ -37,9 +39,8 @@ type API struct {
 
 // runState tracks one in-flight submission and its SSE subscribers.
 type runState struct {
-	hash  string
 	state string // "queued" or "running"
-	subs  map[chan []byte]struct{}
+	subs  hub
 }
 
 // Limits on what one client can make the API hold: a submission body is a
@@ -101,14 +102,17 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, map[string]string{"error": fmt.Sprintf("decode config: %v", err)})
 		return
 	}
+	if err := cfg.Switching.Check(); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
+	}
 	canonical := cfg.Canonical()
 	hash := canonical.Hash()
 
 	// The single admission Lookup: a hit is the whole point of the store —
 	// the recorded Result comes back with zero engine cycles spent.
-	if _, ok := a.store.Lookup(hash); ok {
-		rec, _ := a.store.Get(hash)
-		writeJSON(w, http.StatusOK, runStatus{Hash: hash, State: "done", Cached: true, Result: &rec.Result})
+	if res, ok := a.store.Lookup(hash); ok {
+		writeJSON(w, http.StatusOK, runStatus{Hash: hash, State: "done", Cached: true, Result: &res})
 		return
 	}
 
@@ -126,7 +130,7 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": fmt.Sprintf("%d runs pending, retry later", maxPending)})
 		return
 	}
-	st := &runState{hash: hash, state: "queued", subs: make(map[chan []byte]struct{})}
+	st := &runState{state: "queued"}
 	a.pending[hash] = st
 	a.mu.Unlock()
 
@@ -151,7 +155,7 @@ func (a *API) run(hash string, cfg core.Config) {
 	}
 	// Deadlock is a legitimate experimental outcome: the Result describes it
 	// (Result.Deadlocked) and is recorded like any other point.
-	if perr := a.store.Put(runstore.Record{Hash: hash, Config: cfg, Result: res}); perr != nil {
+	if perr := a.store.Store(hash, cfg, res); perr != nil {
 		a.settle(hash, runStatus{Hash: hash, State: "failed", Error: perr.Error()})
 		return
 	}
@@ -167,7 +171,7 @@ func (a *API) setState(hash, state string) {
 		return
 	}
 	st.state = state
-	broadcast(st.subs, sseMessage("status", runStatus{Hash: hash, State: state}))
+	st.subs.send(sseMessage("status", runStatus{Hash: hash, State: state}))
 }
 
 // settle finishes a pending run: subscribers get the final status frame and
@@ -181,25 +185,8 @@ func (a *API) settle(hash string, final runStatus) {
 		return
 	}
 	delete(a.pending, hash)
-	frame := sseMessage("status", final)
-	for ch := range st.subs { //lint:allow simdeterminism (fan-out; per-subscriber delivery stays FIFO via the channel)
-		select {
-		case ch <- frame:
-		default: // slow client: it still observes completion via the close
-		}
-		close(ch)
-	}
-	st.subs = nil
-}
-
-// broadcast fans frame out to subscribers, dropping for any full buffer.
-func broadcast(subs map[chan []byte]struct{}, frame []byte) {
-	for ch := range subs { //lint:allow simdeterminism (fan-out; per-subscriber delivery stays FIFO via the channel)
-		select {
-		case ch <- frame:
-		default:
-		}
-	}
+	st.subs.send(sseMessage("status", final)) // a slow client still observes completion via the close
+	st.subs.closeAll()
 }
 
 // runSummary is one row of the GET /api/runs listing.
@@ -282,55 +269,26 @@ func (a *API) handleRunGet(w http.ResponseWriter, hash string) {
 // handleRunEvents streams one run's status transitions as SSE until it
 // settles. A run already in the store yields a single done frame.
 func (a *API) handleRunEvents(w http.ResponseWriter, r *http.Request, hash string) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-
 	if rec, ok := a.store.Get(hash); ok {
-		w.Write(sseMessage("status", runStatus{Hash: hash, State: "done", Cached: true, Result: &rec.Result})) //nolint:errcheck
-		fl.Flush()
+		serveSSE(w, r, sseMessage("status", runStatus{Hash: hash, State: "done", Cached: true, Result: &rec.Result}), nil)
 		return
 	}
 	a.mu.Lock()
 	st, ok := a.pending[hash]
 	if !ok {
 		a.mu.Unlock()
-		w.Write(sseMessage("status", runStatus{Hash: hash, State: "unknown"})) //nolint:errcheck
-		fl.Flush()
+		serveSSE(w, r, sseMessage("status", runStatus{Hash: hash, State: "unknown"}), nil)
 		return
 	}
-	ch := make(chan []byte, 16)
-	st.subs[ch] = struct{}{}
-	state := st.state
+	ch := st.subs.add(16)
+	open := sseMessage("status", runStatus{Hash: hash, State: st.state})
 	a.mu.Unlock()
 	defer func() {
 		a.mu.Lock()
-		if st.subs != nil {
-			delete(st.subs, ch)
-		}
+		st.subs.remove(ch)
 		a.mu.Unlock()
 	}()
-
-	w.Write(sseMessage("status", runStatus{Hash: hash, State: state})) //nolint:errcheck
-	fl.Flush()
-	for {
-		select {
-		case frame, ok := <-ch:
-			if !ok {
-				return
-			}
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serveSSE(w, r, open, ch)
 }
 
 // compareSide is one algorithm's record at a comparison point.

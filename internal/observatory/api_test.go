@@ -243,7 +243,7 @@ func TestAPIErrors(t *testing.T) {
 	// a resubmission of a point already pending still rides the existing run.
 	riding := apiConfig("nbc", 0.3).Hash()
 	srv.api.mu.Lock()
-	srv.api.pending[riding] = &runState{hash: riding, state: "queued"}
+	srv.api.pending[riding] = &runState{state: "queued"}
 	for i := 1; i < maxPending; i++ {
 		srv.api.pending[fmt.Sprint(i)] = &runState{state: "queued"}
 	}
@@ -337,5 +337,41 @@ func TestAPIRunEvents(t *testing.T) {
 	buf.ReadFrom(resp2.Body) //nolint:errcheck
 	if !strings.Contains(buf.String(), `"cached":true`) {
 		t.Errorf("replayed stream: %.300q", buf.String())
+	}
+}
+
+// TestAPIRefusesRetiredSwitching: a stored record of a switching technique
+// the engine no longer implements is never served. The submission is
+// refused with core's own error before the store is consulted, as
+// core.RunCached refuses the same config on the same store.
+func TestAPIRefusesRetiredSwitching(t *testing.T) {
+	_, store, base := newTestAPI(t)
+	cfg := apiConfig("nbc", 0.3)
+	res, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Switching = "saf"
+	if err := store.Store(cfg.Hash(), cfg.Canonical(), res); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := store.Hits(), store.Misses()
+
+	code, body := postJSON(t, base+"/api/runs", cfg)
+	var got struct{ Error string }
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
+		t.Fatalf("%v: %.200s", err, body)
+	}
+	want := cfg.Switching.Check()
+	if code != http.StatusBadRequest || want == nil || got.Error != want.Error() {
+		t.Errorf("submit of a stored saf config: code %d error %q, want 400 and %v", code, got.Error, want)
+	}
+	if store.Hits() != hits || store.Misses() != misses {
+		t.Errorf("refused submission touched the store: hits %d→%d, misses %d→%d", hits, store.Hits(), misses, store.Misses())
+	}
+
+	cfg.Cache = store
+	if _, hit, err := core.RunCached(cfg); hit || err == nil || err.Error() != got.Error {
+		t.Errorf("RunCached on the same store: hit %v err %v, want the API's error %q", hit, err, got.Error)
 	}
 }

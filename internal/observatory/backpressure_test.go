@@ -60,3 +60,19 @@ func TestStalledSubscriberDropsFramesNotResults(t *testing.T) {
 	}
 	t.Error("wormsim_sse_dropped_frames_total missing from /metrics")
 }
+
+// TestHubSendAllocatesNothing: fanning a frame out allocates nothing,
+// whether the frame is delivered or dropped on a full buffer.
+func TestHubSendAllocatesNothing(t *testing.T) {
+	var h hub
+	h.add(1)
+	h.add(1)
+	frame := []byte("event: tick\ndata: {}\n\n")
+	if allocs := testing.AllocsPerRun(100, func() { h.send(frame) }); allocs != 0 {
+		t.Errorf("hub.send allocates %v times per frame, want 0", allocs)
+	}
+	if got := h.dropped.Load(); got != 2*100 {
+		t.Errorf("dropped %d frames, want 200 (both one-frame buffers full after the warm-up send)", got)
+	}
+	h.closeAll()
+}

@@ -161,8 +161,7 @@ const framesDigest = "7b0a9089386d04d2243880a67d921ceb107809ced79953e375696daeef
 func TestFramesIndependentOfPolling(t *testing.T) {
 	run := func(poll bool) (digest string, loaded int) {
 		pub := testPublisher()
-		frames := make(chan []byte, 1<<16) // never full: no frame is dropped
-		pub.subs[frames] = struct{}{}
+		frames := pub.subs.add(1 << 16) // never full: no frame is dropped
 		cfg := goldenBlameConfig()
 		ticks := 0
 		cfg.OnTick = func(ev core.TickEvent) {
@@ -190,7 +189,7 @@ func TestFramesIndependentOfPolling(t *testing.T) {
 		if st := pub.latest().State; st == nil || !st.Final {
 			t.Errorf("the final tick is not the snapshot's state: %+v", st)
 		}
-		close(frames)
+		pub.subs.remove(frames)
 		h := sha256.New()
 		for f := range frames {
 			h.Write(f)

@@ -23,13 +23,13 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 	mw.metric("wormsim_sse_dropped_frames_total", "counter",
 		"SSE frames dropped because a subscriber's buffer was full (slow clients never stall the simulation).",
 		"", float64(p.DroppedFrames()))
-	if sc := p.storeCounters(); sc != nil {
+	if st := p.store.Load(); st != nil {
 		mw.metric("wormsim_runstore_records", "gauge",
-			"Distinct runs held by the attached run store.", "", float64(sc.Len()))
+			"Distinct runs held by the attached run store.", "", float64(st.Len()))
 		mw.metric("wormsim_runstore_hits_total", "counter",
-			"Run-store lookups answered from the store (simulations skipped entirely).", "", float64(sc.Hits()))
+			"Run-store lookups answered from the store (simulations skipped entirely).", "", float64(st.Hits()))
 		mw.metric("wormsim_runstore_misses_total", "counter",
-			"Run-store lookups that had to simulate.", "", float64(sc.Misses()))
+			"Run-store lookups that had to simulate.", "", float64(st.Misses()))
 	}
 
 	s := p.Snapshot()
@@ -103,7 +103,7 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 			node, dim, dir := g.ChannelInfo(ch)
 			mw.metric("wormsim_channel_busy_cycles_total", "counter",
 				"Cycles each physical channel slot moved a flit (slots with zero traffic are omitted).",
-				fmt.Sprintf(`{ch="%d",node="%d",dim="%d",dir=%q}`, ch, node, dim, dirString(dir)), float64(busy))
+				fmt.Sprintf(`{ch="%d",node="%d",dim="%d",dir=%q}`, ch, node, dim, dir.String()), float64(busy))
 		}
 	}
 
@@ -130,7 +130,7 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 			node, dim, dir := g.ChannelInfo(ch)
 			mw.metric("wormsim_blame_cycles_total", "counter",
 				"Head-blocked worm-cycles attributed to each root-cause channel (zero-blame channels omitted).",
-				fmt.Sprintf(`{ch="%d",node="%d",dim="%d",dir=%q}`, ch, node, dim, dirString(dir)), float64(v))
+				fmt.Sprintf(`{ch="%d",node="%d",dim="%d",dir=%q}`, ch, node, dim, dir.String()), float64(v))
 		}
 
 		for _, ca := range f.Anatomy {
@@ -232,11 +232,4 @@ func grid(k, n int, mesh bool) *topology.Grid {
 		return topology.NewMesh(k, n)
 	}
 	return topology.NewTorus(k, n)
-}
-
-func dirString(d topology.Dir) string {
-	if d == topology.Plus {
-		return "+"
-	}
-	return "-"
 }

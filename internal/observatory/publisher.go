@@ -21,6 +21,7 @@ import (
 
 	"wormsim/internal/core"
 	"wormsim/internal/forensics"
+	"wormsim/internal/runstore"
 	"wormsim/internal/telemetry"
 )
 
@@ -67,34 +68,16 @@ type Publisher struct {
 	lastWall time.Time
 	lastKey  string
 	results  []core.Result
-	subs     map[chan []byte]struct{}
+	subs     hub // the /events subscribers
 
 	sweepTotal atomic.Int64
 	sweepDone  atomic.Int64
 	phases     atomic.Pointer[telemetry.PhaseProfiler]
-
-	// dropped counts SSE frames discarded because a subscriber's buffer was
-	// full — the observable cost of the drop-rather-than-stall policy.
-	dropped atomic.Int64
-
-	store atomic.Pointer[storeCountersBox]
+	store      atomic.Pointer[runstore.Store]
 }
-
-// StoreCounters is the slice of a run store the metrics exposition needs:
-// cache-hit/miss counters and the record count. runstore.Store implements it.
-type StoreCounters interface {
-	Hits() int64
-	Misses() int64
-	Len() int
-}
-
-// storeCountersBox wraps the interface so it fits an atomic.Pointer.
-type storeCountersBox struct{ sc StoreCounters }
 
 // NewPublisher returns a publisher on the real clock.
-func NewPublisher() *Publisher {
-	return &Publisher{now: time.Now, subs: make(map[chan []byte]struct{})}
-}
+func NewPublisher() *Publisher { return &Publisher{now: time.Now} }
 
 // SetPhases attaches a phase profiler whose snapshot is exported on /metrics
 // and /snapshot.
@@ -106,18 +89,10 @@ func (p *Publisher) SetSweepTotal(n int) { p.sweepTotal.Store(int64(n)) }
 
 // SetStore attaches a run store whose cache counters are exported on
 // /metrics (wormsim_runstore_hits_total and friends).
-func (p *Publisher) SetStore(sc StoreCounters) { p.store.Store(&storeCountersBox{sc}) }
-
-// storeCounters returns the attached store, or nil.
-func (p *Publisher) storeCounters() StoreCounters {
-	if box := p.store.Load(); box != nil {
-		return box.sc
-	}
-	return nil
-}
+func (p *Publisher) SetStore(s *runstore.Store) { p.store.Store(s) }
 
 // DroppedFrames reports SSE frames dropped because a subscriber was slow.
-func (p *Publisher) DroppedFrames() int64 { return p.dropped.Load() }
+func (p *Publisher) DroppedFrames() int64 { return p.subs.dropped.Load() }
 
 // runKey identifies a run so rate estimation resets across sweep points.
 func runKey(ev core.TickEvent) string {
@@ -133,20 +108,20 @@ func (p *Publisher) PublishTick(ev core.TickEvent) {
 	if p.wanted.Swap(false) {
 		ev.Load()
 	}
-	wall := p.now() // clock read stays outside the critical section
+	wall, key := p.now(), runKey(ev) // both stay outside the critical section
 	p.mu.Lock()
 	rate := 0.0
 	var state *core.TickEvent
 	if prev := p.snap.Load(); prev != nil {
 		rate = prev.CyclesPerSec
 		state = prev.State
-		if key := runKey(ev); key == p.lastKey && ev.Cycle > prev.Tick.Cycle {
+		if key == p.lastKey && ev.Cycle > prev.Tick.Cycle {
 			if dt := wall.Sub(p.lastWall).Seconds(); dt > 0 {
 				rate = float64(ev.Cycle-prev.Tick.Cycle) / dt
 			}
 		}
 	}
-	p.lastKey = runKey(ev)
+	p.lastKey = key
 	p.lastWall = wall
 	if ev.Loaded() {
 		loaded := ev
@@ -167,12 +142,12 @@ func (p *Publisher) PublishTick(ev core.TickEvent) {
 		s.Phases = &ps
 	}
 	p.snap.Store(s)
-	p.broadcastLocked(tickMessage(ev, rate))
+	p.subs.send(tickMessage(ev, rate))
 	if ev.Blame != nil {
-		p.broadcastLocked(blameMessage(ev.Cycle, ev.Blame))
+		p.subs.send(blameMessage(ev.Cycle, ev.Blame))
 	}
 	for _, e := range ev.Events {
-		p.broadcastLocked(sseMessage("worm", e))
+		p.subs.send(sseMessage("worm", e))
 	}
 	p.mu.Unlock()
 }
@@ -192,7 +167,7 @@ func (p *Publisher) PublishPoint(i int, r core.Result) {
 		s.Results = p.results
 		p.snap.Store(&s)
 	}
-	p.broadcastLocked(sseMessage("point", struct {
+	p.subs.send(sseMessage("point", struct {
 		Index int         `json:"index"`
 		Done  int64       `json:"done"`
 		Total int64       `json:"total"`
@@ -220,30 +195,62 @@ func (p *Publisher) latest() *Snapshot { return p.snap.Load() }
 // rather than block, so a slow client can never stall a publication. cancel
 // unregisters and closes the channel.
 func (p *Publisher) Subscribe() (frames <-chan []byte, cancel func()) {
-	ch := make(chan []byte, 64)
 	p.mu.Lock()
-	p.subs[ch] = struct{}{}
+	ch := p.subs.add(64)
 	p.mu.Unlock()
 	return ch, func() {
 		p.mu.Lock()
-		if _, ok := p.subs[ch]; ok {
-			delete(p.subs, ch)
-			close(ch)
-		}
+		p.subs.remove(ch)
 		p.mu.Unlock()
 	}
 }
 
-// broadcastLocked fans a frame out to every subscriber, dropping it for any
-// whose buffer is full. Callers hold p.mu.
-func (p *Publisher) broadcastLocked(frame []byte) {
-	for ch := range p.subs { //lint:allow simdeterminism (fan-out; per-subscriber delivery stays FIFO via the channel)
+// hub is a set of SSE subscribers, fed without blocking: a frame that finds
+// a subscriber's buffer full is dropped for that subscriber and counted, so
+// a slow client costs itself data and never stalls the sender. The zero
+// value is an empty hub. The owner's mutex guards every method; dropped may
+// be read at any time.
+type hub struct {
+	subs    map[chan []byte]struct{}
+	dropped atomic.Int64
+}
+
+// add registers a subscriber whose channel buffers up to size frames.
+func (h *hub) add(size int) chan []byte {
+	if h.subs == nil {
+		h.subs = make(map[chan []byte]struct{})
+	}
+	ch := make(chan []byte, size)
+	h.subs[ch] = struct{}{}
+	return ch
+}
+
+// remove unregisters ch and closes it; a channel closeAll has already
+// closed is left alone.
+func (h *hub) remove(ch chan []byte) {
+	if _, ok := h.subs[ch]; ok {
+		delete(h.subs, ch)
+		close(ch)
+	}
+}
+
+// send fans frame out to every subscriber.
+func (h *hub) send(frame []byte) {
+	for ch := range h.subs { //lint:allow simdeterminism (fan-out; per-subscriber delivery stays FIFO via the channel)
 		select {
 		case ch <- frame:
-		default: // slow client: drop rather than stall the simulation side
-			p.dropped.Add(1)
+		default:
+			h.dropped.Add(1)
 		}
 	}
+}
+
+// closeAll closes and unregisters every subscriber, ending their streams.
+func (h *hub) closeAll() {
+	for ch := range h.subs { //lint:allow simdeterminism (every channel is closed; the order cannot show)
+		close(ch)
+	}
+	h.subs = nil
 }
 
 // sseMessage formats one server-sent event with an event name and JSON data.

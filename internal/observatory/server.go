@@ -140,6 +140,21 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	frames, cancel := s.pub.Subscribe()
+	defer cancel()
+	// Open with the current state so late joiners see something immediately.
+	var open []byte
+	if snap := s.pub.latest(); snap != nil {
+		open = tickMessage(snap.Tick, snap.CyclesPerSec)
+	}
+	serveSSE(w, r, open, frames)
+}
+
+// serveSSE is the one server-sent-event writer, behind /events and
+// /api/runs/{hash}/events: it writes the stream headers and the opening
+// frame, then relays frames until the channel closes or the client goes
+// away. A nil frames channel ends the stream after the opening frame.
+func serveSSE(w http.ResponseWriter, r *http.Request, open []byte, frames <-chan []byte) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -147,13 +162,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	frames, cancel := s.pub.Subscribe()
-	defer cancel()
-	// Open with the current state so late joiners see something immediately.
-	if snap := s.pub.latest(); snap != nil {
-		w.Write(tickMessage(snap.Tick, snap.CyclesPerSec)) //nolint:errcheck
-	}
+	w.Write(open) //nolint:errcheck
 	fl.Flush()
+	if frames == nil {
+		return
+	}
 	for {
 		select {
 		case frame, ok := <-frames:
@@ -198,7 +211,7 @@ func (s *Server) handleBlame(w http.ResponseWriter, _ *http.Request) {
 	for _, r := range f.TopRoots(8) {
 		node, dim, dir := g.ChannelInfo(r.Ch)
 		roots = append(roots, blameRoot{
-			Ch: r.Ch, Node: node, Dim: dim, Dir: dirString(dir),
+			Ch: r.Ch, Node: node, Dim: dim, Dir: dir.String(),
 			Feeds: g.Neighbor(node, dim, dir),
 			Blame: r.Blame, Roots: r.Roots, Share: r.Share,
 		})

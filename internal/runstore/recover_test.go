@@ -115,7 +115,7 @@ func TestDuplicateHashFirstRecordWins(t *testing.T) {
 		t.Errorf("List = %v, want the first record then one other", recHashes(list))
 	}
 	rec := decodeLine(t, lines[2])
-	if err := s.Put(rec); err != nil {
+	if err := s.Store(rec.Hash, rec.Config, rec.Result); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := s.Get(rec.Hash); got.Seq != second.Seq+1 {

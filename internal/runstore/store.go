@@ -7,18 +7,19 @@
 // recovered on open by replaying the log. Open reads the log in one read,
 // decodes its lines in parallel, then indexes them in one pass in file
 // order, so the index and any error are the same however the decoding was
-// scheduled. The first record per hash wins, on recovery as in Put. A crash
-// mid-append leaves at most one truncated final line, which Open tolerates
-// by truncating the file back to the last complete record; corruption
-// anywhere earlier is an error naming the first bad line's offset, never a
-// silent skip. Compact rewrites the log keeping one record per hash, through
-// a synced temp file renamed into place and a synced directory.
+// scheduled. The first record per hash wins, on recovery as in Store. A
+// crash mid-append leaves at most one truncated final line, which Open
+// tolerates by truncating the file back to the last complete record;
+// corruption anywhere earlier is an error naming the first bad line's
+// offset, never a silent skip.
 //
-// The in-memory index (hash → *Record) makes Lookup O(1); Lookup and Store
-// implement core.ResultCache, so a Store attached to core.Config.Cache is
-// the admission control ROADMAP item 3 asks for: a warm store answers a
-// repeated sweep without burning a single engine cycle. Hits and Misses
-// count both outcomes for the observatory's /metrics exposition.
+// The in-memory index (hash → *Record) makes Lookup O(1). Lookup and Store
+// implement core.ResultCache and are the store's only read and write paths
+// for runs: a Store attached to core.Config.Cache answers a repeated sweep
+// without burning a single engine cycle, and the observatory's run API
+// writes through the same Store. Which configs a record may be served for
+// is core's decision (core.Switching.Check), taken before any Lookup. Hits
+// and Misses count both outcomes for the observatory's /metrics exposition.
 //
 // Determinism contract: nothing on the Lookup (cache-hit) path reads the
 // wall clock or otherwise perturbs results — a cached Result is returned
@@ -49,7 +50,7 @@ const FileName = "runs.jsonl"
 // Record is one stored experiment: the canonical config, its hash, and the
 // full Result (TraceEvents excluded — they are json:"-" and deliberately
 // not persisted). Seq is the append sequence number, monotonically
-// increasing across the life of the log (compaction preserves it).
+// increasing across the life of the log.
 type Record struct {
 	Schema string
 	Seq    uint64
@@ -187,7 +188,7 @@ func decodeLines(lines [][]byte) (recs []Record, errs []error) {
 }
 
 // insert indexes rec and keeps seq ahead of everything seen. The first
-// record per hash wins, as in Put: a later duplicate (two processes that
+// record per hash wins, as in Store: a later duplicate (two processes that
 // appended the same run) is counted for seq and otherwise ignored.
 func (s *Store) insert(rec *Record) {
 	if rec.Seq >= s.seq {
@@ -219,8 +220,8 @@ func (s *Store) Path() string { return s.path }
 // Lookup returns the Result stored under hash and counts the outcome in
 // Hits/Misses. It is the core.ResultCache read side: nothing here reads a
 // clock or mutates the record, so a hit is bit-identical to re-simulating.
-// The Result shares its slices and pointers with the index that Compact
-// writes back: it is read-only, as are those of Get and List.
+// The Result shares its slices and pointers with the index: it is
+// read-only, as are those of Get and List.
 func (s *Store) Lookup(hash string) (core.Result, bool) {
 	s.mu.Lock()
 	rec, ok := s.index[hash]
@@ -248,23 +249,14 @@ func (s *Store) Get(hash string) (Record, bool) {
 
 // Store appends a completed run to the log and indexes it. A hash already
 // present is a no-op (simulations are deterministic, so the stored record
-// is already the record). It is the core.ResultCache write side.
+// is already the record). It is the core.ResultCache write side and the
+// store's only write path.
 func (s *Store) Store(hash string, cfg core.Config, r core.Result) error {
-	return s.Put(Record{Hash: hash, Config: cfg, Result: r})
-}
-
-// Put appends rec (Schema and Seq are filled in; Hash is computed from the
-// config when empty). First write per hash wins.
-func (s *Store) Put(rec Record) error {
-	if rec.Hash == "" {
-		rec.Hash = rec.Config.Hash()
-	}
-	rec.Schema = Schema
-	rec.Config = rec.Config.Canonical()
-	rec.Result.TraceEvents = nil
+	r.TraceEvents = nil
+	rec := Record{Schema: Schema, Hash: hash, Config: cfg.Canonical(), Result: r}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.index[rec.Hash]; exists {
+	if _, exists := s.index[hash]; exists {
 		return nil
 	}
 	if s.f == nil {
@@ -303,92 +295,8 @@ func (s *Store) List() []Record {
 	return out
 }
 
-// Select returns, in first-stored order, the records keep reports true for.
-func (s *Store) Select(keep func(Record) bool) []Record {
-	var out []Record
-	for _, rec := range s.List() {
-		if keep(rec) {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // Hits reports cache-hit lookups since Open.
 func (s *Store) Hits() int64 { return s.hits.Load() }
 
 // Misses reports cache-miss lookups since Open.
 func (s *Store) Misses() int64 { return s.misses.Load() }
-
-// Compact rewrites the log keeping exactly one record per hash (the indexed
-// one), via a temp file renamed into place. The temp file is synced before
-// the rename and the directory after it, so a crash mid-compact leaves
-// either the old complete log or the new one.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("runstore: store is closed")
-	}
-	var buf bytes.Buffer
-	for _, h := range s.order {
-		line, err := json.Marshal(s.index[h])
-		if err != nil {
-			return fmt.Errorf("runstore: encode record: %w", err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	tmp := s.path + ".compact"
-	if err := writeSynced(tmp, buf.Bytes()); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	// Reopen the append handle on the new inode, positioned at its end.
-	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("runstore: reopen after compact: %w", err)
-	}
-	s.f.Close()
-	s.f = f
-	// The rename is durable only once the directory entry is.
-	if err := syncDir(filepath.Dir(s.path)); err != nil {
-		return fmt.Errorf("runstore: compact: %w", err)
-	}
-	return nil
-}
-
-// writeSynced writes data to a new file at path and syncs it to stable
-// storage before closing it.
-func writeSynced(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir flushes dir's entries, making a rename inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}

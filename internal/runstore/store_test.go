@@ -250,68 +250,6 @@ func TestSchemaMismatchIsAnError(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var hashes []string
-	for _, load := range []float64{0.2, 0.4, 0.6} {
-		cfg := testConfig(load)
-		res, err := core.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Store(cfg.Hash(), cfg.Canonical(), res); err != nil {
-			t.Fatal(err)
-		}
-		hashes = append(hashes, cfg.Hash())
-	}
-	// Duplicate puts are no-ops, so compaction here proves idempotence and
-	// the post-compact append path.
-	cfg := testConfig(0.2)
-	res, _ := core.Run(cfg)
-	if err := s.Store(cfg.Hash(), cfg.Canonical(), res); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 3 {
-		t.Errorf("compacted store has %d records, want 3", s.Len())
-	}
-	// Append after compact, then reload everything.
-	cfg2 := testConfig(0.8)
-	res2, err := core.Run(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Store(cfg2.Hash(), cfg2.Canonical(), res2); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 4 {
-		t.Errorf("after compact+append reopen sees %d records, want 4", s2.Len())
-	}
-	for _, h := range hashes {
-		if _, ok := s2.Get(h); !ok {
-			t.Errorf("record %s lost by compaction", h[:12])
-		}
-	}
-	// List order is first-stored order, preserved across compaction.
-	list := s2.List()
-	if len(list) != 4 || list[0].Hash != hashes[0] || list[1].Hash != hashes[1] {
-		t.Errorf("list order drifted: %v", recHashes(list))
-	}
-}
-
 func recHashes(recs []Record) []string {
 	out := make([]string, len(recs))
 	for i, r := range recs {
