@@ -66,6 +66,11 @@ type Message struct {
 	// network engine; never read by routing, so they cannot affect results.
 	FirstAlloc int64
 	HeadStalls int32
+	// WaitMask is the engine's wake filter for a parked header: which output
+	// directions and virtual-channel classes a release must touch for its
+	// next bid to stand a chance. Meaningful only while the header is parked;
+	// it fills what would otherwise be padding before BlockedSince.
+	WaitMask uint32
 	// BlockedSince is the engine's blocked-cycle ledger for a parked header:
 	// the last cycle whose failed bid has been charged to the observers, or -1
 	// when nothing accrues (never parked, or parked for want of an injection
@@ -98,6 +103,7 @@ func (m *Message) reset(g *topology.Grid, id int64, src, dst, length int, genTim
 	m.DeliverTime = -1
 	m.FirstAlloc = genTime
 	m.HeadStalls = 0
+	m.WaitMask = 0
 	m.BlockedSince = -1
 	m.HopsTotal = 0
 	m.HopsTaken = 0

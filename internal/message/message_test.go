@@ -3,12 +3,25 @@ package message
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"wormsim/internal/rng"
 	"wormsim/internal/topology"
 )
 
 func node(g *topology.Grid, x, y int) int { return g.ID([]int{x, y}) }
+
+// TestMessageSize pins the layout the engine's hot path and allocation
+// budget assume: WaitMask fills the padding after HeadStalls, so a pooled
+// message stays 176 bytes on 64-bit platforms.
+func TestMessageSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Message{}); got != 176 {
+		t.Fatalf("Message is %d bytes, want 176", got)
+	}
+}
 
 func TestNewBasics(t *testing.T) {
 	g := topology.NewTorus(16, 2)

@@ -22,6 +22,9 @@ func TestPoolGetMatchesNew(t *testing.T) {
 	m.TagFree = 0x1
 	m.Class = 7
 	m.DeliverTime = 900
+	m.HeadStalls = 3
+	m.WaitMask = 0x5a
+	m.BlockedSince = 850
 	p.Put(m)
 
 	got := p.Get(g, 2, 10, 60, 16, 200, nil)

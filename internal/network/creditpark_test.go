@@ -23,7 +23,7 @@ func viewSlots(n *Network) map[int32]slotView {
 	views := make(map[int32]slotView, len(n.active))
 	for pos, id := range n.active {
 		views[id] = slotView{
-			msg: n.vcMsg[id], sent: n.vcSent[id], flits: n.vcFlits[id], out: n.vcOut[id],
+			msg: n.vcMsg[id], sent: n.vcState[id].sent, flits: n.vcState[id].flits, out: n.vcState[id].out,
 			marked: bit(n.xferBits, pos),
 		}
 	}

@@ -55,7 +55,7 @@ func (n *Network) foreBlocked(id int32, m *message.Message) {
 
 // headSlotOf walks a worm's channel chain downstream from one of its owned
 // vc slots to the slot holding (or about to receive) its header: allocation
-// happens at routing time, so following vcOut through slots owned by the
+// happens at routing time, so following the outputs through slots owned by the
 // same message terminates at an unrouted slot (the head buffer) or at an
 // ejecting one. It returns -1 when the worm is draining at its destination
 // — that worm is making progress, so a wait on it roots the congestion tree
@@ -63,7 +63,7 @@ func (n *Network) foreBlocked(id int32, m *message.Message) {
 func (n *Network) headSlotOf(t int32) int32 {
 	m := n.vcMsg[t]
 	for {
-		out := n.vcOut[t]
+		out := n.vcState[t].out
 		if out.ch == outNone {
 			return t
 		}

@@ -36,20 +36,20 @@ func checkInvariantsAfter(t *testing.T, n *Network, foreign int) (parked, credPa
 		for class := 0; class < n.numVCs; class++ {
 			id := int32(ch*n.numVCs + class)
 			if n.vcMsg[id] == nil {
-				if n.vcFlits[id] != 0 {
-					t.Fatalf("free vc %d/%d holds %d flits", ch, class, n.vcFlits[id])
+				if n.vcState[id].flits != 0 {
+					t.Fatalf("free vc %d/%d holds %d flits", ch, class, n.vcState[id].flits)
 				}
 				continue
 			}
 			ownersByCh[ch]++
-			if n.vcFlits[id] < 0 || int(n.vcFlits[id]) > n.cfg.BufDepth {
-				t.Fatalf("vc %d/%d flit count %d out of [0,%d]", ch, class, n.vcFlits[id], n.cfg.BufDepth)
+			if n.vcState[id].flits < 0 || int(n.vcState[id].flits) > n.cfg.BufDepth {
+				t.Fatalf("vc %d/%d flit count %d out of [0,%d]", ch, class, n.vcState[id].flits, n.cfg.BufDepth)
 			}
-			if n.vcRecvd[id]-n.vcSent[id] != n.vcFlits[id] {
-				t.Fatalf("vc %d/%d recvd %d - sent %d != flits %d", ch, class, n.vcRecvd[id], n.vcSent[id], n.vcFlits[id])
+			if n.vcState[id].sent < 0 {
+				t.Fatalf("vc %d/%d sent %d flits", ch, class, n.vcState[id].sent)
 			}
-			if int(n.vcRecvd[id]) > n.vcMsg[id].Len {
-				t.Fatalf("vc %d/%d received %d flits of a %d-flit worm", ch, class, n.vcRecvd[id], n.vcMsg[id].Len)
+			if int(n.received(id)) > n.vcMsg[id].Len {
+				t.Fatalf("vc %d/%d received %d flits of a %d-flit worm", ch, class, n.received(id), n.vcMsg[id].Len)
 			}
 			ai := n.vcAIdx[id]
 			if ai < 0 || int(ai) >= len(n.active) || n.active[ai] != id {
@@ -128,7 +128,7 @@ func ledgerError(n *Network, foreign int) error {
 			return fmt.Errorf("vc %d holds message %d but is not on the active list", id, m.ID)
 		}
 		heads := 0
-		if n.vcOut[id].ch < 0 {
+		if n.vcState[id].out.ch < 0 {
 			heads = 1
 		}
 		live[m] += heads
@@ -199,7 +199,9 @@ func checkScanBookkeeping(t *testing.T, n *Network) (parked, credParked int) {
 	// every port is busy. Its message carries the blocked-cycle stamp: -1 for
 	// a header that bids for nothing because the node's injection ports are
 	// all taken (when it was parked, or since), else the last cycle charged to
-	// the observers, an executed one.
+	// the observers, an executed one. Its wait mask lets through the release
+	// of any of its candidates and, in an injection slot, of a port: a release
+	// the mask rejects does not wake it.
 	observed := n.tel != nil || n.fore != nil
 	parkedAt := make(map[int32]bool)
 	for node := range n.parkHead {
@@ -222,6 +224,9 @@ func checkScanBookkeeping(t *testing.T, n *Network) (parked, credParked int) {
 			case stamp >= 0 && observed && portsFull:
 				t.Fatalf("injection slot %d at node %d still runs up blocked cycles (stamp %d) with every port taken", id, node, stamp)
 			}
+			if id >= n.chanVCs && m.WaitMask&injWait == 0 {
+				t.Fatalf("injection slot %d parked at node %d with wait mask %#x: a port release would not wake it", id, node, m.WaitMask)
+			}
 			if portsFull {
 				continue
 			}
@@ -230,6 +235,9 @@ func checkScanBookkeeping(t *testing.T, n *Network) (parked, credParked int) {
 			}
 			for _, c := range n.alg.Candidates(n.g, m, node, nil) {
 				ch := n.g.ChannelIndex(node, c.Dim, c.Dir)
+				if want := uint32(1)<<(c.Dim*2+int(c.Dir)) | 1<<(2*n.nDims+c.VC); m.WaitMask&want != want {
+					t.Fatalf("vc %d parked at node %d with wait mask %#x, which misses candidate %v", id, node, m.WaitMask, c)
+				}
 				if n.tbl.down[ch] >= 0 && n.vcMsg[ch*n.numVCs+c.VC] == nil {
 					t.Fatalf("vc %d parked at node %d although candidate channel %d class %d is free", id, node, ch, c.VC)
 				}
@@ -237,10 +245,10 @@ func checkScanBookkeeping(t *testing.T, n *Network) (parked, credParked int) {
 		}
 	}
 	for pos, id := range n.active {
-		out := n.vcOut[id]
+		out := n.vcState[id].out
 		// An arrived, unrouted header is pending or parked, never both; no
 		// other slot is either.
-		header := out.ch == outNone && (id >= n.chanVCs || n.vcRecvd[id] > 0)
+		header := out.ch == outNone && (id >= n.chanVCs || n.received(id) > 0)
 		pending, parked := bit(n.hdrBits, pos), parkedAt[id]
 		if header != (pending || parked) || pending && parked {
 			t.Fatalf("active[%d] = vc %d: header %v, pending %v, parked %v", pos, id, header, pending, parked)
@@ -250,14 +258,14 @@ func checkScanBookkeeping(t *testing.T, n *Network) (parked, credParked int) {
 		// recorded wait of its downstream buffer, which is full and not
 		// ejecting. The converse does not hold: a parked slot that just
 		// received a flit is marked again, and parks again on its next visit.
-		work := out.ch != outNone && n.vcFlits[id] > 0 && (out.ch != outEject || id < n.chanVCs)
+		work := out.ch != outNone && n.vcState[id].flits > 0 && (out.ch != outEject || id < n.chanVCs)
 		marked := bit(n.xferBits, pos)
 		if marked && !work {
-			t.Fatalf("active[%d] = vc %d: transfer mark set, out %+v with %d flits", pos, id, out, n.vcFlits[id])
+			t.Fatalf("active[%d] = vc %d: transfer mark set, out %+v with %d flits", pos, id, out, n.vcState[id].flits)
 		}
 		if work && !marked {
 			if out.ch < 0 || n.credWait[out.ch*int32(n.numVCs)+int32(out.vc)] != id {
-				t.Fatalf("active[%d] = vc %d: routed (out %+v) with %d flits, unmarked, and not waiting for a credit", pos, id, out, n.vcFlits[id])
+				t.Fatalf("active[%d] = vc %d: routed (out %+v) with %d flits, unmarked, and not waiting for a credit", pos, id, out, n.vcState[id].flits)
 			}
 			credParked++
 		}
@@ -271,15 +279,25 @@ func checkScanBookkeeping(t *testing.T, n *Network) (parked, credParked int) {
 		if int32(tb) >= n.chanVCs {
 			t.Fatalf("injection slot %d has a credit wait (vc %d)", tb, s)
 		}
-		out := n.vcOut[s]
-		if n.vcMsg[s] == nil || n.vcAIdx[s] < 0 || out.ch < 0 || out.ch*int32(n.numVCs)+int32(out.vc) != int32(tb) || n.vcFlits[s] == 0 {
-			t.Fatalf("vc %d waits for a credit from buffer %d but is not a live slot routed there holding flits (out %+v, %d flits)", s, tb, out, n.vcFlits[s])
+		out := n.vcState[s].out
+		if n.vcMsg[s] == nil || n.vcAIdx[s] < 0 || out.ch < 0 || out.ch*int32(n.numVCs)+int32(out.vc) != int32(tb) || n.vcState[s].flits == 0 {
+			t.Fatalf("vc %d waits for a credit from buffer %d but is not a live slot routed there holding flits (out %+v, %d flits)", s, tb, out, n.vcState[s].flits)
 		}
-		if int(n.vcFlits[tb]) < n.cfg.BufDepth || n.vcOut[tb].ch == outEject {
-			t.Fatalf("vc %d waits for a credit from buffer %d, which holds %d of %d flits with out %+v", s, tb, n.vcFlits[tb], n.cfg.BufDepth, n.vcOut[tb])
+		if int(n.vcState[tb].flits) < n.cfg.BufDepth || n.vcState[tb].out.ch == outEject {
+			t.Fatalf("vc %d waits for a credit from buffer %d, which holds %d of %d flits with out %+v", s, tb, n.vcState[tb].flits, n.cfg.BufDepth, n.vcState[tb].out)
 		}
 	}
 	return len(parkedAt), credParked
+}
+
+// received returns how many flits vc id has received in its worm's lifetime:
+// a channel buffer holds or has sent on every flit it received, and an
+// injection slot receives none.
+func (n *Network) received(id int32) int32 {
+	if id >= n.chanVCs {
+		return 0
+	}
+	return n.vcState[id].sent + n.vcState[id].flits
 }
 
 // bit reports whether active position pos is set in a mark bitset.
@@ -294,7 +312,7 @@ func bit(set []uint64, pos int) bool { return set[pos>>6]>>(uint(pos)&63)&1 != 0
 func blockedLedger(n *Network) (lostBid, debt int64) {
 	last := n.now - 1
 	for _, id := range n.active {
-		if n.vcOut[id].ch == outNone && (id >= n.chanVCs || n.vcRecvd[id] > 0) && n.vcReady[id] <= last {
+		if n.vcState[id].out.ch == outNone && (id >= n.chanVCs || n.received(id) > 0) && n.vcReady[id] <= last {
 			lostBid++
 		}
 	}

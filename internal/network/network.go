@@ -20,10 +20,10 @@
 //
 // Flits of one message are indistinguishable and FIFO, so buffers track
 // counts rather than flit objects: each virtual channel records how many
-// flits it currently buffers and how many it has received and forwarded in
-// total. The header is "present" when one flit has been received and none
-// forwarded; the tail "passes" when the forwarded count reaches the message
-// length.
+// flits it currently buffers and how many it has forwarded in total (it has
+// received their sum). The header is "present" when one flit has been
+// received and none forwarded; the tail "passes" when the forwarded count
+// reaches the message length.
 //
 // The simulator is cycle-driven with a two-phase transfer step (decide all
 // moves from start-of-cycle state, then apply), which makes a cycle
@@ -34,7 +34,9 @@
 //
 // Virtual-channel state lives in parallel struct-of-arrays slices indexed by
 // a dense vc id (ch*numVCs+class for channel buffers, ids past that for
-// injection slots, whose capacity Reset reserves up front), and the
+// injection slots, whose capacity Reset reserves up front) — except what a
+// flit move reads and writes, the output, occupancy and progress, which is
+// one 16-byte record per slot (slotState) — and the
 // per-channel topology facts the cycle path needs (endpoints, direction,
 // reverse channel, Advance inputs) are precomputed into flat tables at
 // construction (see tables.go). The live vc ids sit on a dense active list
@@ -55,14 +57,17 @@
 //
 // Allocation visits the pending headers (hdrBits): arrived, unrouted, not
 // parked. A header whose attempt fails, or whose node has no free injection
-// port, is parked on an intrusive per-node list and costs nothing until a
-// virtual channel on a channel out of that node, or an injection port there,
-// is released (applyMove's tail release, deliver), which puts the node's
-// parked headers back on hdrBits for the next cycle. This is exact: during
-// allocation virtual channels are only claimed, a blocked header's message
-// state and candidate set cannot change, and a failed attempt draws no
-// random number, so a parked header that no release has touched would fail
-// again with no side effect.
+// port, is parked on an intrusive per-node list with a wait mask on its
+// message — the directions and virtual-channel classes of its candidates,
+// and for an injection slot the injection port — and costs nothing until a
+// release at that node matches the mask: a virtual channel of a class it
+// bids for on a channel in a direction it bids for (applyMove's tail
+// release, deliver), or an injection port. That puts it back on hdrBits for
+// the next cycle. This is exact: during allocation virtual channels are only
+// claimed, a blocked header's message state and candidate set cannot change,
+// and a failed attempt draws no random number, so a parked header that no
+// release of one of its candidates has touched would fail again with no side
+// effect.
 //
 // Telemetry and forensics count every blocked header every cycle, and a
 // parked header is counted lazily: park stamps the message with the last
@@ -214,6 +219,21 @@ const (
 	outNone = -2
 )
 
+// slotState is the part of a virtual-channel slot that a flit move reads and
+// writes, packed so a move touches one record per side: the assigned output
+// (ch == outNone while the header is unrouted), the flits buffered now and
+// how many it has sent on. A channel buffer has received sent+flits; an
+// injection slot starts with flits = message length and receives none.
+type slotState struct {
+	out   outRoute
+	flits int32
+	sent  int32
+}
+
+// injWait is the wait-mask bit of a header in an injection slot: the release
+// of an injection port at its node may let its next bid through.
+const injWait = 1 << 31
+
 // Counters is a snapshot of a measurement window.
 type Counters struct {
 	// Cycles covered by the window.
@@ -289,10 +309,8 @@ type Network struct {
 	// indices >= chanVCs are injection slots, recycled through injFree. The
 	// id alone says which: a channel buffer's channel and class are id /
 	// numVCs and id % numVCs. vcNode is where a buffer's flits reside (the
-	// downstream node, or the source node for an injection slot); vcFlits
-	// counts currently buffered flits while vcRecvd/vcSent are lifetime
-	// totals (an injection slot starts with vcFlits = message length); vcOut
-	// is the assigned output (ch == outNone while the header is unrouted);
+	// downstream node, or the source node for an injection slot); vcState is
+	// the output, occupancy and progress record a flit move works on;
 	// vcReady is the earliest cycle a header may bid for an output (arrival +
 	// RouteDelay); vcAIdx is the slot's position in active for swap-removal;
 	// parkNext links the slot into its node's parked-header list; credWait[t]
@@ -300,10 +318,7 @@ type Network struct {
 	chanVCs  int32
 	vcMsg    []*message.Message
 	vcNode   []int32
-	vcFlits  []int32
-	vcRecvd  []int32
-	vcSent   []int32
-	vcOut    []outRoute
+	vcState  []slotState
 	vcReady  []int64
 	vcAIdx   []int32
 	parkNext []int32
@@ -330,9 +345,9 @@ type Network struct {
 	// parkHead[node] heads the intrusive list (through parkNext, -1
 	// terminated) of headers at node whose last allocation attempt failed or
 	// found every injection port busy. A parked header is off hdrBits until a
-	// virtual channel on a channel out of node, or an injection port at
-	// node, is released (wake). The blocked cycles a parked header owes the
-	// observers are on its message (BlockedSince), not in a per-slot array.
+	// release at node matches its message's WaitMask (wake). The blocked
+	// cycles a parked header owes the observers are on its message
+	// (BlockedSince), not in a per-slot array.
 	parkHead []int32
 
 	// Per-channel round-robin pointer and owner count (congestion score).
@@ -442,7 +457,7 @@ func (n *Network) Reset(cfg Config) error {
 	}
 	size := slots * numVCs
 	// Injection slots are appended past the channel buffers (newInjSlot).
-	// Reserve their room now: growing ten arrays sized exactly chanVCs by
+	// Reserve their room now: growing seven arrays sized exactly chanVCs by
 	// append would recopy all of them mid-run. Congestion control admits at
 	// most CCLimit messages per class and node, and a message class is a
 	// virtual-channel class (hop schemes) or a first-hop direction (the
@@ -458,7 +473,7 @@ func (n *Network) Reset(cfg Config) error {
 		// slots hold each one; exactly one of them — the slot with the header,
 		// or waiting for it — is unrouted or ejecting.
 		for _, id := range old.active {
-			if old.vcOut[id].ch < 0 {
+			if old.vcState[id].out.ch < 0 {
 				old.pool.Put(old.vcMsg[id])
 			}
 		}
@@ -484,10 +499,7 @@ func (n *Network) Reset(cfg Config) error {
 
 		vcMsg:    recycle(old.vcMsg, size, room),
 		vcNode:   recycle(old.vcNode, size, room),
-		vcFlits:  recycle(old.vcFlits, size, room),
-		vcRecvd:  recycle(old.vcRecvd, size, room),
-		vcSent:   recycle(old.vcSent, size, room),
-		vcOut:    recycle(old.vcOut, size, room),
+		vcState:  recycle(old.vcState, size, room),
 		vcReady:  recycle(old.vcReady, size, room),
 		vcAIdx:   recycle(old.vcAIdx, size, room),
 		parkNext: recycle(old.parkNext, size, room),
@@ -544,7 +556,7 @@ func (n *Network) Reset(cfg Config) error {
 			// -1 on mesh boundaries; such slots stay unused.
 			n.vcNode[id] = n.tbl.down[ch]
 			n.vcAIdx[id] = -1
-			n.vcOut[id] = outRoute{ch: outNone}
+			n.vcState[id].out = outRoute{ch: outNone}
 			n.credWait[id] = -1
 		}
 	}
@@ -668,7 +680,7 @@ func (n *Network) Step() error {
 		// A sampled cycle captures a wait-for edge from every blocked header,
 		// so all of them bid: parked ones too, settled up to last cycle.
 		for node := range n.parkHead {
-			n.wake(int32(node), n.now-1)
+			n.wake(int32(node), 0, n.now-1)
 		}
 	}
 	n.allocate()
@@ -755,10 +767,7 @@ func (n *Network) inject() {
 		id := n.newInjSlot()
 		n.vcMsg[id] = m
 		n.vcNode[id] = int32(a.Src)
-		n.vcFlits[id] = int32(m.Len)
-		n.vcRecvd[id] = 0
-		n.vcSent[id] = 0
-		n.vcOut[id] = outRoute{ch: outNone}
+		n.vcState[id] = slotState{out: outRoute{ch: outNone}, flits: int32(m.Len)}
 		n.vcReady[id] = 0
 		n.addActive(id)
 		n.setPending(n.vcAIdx[id])
@@ -781,10 +790,7 @@ func (n *Network) newInjSlot() int32 {
 	id := int32(len(n.vcMsg))
 	n.vcMsg = append(n.vcMsg, nil)
 	n.vcNode = append(n.vcNode, 0)
-	n.vcFlits = append(n.vcFlits, 0)
-	n.vcRecvd = append(n.vcRecvd, 0)
-	n.vcSent = append(n.vcSent, 0)
-	n.vcOut = append(n.vcOut, outRoute{ch: outNone})
+	n.vcState = append(n.vcState, slotState{out: outRoute{ch: outNone}})
 	n.vcReady = append(n.vcReady, 0)
 	n.vcAIdx = append(n.vcAIdx, -1)
 	n.parkNext = append(n.parkNext, -1)
@@ -833,32 +839,61 @@ func (n *Network) setWork(pos int32)      { n.xferBits[pos>>6] |= 1 << (uint(pos
 func (n *Network) clearWork(pos int32)    { n.xferBits[pos>>6] &^= 1 << (uint(pos) & 63) }
 
 // park takes the blocked header in vc id (at active position pos) out of the
-// pending set until wake(node) puts it back. charged is the last cycle whose
-// failed bid the observers have been told of, -1 for a header that is not
-// bidding (no injection port) and so runs up nothing while parked.
-func (n *Network) park(id, pos int32, charged int64) {
+// pending set until a release its wait mask matches wakes it. charged is the
+// last cycle whose failed bid the observers have been told of, -1 for a
+// header that is not bidding (no injection port) and so runs up nothing while
+// parked.
+func (n *Network) park(id, pos int32, charged int64, wait uint32) {
 	n.clearPending(pos)
-	n.vcMsg[id].BlockedSince = charged
+	m := n.vcMsg[id]
+	m.BlockedSince, m.WaitMask = charged, wait
 	node := n.vcNode[id]
 	n.parkNext[id] = n.parkHead[node]
 	n.parkHead[node] = id
 }
 
-// wake returns every header parked at node to the pending set, charged for
-// the failed bids it sat out up to and including cycle through: a virtual
-// channel on a channel out of node, or an injection port there, was just
-// released, so their next attempt may succeed. Releases happen only in the
-// transfer phase, so woken headers bid in the next cycle's allocate, in
-// active-position order like everyone else.
-func (n *Network) wake(node int32, through int64) {
+// wake returns to the pending set the headers parked at node whose wait mask
+// holds every bit of want, charged for the failed bids they sat out up to and
+// including cycle through: a release at node just gave their next attempt a
+// chance. want is a released virtual channel's direction and class bits
+// (releaseChannel), injWait for a released injection port, or 0 for every
+// header parked there. Releases happen only in the transfer phase, so woken
+// headers bid in the next cycle's allocate, in active-position order like
+// everyone else.
+func (n *Network) wake(node int32, want uint32, through int64) {
 	observed := n.tel != nil || n.fore != nil
-	for id := n.parkHead[node]; id >= 0; id = n.parkNext[id] {
+	link := &n.parkHead[node]
+	for id := *link; id >= 0; id = *link {
+		if n.vcMsg[id].WaitMask&want != want {
+			link = &n.parkNext[id]
+			continue
+		}
+		*link = n.parkNext[id]
 		n.setPending(n.vcAIdx[id])
 		if observed {
 			n.settle(id, through)
 		}
 	}
-	n.parkHead[node] = -1
+}
+
+// waitMask is the wake filter of the header in vc id whose bid just failed on
+// the candidates route left in n.cands: a bit per candidate direction
+// (dim*2+dir), a bit per candidate class past the 2n direction bits, and
+// injWait for an injection slot. Directions times classes is a superset of
+// the candidates, so a release the mask matches may still not help, but one
+// it rejects cannot; with too many classes for the bits it is all ones.
+func (n *Network) waitMask(id int32) uint32 {
+	if 2*n.nDims+n.numVCs > 31 {
+		return ^uint32(0)
+	}
+	var mask uint32
+	for _, c := range n.cands {
+		mask |= 1<<(c.Dim*2+int(c.Dir)) | 1<<(2*n.nDims+c.VC)
+	}
+	if id >= n.chanVCs {
+		mask |= injWait
+	}
+	return mask
 }
 
 // settle charges the parked header in vc id the bids it would have lost in
@@ -1008,7 +1043,7 @@ func (n *Network) tryRoute(pos int32) {
 		return
 	}
 	// All injection ports busy: no bid, nothing to count until one frees up.
-	charged := int64(-1)
+	charged, wait := int64(-1), uint32(injWait)
 	ports := n.cfg.InjectionPorts
 	if ports <= 0 || id < n.chanVCs || int(n.injecting[n.vcNode[id]]) < ports {
 		if n.route(id) {
@@ -1022,9 +1057,9 @@ func (n *Network) tryRoute(pos int32) {
 		if n.fore != nil {
 			n.foreBlocked(id, m)
 		}
-		charged = n.now
+		charged, wait = n.now, n.waitMask(id)
 	}
-	n.park(id, pos, charged)
+	n.park(id, pos, charged, wait)
 }
 
 // route attempts virtual-channel allocation for the header in vc id and
@@ -1033,7 +1068,7 @@ func (n *Network) route(id int32) bool {
 	m := n.vcMsg[id]
 	node := int(n.vcNode[id])
 	if m.Dst == node {
-		n.vcOut[id] = outRoute{ch: outEject}
+		n.vcState[id].out = outRoute{ch: outEject}
 		if id < n.chanVCs {
 			n.setWork(n.vcAIdx[id])
 			n.creditReturned(id) // a full consuming buffer drains this cycle
@@ -1064,12 +1099,11 @@ func (n *Network) route(id int32) bool {
 	ch := (node*n.nDims+c.Dim)*2 + int(c.Dir)
 	t := int32(ch*n.numVCs + c.VC)
 	n.vcMsg[t] = m
-	n.vcFlits[t], n.vcRecvd[t], n.vcSent[t] = 0, 0, 0
+	n.vcState[t] = slotState{out: outRoute{ch: outNone}}
 	n.vcReady[t] = 0
-	n.vcOut[t] = outRoute{ch: outNone}
 	n.owners[ch]++
 	n.addActive(t)
-	n.vcOut[id] = outRoute{ch: int32(ch), vc: int16(c.VC), dim: int8(c.Dim), dir: int8(c.Dir)}
+	n.vcState[id].out = outRoute{ch: int32(ch), vc: int16(c.VC), dim: int8(c.Dim), dir: int8(c.Dir)}
 	// A present header is a buffered flit, so the slot has work to transfer.
 	n.setWork(n.vcAIdx[id])
 	if id >= n.chanVCs {
@@ -1107,18 +1141,19 @@ func (n *Network) transfer() bool {
 	touched := n.touched[:0]
 	bufDepth := int32(n.cfg.BufDepth)
 	numVCs := int32(n.numVCs)
-	vcOut, vcFlits, reqs, marks, credWait := n.vcOut, n.vcFlits, n.reqs, n.xferBits, n.credWait
+	vcState, reqs, marks, credWait := n.vcState, n.reqs, n.xferBits, n.credWait
 	for w, words := 0, (len(n.active)+63)>>6; w < words; w++ {
 		for word := marks[w]; word != 0; {
 			b := uint(bits.TrailingZeros64(word))
 			id := n.active[w<<6|int(b)]
-			out := vcOut[id]
+			s := &vcState[id]
+			out := s.out
 			if out.ch == outEject {
-				n.vcSent[id] += vcFlits[id]
-				vcFlits[id] = 0
+				s.sent += s.flits
+				s.flits = 0
 				marks[w] &^= 1 << b
 				n.lastMotion = n.now
-				if n.vcSent[id] == n.msgLen {
+				if s.sent == n.msgLen {
 					n.deliver(id)
 					// The slot swapped into this position came with its mark
 					// and must be visited too, and the last position (perhaps
@@ -1131,7 +1166,7 @@ func (n *Network) transfer() bool {
 			}
 			word &= word - 1
 			t := out.ch*numVCs + int32(out.vc)
-			if vcFlits[t] >= bufDepth && vcOut[t].ch != outEject {
+			if d := &vcState[t]; d.flits >= bufDepth && d.out.ch != outEject {
 				// No credit downstream (full consuming buffers drain): park.
 				marks[w] &^= 1 << b
 				credWait[t] = id
@@ -1178,11 +1213,11 @@ func (n *Network) dropReverseConflicts(moves []int32) []int32 {
 	n.revGen++
 	gen := n.revGen
 	for _, id := range moves {
-		n.chMoverGen[n.vcOut[id].ch] = gen
+		n.chMoverGen[n.vcState[id].out.ch] = gen
 	}
 	dropped := 0
 	for _, id := range moves {
-		ch := n.vcOut[id].ch
+		ch := n.vcState[id].out.ch
 		rev := n.tbl.rev[ch]
 		if ch > rev {
 			continue // each conflicting pair is handled from its lower side
@@ -1204,7 +1239,7 @@ func (n *Network) dropReverseConflicts(moves []int32) []int32 {
 	}
 	kept := moves[:0]
 	for _, id := range moves {
-		if n.chDropGen[n.vcOut[id].ch] != gen {
+		if n.chDropGen[n.vcState[id].out.ch] != gen {
 			kept = append(kept, id)
 		}
 	}
@@ -1213,24 +1248,25 @@ func (n *Network) dropReverseConflicts(moves []int32) []int32 {
 
 // applyMove transfers one flit from vc id across its output channel.
 func (n *Network) applyMove(id int32) {
-	out := n.vcOut[id]
+	s := &n.vcState[id]
+	out := s.out
 	ch := int(out.ch)
 	t := int32(ch*n.numVCs + int(out.vc))
-	n.vcFlits[id]--
-	n.vcSent[id]++
-	n.vcFlits[t]++
-	n.vcRecvd[t]++
+	d := &n.vcState[t]
+	s.flits--
+	s.sent++
+	d.flits++
 	n.creditReturned(id)
-	if n.vcFlits[id] == 0 {
+	if s.flits == 0 {
 		n.clearWork(n.vcAIdx[id])
 	}
-	if n.vcOut[t].ch != outNone {
+	if d.out.ch != outNone {
 		n.setWork(n.vcAIdx[t])
 	}
 	n.window.FlitMoves++
 	n.window.FlitMovesByClass[out.vc]++
 	n.flitsByChannel[ch]++
-	if n.vcRecvd[t] == 1 {
+	if d.sent == 0 && d.flits == 1 {
 		// Header hop completed: update the message's routing state from the
 		// upstream node's viewpoint (precomputed in the channel tables).
 		m := n.vcMsg[id]
@@ -1247,12 +1283,12 @@ func (n *Network) applyMove(id int32) {
 			n.tel.Hop(n.now, m.ID, int(n.vcNode[t]), ch, int(out.vc))
 		}
 	}
-	if n.vcSent[id] == n.msgLen {
+	if s.sent == n.msgLen {
 		// Tail has left this buffer: release it.
 		if id >= n.chanVCs {
 			n.limiter.Release(int(n.vcNode[id]), n.vcMsg[id].Class)
 			n.injecting[n.vcNode[id]]--
-			n.wake(n.vcNode[id], n.now)
+			n.wake(n.vcNode[id], injWait, n.now)
 			if n.tel != nil {
 				n.tel.InjDequeue()
 			}
@@ -1275,13 +1311,16 @@ func (n *Network) creditReturned(t int32) {
 }
 
 // releaseChannel frees channel buffer id, which its worm's tail has left,
-// and wakes the headers parked where that channel starts.
+// and wakes the headers parked where that channel starts that bid for its
+// direction and class.
 func (n *Network) releaseChannel(id int32) {
 	ch := id / int32(n.numVCs)
+	class := int(id - ch*int32(n.numVCs))
 	n.owners[ch]--
-	n.wake(n.tbl.up[ch], n.now)
+	dirBit := uint32(1) << (int(n.tbl.dim[ch])*2 + int(n.tbl.dir[ch]))
+	n.wake(n.tbl.up[ch], dirBit|1<<(2*n.nDims+class), n.now)
 	if n.tel != nil {
-		n.tel.VCReleased(int(id) % n.numVCs)
+		n.tel.VCReleased(class)
 	}
 	n.removeActive(id)
 	n.vcMsg[id] = nil

@@ -61,7 +61,10 @@ func (n *Network) WormStates() []telemetry.WormState {
 		if id < n.chanVCs {
 			ch = id / int32(n.numVCs)
 		}
-		refs = append(refs, wormRef{id: m.ID, vc: id, ch: ch, recvd: n.vcRecvd[id]})
+		// A buffer has received what it holds and has sent on (an injection
+		// slot's count is never compared: it sorts first).
+		s := n.vcState[id]
+		refs = append(refs, wormRef{id: m.ID, vc: id, ch: ch, recvd: s.sent + s.flits})
 	}
 	n.wormRefs = refs
 	n.wormSort.refs = refs
@@ -84,15 +87,16 @@ func (n *Network) WormStates() []telemetry.WormState {
 			if ch >= 0 {
 				class = int(id) % n.numVCs
 			}
+			s := n.vcState[id]
 			w.Holding[k-i] = telemetry.VCHold{
 				Ch: int(ch), Class: class,
-				Node: int(n.vcNode[id]), Flits: int(n.vcFlits[id]),
+				Node: int(n.vcNode[id]), Flits: int(s.flits),
 			}
 			// The header sits in the buffer that has forwarded nothing yet:
 			// the injection slot before the first hop, or the deepest buffer
 			// that has received at least one flit.
-			if n.vcSent[id] == 0 && (n.vcRecvd[id] > 0 || ch == -1) {
-				w.Routed = n.vcOut[id].ch != outNone
+			if s.sent == 0 && (s.flits > 0 || ch == -1) {
+				w.Routed = s.out.ch != outNone
 				w.HeadNode = int(n.vcNode[id])
 			}
 		}

@@ -23,7 +23,9 @@ import (
 // (core.Config.PairKey alignment).
 //
 // Admission is core's: a config core.Switching.Check refuses is answered
-// 400 before the store is consulted, exactly as core.RunCached refuses it.
+// 400 before the store is consulted, exactly as core.RunCached refuses it,
+// and a stored record of such a config is never served: fetching it or its
+// events answers the same 400, and listings and comparisons leave it out.
 // Otherwise the store is consulted once per submission (Lookup, which also
 // feeds the hit/miss counters on /metrics); a miss enqueues the run on a
 // FIFO core.Scheduler and the completed Result is written with Store, the
@@ -206,6 +208,9 @@ func (a *API) handleList(w http.ResponseWriter) {
 	recs := a.store.List()
 	out := make([]runSummary, 0, len(recs))
 	for _, rec := range recs {
+		if rec.Config.Switching.Check() != nil {
+			continue
+		}
 		out = append(out, runSummary{
 			Hash: rec.Hash, State: "done", Seq: rec.Seq,
 			Algorithm: rec.Result.Algorithm, Pattern: rec.Result.Pattern,
@@ -244,8 +249,21 @@ func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// refuseStored answers 400 with core's error, and reports true, when rec is
+// a stored record of a config the admission rule refuses.
+func refuseStored(w http.ResponseWriter, rec runstore.Record) bool {
+	err := rec.Config.Switching.Check()
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	}
+	return err != nil
+}
+
 func (a *API) handleRunGet(w http.ResponseWriter, hash string) {
 	if rec, ok := a.store.Get(hash); ok {
+		if refuseStored(w, rec) {
+			return
+		}
 		writeJSON(w, http.StatusOK, struct {
 			State  string          `json:"state"`
 			Record runstore.Record `json:"record"`
@@ -270,6 +288,9 @@ func (a *API) handleRunGet(w http.ResponseWriter, hash string) {
 // settles. A run already in the store yields a single done frame.
 func (a *API) handleRunEvents(w http.ResponseWriter, r *http.Request, hash string) {
 	if rec, ok := a.store.Get(hash); ok {
+		if refuseStored(w, rec) {
+			return
+		}
 		serveSSE(w, r, sseMessage("status", runStatus{Hash: hash, State: "done", Cached: true, Result: &rec.Result}), nil)
 		return
 	}
@@ -327,6 +348,9 @@ func (a *API) compare(algA, algB string) comparison {
 	cmp := comparison{A: algA, B: algB}
 	byKey := make(map[string]map[string]runstore.Record)
 	for _, rec := range a.store.List() {
+		if rec.Config.Switching.Check() != nil {
+			continue
+		}
 		alg := rec.Result.Algorithm
 		if alg != algA && alg != algB {
 			continue

@@ -343,12 +343,18 @@ func TestAPIRunEvents(t *testing.T) {
 // TestAPIRefusesRetiredSwitching: a stored record of a switching technique
 // the engine no longer implements is never served. The submission is
 // refused with core's own error before the store is consulted, as
-// core.RunCached refuses the same config on the same store.
+// core.RunCached refuses the same config on the same store; fetching the
+// record or its events by hash answers the same 400, and the listing leaves
+// it out while it keeps a servable record stored beside it.
 func TestAPIRefusesRetiredSwitching(t *testing.T) {
 	_, store, base := newTestAPI(t)
 	cfg := apiConfig("nbc", 0.3)
 	res, err := core.Run(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	kept := cfg.Hash()
+	if err := store.Store(kept, cfg.Canonical(), res); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Switching = "saf"
@@ -368,6 +374,21 @@ func TestAPIRefusesRetiredSwitching(t *testing.T) {
 	}
 	if store.Hits() != hits || store.Misses() != misses {
 		t.Errorf("refused submission touched the store: hits %d→%d, misses %d→%d", hits, store.Hits(), misses, store.Misses())
+	}
+
+	for _, path := range []string{"/api/runs/" + cfg.Hash(), "/api/runs/" + cfg.Hash() + "/events"} {
+		code, body := get(t, base+path)
+		var read struct{ Error string }
+		if err := json.Unmarshal([]byte(body), &read); err != nil {
+			t.Fatalf("GET %s: %v: %.200s", path, err, body)
+		}
+		if code != http.StatusBadRequest || read.Error != want.Error() {
+			t.Errorf("GET %s of a stored saf record: code %d error %q, want 400 and %v", path, code, read.Error, want)
+		}
+	}
+	code, body = get(t, base+"/api/runs")
+	if code != http.StatusOK || strings.Contains(body, cfg.Hash()) || !strings.Contains(body, kept) {
+		t.Errorf("listing: code %d, want 200 with %s and without the saf record %s: %.300s", code, kept, cfg.Hash(), body)
 	}
 
 	cfg.Cache = store

@@ -57,11 +57,6 @@ type Record struct {
 	Hash   string
 	Config core.Config
 	Result core.Result
-	// PhaseShares, when the run carried a phase profiler, is the fraction of
-	// engine wall time per pipeline phase — store metadata, not part of the
-	// Result (wall time is not deterministic, so it must never flow back
-	// into one).
-	PhaseShares map[string]float64 `json:",omitempty"`
 }
 
 // Store is a persistent, concurrency-safe run store. The zero value is not

@@ -174,9 +174,10 @@ func (c *Convergence) Add(sample *Stratified) bool {
 func (c *Convergence) Samples() int { return len(c.sampleMeans) }
 
 // Estimate reports the run's latency estimate: the mean of the latest three
-// or more sample means (0 with fewer than two samples), the larger of the
-// two convergence bounds (the latest stratified bound alone with fewer than
-// two samples, and 0 with none), and whether the stopping rule was met.
+// or more sample means (the only sample's mean with one, 0 with none), the
+// larger of the two convergence bounds (the latest stratified bound alone
+// with fewer than two samples, and 0 with none), and whether the stopping
+// rule was met.
 func (c *Convergence) Estimate() (mean, bound float64, converged bool) {
 	across, mean := c.acrossSampleBound()
 	bound = math.Max(c.lastBound, across)
@@ -190,11 +191,15 @@ func (c *Convergence) Estimate() (mean, bound float64, converged bool) {
 }
 
 // acrossSampleBound returns the across-sample error bound (2 * stderr of the
-// sample means) and their mean, over the latest three or more samples.
+// sample means) and their mean, over the latest three or more samples. A
+// single sample has a mean but no bound (+Inf); none has neither.
 func (c *Convergence) acrossSampleBound() (bound, mean float64) {
 	n := len(c.sampleMeans)
 	if n < 2 {
-		return math.Inf(1), 0
+		if n == 1 {
+			mean = c.sampleMeans[0]
+		}
+		return math.Inf(1), mean
 	}
 	// Use the latest three or more samples, per the paper.
 	window := c.sampleMeans

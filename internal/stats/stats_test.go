@@ -238,14 +238,14 @@ func TestConvergenceLastAllowedSampleNotConverged(t *testing.T) {
 
 // TestConvergenceEstimateBeforeTwoSamples: with one sample there is no
 // across-sample bound, so the reported bound is that sample's stratified
-// bound, not +Inf, and the reported mean is 0.
+// bound, not +Inf, and the reported mean is that sample's mean.
 func TestConvergenceEstimateBeforeTwoSamples(t *testing.T) {
 	c := &Convergence{MinSamples: 3, MaxSamples: 12, Tolerance: 0.05}
 	s := pair(1, 3)
 	c.Add(s)
 	mean, bound, converged := c.Estimate()
-	if mean != 0 || bound != s.ErrorBound() || converged {
-		t.Errorf("Estimate = %v, %v, %v; want 0, %v, false", mean, bound, converged, s.ErrorBound())
+	if mean != 2 || bound != s.ErrorBound() || converged {
+		t.Errorf("Estimate = %v, %v, %v; want 2, %v, false", mean, bound, converged, s.ErrorBound())
 	}
 	if bound != 2 {
 		t.Errorf("bound = %v, want 2 (two standard errors of {1, 3})", bound)
