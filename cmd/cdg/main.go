@@ -89,12 +89,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runCertify(cert, *out, stdout, stderr)
 	}
 
-	var g *topology.Grid
-	if *mesh {
-		g = topology.NewMesh(*k, *n)
-	} else {
-		g = topology.NewTorus(*k, *n)
-	}
+	g := topology.New(*k, *n, *mesh)
 
 	names := routing.Names()
 	if *algName != "" {

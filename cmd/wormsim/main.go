@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.InjectionPorts, "ports", 0, "concurrent injection ports per node (default 2, -1 unlimited)")
 	fs.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
-	replicas := fs.Int("replicas", 1, "simulate this many seeds of every point as independent runs across the machine's cores, reported with their across-seed spread (0 = one per sampling period budget); replica r uses seed + r*0x9e3779b97f4a7c15")
+	replicas := fs.Int("replicas", 1, "simulate this many seeds of every point as independent runs across the machine's cores, reported with their across-seed spread (0 = one per sampling period budget); replica r uses seed + r")
 	fs.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles (default 5000)")
 	fs.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sampling period (default 2000)")
 	fs.IntVar(&cfg.MaxSamples, "maxsamples", 0, "maximum sampling periods (default 12)")
@@ -427,18 +427,11 @@ func (c *cli) grid(cfg core.Config, algs []string, loads []float64) error {
 	enc := json.NewEncoder(w)
 	for _, series := range fr.Series {
 		for _, r := range series.Results {
-			state := "ok"
-			switch {
-			case r.Deadlocked:
-				state = "deadlock"
-			case !r.Converged:
-				state = "max-samples"
-			}
 			switch c.format {
 			case "csv":
 				fmt.Fprintf(w, "%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%.5f,%d,%d,%d,%d,%s\n",
 					r.Algorithm, r.Pattern, r.Switching, r.OfferedLoad, r.AvgLatency, r.LatencyBound,
-					r.Throughput, r.InjectionRate, r.Generated, r.Dropped, r.Delivered, r.Samples, state)
+					r.Throughput, r.InjectionRate, r.Generated, r.Dropped, r.Delivered, r.Samples, r.State())
 			case "json":
 				r.ChannelFlits = nil // keep the records small
 				if err := enc.Encode(r); err != nil {
@@ -446,7 +439,7 @@ func (c *cli) grid(cfg core.Config, algs []string, loads []float64) error {
 				}
 			default:
 				fmt.Fprintf(w, "%-8s %-10s %8.2f %10.1f %10.1f %10.4f %8s\n",
-					r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, state)
+					r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, r.State())
 			}
 			if cfg.Telemetry != nil && cfg.Telemetry.Metrics && r.Telemetry != nil {
 				top := r.Telemetry.BusiestChannels(1)[0]
@@ -487,10 +480,7 @@ func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int)
 	if n <= 0 {
 		n = eff.MaxSamples
 	}
-	seeds := make([]uint64, n)
-	for r := range seeds {
-		seeds[r] = cfg.Seed + uint64(r)*0x9e3779b97f4a7c15
-	}
+	seeds := core.ReplicaSeeds(cfg.Seed, n)
 	workers := runtime.GOMAXPROCS(0)
 	w := c.stdout
 	switch c.format {
@@ -606,14 +596,9 @@ func writeBlame(prefix string, cfg core.Config, f *forensics.Summary) error {
 	if err := os.WriteFile(prefix+".json", append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	top := f.TopRoots(4)
-	rootChs := make([]int, len(top))
-	for i, r := range top {
-		rootChs[i] = r.Ch
-	}
 	title := fmt.Sprintf("%s %s rho=%.2f — blame (every %d)",
 		cfg.Algorithm, cfg.Pattern, cfg.OfferedLoad, f.SampleEvery)
-	svg := viz.BlameSVG(cfg.Grid(), f.BlameByChannel, rootChs, title)
+	svg := viz.BlameSVG(cfg.Grid(), f.BlameByChannel, f.TopRoots(4), title)
 	return os.WriteFile(prefix+".svg", []byte(svg), 0o644)
 }
 

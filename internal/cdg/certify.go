@@ -38,12 +38,7 @@ type Instance struct {
 }
 
 // Grid materializes the instance.
-func (i Instance) Grid() *topology.Grid {
-	if i.Wrap {
-		return topology.NewTorus(i.K, i.N)
-	}
-	return topology.NewMesh(i.K, i.N)
-}
+func (i Instance) Grid() *topology.Grid { return topology.New(i.K, i.N, !i.Wrap) }
 
 // String renders the instance compactly, e.g. "4x4x4 torus".
 func (i Instance) String() string {

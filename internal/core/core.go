@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"wormsim/internal/forensics"
@@ -331,12 +332,7 @@ func (c *Config) ApplyDefaults() {
 }
 
 // Grid builds the configured topology.
-func (c *Config) Grid() *topology.Grid {
-	if c.Mesh {
-		return topology.NewMesh(c.K, c.N)
-	}
-	return topology.NewTorus(c.K, c.N)
-}
+func (c *Config) Grid() *topology.Grid { return topology.New(c.K, c.N, c.Mesh) }
 
 // Result reports one simulation point. It marshals cleanly to JSON for
 // external tooling.
@@ -406,13 +402,24 @@ type Result struct {
 	TraceEvents []telemetry.Event `json:"-"`
 }
 
-// String renders a one-line summary.
+// State labels how the point ended: "deadlock" when the watchdog stopped
+// it, "max-samples" when it took every allowed sample without converging,
+// and "ok" otherwise. Every writer that marks a point's state uses it.
+func (r Result) State() string {
+	switch {
+	case r.Deadlocked:
+		return "deadlock"
+	case !r.Converged:
+		return "max-samples"
+	}
+	return "ok"
+}
+
+// String renders a one-line summary; a deadlock is shouted.
 func (r Result) String() string {
-	state := "ok"
+	state := r.State()
 	if r.Deadlocked {
-		state = "DEADLOCK"
-	} else if !r.Converged {
-		state = "max-samples"
+		state = strings.ToUpper(state)
 	}
 	return fmt.Sprintf("%-5s %-9s rho=%.2f lat=%7.1f+-%-5.1f thr=%.3f drops=%d [%s]",
 		r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, r.Dropped, state)
@@ -448,6 +455,23 @@ func Run(cfg Config) (Result, error) {
 	engines.idle = append(engines.idle, eng) //lint:allow purity (engine free list; Reset leaves a recycled engine indistinguishable from a new one, test-pinned)
 	engines.Unlock()
 	return r, err
+}
+
+// sampleSeed is what a run seeded seed reseeds its engine with before
+// sample k's gap: seed + k·G, G the 64-bit golden ratio. Replicas of a
+// point are seeded seed + r (ReplicaSeeds), so replica r's reseeds
+// seed + r + k·G never meet another replica's seeds; a replica stride of G
+// would make replica r's sample k replay replica r-1's sample k+1.
+func sampleSeed(seed uint64, k int) uint64 { return seed + uint64(k)*0x9e3779b97f4a7c15 }
+
+// ReplicaSeeds returns the seeds of n independent replicas of a point
+// seeded seed: seed + r for replica r.
+func ReplicaSeeds(seed uint64, n int) []uint64 {
+	seeds := make([]uint64, n)
+	for r := range seeds {
+		seeds[r] = seed + uint64(r)
+	}
+	return seeds
 }
 
 // runOn is Run on a caller-supplied engine, re-initialised for the point
@@ -606,7 +630,7 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 			break
 		}
 		// Unmeasured gap with fresh random streams, per the paper.
-		eng.Reseed(cfg.Seed + uint64(conv.Samples())*0x9e3779b97f4a7c15)
+		eng.Reseed(sampleSeed(cfg.Seed, conv.Samples()))
 		if err := runFor(cfg.GapCycles); err != nil {
 			deadlock = err
 			break
@@ -689,10 +713,12 @@ func RunCached(cfg Config) (r Result, hit bool, err error) {
 }
 
 // PeakThroughput returns the maximum achieved throughput in results and the
-// offered load where it occurred.
+// offered load where it occurred. Deadlocked points never win: their
+// throughput describes a collapsed network (viz.CurveSeries.SaturationIndex
+// rings the same point).
 func PeakThroughput(results []Result) (peak, atLoad float64) {
 	for _, r := range results {
-		if r.Throughput > peak {
+		if !r.Deadlocked && r.Throughput > peak {
 			peak, atLoad = r.Throughput, r.OfferedLoad
 		}
 	}

@@ -142,18 +142,21 @@ func RunFigure(spec FigureSpec, base Config, onDone func(i int, r Result)) (Figu
 // — the textual equivalent of the paper's two plots per figure.
 func (fr FigureResult) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "# %s: %s\n", fr.Spec.ID, fr.Spec.Title)
-	writeGrid(w, "average latency (cycles)", fr, func(r Result) string {
-		if r.Deadlocked {
+	writeGrid(w, "average latency (cycles)", fr, func(r Result) string { return cell(r, "%.1f", r.AvgLatency, true) })
+	writeGrid(w, "achieved channel utilization", fr, func(r Result) string { return cell(r, "%.3f", r.Throughput, true) })
+}
+
+// cell renders one table entry of a figure: v in format, or the point's
+// State where the value means nothing. Only deadlocked points have no
+// value; abbrev shortens their label to fit the text table's columns.
+func cell(r Result, format string, v float64, abbrev bool) string {
+	if st := r.State(); st == "deadlock" {
+		if abbrev {
 			return "dlock"
 		}
-		return fmt.Sprintf("%.1f", r.AvgLatency)
-	})
-	writeGrid(w, "achieved channel utilization", fr, func(r Result) string {
-		if r.Deadlocked {
-			return "dlock"
-		}
-		return fmt.Sprintf("%.3f", r.Throughput)
-	})
+		return st
+	}
+	return fmt.Sprintf(format, v)
 }
 
 // writeGrid renders one metric grid.
@@ -183,16 +186,9 @@ func (fr FigureResult) WriteCSV(w io.Writer) {
 	fmt.Fprintln(w, "figure,algorithm,offered,latency,latency_bound,throughput,injection_rate,dropped,delivered,state")
 	for _, s := range fr.Series {
 		for _, r := range s.Results {
-			state := "ok"
-			switch {
-			case r.Deadlocked:
-				state = "deadlock"
-			case !r.Converged:
-				state = "max-samples"
-			}
 			fmt.Fprintf(w, "%s,%s,%.3f,%.2f,%.2f,%.4f,%.5f,%d,%d,%s\n",
 				fr.Spec.ID, s.Algorithm, r.OfferedLoad, r.AvgLatency, r.LatencyBound,
-				r.Throughput, r.InjectionRate, r.Dropped, r.Delivered, state)
+				r.Throughput, r.InjectionRate, r.Dropped, r.Delivered, r.State())
 		}
 	}
 }

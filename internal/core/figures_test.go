@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"wormsim/internal/viz"
 )
 
 func TestFiguresSpecIntegrity(t *testing.T) {
@@ -168,5 +170,50 @@ func TestRunFigureTiny(t *testing.T) {
 	// At 8x8 with these loads, nbc must beat ecube on peak throughput.
 	if peaks[0].Algorithm != "nbc" {
 		t.Errorf("expected nbc on top, got %+v", peaks)
+	}
+}
+
+// TestPeakSkipsDeadlockedPoints: the peak every writer prints is the point
+// /compare.svg rings as saturation. A deadlocked point never wins, even when
+// its collapsed-network throughput is the largest in the series.
+func TestPeakSkipsDeadlockedPoints(t *testing.T) {
+	results := []Result{
+		{OfferedLoad: 0.1, Throughput: 0.1},
+		{OfferedLoad: 0.2, Throughput: 0.19},
+		{OfferedLoad: 0.3, Throughput: 0.4, Deadlocked: true},
+		{OfferedLoad: 0.4, Throughput: 0.17},
+	}
+	peak, at := PeakThroughput(results)
+	if peak != 0.19 || at != 0.2 {
+		t.Errorf("PeakThroughput = %v at %v, want 0.19 at 0.2", peak, at)
+	}
+	s := viz.CurveSeries{Name: "x"}
+	for _, r := range results {
+		s.Loads = append(s.Loads, r.OfferedLoad)
+		s.Throughput = append(s.Throughput, r.Throughput)
+		s.Deadlocked = append(s.Deadlocked, r.Deadlocked)
+	}
+	if i := s.SaturationIndex(); s.Loads[i] != at {
+		t.Errorf("SaturationIndex rings offered %v, PeakThroughput reports %v", s.Loads[i], at)
+	}
+	if p, _ := PeakThroughput(results[2:3]); p != 0 {
+		t.Errorf("an all-deadlocked series peaks at %v, want 0", p)
+	}
+}
+
+// TestResultState: one label per way a point can end, deadlock first.
+func TestResultState(t *testing.T) {
+	for _, c := range []struct {
+		r    Result
+		want string
+	}{
+		{Result{Converged: true}, "ok"},
+		{Result{}, "max-samples"},
+		{Result{Deadlocked: true}, "deadlock"},
+		{Result{Deadlocked: true, Converged: true}, "deadlock"},
+	} {
+		if got := c.r.State(); got != c.want {
+			t.Errorf("%+v.State() = %q, want %q", c.r, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -192,5 +193,28 @@ func TestSweepReplicatedEmptyAndSingle(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], want) {
 		t.Errorf("single replica diverges from Run\n got: %+v\nwant: %+v", got[0], want)
+	}
+}
+
+// TestReplicaSeedsNeverShareStreams: every seed an engine takes across the
+// replicas of one point — each replica's initial seed and its reseed before
+// every later sample — is distinct, so replicas never replay each other's
+// arrival streams.
+func TestReplicaSeedsNeverShareStreams(t *testing.T) {
+	const replicas, samples = 64, 16
+	for _, base := range []uint64{1, 0x5eed, 1 << 63, ^uint64(0) - 3} {
+		seen := map[uint64]string{}
+		use := func(seed uint64, who string) {
+			if prev, ok := seen[seed]; ok {
+				t.Fatalf("base %#x: %s reuses seed %#x of %s", base, who, seed, prev)
+			}
+			seen[seed] = who
+		}
+		for r, seed := range ReplicaSeeds(base, replicas) {
+			use(seed, fmt.Sprintf("replica %d's initial seed", r))
+			for k := 1; k < samples; k++ {
+				use(sampleSeed(seed, k), fmt.Sprintf("replica %d's sample-%d reseed", r, k))
+			}
+		}
 	}
 }

@@ -12,18 +12,8 @@ func (fr FigureResult) WriteMarkdown(w io.Writer) {
 	fmt.Fprintf(w, "## %s — %s\n\n", fr.Spec.ID, fr.Spec.Title)
 	fmt.Fprintf(w, "Pattern `%s`, %s switching.\n\n", fr.Spec.Pattern, fr.Spec.Switching)
 
-	writeMarkdownGrid(w, "Average latency (cycles)", fr, func(r Result) string {
-		if r.Deadlocked {
-			return "deadlock"
-		}
-		return fmt.Sprintf("%.1f", r.AvgLatency)
-	})
-	writeMarkdownGrid(w, "Achieved channel utilization", fr, func(r Result) string {
-		if r.Deadlocked {
-			return "deadlock"
-		}
-		return fmt.Sprintf("%.3f", r.Throughput)
-	})
+	writeMarkdownGrid(w, "Average latency (cycles)", fr, func(r Result) string { return cell(r, "%.1f", r.AvgLatency, false) })
+	writeMarkdownGrid(w, "Achieved channel utilization", fr, func(r Result) string { return cell(r, "%.3f", r.Throughput, false) })
 
 	fmt.Fprintf(w, "### Peaks\n\n")
 	fmt.Fprintf(w, "| algorithm | peak throughput | at offered | saturates near |\n")

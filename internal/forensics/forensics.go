@@ -194,9 +194,6 @@ func zeroed(s []int64, n int) []int64 {
 	return s
 }
 
-// SampleEvery returns the effective sampling period.
-func (a *Analyzer) SampleEvery() int64 { return a.opts.SampleEvery }
-
 // StartCycle opens one simulation cycle and reports whether this cycle is
 // sampled: if so, the engine records a wait-for edge for every head-blocked
 // worm (Blocked) and then calls Resolve in the same cycle, while the slot

@@ -10,7 +10,7 @@ import (
 func sample(t *testing.T, a *Analyzer, cycle int64, edges [][3]int32) {
 	t.Helper()
 	if !a.StartCycle(cycle) {
-		t.Fatalf("cycle %d not sampled at every=%d", cycle, a.SampleEvery())
+		t.Fatalf("cycle %d not sampled at every=1", cycle)
 	}
 	for i, e := range edges {
 		holderID := int64(-1)

@@ -1371,9 +1371,6 @@ func (n *Network) Drain(maxCycles int64) error {
 	return nil
 }
 
-// Limiter exposes the congestion limiter (nil when disabled).
-func (n *Network) Limiter() *congestion.Limiter { return n.limiter }
-
 // EffectiveChannels returns the channel count to normalize utilization by:
 // the grid's unidirectional channel count, halved under half-duplex links.
 func (n *Network) EffectiveChannels() int {

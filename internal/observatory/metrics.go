@@ -95,7 +95,7 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 		// Per-channel busy cycles, labeled with the channel's topology
 		// coordinates. A 16-ary 2-cube torus has 1024 channel slots; one
 		// series each is fine for a scrape.
-		g := grid(st.K, st.N, st.Mesh)
+		g := topology.New(st.K, st.N, st.Mesh)
 		for ch, busy := range tel.ChannelBusy {
 			if busy == 0 {
 				continue // idle channels stay out of the exposition
@@ -122,7 +122,7 @@ func (p *Publisher) WriteMetrics(w io.Writer) error {
 		mw.metric("wormsim_forensics_wait_cycles_total", "counter",
 			"Runtime wait-for cycles detected (near-deadlock early warning).", "", float64(f.WaitCycles))
 
-		g := grid(st.K, st.N, st.Mesh)
+		g := topology.New(st.K, st.N, st.Mesh)
 		for ch, v := range f.BlameByChannel {
 			if v == 0 {
 				continue // channels never blamed stay out of the exposition
@@ -224,12 +224,4 @@ func (mw *metricWriter) histogram(name, help, labels string, buckets []stats.Cum
 // round-trippable decimal.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// grid rebuilds the run's topology for channel labeling.
-func grid(k, n int, mesh bool) *topology.Grid {
-	if mesh {
-		return topology.NewMesh(k, n)
-	}
-	return topology.NewTorus(k, n)
 }

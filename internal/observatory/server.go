@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"time"
 
+	"wormsim/internal/topology"
 	"wormsim/internal/viz"
 )
 
@@ -206,7 +207,7 @@ func (s *Server) handleBlame(w http.ResponseWriter, _ *http.Request) {
 	}
 	ev := snap.State
 	f := ev.Forensics
-	g := grid(ev.K, ev.N, ev.Mesh)
+	g := topology.New(ev.K, ev.N, ev.Mesh)
 	roots := []blameRoot{}
 	for _, r := range f.TopRoots(8) {
 		node, dim, dir := g.ChannelInfo(r.Ch)
@@ -232,19 +233,14 @@ func (s *Server) handleBlameSVG(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "image/svg+xml")
 	snap := s.pub.Snapshot()
 	if snap == nil || snap.State == nil || snap.State.Forensics == nil || snap.State.K < 1 || snap.State.N < 1 {
-		fmt.Fprint(w, `<svg xmlns="http://www.w3.org/2000/svg" width="360" height="48"><text x="16" y="28" font-family="system-ui,sans-serif" font-size="13" fill="#52514e">no forensics summary yet (run with -forensics)</text></svg>`)
+		fmt.Fprint(w, viz.Notice("no forensics summary yet (run with -forensics)"))
 		return
 	}
 	ev := snap.State
 	f := ev.Forensics
-	top := f.TopRoots(4)
-	rootChs := make([]int, len(top))
-	for i, r := range top {
-		rootChs[i] = r.Ch
-	}
 	title := fmt.Sprintf("%s %s rho=%.2f — blame through cycle %d (every %d)",
 		ev.Algorithm, ev.Pattern, ev.OfferedLoad, ev.Cycle, f.SampleEvery)
-	fmt.Fprint(w, viz.BlameSVG(grid(ev.K, ev.N, ev.Mesh), f.BlameByChannel, rootChs, title))
+	fmt.Fprint(w, viz.BlameSVG(topology.New(ev.K, ev.N, ev.Mesh), f.BlameByChannel, f.TopRoots(4), title))
 }
 
 func (s *Server) handleHeatmapPage(w http.ResponseWriter, _ *http.Request) {
@@ -265,10 +261,10 @@ func (s *Server) handleHeatmapSVG(w http.ResponseWriter, _ *http.Request) {
 	// topology, or an engine that published before moving any flit) get a
 	// valid placeholder document, never a malformed grid.
 	if snap == nil || snap.State == nil || snap.State.K < 1 || snap.State.N < 1 || len(snap.State.ChannelFlits) == 0 {
-		fmt.Fprint(w, `<svg xmlns="http://www.w3.org/2000/svg" width="320" height="48"><text x="16" y="28" font-family="system-ui,sans-serif" font-size="13" fill="#52514e">waiting for first tick</text></svg>`)
+		fmt.Fprint(w, viz.Notice("waiting for first tick"))
 		return
 	}
 	ev := snap.State
 	title := fmt.Sprintf("%s %s rho=%.2f — cycle %d", ev.Algorithm, ev.Pattern, ev.OfferedLoad, ev.Cycle)
-	fmt.Fprint(w, viz.HeatmapSVG(grid(ev.K, ev.N, ev.Mesh), ev.ChannelFlits, title))
+	fmt.Fprint(w, viz.HeatmapSVG(topology.New(ev.K, ev.N, ev.Mesh), ev.ChannelFlits, title))
 }

@@ -14,7 +14,6 @@ package telemetry
 
 import (
 	"sort"
-	"strconv"
 
 	"wormsim/internal/stats"
 )
@@ -327,38 +326,4 @@ func (s *Summary) TotalHeadBlocked() int64 {
 		t += v
 	}
 	return t
-}
-
-// Metric is one named observable, for generic rendering of a Summary as a
-// registry of counters and gauges.
-type Metric struct {
-	Name string
-	// Kind is "counter" or "gauge".
-	Kind string
-	// Value is the counter total or gauge mean.
-	Value float64
-	// Max is the gauge maximum (0 for counters).
-	Max float64
-}
-
-// Metrics flattens the summary into a deterministic metric list.
-func (s *Summary) Metrics() []Metric {
-	out := []Metric{
-		{Name: "cycles", Kind: "counter", Value: float64(s.Cycles)},
-		{Name: "congestion_drops", Kind: "counter", Value: float64(s.Drops)},
-		{Name: "head_blocked_cycles", Kind: "counter", Value: float64(s.TotalHeadBlocked())},
-		{Name: "injection_queue_depth", Kind: "gauge", Value: s.InjQueueMean, Max: s.InjQueueMax},
-	}
-	var busy int64
-	for _, b := range s.ChannelBusy {
-		busy += b
-	}
-	out = append(out, Metric{Name: "channel_busy_cycles", Kind: "counter", Value: float64(busy)})
-	for i := range s.VCOccupancyMean {
-		out = append(out, Metric{
-			Name: "vc_occupancy_class_" + strconv.Itoa(i), Kind: "gauge",
-			Value: s.VCOccupancyMean[i], Max: s.VCOccupancyMax[i],
-		})
-	}
-	return out
 }

@@ -60,17 +60,6 @@ func TestCollectorMetrics(t *testing.T) {
 	if got := s.BusiestChannels(4); got[2] != 1 || got[3] != 3 {
 		t.Errorf("BusiestChannels(4) = %v, want tail [1 3]", got)
 	}
-	ms := s.Metrics()
-	byName := map[string]Metric{}
-	for _, m := range ms {
-		byName[m.Name] = m
-	}
-	if m := byName["channel_busy_cycles"]; m.Value != 3 || m.Kind != "counter" {
-		t.Errorf("channel_busy_cycles = %+v", m)
-	}
-	if m := byName["vc_occupancy_class_1"]; m.Kind != "gauge" || m.Max != 1 {
-		t.Errorf("vc_occupancy_class_1 = %+v", m)
-	}
 }
 
 func TestRingEvictionAndSampling(t *testing.T) {

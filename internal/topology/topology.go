@@ -56,6 +56,9 @@ func NewTorus(k, n int) *Grid { return newGrid(k, n, true) }
 // panics if k < 2 or n < 1.
 func NewMesh(k, n int) *Grid { return newGrid(k, n, false) }
 
+// New returns NewMesh(k, n) if mesh is set and NewTorus(k, n) otherwise.
+func New(k, n int, mesh bool) *Grid { return newGrid(k, n, !mesh) }
+
 func newGrid(k, n int, wrap bool) *Grid {
 	if k < 2 {
 		panic(fmt.Sprintf("topology: radix k = %d must be >= 2", k))

@@ -1,9 +1,7 @@
 package viz
 
 import (
-	"fmt"
-	"strings"
-
+	"wormsim/internal/forensics"
 	"wormsim/internal/topology"
 )
 
@@ -15,124 +13,30 @@ var redRamp = []string{
 	"#e5735f", "#dc5e4c", "#cd503e", "#ba4434", "#a5392b", "#8e2e22", "#76241a",
 }
 
-// rampAt maps v in [0, max] onto ramp (lightest step for zero, darkest for
-// the maximum).
-func rampAt(ramp []string, v, max float64) string {
-	if max <= 0 || v <= 0 {
-		return ramp[0]
-	}
-	idx := int(v / max * float64(len(ramp)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(ramp) {
-		idx = len(ramp) - 1
-	}
-	return ramp[idx]
-}
+var blameMap = nodeMap{view: "blame map", down: true, ramp: redRamp, unit: "blamed worm-cycles",
+	legend: "worm-cycles (most blamed node)", legendX: 160}
 
-// svgNotice renders a small valid SVG document carrying only a message, for
-// states where a real map would be a lie (no data yet, wrong dimensionality).
-func svgNotice(msg string) string {
-	w, h := 360, 48
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`+"\n", w, h, svgSurface)
-	fmt.Fprintf(&b, `<text x="%d" y="28" font-family="system-ui,sans-serif" font-size="13" fill="%s">%s</text>`+"\n", svgPad, svgMutedInk, escapeXML(msg))
-	b.WriteString("</svg>\n")
-	return b.String()
-}
-
-// BlameSVG renders congestion-blame mass as a 2-D node grid: each cell sums
-// the blame attributed to the channels feeding that node (a channel's blame
-// lands on its downstream endpoint, where the contended buffers live), filled
-// from a sequential red ramp scaled to the most-blamed node. Nodes fed by a
-// rootChs entry — the top congestion-tree roots — get a ring stroke so the
+// BlameSVG renders congestion-blame mass as a 2-D node grid (see
+// nodeMap.draw): each cell sums the blame attributed to the channels feeding
+// that node (a channel's blame lands on its downstream endpoint, where the
+// contended buffers live), on a sequential red ramp scaled to the
+// most-blamed node. Nodes fed by a root channel — the top congestion-tree
+// roots, as forensics.Summary.TopRoots ranks them — get a ring stroke so the
 // roots stand out even when several neighbours carry similar mass. blame is
 // the dense per-channel-slot vector from forensics.Summary.BlameByChannel.
-// Output is a pure function of the inputs, so identical runs produce
-// byte-identical documents.
-func BlameSVG(g *topology.Grid, blame []int64, rootChs []int, title string) string {
+func BlameSVG(g *topology.Grid, blame []int64, roots []forensics.Root, title string) string {
 	var total int64
 	for _, v := range blame {
 		total += v
 	}
 	if total == 0 {
-		return svgNotice("no blame recorded yet")
-	}
-	if g.N() != 2 {
-		return svgNotice(fmt.Sprintf("blame map needs a 2-D grid, have %d dims", g.N()))
-	}
-
-	k := g.K()
-	perNode := make([]float64, g.Nodes())
-	for ch, v := range blame {
-		if ch >= g.ChannelSlots() {
-			break
-		}
-		if v == 0 {
-			continue
-		}
-		up, dim, dir := g.ChannelInfo(ch)
-		if g.HasChannel(up, dim, dir) {
-			perNode[g.Neighbor(up, dim, dir)] += float64(v)
-		}
+		return Notice("no blame recorded yet")
 	}
 	ringed := make([]bool, g.Nodes())
-	for _, ch := range rootChs {
-		if ch < 0 || ch >= g.ChannelSlots() {
-			continue
-		}
-		up, dim, dir := g.ChannelInfo(ch)
-		if g.HasChannel(up, dim, dir) {
-			ringed[g.Neighbor(up, dim, dir)] = true
+	for _, r := range roots {
+		if id := endpoint(g, r.Ch, true); id >= 0 {
+			ringed[id] = true
 		}
 	}
-	max := 0.0
-	for _, v := range perNode {
-		if v > max {
-			max = v
-		}
-	}
-
-	gridSpan := k*svgCell + (k-1)*svgGap
-	w := gridSpan + 2*svgPad
-	if w < 320 {
-		w = 320
-	}
-	h := svgTitleRoom + gridSpan + svgLegendH + 2*svgPad
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d" role="img">`+"\n", w, h, w, h)
-	fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`+"\n", w, h, svgSurface)
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="system-ui,sans-serif" font-size="13" font-weight="600" fill="%s">%s</text>`+"\n",
-		svgPad, svgPad+12, svgInk, escapeXML(title))
-
-	top := svgPad + svgTitleRoom
-	for y := 0; y < k; y++ {
-		for x := 0; x < k; x++ {
-			id := g.ID([]int{x, y})
-			v := perNode[id]
-			cx := svgPad + x*(svgCell+svgGap)
-			cy := top + y*(svgCell+svgGap)
-			ring, note := "", ""
-			if ringed[id] {
-				ring = fmt.Sprintf(` stroke="%s" stroke-width="2"`, svgInk)
-				note = " (tree root)"
-			}
-			fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="%d" rx="3" fill="%s"%s><title>node (%d,%d): %.0f blamed worm-cycles%s</title></rect>`+"\n",
-				cx, cy, svgCell, svgCell, rampAt(redRamp, v, max), ring, x, y, v, note)
-		}
-	}
-
-	ly := top + gridSpan + 14
-	sw := 14
-	for i, c := range redRamp {
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="%d" height="10" fill="%s"/>`+"\n", svgPad+i*sw, ly, sw, c)
-	}
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="system-ui,sans-serif" font-size="11" fill="%s">0</text>`+"\n", svgPad, ly+22, svgMutedInk)
-	fmt.Fprintf(&b, `<text x="%d" y="%d" text-anchor="end" font-family="system-ui,sans-serif" font-size="11" fill="%s">%.0f worm-cycles (most blamed node)</text>`+"\n",
-		svgPad+len(redRamp)*sw+160, ly+22, svgMutedInk, max)
-	b.WriteString("</svg>\n")
-	return b.String()
+	return blameMap.draw(g, blame, ringed, title)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormsim/internal/forensics"
 	"wormsim/internal/topology"
 )
 
@@ -12,7 +13,7 @@ func TestBlameSVG(t *testing.T) {
 	blame := make([]int64, g.ChannelSlots())
 	blame[5] = 40
 	blame[9] = 10
-	out := BlameSVG(g, blame, []int{5}, `nbc "hotspot" <run>`)
+	out := BlameSVG(g, blame, []forensics.Root{{Ch: 5}}, `nbc "hotspot" <run>`)
 	if !strings.HasPrefix(out, "<svg ") || !strings.HasSuffix(out, "</svg>\n") {
 		t.Fatalf("not a standalone SVG document:\n%.120s", out)
 	}
@@ -32,7 +33,7 @@ func TestBlameSVG(t *testing.T) {
 		t.Error("title not XML-escaped")
 	}
 	// Pure function: identical inputs render byte-identical documents.
-	if out != BlameSVG(g, blame, []int{5}, `nbc "hotspot" <run>`) {
+	if out != BlameSVG(g, blame, []forensics.Root{{Ch: 5}}, `nbc "hotspot" <run>`) {
 		t.Error("output not deterministic")
 	}
 }
@@ -58,7 +59,7 @@ func TestBlameSVGIgnoresBogusRoots(t *testing.T) {
 	g := topology.NewTorus(4, 2)
 	blame := make([]int64, g.ChannelSlots())
 	blame[3] = 5
-	out := BlameSVG(g, blame, []int{-1, g.ChannelSlots() + 7}, "t")
+	out := BlameSVG(g, blame, []forensics.Root{{Ch: -1}, {Ch: g.ChannelSlots() + 7}}, "t")
 	if strings.Contains(out, "tree root") {
 		t.Error("out-of-range root channels must not ring any cell")
 	}

@@ -68,12 +68,7 @@ func CompareSVG(title string, series []CurveSeries) string {
 		}
 	}
 	if points == 0 {
-		w, h := 360, 48
-		fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
-		fmt.Fprintf(&b, `<rect width="%d" height="%d" fill="%s"/>`+"\n", w, h, svgSurface)
-		fmt.Fprintf(&b, `<text x="%d" y="28" font-family="system-ui,sans-serif" font-size="13" fill="%s">no comparable points yet</text>`+"\n", svgPad, svgMutedInk)
-		b.WriteString("</svg>\n")
-		return b.String()
+		return Notice("no comparable points yet")
 	}
 	if maxLoad <= 0 {
 		maxLoad = 1

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormsim/internal/forensics"
 	"wormsim/internal/topology"
 )
 
@@ -22,6 +23,15 @@ func gridCounts(g *topology.Grid) []int64 {
 		counts[ch] = int64(ch*37%23) * 5
 	}
 	return counts
+}
+
+// roots ranks channels as congestion-tree roots, as forensics reports them.
+func roots(chs ...int) []forensics.Root {
+	out := make([]forensics.Root, len(chs))
+	for i, ch := range chs {
+		out[i].Ch = ch
+	}
+	return out
 }
 
 // TestNodeGridGolden pins every document the node-grid views render, byte
@@ -42,9 +52,9 @@ func TestNodeGridGolden(t *testing.T) {
 		{"HeatmapSVG idle", HeatmapSVG(mesh, make([]int64, mesh.ChannelSlots()), "idle")},
 		{"HeatmapSVG empty", HeatmapSVG(torus, nil, "empty")},
 		{"HeatmapSVG 3-D", HeatmapSVG(cube, gridCounts(cube), "cube")},
-		{"BlameSVG torus", BlameSVG(torus, gridCounts(torus), []int{5, 17}, `blame "torus"`)},
-		{"BlameSVG mesh", BlameSVG(mesh, gridCounts(mesh), []int{1, 6}, "blame mesh")},
-		{"BlameSVG wide", BlameSVG(wide, gridCounts(wide), []int{0, 100, 200}, "wide")},
+		{"BlameSVG torus", BlameSVG(torus, gridCounts(torus), roots(5, 17), `blame "torus"`)},
+		{"BlameSVG mesh", BlameSVG(mesh, gridCounts(mesh), roots(1, 6), "blame mesh")},
+		{"BlameSVG wide", BlameSVG(wide, gridCounts(wide), roots(0, 100, 200), "wide")},
 		{"BlameSVG empty", BlameSVG(mesh, make([]int64, mesh.ChannelSlots()), nil, "none")},
 		{"BlameSVG 3-D", BlameSVG(cube, gridCounts(cube), nil, "cube")},
 		{"CompareSVG empty", CompareSVG("empty", nil)},

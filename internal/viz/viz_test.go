@@ -11,17 +11,20 @@ import (
 )
 
 func TestShadeBounds(t *testing.T) {
-	if shade(0, 10) != ' ' {
-		t.Errorf("zero load should render blank, got %q", shade(0, 10))
+	if c := pick(shades, 0, 10); c != ' ' {
+		t.Errorf("zero load should render blank, got %q", c)
 	}
-	if shade(10, 10) != '@' {
-		t.Errorf("max load should render '@', got %q", shade(10, 10))
+	if c := pick(shades, 10, 10); c != '@' {
+		t.Errorf("max load should render '@', got %q", c)
 	}
-	if shade(5, 0) != ' ' {
-		t.Errorf("zero max should render blank, got %q", shade(5, 0))
+	if c := pick(shades, 5, 0); c != ' ' {
+		t.Errorf("zero max should render blank, got %q", c)
 	}
-	if shade(20, 10) != '@' {
-		t.Errorf("overflow should clamp, got %q", shade(20, 10))
+	if c := pick(shades, 20, 10); c != '@' {
+		t.Errorf("overflow should clamp, got %q", c)
+	}
+	if c := pick(redRamp, -3, 10); c != redRamp[0] {
+		t.Errorf("negative value should clamp to the lightest step, got %q", c)
 	}
 }
 
@@ -34,7 +37,7 @@ func TestNodeTraffic(t *testing.T) {
 			counts[g.ChannelIndex(5, dim, dir)] = 3
 		}
 	}
-	per := NodeTraffic(g, counts)
+	per, _ := nodeSums(g, counts, false)
 	if per[5] != 12 {
 		t.Errorf("node 5 traffic = %v, want 12", per[5])
 	}
@@ -91,7 +94,7 @@ func TestHeatmapShowsHotspotTree(t *testing.T) {
 	if err := n.Run(5000); err != nil {
 		t.Fatal(err)
 	}
-	per := NodeTraffic(g, n.ChannelFlitCounts())
+	per, _ := nodeSums(g, n.ChannelFlitCounts(), false)
 	// The hot node's four neighbours funnel the hotspot traffic; the
 	// busiest node in the network must be adjacent to (or be) the hot node.
 	busiest := 0
