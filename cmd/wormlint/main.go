@@ -1,11 +1,8 @@
 // Command wormlint runs wormsim's domain-specific static-analysis suite
-// (see internal/lint), five passes: determinism of the simulation core
-// (simdeterminism), purity of the run entry points (purity), zero-alloc
-// discipline on the engine's whole-program per-cycle call graph (hotalloc),
-// nil-guarded observability hooks (hookguard) and %w wrapping of error
-// operands, which the exit statuses of the CLIs rely on (errfmt). A
-// //lint:allow directive that names no pass, or suppresses nothing, is a
-// [lintdirective] finding.
+// (see internal/lint), three passes: determinism of the simulation core
+// (simdeterminism), purity of the run entry points (purity) and
+// nil-guarded observability hooks (hookguard). A //lint:allow directive
+// that names no pass, or suppresses nothing, is a [lintdirective] finding.
 //
 //	wormlint ./...              # whole repo (the CI gate)
 //	wormlint ./internal/core    # one package

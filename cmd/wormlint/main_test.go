@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -15,10 +16,11 @@ func TestList(t *testing.T) {
 		t.Fatalf("run(-list) = %v\n%s", err, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-	if len(lines) != 5 {
-		t.Errorf("-list printed %d passes, want 5:\n%s", len(lines), stdout.String())
+	passes := lint.DefaultPasses()
+	if len(lines) != len(passes) {
+		t.Errorf("-list printed %d passes, want %d:\n%s", len(lines), len(passes), stdout.String())
 	}
-	for i, p := range lint.DefaultPasses() {
+	for i, p := range passes {
 		if i < len(lines) && !strings.HasPrefix(lines[i], p.Name()+" ") {
 			t.Errorf("-list line %d is %q, want pass %s", i, lines[i], p.Name())
 		}
@@ -47,16 +49,33 @@ func TestUsageExitsTwo(t *testing.T) {
 	}
 }
 
-// TestFindingsExitOne: a completed check with a finding prints it and exits
-// 1, which CI tells apart from a load failure's 2. The errfmt fixture holds
-// exactly one finding.
+// TestFindingsExitOne: a completed check with findings prints each one on
+// its own line and exits 1, which CI tells apart from a load failure's 2.
+// The hookguard fixture holds one finding per WANT marker.
 func TestFindingsExitOne(t *testing.T) {
+	const fixture = "../../internal/lint/testdata/src/hookbad"
+	src, err := os.ReadFile(fixture + "/hookbad.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, l := range strings.Split(string(src), "\n") {
+		if strings.HasSuffix(l, "// WANT hookguard") {
+			want++
+		}
+	}
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"../../internal/lint/testdata/src/errbad"}, &stdout, &stderr)
+	err = run([]string{fixture}, &stdout, &stderr)
 	if got := exitCode(err); got != 1 {
 		t.Errorf("run = %v: exit %d, want 1\n%s", err, got, stderr.String())
 	}
-	if lines := strings.Split(strings.TrimSpace(stdout.String()), "\n"); len(lines) != 1 || !strings.Contains(lines[0], "[errfmt]") {
-		t.Errorf("want one [errfmt] finding, got:\n%s", stdout.String())
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+	if len(lines) != want {
+		t.Errorf("want %d [hookguard] findings, got:\n%s", want, stdout.String())
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "[hookguard]") {
+			t.Errorf("finding %q is not a [hookguard] one", l)
+		}
 	}
 }

@@ -34,10 +34,8 @@ const (
 )
 
 // Check returns an error unless s names a switching technique the engine
-// implements; "" is wormhole, the default. It is the one admission rule for
-// switching: Run refuses a config it rejects, and RunCached and the
-// observatory's run API refuse one before they consult a store, so a stored
-// record of a retired technique is never served.
+// implements; "" is wormhole, the default. Config.Check applies it, so a
+// stored record of a retired technique is never served.
 func (s Switching) Check() error {
 	switch s {
 	case "", Wormhole, CutThrough:
@@ -474,20 +472,44 @@ func ReplicaSeeds(seed uint64, n int) []uint64 {
 	return seeds
 }
 
+// MaxNodes bounds the network a config may ask for: k^n nodes at most.
+const MaxNodes = 65536
+
+// Check applies the defaults to a copy of c and returns an error unless the
+// engine can build the result: a switching technique it implements
+// (Switching.Check), a radix k >= 2, a dimension n >= 1, messages of at
+// least one flit, and at most MaxNodes nodes, with k^n computed so that it
+// cannot overflow. It is the one admission rule: Run refuses a config it
+// rejects before anything is allocated, and RunCached and the observatory's
+// run API refuse one before they consult a store or queue a run.
+func (c Config) Check() error {
+	c.ApplyDefaults()
+	if err := c.Switching.Check(); err != nil {
+		return err
+	}
+	if c.K < 2 || c.N < 1 {
+		return fmt.Errorf("core: a %d-ary %d-cube needs radix k >= 2 and dimension n >= 1", c.K, c.N)
+	}
+	if c.MsgLen < 1 {
+		return fmt.Errorf("core: message length %d must be >= 1 flit", c.MsgLen)
+	}
+	for nodes, i := 1, 0; i < c.N; i++ {
+		if nodes > MaxNodes/c.K {
+			return fmt.Errorf("core: a %d-ary %d-cube has more than %d nodes", c.K, c.N, MaxNodes)
+		}
+		nodes *= c.K
+	}
+	return nil
+}
+
 // runOn is Run on a caller-supplied engine, re-initialised for the point
 // (network.Reset). The Result is a function of cfg alone — what eng ran
 // before cannot show, and no part of the Result aliases eng's memory.
 func runOn(eng *network.Network, cfg Config) (Result, error) {
-	cfg.ApplyDefaults()
-	if err := cfg.Switching.Check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return Result{}, err
 	}
-	if cfg.K < 2 || cfg.N < 1 {
-		return Result{}, fmt.Errorf("core: a %d-ary %d-cube needs radix k >= 2 and dimension n >= 1", cfg.K, cfg.N)
-	}
-	if cfg.MsgLen < 1 {
-		return Result{}, fmt.Errorf("core: message length %d must be >= 1 flit", cfg.MsgLen)
-	}
+	cfg.ApplyDefaults()
 	g := cfg.Grid()
 	alg, err := routing.Get(cfg.Algorithm)
 	if err != nil {
@@ -691,7 +713,7 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 func RunCached(cfg Config) (r Result, hit bool, err error) {
 	// A store may hold points of a switching technique since retired; never
 	// serve one for a config Run rejects.
-	if err := cfg.Switching.Check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return Result{}, false, err
 	}
 	if cfg.Cache == nil || (cfg.Telemetry != nil && cfg.Telemetry.Trace) {

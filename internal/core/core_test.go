@@ -167,6 +167,40 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestConfigCheck: the admission rule refuses, before anything is built,
+// every config the engine cannot build, with an error naming the bound. The
+// three oversized networks used to end the process (out of memory building
+// the grid) or wrap the node count to 0.
+func TestConfigCheck(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string // "" accepts
+	}{
+		{Config{}, ""},
+		{Config{K: 256, N: 2}, ""},
+		{Config{K: 2, N: 16}, ""},
+		{Config{K: 4294967297, N: 2}, "more than 65536 nodes"},
+		{Config{K: 3037000500, N: 2}, "more than 65536 nodes"},
+		{Config{K: 65536, N: 4}, "more than 65536 nodes"},
+		{Config{K: 2, N: 17}, "more than 65536 nodes"},
+		{Config{K: 1, N: 2}, "radix k >= 2"},
+		{Config{K: 4, N: -1}, "dimension n >= 1"},
+		{Config{MsgLen: -3}, "message length -3"},
+		{Config{Switching: "saf"}, Switching("saf").Check().Error()},
+	} {
+		err := c.cfg.Check()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("Config{K: %d, N: %d, MsgLen: %d, Switching: %q}.Check() = %v, want %q",
+				c.cfg.K, c.cfg.N, c.cfg.MsgLen, c.cfg.Switching, err, c.want)
+		}
+		if c.want != "" {
+			if _, err := Run(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Run(K %d, N %d) = %v, want the admission error %q", c.cfg.K, c.cfg.N, err, c.want)
+			}
+		}
+	}
+}
+
 // TestRunCachedRejectsRetiredSwitching: a store written while
 // store-and-forward was a switching technique may hold "saf" records. A
 // cache lookup must not serve one for a config Run now rejects.

@@ -1,31 +1,34 @@
 package core
 
 import (
-	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
+// TestParseLoadsRange: a range expands to exactly the loads its list form
+// parses to — upper bound included, no drift from adding the step up — so
+// a range point and the same load given alone hash alike.
 func TestParseLoadsRange(t *testing.T) {
-	loads, err := ParseLoads("0.1:0.5:0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.1, 0.3, 0.5}
-	if len(loads) != len(want) {
-		t.Fatalf("loads = %v, want %v", loads, want)
-	}
-	for i := range want {
-		if math.Abs(loads[i]-want[i]) > 1e-9 {
-			t.Errorf("loads[%d] = %v, want %v", i, loads[i], want[i])
+	for _, c := range []struct{ rng, list string }{
+		{"0.1:0.5:0.2", "0.1,0.3,0.5"},
+		{"0.1:1.0:0.1", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"},
+		{"0:0.3:0.05", "0,0.05,0.1,0.15,0.2,0.25,0.3"},
+		{"0.2:0.4:0.1", "0.2,0.3,0.4"},
+		{"1e-1:3e-1:1e-1", "0.1,0.2,0.3"},
+	} {
+		got, err := ParseLoads(c.rng)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The upper bound is included despite floating accumulation.
-	loads, err = ParseLoads("0.1:1.0:0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loads) != 10 {
-		t.Errorf("0.1:1.0:0.1 gave %d points, want 10", len(loads))
+		want, err := ParseLoads(c.list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("ParseLoads(%q) = %v, want %v (the list %q)", c.rng, got, want, c.list)
+		}
 	}
 }
 
@@ -40,9 +43,13 @@ func TestParseLoadsList(t *testing.T) {
 }
 
 func TestParseLoadsErrors(t *testing.T) {
-	for _, bad := range []string{"0.1:0.5", "a:b:c", "0.5:0.1:0.1", "0.1:0.5:0", "x,y", ""} {
+	for _, bad := range []string{"0.1:0.5", "a:b:c", "0.5:0.1:0.1", "0.1:0.5:0", "x,y", "", "0:1:NaN", "0:1:1e-12"} {
 		if _, err := ParseLoads(bad); err == nil {
 			t.Errorf("ParseLoads(%q) succeeded", bad)
 		}
+	}
+	// A tiny step is refused up front, by a bound the error names.
+	if _, err := ParseLoads("0:1:1e-12"); err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxLoadPoints)) {
+		t.Errorf("ParseLoads(0:1:1e-12) = %v, want an error naming the %d-point limit", err, maxLoadPoints)
 	}
 }

@@ -7,7 +7,10 @@ import (
 
 // WriteMarkdown renders the figure as a markdown report section: latency
 // and throughput tables, the peak summary, and per-series saturation notes
-// — the machine-generated counterpart of EXPERIMENTS.md.
+// — the machine-generated counterpart of EXPERIMENTS.md. A series saturates
+// near the first load whose achieved throughput falls more than 0.02 short
+// of the offered load; deadlocked points are skipped there, as the peak
+// skips them.
 func (fr FigureResult) WriteMarkdown(w io.Writer) {
 	fmt.Fprintf(w, "## %s — %s\n\n", fr.Spec.ID, fr.Spec.Title)
 	fmt.Fprintf(w, "Pattern `%s`, %s switching.\n\n", fr.Spec.Pattern, fr.Spec.Switching)
@@ -25,7 +28,7 @@ func (fr FigureResult) WriteMarkdown(w io.Writer) {
 				continue
 			}
 			for _, r := range s.Results {
-				if r.OfferedLoad-r.Throughput > 0.02 {
+				if !r.Deadlocked && r.OfferedLoad-r.Throughput > 0.02 {
 					sat = fmt.Sprintf("%.2f", r.OfferedLoad)
 					break
 				}

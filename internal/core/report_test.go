@@ -54,6 +54,25 @@ func TestWriteMarkdownDeadlockCell(t *testing.T) {
 	}
 }
 
+// TestWriteMarkdownSaturationSkipsDeadlock: a deadlocked point's collapsed
+// throughput does not mark where a series saturates, just as it does not
+// win the peak.
+func TestWriteMarkdownSaturationSkipsDeadlock(t *testing.T) {
+	fr := FigureResult{
+		Spec: FigureSpec{ID: "figW", Title: "t", Pattern: "uniform", Switching: Wormhole, Loads: []float64{0.1, 0.2, 0.3}},
+		Series: []Series{{Algorithm: "wedge", Results: []Result{
+			{OfferedLoad: 0.1, Throughput: 0.01, Deadlocked: true},
+			{OfferedLoad: 0.2, Throughput: 0.2, AvgLatency: 30, Converged: true},
+			{OfferedLoad: 0.3, Throughput: 0.25, AvgLatency: 90, Converged: true},
+		}}},
+	}
+	var b strings.Builder
+	fr.WriteMarkdown(&b)
+	if want := "| wedge | 0.250 | 0.30 | 0.30 |"; !strings.Contains(b.String(), want) {
+		t.Errorf("peak row is not %q:\n%s", want, b.String())
+	}
+}
+
 func TestWriteMarkdownShortSeries(t *testing.T) {
 	fr := FigureResult{
 		Spec: FigureSpec{ID: "figZ", Title: "t", Pattern: "uniform", Switching: Wormhole, Loads: []float64{0.1, 0.2}},

@@ -15,8 +15,9 @@
 // per-cycle path is allocation-free in steady state and map-free by
 // construction — wait-for records are keyed by dense virtual-channel slot
 // ids through generation-stamped arrays, the same technique the engine's
-// half-duplex arbitration uses — so it passes wormlint's hotalloc gate on
-// (*Network).Step's call graph.
+// half-duplex arbitration uses; TestSteadyStateZeroAlloc and
+// TestForensicsSteadyStateZeroAlloc hold it there with an every-cycle
+// analyzer attached.
 //
 // The wait-for graph follows each blocked worm's primary edge: the first
 // admissible candidate channel in routing order, whose target virtual

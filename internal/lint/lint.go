@@ -6,9 +6,9 @@
 // Every pass sees the whole loaded module at once through a Program: a
 // cross-package static call graph with conservative devirtualization of
 // interface and method-value calls, plus a shared reaching-facts dataflow
-// driver (see callgraph.go). The hot-path passes walk that graph, so "no
-// allocation reachable from Step" holds across package boundaries, not just
-// inside internal/network; hookguard and errfmt loop over Program.Pkgs.
+// driver (see callgraph.go). simdeterminism and purity walk that graph, so
+// "no wall-clock read reachable from Step" holds across package boundaries,
+// not just inside internal/network; hookguard loops over Program.Pkgs.
 //
 // The passes:
 //
@@ -21,22 +21,19 @@
 //     every impurity they reach is either fixed or an annotated exemption,
 //     and the exemption list is golden-pinned — the theorem the run store's
 //     cache-hit contract rests on.
-//   - hotalloc — the engine's per-cycle call graph must stay allocation
-//     free: no make(map), map literals or closures reachable from Step,
-//     through cross-package calls and devirtualized interface calls.
 //   - hookguard — telemetry hook call sites must be nil-guarded so that
 //     disabled telemetry stays a branch, never a panic.
-//   - errfmt — fmt.Errorf wraps error operands with %w, so the sentinels
-//     the CLIs map to exit statuses survive every wrap.
 //
 // simdeterminism and purity read one set of effect facts (effects.go): each
 // function body is scanned once per Program.
 //
-// That is the whole suite, on purpose: it covers what only a
-// wormsim-specific analysis can see. Lock copying, atomic and mutex
-// discipline and loop capture are go vet's and the race detector's job, and
-// the engine's conservation ledgers are balanced at run time, every cycle,
-// by the network package's invariant checker (DESIGN.md §5).
+// That is the whole suite, on purpose: a pass stays while it catches a
+// planted bug that no test catches (DESIGN.md §5's mutation matrix). The
+// engine's zero-allocation contract is TestSteadyStateZeroAlloc's, the
+// CLIs' %w-wrapped sentinels are their command tests'. Lock copying, atomic
+// and mutex discipline and loop capture are go vet's and the race
+// detector's job, and the engine's conservation ledgers are balanced at run
+// time, every cycle, by the network package's invariant checker.
 //
 // A finding can be suppressed where the flagged use is intentional by
 // annotating the line (or the line above it) with a directive:
@@ -87,9 +84,7 @@ func DefaultPasses() []Pass {
 	return []Pass{
 		NewSimDeterminism(),
 		NewPurity(),
-		NewHotAlloc(),
 		NewHookGuard(),
-		ErrFmt{},
 	}
 }
 
@@ -264,35 +259,6 @@ func (p *Package) finding(pass string, n ast.Node, format string, args ...any) F
 		Pass: pass,
 		Msg:  fmt.Sprintf(format, args...),
 	}
-}
-
-// pkgFuncCall reports whether call is pkg.Func on the package named pkgPath
-// (resolving through import aliases) and returns the function name.
-func pkgFuncCall(p *Package, call *ast.CallExpr, pkgPath string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != pkgPath {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
-// isMapType reports whether the expression's type (or the type it names)
-// is a map.
-func isMapType(p *Package, e ast.Expr) bool {
-	t := p.Info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }
 
 // funcDeclName renders a declaration as the Root spec syntax: "Func" for

@@ -108,7 +108,7 @@ func (prog *Program) FindFunc(pkgPath, spec string) *types.Func {
 }
 
 // Graph returns the program's call graph, building it on first use so a run
-// of only the graph-free passes (hookguard, errfmt) never pays for it. The
+// of only the graph-free pass (hookguard) never pays for it. The
 // graph is cached, so every pass of a wormlint run shares one graph.
 func (prog *Program) Graph() *CallGraph {
 	if prog.graph == nil {

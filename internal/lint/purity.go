@@ -3,8 +3,6 @@ package lint
 import (
 	"cmp"
 	"fmt"
-	"go/ast"
-	"go/types"
 	"slices"
 )
 
@@ -29,6 +27,10 @@ type FuncRef struct {
 // annotations are the pass's exemption list: an entry point is pure when
 // every effect it reaches is one of them, and TestPurityCertificatesGolden
 // pins the list, reasons included, so a new exemption needs review.
+//
+// The bug only this pass catches (DESIGN.md §5's mutation matrix, P1; the
+// puritybad fixture's defaults): an environment read in
+// core.Config.ApplyDefaults, which every test process shares.
 //
 // Stated boundary: calls through plain function values — the Config.OnTick/
 // OnSample/OnDeliver hooks — have no static callee and are not followed.
@@ -98,16 +100,16 @@ func (pu *Purity) walk(prog *Program) ([]entryReach, []Finding) {
 		}
 		er := entryReach{entry: entry.Pkg + "." + entry.Func}
 		reach := prog.Graph().ReachableFrom(root)
-		forEachReachableDecl(prog, reach, func(q *Package, fd *ast.FuncDecl, fn *types.Func) {
-			imps := effects[fn].impurities
-			if len(imps) == 0 {
-				return
+		for _, e := range prog.funcDecls() {
+			imps := effects[e.Fn].impurities
+			if !reach.Set[e.Fn] || len(imps) == 0 {
+				continue
 			}
-			name, chain := q.Path+"."+funcDeclName(fd), reach.Chain(fn, q)
+			name, chain := e.Pkg.Path+"."+funcDeclName(e.Decl), reach.Chain(e.Fn, e.Pkg)
 			for _, imp := range imps {
 				er.imps = append(er.imps, reachedImpurity{imp, name, chain})
 			}
-		})
+		}
 		reached = append(reached, er)
 	}
 	return reached, missing
@@ -181,14 +183,4 @@ func (pu *Purity) exemptions(prog *Program) []entryExemptions {
 		out = append(out, ee)
 	}
 	return out
-}
-
-// forEachReachableDecl visits every reached declared function in
-// deterministic order, scanning the program's cached declaration list.
-func forEachReachableDecl(prog *Program, reach *Reach, visit func(*Package, *ast.FuncDecl, *types.Func)) {
-	for _, e := range prog.funcDecls() {
-		if reach.Set[e.Fn] {
-			visit(e.Pkg, e.Decl, e.Fn)
-		}
-	}
 }

@@ -34,6 +34,10 @@ import (
 // Intentional uses — order-independent reductions over maps, telemetry
 // wall-clock reads behind an injected clock — are annotated in place with
 // //lint:allow simdeterminism and a reason.
+//
+// The bug only this pass catches (DESIGN.md §5's mutation matrix, S1; the
+// simdet fixture's Pending): the observatory's run listing ranging over its
+// pending-run map without sorting, which no test lists twice.
 type SimDeterminism struct {
 	// Targets are the import paths the pass applies to in full; a path
 	// matches exactly. Packages outside the simulation core (CLIs, rng

@@ -44,8 +44,13 @@ func Run(n int) int {
 	case sum = <-ch: // WANT purity
 	default:
 	}
+	_ = defaults()
 	return n + readOnly() + int(t) + r + len(host) + w + sum + dep.Leak()
 }
+
+// defaults mirrors an environment read in core's Config.ApplyDefaults, the
+// mutant only this pass catches: every test runs in one environment.
+func defaults() bool { return os.Getenv("WORMSIM_VCT") != "" } // WANT purity
 
 // readOnly observes shared state without writing: read-only, never a
 // finding.

@@ -34,6 +34,16 @@ func Keys(m map[string]int) []string {
 	return ks
 }
 
+// Pending lists pending runs straight from the map, as the observatory's
+// run listing would without its sort: the bug only this pass catches.
+func Pending(pending map[string]string) []string {
+	var out []string
+	for h, state := range pending { // WANT simdeterminism
+		out = append(out, h+" "+state)
+	}
+	return out
+}
+
 // SortedKeys is the annotated, intentional variant: collected then sorted.
 func SortedKeys(m map[string]int) []string {
 	var ks []string

@@ -1,6 +1,6 @@
 // Package dep holds the violations the xleak fixture's engine reaches
-// across the package boundary. Lines the hotalloc and simdeterminism passes
-// must report (with the xleak root configured) carry WANT markers.
+// across the package boundary. Lines the simdeterminism pass must report
+// (with the xleak root configured) carry WANT markers.
 package dep
 
 import "time"
@@ -10,8 +10,8 @@ var Sink any
 
 // Mix is reached from xleak.(*Engine).Step by a plain cross-package call.
 func Mix(n int) {
-	Sink = make(map[int]int, n) // WANT hotalloc
-	Sink = time.Now()           // WANT simdeterminism
+	Sink = n
+	Sink = time.Now() // WANT simdeterminism
 }
 
 // Algorithm mirrors routing.Algorithm's shape: the engine calls it only
@@ -24,20 +24,18 @@ type Algorithm interface {
 // devirtualizing the interface call in Step.
 type Greedy struct{}
 
-// Route allocates on the hot path.
+// Route reads the clock on the engine's path.
 func (Greedy) Route(n int) int {
-	m := map[int]bool{n: true} // WANT hotalloc
-	return len(m)
+	return n + time.Now().Nanosecond() // WANT simdeterminism
 }
 
 // Taken is never called, but Step stores it as a function value — it may run
-// later, so it is part of the per-cycle graph.
+// later, so it is part of the engine's call graph.
 func Taken() {
-	Sink = make(map[string]int) // WANT hotalloc
+	Sink = time.Since(time.Time{}) // WANT simdeterminism
 }
 
 // Unreached is not referenced from Step's graph at all: legal.
 func Unreached() {
-	Sink = make(map[int]int)
 	Sink = time.Now()
 }

@@ -1,12 +1,16 @@
 // Package xleak is a wormlint test fixture for cross-package reachability:
-// the hot-path root lives here, the violations live in the dep subpackage —
+// the engine root lives here, the violations live in the dep subpackage —
 // one behind a plain cross-package call, one behind an interface call that
 // the graph must devirtualize, one behind a function value the root merely
 // stores. Constructs in this package are all legal; the WANT markers are in
 // dep.
 package xleak
 
-import "wormsim/internal/lint/testdata/src/xleak/dep"
+import (
+	"time"
+
+	"wormsim/internal/lint/testdata/src/xleak/dep"
+)
 
 // Sink absorbs values so the fixture has no unused results.
 var Sink any
@@ -27,7 +31,7 @@ func (e *Engine) Step() {
 	Sink = dep.Taken      // a function value that may be invoked later: an edge
 }
 
-// Cold is outside Step's call graph: allocating here is legal.
+// Cold is outside Step's call graph: reading the clock here is legal.
 func Cold() {
-	Sink = make(map[int]int)
+	Sink = time.Now()
 }

@@ -10,14 +10,6 @@ import (
 	"testing"
 )
 
-// TestCrossPackageHotAlloc: allocations behind a cross-package call, a
-// devirtualized interface call, and a stored function value must all be
-// reached from the root in the sibling package.
-func TestCrossPackageHotAlloc(t *testing.T) {
-	pkgs := loadFixtures(t, "xleak", "xleak/dep")
-	checkFixture(t, pkgs, "hotalloc", &HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"})
-}
-
 // TestCrossPackageSimDeterminism: the reachability scope must catch a
 // wall-clock read in an untargeted package the engine reaches.
 func TestCrossPackageSimDeterminism(t *testing.T) {
@@ -29,7 +21,7 @@ func TestCrossPackageSimDeterminism(t *testing.T) {
 // reaches the flagged line.
 func TestWitnessChain(t *testing.T) {
 	pkgs := loadFixtures(t, "xleak", "xleak/dep")
-	fs := Run(NewProgram(pkgs), []Pass{&HotAlloc{TargetPkg: pkgs[0].Path, Root: "(*Engine).Step"}})
+	fs := Run(NewProgram(pkgs), []Pass{&SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "(*Engine).Step"}}}})
 	// Chains qualify names relative to the reported file's package: the
 	// root prints as xleak.(*Engine).Step, dep's own members unqualified.
 	var mixChain, routeChain bool
@@ -60,14 +52,14 @@ func TestStoreCacheSimDeterminism(t *testing.T) {
 	checkFixture(t, pkgs, "simdeterminism", &SimDeterminism{Roots: []FuncRef{{Pkg: pkgs[0].Path, Func: "Sweep"}}})
 }
 
-// TestAllowMultiPass: one //lint:allow simdeterminism,hotalloc directive must
-// suppress both passes on its line, and only there.
+// TestAllowMultiPass: one //lint:allow simdeterminism,hookguard directive
+// must suppress both passes on its line, and only there.
 func TestAllowMultiPass(t *testing.T) {
 	pkgs := loadFixtures(t, "allowmulti")
 	p := pkgs[0]
 	passes := []Pass{
 		&SimDeterminism{Targets: []string{p.Path}},
-		&HotAlloc{TargetPkg: p.Path, Root: "Step"},
+		NewHookGuard(),
 	}
 	byPass := make(map[string]int)
 	for _, f := range Run(NewProgram(pkgs), passes) {
@@ -79,7 +71,7 @@ func TestAllowMultiPass(t *testing.T) {
 			t.Errorf("finding on unexpected line: %s", f)
 		}
 	}
-	if byPass["simdeterminism"] != 1 || byPass["hotalloc"] != 1 {
+	if byPass["simdeterminism"] != 1 || byPass["hookguard"] != 1 {
 		t.Errorf("control line findings = %v, want one per pass", byPass)
 	}
 }
@@ -114,7 +106,7 @@ func TestLintDirectiveUnknownPass(t *testing.T) {
 
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "old.go",
-		"package old\n\nvar X = 1 //lint:allow hotalloc,lockscope (held across the send on purpose)\n", parser.ParseComments)
+		"package old\n\nvar X = 1 //lint:allow hookguard,lockscope (held across the send on purpose)\n", parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +118,10 @@ func TestLintDirectiveUnknownPass(t *testing.T) {
 	}
 }
 
-// TestPassNamesUnique pins the registry: the five passes, in reporting
+// TestPassNamesUnique pins the registry: the three passes, in reporting
 // order, each name once (a duplicate would make directives ambiguous).
 func TestPassNamesUnique(t *testing.T) {
-	want := []string{"simdeterminism", "purity", "hotalloc", "hookguard", "errfmt"}
+	want := []string{"simdeterminism", "purity", "hookguard"}
 	var got []string
 	for _, p := range DefaultPasses() {
 		got = append(got, p.Name())

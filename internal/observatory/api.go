@@ -22,7 +22,7 @@ import (
 // algorithms point-by-point across everything else held equal
 // (core.Config.PairKey alignment).
 //
-// Admission is core's: a config core.Switching.Check refuses is answered
+// Admission is core's: a config core.Config.Check refuses is answered
 // 400 before the store is consulted, exactly as core.RunCached refuses it,
 // and a stored record of such a config is never served: fetching it or its
 // events answers the same 400, and listings and comparisons leave it out.
@@ -104,7 +104,7 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, map[string]string{"error": fmt.Sprintf("decode config: %v", err)})
 		return
 	}
-	if err := cfg.Switching.Check(); err != nil {
+	if err := cfg.Check(); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
@@ -208,7 +208,7 @@ func (a *API) handleList(w http.ResponseWriter) {
 	recs := a.store.List()
 	out := make([]runSummary, 0, len(recs))
 	for _, rec := range recs {
-		if rec.Config.Switching.Check() != nil {
+		if rec.Config.Check() != nil {
 			continue
 		}
 		out = append(out, runSummary{
@@ -252,7 +252,7 @@ func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
 // refuseStored answers 400 with core's error, and reports true, when rec is
 // a stored record of a config the admission rule refuses.
 func refuseStored(w http.ResponseWriter, rec runstore.Record) bool {
-	err := rec.Config.Switching.Check()
+	err := rec.Config.Check()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 	}
@@ -348,7 +348,7 @@ func (a *API) compare(algA, algB string) comparison {
 	cmp := comparison{A: algA, B: algB}
 	byKey := make(map[string]map[string]runstore.Record)
 	for _, rec := range a.store.List() {
-		if rec.Config.Switching.Check() != nil {
+		if rec.Config.Check() != nil {
 			continue
 		}
 		alg := rec.Result.Algorithm

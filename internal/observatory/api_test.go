@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,6 +241,25 @@ func TestAPIErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: code %d, want 413", resp.StatusCode)
 	}
+	// A network the engine cannot build — past core's node limit, or a
+	// 1-ary torus — is refused at admission with core's error and queues
+	// nothing: a worker building the first would end the process.
+	for _, c := range []struct {
+		cfg  core.Config
+		want string
+	}{
+		{core.Config{K: 4294967297, N: 2}, "more than " + strconv.Itoa(core.MaxNodes) + " nodes"},
+		{core.Config{K: 1}, "radix"},
+	} {
+		code, body := postJSON(t, base+"/api/runs", c.cfg)
+		srv.api.mu.Lock()
+		queued := len(srv.api.pending)
+		srv.api.mu.Unlock()
+		if code != http.StatusBadRequest || !strings.Contains(body, c.want) || queued != 0 {
+			t.Errorf("submit of K=%d N=%d: code %d, %d queued: %.200s; want 400 naming %q and nothing queued",
+				c.cfg.K, c.cfg.N, code, queued, body, c.want)
+		}
+	}
 	// At the pending cap a new point is turned away with a retry hint, while
 	// a resubmission of a point already pending still rides the existing run.
 	riding := apiConfig("nbc", 0.3).Hash()
@@ -279,29 +300,31 @@ func TestAPIErrors(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// A config the engine cannot build (a 1-ary torus) settles as failed on
-	// its scheduler worker, and the server still answers. Both workers are
-	// held until the events stream has subscribed, so the stream sees the
-	// whole lifecycle.
+	// A config admission passes but the engine refuses (nhop on an odd
+	// torus) settles as failed on its scheduler worker, and the server still
+	// answers. Both workers are held until the events stream has subscribed,
+	// so the stream sees the whole lifecycle; a failing check releases them
+	// before the API's cleanup waits for its workers.
 	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
 	for range 2 {
 		srv.api.sched.Submit(func() { <-gate })
 	}
-	var k1 core.Config
-	k1.K = 1
-	if code, body := postJSON(t, base+"/api/runs", k1); code != http.StatusAccepted {
-		t.Fatalf("K=1 submit: code %d body %.200s", code, body)
+	odd := core.Config{K: 5, Algorithm: "nhop"}
+	if code, body := postJSON(t, base+"/api/runs", odd); code != http.StatusAccepted {
+		t.Fatalf("odd-torus nhop submit: code %d body %.200s", code, body)
 	}
-	stream, err := http.Get(base + "/api/runs/" + k1.Canonical().Hash() + "/events")
-	close(gate)
+	stream, err := http.Get(base + "/api/runs/" + odd.Canonical().Hash() + "/events")
+	release()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stream.Body.Close()
 	var frames bytes.Buffer
 	frames.ReadFrom(stream.Body) //nolint:errcheck // reads until the run settles and the stream closes
-	if !strings.Contains(frames.String(), `"state":"failed"`) || !strings.Contains(frames.String(), "radix") {
-		t.Errorf("K=1 run did not settle as failed: %.400q", frames.String())
+	if !strings.Contains(frames.String(), `"state":"failed"`) || !strings.Contains(frames.String(), "bipartite") {
+		t.Errorf("odd-torus nhop run did not settle as failed: %.400q", frames.String())
 	}
 	if code, _ := get(t, base+"/api/runs"); code != http.StatusOK {
 		t.Errorf("after the failed run: GET /api/runs code %d, want 200", code)

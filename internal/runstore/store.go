@@ -18,7 +18,7 @@
 // for runs: a Store attached to core.Config.Cache answers a repeated sweep
 // without burning a single engine cycle, and the observatory's run API
 // writes through the same Store. Which configs a record may be served for
-// is core's decision (core.Switching.Check), taken before any Lookup. Hits
+// is core's decision (core.Config.Check), taken before any Lookup. Hits
 // and Misses count both outcomes for the observatory's /metrics exposition.
 //
 // Determinism contract: nothing on the Lookup (cache-hit) path reads the
