@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.N, "n", 2, "dimensions")
 	fs.BoolVar(&cfg.Mesh, "mesh", false, "mesh instead of torus")
 	fs.StringVar(&cfg.Algorithm, "alg", "ecube", "routing algorithm, or a comma list of them: "+strings.Join(routing.Names(), ", "))
-	fs.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement)")
+	fs.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement | tornado | shuffle)")
 	fs.StringVar(&cfg.Policy, "policy", "random", "output VC selection policy: random, first, leastcongested")
 	fs.StringVar((*string)(&cfg.Switching), "switching", "wormhole", "switching technique: wormhole, vct")
 	fs.Func("load", "offered channel utilization (fraction of capacity): one value, a lo:hi:step range or a comma list (default 0.4)", func(s string) (err error) {

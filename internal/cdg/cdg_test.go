@@ -48,18 +48,19 @@ func TestPaperAlgorithmsAcyclic(t *testing.T) {
 	}
 }
 
-// pinnedTwoPowerN restricts 2pn to the single tag whose free bits are zero:
-// one virtual channel per admissible physical hop, the escape subfunction
-// of the adaptive scheme. Per Duato's theory, a connected routing
-// subfunction with acyclic dependencies makes the enclosing adaptive
-// algorithm deadlock-free: a blocked 2pn header always has its pinned-tag
-// candidate among its choices.
-type pinnedTwoPowerN struct{ routing.TwoPowerN }
+// pinned restricts a 2pn-family algorithm to the single tag whose free
+// bits are zero: one virtual channel per admissible physical hop, the
+// escape subfunction of the adaptive scheme. Per Duato's theory, a
+// connected routing subfunction with acyclic dependencies makes the
+// enclosing adaptive algorithm deadlock-free: a blocked 2pn header always
+// has its pinned-tag candidate among its choices. For 2pnsrc it pins the
+// source-fixed tag's free bits, the strongest subfunction available.
+type pinned struct{ routing.Algorithm }
 
-func (pinnedTwoPowerN) Name() string { return "2pn-pinned" }
+func (p pinned) Name() string { return p.Algorithm.Name() + "-pinned" }
 
-func (p pinnedTwoPowerN) Candidates(g *topology.Grid, m *message.Message, node int, dst []routing.Candidate) []routing.Candidate {
-	all := p.TwoPowerN.Candidates(g, m, node, nil)
+func (p pinned) Candidates(g *topology.Grid, m *message.Message, node int, dst []routing.Candidate) []routing.Candidate {
+	all := p.Algorithm.Candidates(g, m, node, nil)
 	// Keep, per (dim, dir), the minimum tag = forced bits with free bits 0.
 	best := map[[2]int]routing.Candidate{}
 	for _, c := range all {
@@ -85,7 +86,7 @@ func TestTwoPowerNMeshEscapeAcyclic(t *testing.T) {
 		topology.NewMesh(4, 2),
 		topology.NewMesh(5, 2),
 	} {
-		res, err := Analyze(g, pinnedTwoPowerN{})
+		res, err := Analyze(g, pinned{routing.TwoPowerN{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +109,8 @@ func TestTwoPowerNTorusCDGCyclic(t *testing.T) {
 	g := topology.NewTorus(4, 2)
 	for name, alg := range map[string]routing.Algorithm{
 		"2pn":           routing.TwoPowerN{},
-		"2pn-pinned":    pinnedTwoPowerN{},
-		"2pnsrc-pinned": pinnedSourceTag{},
+		"2pn-pinned":    pinned{routing.TwoPowerN{}},
+		"2pnsrc-pinned": pinned{routing.TwoPowerN{SourceTag: true}},
 	} {
 		res, err := Analyze(g, alg)
 		if err != nil {
@@ -139,36 +140,12 @@ func TestSourceTag2pnCyclicOnTorus(t *testing.T) {
 	}
 }
 
-// pinnedSourceTag pins the source-fixed tag's free bits, the strongest
-// subfunction available to 2pnsrc.
-type pinnedSourceTag struct{ routing.TwoPowerNSource }
-
-func (pinnedSourceTag) Name() string { return "2pnsrc-pinned" }
-
-func (p pinnedSourceTag) Candidates(g *topology.Grid, m *message.Message, node int, dst []routing.Candidate) []routing.Candidate {
-	all := p.TwoPowerNSource.Candidates(g, m, node, nil)
-	best := map[[2]int]routing.Candidate{}
-	for _, c := range all {
-		key := [2]int{c.Dim, int(c.Dir)}
-		if cur, ok := best[key]; !ok || c.VC < cur.VC {
-			best[key] = c
-		}
-	}
-	for _, c := range all {
-		key := [2]int{c.Dim, int(c.Dir)}
-		if best[key] == c {
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
 // TestSourceTagMeshContrast: on a mesh both variants' pinned subfunctions
 // coincide with Dally's scheme and verify acyclic; the torus is where they
 // diverge behaviourally (see TestTwoPowerNTorusCDGCyclic).
 func TestSourceTagMeshContrast(t *testing.T) {
 	g := topology.NewMesh(4, 2)
-	src, err := Analyze(g, pinnedSourceTag{})
+	src, err := Analyze(g, pinned{routing.TwoPowerN{SourceTag: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

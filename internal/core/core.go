@@ -51,10 +51,12 @@ type Config struct {
 	// torus.
 	K, N int
 	Mesh bool
-	// Algorithm is one of ecube, nlast, 2pn, phop, nhop, nbc.
+	// Algorithm is a routing.Names() entry: the paper's ecube, nlast, 2pn,
+	// phop, nhop, nbc, or the family members ecube2x, ecube4x, wfirst,
+	// negfirst, 2pnsrc.
 	Algorithm string
 	// Pattern is a traffic.Parse spec: uniform, hotspot[:frac[:node]],
-	// local[:radius], transpose, bitrev, complement.
+	// local[:radius], transpose, bitrev, complement, tornado, shuffle.
 	Pattern string
 	// Policy selects among free output VCs: random (default), first,
 	// leastcongested.

@@ -94,6 +94,12 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		row{name: "first", alg: "nbc", set: func(c *Config) { c.Policy = routing.FirstFreePolicy{} }},
 		row{name: "leastcongested", alg: "nbc", set: func(c *Config) { c.Policy = routing.LeastCongestedPolicy{} }},
 		row{name: "mesh", alg: "nbc", mesh: true},
+		row{name: "local", alg: "nbc", set: func(c *Config) {
+			c.Workload = traffic.NewBernoulli(c.Grid, traffic.NewLocal(c.Grid, 3), 0.03, 7)
+		}},
+		row{name: "transpose", alg: "nbc", set: func(c *Config) {
+			c.Workload = traffic.NewBernoulli(c.Grid, traffic.NewTranspose(c.Grid), 0.03, 7)
+		}},
 		row{name: "forensics+telemetry", alg: "ecube", set: func(c *Config) {
 			withMetrics(c)
 			c.Forensics = &forensics.Options{SampleEvery: 1}

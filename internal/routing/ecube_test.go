@@ -11,27 +11,34 @@ import (
 func TestECubeLanesNumVCs(t *testing.T) {
 	torus := topology.NewTorus(16, 2)
 	mesh := topology.NewMesh(16, 2)
-	if got := (ECubeLanes{Lanes: 2}).NumVCs(torus); got != 4 {
+	if got := (ECube{Lanes: 2}).NumVCs(torus); got != 4 {
 		t.Errorf("2-lane torus VCs = %d, want 4", got)
 	}
-	if got := (ECubeLanes{Lanes: 4}).NumVCs(torus); got != 8 {
+	if got := (ECube{Lanes: 4}).NumVCs(torus); got != 8 {
 		t.Errorf("4-lane torus VCs = %d, want 8", got)
 	}
-	if got := (ECubeLanes{Lanes: 2}).NumVCs(mesh); got != 2 {
+	if got := (ECube{Lanes: 2}).NumVCs(mesh); got != 2 {
 		t.Errorf("2-lane mesh VCs = %d, want 2", got)
 	}
-	if (ECubeLanes{Lanes: 0}).Compatible(torus) == nil {
-		t.Error("0 lanes accepted")
+	if (ECube{Lanes: -1}).Compatible(torus) == nil {
+		t.Error("-1 lanes accepted")
 	}
-	if (ECubeLanes{Lanes: 2}).Name() != "ecube2x" {
-		t.Errorf("name %q", ECubeLanes{Lanes: 2}.Name())
+	if (ECube{Lanes: 2}).Name() != "ecube2x" {
+		t.Errorf("name %q", ECube{Lanes: 2}.Name())
+	}
+	// The zero value is plain e-cube: one dateline pair.
+	if got := (ECube{}).NumVCs(torus); got != 2 || (ECube{}).Name() != "ecube" {
+		t.Errorf("zero-value ECube: %q with %d VCs, want ecube with 2", ECube{}.Name(), got)
 	}
 }
 
+// TestECubeLanesSamePhysicalPathAsECube: every lane candidate is the
+// dimension-order hop, computed here without the algorithm — the lowest
+// uncorrected dimension, in its minimal direction.
 func TestECubeLanesSamePhysicalPathAsECube(t *testing.T) {
 	g := topology.NewTorus(16, 2)
 	r := rng.New(23)
-	e := ECubeLanes{Lanes: 2}
+	e := ECube{Lanes: 2}
 	for trial := 0; trial < 200; trial++ {
 		src := r.Intn(g.Nodes())
 		dst := r.Intn(g.Nodes())
@@ -40,19 +47,23 @@ func TestECubeLanesSamePhysicalPathAsECube(t *testing.T) {
 		}
 		tie := r.Bernoulli(0.5)
 		m := message.New(g, 0, src, dst, 16, 0, func(int) bool { return tie })
-		ref := message.New(g, 0, src, dst, 16, 0, func(int) bool { return tie })
 		cur := src
-		var cands, refCands []Candidate
+		var cands []Candidate
 		for !m.Arrived() {
 			cands = e.Candidates(g, m, cur, cands[:0])
-			refCands = ECube{}.Candidates(g, ref, cur, refCands[:0])
 			if len(cands) != 2 {
 				t.Fatalf("2 lanes should give 2 candidates, got %v", cands)
 			}
+			ref := Candidate{Dim: -1}
+			for dim := 0; dim < g.N() && ref.Dim < 0; dim++ {
+				if dir, ok := m.DirInDim(dim); ok {
+					ref = Candidate{Dim: dim, Dir: dir}
+				}
+			}
 			// Every lane candidate matches e-cube's single physical hop.
 			for _, c := range cands {
-				if c.Dim != refCands[0].Dim || c.Dir != refCands[0].Dir {
-					t.Fatalf("lane candidate %v leaves the e-cube path %v", c, refCands[0])
+				if c.Dim != ref.Dim || c.Dir != ref.Dir {
+					t.Fatalf("lane candidate %v leaves the e-cube path %v", c, ref)
 				}
 			}
 			// Lane classes: {2l + cross}.
@@ -65,7 +76,6 @@ func TestECubeLanesSamePhysicalPathAsECube(t *testing.T) {
 			}
 			c := cands[r.Intn(len(cands))]
 			m.Advance(g, c.Dim, c.Dir, g.Coord(cur, c.Dim), g.Parity(cur))
-			ref.Advance(g, c.Dim, c.Dir, g.Coord(cur, c.Dim), g.Parity(cur))
 			cur = g.Neighbor(cur, c.Dim, c.Dir)
 		}
 		if cur != dst {

@@ -1,9 +1,11 @@
-// Package routing implements the six deadlock-free wormhole routing
-// algorithms compared by the paper: the non-adaptive e-cube, the partially
-// adaptive north-last (Glass & Ni's turn model), the fully adaptive
-// two-power-n scheme, and the three fully adaptive hop schemes (positive
-// hop, negative hop, negative hop with bonus cards) derived from
-// store-and-forward buffer-reservation algorithms.
+// Package routing implements the wormhole routing algorithms compared by
+// the paper and their family members, one type per family: e-cube with its
+// virtual-channel lanes (ECube: ecube, ecube2x, ecube4x), Glass & Ni's turn
+// model (TurnModel: north-last, plus west-first and negative-first), the
+// eq. (1) tag scheme (TwoPowerN: the per-hop 2pn and the source-tag 2pnsrc,
+// which is not deadlock-free on tori), and the three fully adaptive hop
+// schemes (positive hop, negative hop, negative hop with bonus cards)
+// derived from store-and-forward buffer-reservation algorithms.
 //
 // An Algorithm answers one question: given a message's routing state at a
 // node, which (dimension, direction, virtual-channel class) triples may the
@@ -41,8 +43,8 @@ func (c Candidate) String() string {
 // (remaining offsets, hop counters, dateline flags, bonus start), which the
 // network updates via Message.Advance and Allocated.
 type Algorithm interface {
-	// Name returns the paper's short name: ecube, nlast, 2pn, phop, nhop,
-	// nbc.
+	// Name returns the registered short name: the paper's ecube, nlast,
+	// 2pn, phop, nhop, nbc, or a family member such as ecube2x or 2pnsrc.
 	Name() string
 	// FullyAdaptive reports whether the algorithm admits every minimal path.
 	FullyAdaptive() bool
@@ -93,8 +95,13 @@ func register(a Algorithm) {
 
 func init() {
 	register(ECube{})
-	register(NorthLast{})
+	register(ECube{Lanes: 2})
+	register(ECube{Lanes: 4})
+	register(TurnModel{Turn: NorthLast})
+	register(TurnModel{Turn: WestFirst})
+	register(TurnModel{Turn: NegativeFirst})
 	register(TwoPowerN{})
+	register(TwoPowerN{SourceTag: true})
 	register(PositiveHop{})
 	register(NegativeHop{})
 	register(BonusCards{})
@@ -121,7 +128,7 @@ func Names() []string {
 
 // All returns the six algorithms in the paper's presentation order.
 func All() []Algorithm {
-	return []Algorithm{PositiveHop{}, NegativeHop{}, BonusCards{}, TwoPowerN{}, ECube{}, NorthLast{}}
+	return []Algorithm{PositiveHop{}, NegativeHop{}, BonusCards{}, TwoPowerN{}, ECube{}, TurnModel{Turn: NorthLast}}
 }
 
 // SelectionPolicy picks one of several free output virtual channels for an

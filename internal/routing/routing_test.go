@@ -89,7 +89,7 @@ func TestCompatibility(t *testing.T) {
 			t.Errorf("%s should reject a 1-D grid", name)
 		}
 	}
-	if err := (NegativeFirst{}).Compatible(threeD); err != nil {
+	if err := (TurnModel{Turn: NegativeFirst}).Compatible(threeD); err != nil {
 		t.Errorf("negfirst should accept 3-D grids: %v", err)
 	}
 }
@@ -485,9 +485,9 @@ func TestNorthLastRestriction(t *testing.T) {
 	// upper-left node: the path must correct dimension 0 first. Here: needs
 	// -2 in both dims; north = Minus in dim 1.
 	m := message.New(g, 0, node(g, 3, 3), node(g, 1, 1), 16, 0, nil)
-	NorthLast{}.Init(g, m)
+	TurnModel{Turn: NorthLast}.Init(g, m)
 	var cands []Candidate
-	cands = NorthLast{}.Candidates(g, m, node(g, 3, 3), cands)
+	cands = TurnModel{Turn: NorthLast}.Candidates(g, m, node(g, 3, 3), cands)
 	for _, c := range cands {
 		if c.Dim == 1 {
 			t.Fatalf("north-bound message offered a dim-1 hop before dim 0 corrected: %v", cands)
@@ -495,13 +495,13 @@ func TestNorthLastRestriction(t *testing.T) {
 	}
 	// After correcting dim 0, only north remains.
 	m2 := message.New(g, 0, node(g, 1, 3), node(g, 1, 1), 16, 0, nil)
-	cands = NorthLast{}.Candidates(g, m2, node(g, 1, 3), cands[:0])
+	cands = TurnModel{Turn: NorthLast}.Candidates(g, m2, node(g, 1, 3), cands[:0])
 	if len(cands) != 1 || cands[0].Dim != 1 || cands[0].Dir != topology.Minus {
 		t.Fatalf("corrected message should go north only, got %v", cands)
 	}
 	// South-bound messages are adaptive in both dims.
 	m3 := message.New(g, 0, node(g, 3, 3), node(g, 5, 5), 16, 0, nil)
-	cands = NorthLast{}.Candidates(g, m3, node(g, 3, 3), cands[:0])
+	cands = TurnModel{Turn: NorthLast}.Candidates(g, m3, node(g, 3, 3), cands[:0])
 	if len(cands) != 2 {
 		t.Fatalf("south-bound message should have 2 candidates, got %v", cands)
 	}
@@ -513,8 +513,8 @@ func TestNorthLastWrapClasses(t *testing.T) {
 	g := topology.NewTorus(16, 2)
 	// (15,15) -> (1,1): +2 in both dims, crossing both datelines.
 	m := message.New(g, 0, node(g, 15, 15), node(g, 1, 1), 16, 0, nil)
-	NorthLast{}.Init(g, m)
-	classes := walkPath(t, g, NorthLast{}, m, [][2]int{{15, 15}, {0, 15}, {0, 0}, {1, 0}, {1, 1}})
+	TurnModel{Turn: NorthLast}.Init(g, m)
+	classes := walkPath(t, g, TurnModel{Turn: NorthLast}, m, [][2]int{{15, 15}, {0, 15}, {0, 0}, {1, 0}, {1, 1}})
 	want := []int{0, 1, 2, 2}
 	for i := range want {
 		if classes[i] != want[i] {
@@ -583,14 +583,14 @@ func TestTwoPowerNTagFlipsAtWrap(t *testing.T) {
 func TestTwoPowerNSourceTagFixed(t *testing.T) {
 	g := topology.NewTorus(16, 2)
 	m := message.New(g, 0, node(g, 14, 9), node(g, 2, 9), 16, 0, nil)
-	TwoPowerNSource{}.Init(g, m)
+	TwoPowerN{SourceTag: true}.Init(g, m)
 	if m.TagForced&1 != 0 { // 14 > 2 at the source
 		t.Fatalf("source tag bit0 = %d, want 0", m.TagForced&1)
 	}
 	m.Advance(g, 0, topology.Plus, 14, 0)
 	m.Advance(g, 0, topology.Plus, 15, 1)
 	var cands []Candidate
-	cands = TwoPowerNSource{}.Candidates(g, m, node(g, 0, 9), cands)
+	cands = TwoPowerN{SourceTag: true}.Candidates(g, m, node(g, 0, 9), cands)
 	for _, c := range cands {
 		if c.VC&1 != 0 {
 			t.Fatalf("source-tag variant changed its tag after the wrap: %v", cands)

@@ -12,15 +12,15 @@ func TestWestFirstRestriction(t *testing.T) {
 	g := topology.NewTorus(16, 2)
 	// Needs West (-x) and South (+y): West must come first, alone.
 	m := message.New(g, 0, node(g, 5, 5), node(g, 2, 7), 16, 0, nil)
-	WestFirst{}.Init(g, m)
+	TurnModel{Turn: WestFirst}.Init(g, m)
 	var cands []Candidate
-	cands = WestFirst{}.Candidates(g, m, node(g, 5, 5), cands)
+	cands = TurnModel{Turn: WestFirst}.Candidates(g, m, node(g, 5, 5), cands)
 	if len(cands) != 1 || cands[0].Dim != 0 || cands[0].Dir != topology.Minus {
 		t.Fatalf("west-bound message should go west only, got %v", cands)
 	}
 	// Eastbound message is fully adaptive.
 	m2 := message.New(g, 0, node(g, 5, 5), node(g, 8, 2), 16, 0, nil)
-	cands = WestFirst{}.Candidates(g, m2, node(g, 5, 5), cands[:0])
+	cands = TurnModel{Turn: WestFirst}.Candidates(g, m2, node(g, 5, 5), cands[:0])
 	if len(cands) != 2 {
 		t.Fatalf("east-bound message should have 2 candidates, got %v", cands)
 	}
@@ -35,21 +35,21 @@ func TestNegativeFirstRestriction(t *testing.T) {
 	g := topology.NewTorus(16, 2)
 	// Needs -x and +y: the negative hop comes first.
 	m := message.New(g, 0, node(g, 5, 5), node(g, 2, 7), 16, 0, nil)
-	NegativeFirst{}.Init(g, m)
+	TurnModel{Turn: NegativeFirst}.Init(g, m)
 	var cands []Candidate
-	cands = NegativeFirst{}.Candidates(g, m, node(g, 5, 5), cands)
+	cands = TurnModel{Turn: NegativeFirst}.Candidates(g, m, node(g, 5, 5), cands)
 	if len(cands) != 1 || cands[0].Dir != topology.Minus {
 		t.Fatalf("want the single negative hop first, got %v", cands)
 	}
 	// Needs -x and -y: adaptive among both negatives.
 	m2 := message.New(g, 0, node(g, 5, 5), node(g, 3, 2), 16, 0, nil)
-	cands = NegativeFirst{}.Candidates(g, m2, node(g, 5, 5), cands[:0])
+	cands = TurnModel{Turn: NegativeFirst}.Candidates(g, m2, node(g, 5, 5), cands[:0])
 	if len(cands) != 2 {
 		t.Fatalf("two negative dims should both be offered, got %v", cands)
 	}
 	// All-positive message: adaptive among positives.
 	m3 := message.New(g, 0, node(g, 5, 5), node(g, 7, 8), 16, 0, nil)
-	cands = NegativeFirst{}.Candidates(g, m3, node(g, 5, 5), cands[:0])
+	cands = TurnModel{Turn: NegativeFirst}.Candidates(g, m3, node(g, 5, 5), cands[:0])
 	if len(cands) != 2 {
 		t.Fatalf("two positive dims should both be offered, got %v", cands)
 	}
@@ -106,12 +106,12 @@ func TestNegativeFirstOrdering(t *testing.T) {
 			continue
 		}
 		m := message.New(g, 0, src, dst, 16, 0, func(int) bool { return r.Bernoulli(0.5) })
-		NegativeFirst{}.Init(g, m)
+		TurnModel{Turn: NegativeFirst}.Init(g, m)
 		cur := src
 		var cands []Candidate
 		seenPositive := false
 		for !m.Arrived() {
-			cands = NegativeFirst{}.Candidates(g, m, cur, cands[:0])
+			cands = TurnModel{Turn: NegativeFirst}.Candidates(g, m, cur, cands[:0])
 			c := cands[r.Intn(len(cands))]
 			if c.Dir == topology.Plus {
 				seenPositive = true

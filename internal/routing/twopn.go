@@ -22,10 +22,35 @@ import (
 // For a 16-ary 2-cube this costs only four virtual channels per physical
 // channel — the cheapest fully adaptive algorithm in the study, and the one
 // the paper shows losing to plain e-cube under uniform and hotspot traffic.
-type TwoPowerN struct{ noAlloc }
+type TwoPowerN struct {
+	noAlloc
+	// SourceTag selects "2pnsrc", the literal reading of eq. (1): the n-bit
+	// tag is computed once at the source from s and d and kept for the
+	// whole journey (free bits where s_i = d_i).
+	//
+	// WARNING: on a torus this discipline is NOT deadlock-free. All
+	// messages travelling around a ring in one direction can share a single
+	// tag class, so the channel-dependency graph contains ring cycles that
+	// no class switch breaks, and the network wedges under moderate load.
+	// The variant exists to test the reproduction hypothesis that the
+	// paper's anomalous 2pn result — a fully adaptive algorithm losing to
+	// plain e-cube under wormhole switching but matching nbc under virtual
+	// cut-through — is what a source-fixed tag produces: wormhole worms
+	// lock up in those cycles, while cut-through packets park in buffers
+	// and rarely complete one. Use the per-hop tag for the sound algorithm.
+	// On meshes both variants are deadlock-free; Compatible accepts both
+	// everywhere, and the simulator's watchdog reports the resulting
+	// deadlocks.
+	SourceTag bool
+}
 
-// Name returns "2pn".
-func (TwoPowerN) Name() string { return "2pn" }
+// Name returns "2pn", or "2pnsrc" for the source tag.
+func (t TwoPowerN) Name() string {
+	if t.SourceTag {
+		return "2pnsrc"
+	}
+	return "2pn"
+}
 
 // FullyAdaptive returns true.
 func (TwoPowerN) FullyAdaptive() bool { return true }
@@ -68,16 +93,23 @@ func tagBits(g *topology.Grid, m *message.Message, node int) (forced, freeMask i
 }
 
 // Init assigns the congestion class from the virtual-channel number the
-// message can use: its source tag with free bits zero.
-func (TwoPowerN) Init(g *topology.Grid, m *message.Message) {
-	forced, _ := tagBits(g, m, m.Src)
+// message can use: its source tag with free bits zero. The source-tag
+// variant also stores the tag for the whole journey.
+func (t TwoPowerN) Init(g *topology.Grid, m *message.Message) {
+	forced, freeMask := tagBits(g, m, m.Src)
+	if t.SourceTag {
+		m.TagForced, m.TagFree = forced, freeMask
+	}
 	m.Class = forced
 }
 
 // Candidates offers every uncorrected dimension on every tag consistent
-// with eq. (1) at the current node.
-func (TwoPowerN) Candidates(g *topology.Grid, m *message.Message, node int, dst []Candidate) []Candidate {
-	forced, freeMask := tagBits(g, m, node)
+// with eq. (1) at the current node, or with the stored source tag.
+func (t TwoPowerN) Candidates(g *topology.Grid, m *message.Message, node int, dst []Candidate) []Candidate {
+	forced, freeMask := m.TagForced, m.TagFree
+	if !t.SourceTag {
+		forced, freeMask = tagBits(g, m, node)
+	}
 	// Enumerate the subsets of freeMask; each yields one consistent tag.
 	sub := 0
 	for {

@@ -1,8 +1,10 @@
 // Package traffic generates the workloads of the paper's evaluation:
 // uniform, hotspot and local traffic patterns with geometrically distributed
-// message interarrival times, plus the matrix-transpose, bit-reversal,
-// complement and trace-driven extensions the paper mentions (sec. 3.4 cites
-// Glass & Ni's transpose results; sec. 4 plans trace-driven evaluation).
+// message interarrival times, plus trace-driven workloads and the
+// permutation patterns (matrix transpose, bit reversal, complement, tornado,
+// perfect shuffle) — extensions the paper mentions or the standard
+// evaluation suite adds (sec. 3.4 cites Glass & Ni's transpose results;
+// sec. 4 plans trace-driven evaluation).
 //
 // A Pattern chooses destinations; a Workload combines a pattern with an
 // arrival process and feeds the simulator. Patterns also expose their exact
@@ -45,8 +47,11 @@ func NewUniform(g *topology.Grid) *Uniform { return &Uniform{g: g} }
 func (u *Uniform) Name() string { return "uniform" }
 
 // Dest draws uniformly among the other nodes.
-func (u *Uniform) Dest(src int, r *rng.Stream) int {
-	d := r.Intn(u.g.Nodes() - 1)
+func (u *Uniform) Dest(src int, r *rng.Stream) int { return otherNode(u.g, src, r) }
+
+// otherNode draws uniformly among g's nodes other than src.
+func otherNode(g *topology.Grid, src int, r *rng.Stream) int {
+	d := r.Intn(g.Nodes() - 1)
 	if d >= src {
 		d++
 	}
@@ -112,11 +117,7 @@ func (h *Hotspot) Dest(src int, r *rng.Stream) int {
 	if r.Bernoulli(h.Frac) && h.Hot != src {
 		return h.Hot
 	}
-	d := r.Intn(h.g.Nodes() - 1)
-	if d >= src {
-		d++
-	}
-	return d
+	return otherNode(h.g, src, r)
 }
 
 // DestProb combines the hotspot and uniform components.
@@ -166,13 +167,13 @@ func localErr(g *topology.Grid, radius int) error {
 func (l *Local) Name() string { return fmt.Sprintf("local(r=%d)", l.Radius) }
 
 // Dest draws a uniform nonzero offset vector within the box, rejecting
-// offsets that fall outside a mesh boundary.
+// offsets that fall outside a mesh boundary. It builds the node id by
+// strides, least significant dimension first, so a draw allocates nothing.
 func (l *Local) Dest(src int, r *rng.Stream) int {
 	g := l.g
-	coords := make([]int, g.N())
+draw:
 	for {
-		zero := true
-		ok := true
+		id, stride, zero := 0, 1, true
 		for dim := 0; dim < g.N(); dim++ {
 			off := r.Intn(2*l.Radius+1) - l.Radius
 			if off != 0 {
@@ -182,13 +183,13 @@ func (l *Local) Dest(src int, r *rng.Stream) int {
 			if g.Wrap() {
 				c = ((c % g.K()) + g.K()) % g.K()
 			} else if c < 0 || c >= g.K() {
-				ok = false
-				break
+				continue draw
 			}
-			coords[dim] = c
+			id += c * stride
+			stride *= g.K()
 		}
-		if ok && !zero {
-			return g.ID(coords)
+		if !zero {
+			return id
 		}
 	}
 }
@@ -205,169 +206,21 @@ func (l *Local) inBox(src, dst int) bool {
 	return true
 }
 
-// DestProb returns 1/(box size - 1) for box members.
+// DestProb returns 1/(box size - 1) for box members, the box clipped at a
+// mesh boundary.
 func (l *Local) DestProb(src, dst int) float64 {
 	if src == dst || !l.inBox(src, dst) {
 		return 0
 	}
-	if l.g.Wrap() {
-		size := 1
-		for i := 0; i < l.g.N(); i++ {
-			size *= 2*l.Radius + 1
-		}
-		return 1 / float64(size-1)
-	}
-	// Mesh: count the clipped box.
 	size := 1
 	for dim := 0; dim < l.g.N(); dim++ {
-		c := l.g.Coord(src, dim)
-		lo := max(0, c-l.Radius)
-		hi := min(l.g.K()-1, c+l.Radius)
+		lo, hi := l.g.Coord(src, dim)-l.Radius, l.g.Coord(src, dim)+l.Radius
+		if !l.g.Wrap() { // a mesh clips the box at its boundary
+			lo, hi = max(0, lo), min(l.g.K()-1, hi)
+		}
 		size *= hi - lo + 1
 	}
 	return 1 / float64(size-1)
-}
-
-// Transpose is the matrix-transpose permutation: the destination's
-// coordinate vector is the source's reversed ((i,j) -> (j,i) in two
-// dimensions). Nodes on the diagonal generate no traffic. Glass & Ni report
-// the turn-model algorithms beating e-cube on this pattern; experiment
-// X-TRANS revisits that claim.
-type Transpose struct{ g *topology.Grid }
-
-// NewTranspose returns the transpose pattern.
-func NewTranspose(g *topology.Grid) *Transpose { return &Transpose{g: g} }
-
-// Name returns "transpose".
-func (t *Transpose) Name() string { return "transpose" }
-
-// dest computes the deterministic destination.
-func (t *Transpose) dest(src int) int {
-	g := t.g
-	coords := make([]int, g.N())
-	g.Coords(src, coords)
-	for i, j := 0, g.N()-1; i < j; i, j = i+1, j-1 {
-		coords[i], coords[j] = coords[j], coords[i]
-	}
-	return g.ID(coords)
-}
-
-// Dest returns the transpose of src, or -1 on the diagonal.
-func (t *Transpose) Dest(src int, _ *rng.Stream) int {
-	d := t.dest(src)
-	if d == src {
-		return -1
-	}
-	return d
-}
-
-// DestProb is 1 for the transpose destination, 0 otherwise.
-func (t *Transpose) DestProb(src, dst int) float64 {
-	if dst != src && t.dest(src) == dst {
-		return 1
-	}
-	return 0
-}
-
-// BitReversal is the bit-reversal permutation on node ids (the node count
-// must be a power of two).
-type BitReversal struct {
-	g    *topology.Grid
-	bits int
-}
-
-// NewBitReversal returns the bit-reversal pattern; it panics unless the node
-// count is a power of two.
-func NewBitReversal(g *topology.Grid) *BitReversal {
-	bits, err := idBits(g, "bit reversal")
-	mustValid(err)
-	return &BitReversal{g: g, bits: bits}
-}
-
-// idBits returns the width of g's node ids, log2 of the node count, and an
-// error naming the pattern that needs it when the count is not a power of
-// two.
-func idBits(g *topology.Grid, pattern string) (int, error) {
-	n := g.Nodes()
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	if 1<<bits != n {
-		return 0, fmt.Errorf("traffic: %s needs a power-of-two node count, have %d", pattern, n)
-	}
-	return bits, nil
-}
-
-// Name returns "bitrev".
-func (b *BitReversal) Name() string { return "bitrev" }
-
-func (b *BitReversal) dest(src int) int {
-	d := 0
-	for i := 0; i < b.bits; i++ {
-		d = d<<1 | (src>>i)&1
-	}
-	return d
-}
-
-// Dest returns the bit-reversed id, or -1 for palindromic ids.
-func (b *BitReversal) Dest(src int, _ *rng.Stream) int {
-	d := b.dest(src)
-	if d == src {
-		return -1
-	}
-	return d
-}
-
-// DestProb is 1 for the reversed id, 0 otherwise.
-func (b *BitReversal) DestProb(src, dst int) float64 {
-	if dst != src && b.dest(src) == dst {
-		return 1
-	}
-	return 0
-}
-
-// Complement sends each message to the node diametrically opposite the
-// source (coordinates shifted by k/2 on a torus, mirrored on a mesh) —
-// every message travels the full diameter, the adversarial long-haul
-// pattern.
-type Complement struct{ g *topology.Grid }
-
-// NewComplement returns the complement pattern.
-func NewComplement(g *topology.Grid) *Complement { return &Complement{g: g} }
-
-// Name returns "complement".
-func (c *Complement) Name() string { return "complement" }
-
-func (c *Complement) dest(src int) int {
-	g := c.g
-	coords := make([]int, g.N())
-	g.Coords(src, coords)
-	for i := range coords {
-		if g.Wrap() {
-			coords[i] = (coords[i] + g.K()/2) % g.K()
-		} else {
-			coords[i] = g.K() - 1 - coords[i]
-		}
-	}
-	return g.ID(coords)
-}
-
-// Dest returns the complement node, or -1 if it equals the source.
-func (c *Complement) Dest(src int, _ *rng.Stream) int {
-	d := c.dest(src)
-	if d == src {
-		return -1
-	}
-	return d
-}
-
-// DestProb is 1 for the complement node, 0 otherwise.
-func (c *Complement) DestProb(src, dst int) float64 {
-	if dst != src && c.dest(src) == dst {
-		return 1
-	}
-	return 0
 }
 
 // Parse builds a pattern on g from a CLI-style spec:
