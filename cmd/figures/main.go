@@ -48,6 +48,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
+	// A flag the chosen output would ignore is a usage error, not a silent
+	// no-op.
+	outputs := 0
+	for _, on := range []bool{*md, *peaks, *csv} {
+		if on {
+			outputs++
+		}
+	}
+	if outputs > 1 {
+		return errors.New("-md, -peaks and -csv each choose the output; give at most one")
+	}
 
 	base := core.Config{Seed: *seed}
 	if *quick {

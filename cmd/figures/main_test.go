@@ -17,6 +17,7 @@ func TestArguments(t *testing.T) {
 	}{
 		{[]string{"-fig", "bogus"}, `unknown figure "bogus"`, ""},
 		{[]string{"-nope"}, "-nope", "-nope"},
+		{[]string{"-fig", "vct", "-quick", "-csv", "-md"}, "at most one", ""},
 		{[]string{"-h"}, "", "-fig"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -29,14 +29,17 @@ func LoadConfig(path string) (Config, error) {
 
 // Canonical returns the configuration in its canonical form: defaults
 // applied, runtime-only hooks cleared, and the observatory publication
-// period zeroed (it changes what an attached observer sees, never the
-// Result). Two Configs that canonicalize identically describe the same
-// simulation point and produce bit-identical Results, so the canonical form
-// is what Hash digests and what the run store records.
+// period and an OfferedLoad that InjectionRate overrides zeroed (neither
+// changes the Result). Two Configs that canonicalize identically describe
+// the same simulation point and produce bit-identical Results, so the
+// canonical form is what Hash digests and what the run store records.
 func (c Config) Canonical() Config {
 	c.ApplyDefaults()
 	c.OnSample, c.OnTick, c.PhaseProf, c.Cache = nil, nil, nil, nil
 	c.TickCycles = 0
+	if c.InjectionRate != 0 {
+		c.OfferedLoad = 0
+	}
 	if c.Telemetry != nil {
 		// Normalize the pointer so "no options" and "zero options" hash alike
 		// only when they produce the same Result (a non-nil collector fills

@@ -67,7 +67,7 @@ type Config struct {
 	// OfferedLoad is the offered channel utilization rho (fraction of
 	// capacity); the per-node injection rate lambda is derived from eq. (4):
 	// lambda = rho * 2n / (MsgLen * meanDistance). If InjectionRate is set
-	// it overrides the derivation.
+	// it overrides the derivation, and OfferedLoad is ignored.
 	OfferedLoad   float64
 	InjectionRate float64
 
@@ -344,7 +344,8 @@ type Result struct {
 	K, N      int
 	Mesh      bool
 
-	// OfferedLoad is the requested rho; InjectionRate the lambda used;
+	// OfferedLoad is the rho offered: the requested one, or eq. (4) applied
+	// to an explicit InjectionRate. InjectionRate is the lambda used;
 	// MeanDistance the workload's exact mean hops.
 	OfferedLoad   float64
 	InjectionRate float64
@@ -536,18 +537,20 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 	// dominant construction cost.
 	probe := traffic.NewBernoulli(g, pattern, 0, cfg.Seed)
 	meanDist := probe.MeanDistance()
-	lambda := cfg.InjectionRate
+	rho, lambda := cfg.OfferedLoad, cfg.InjectionRate
 	if lambda == 0 {
 		if meanDist == 0 {
 			return Result{}, fmt.Errorf("core: pattern %s generates no traffic", cfg.Pattern)
 		}
-		lambda = cfg.OfferedLoad * float64(2*g.N()) / (float64(cfg.MsgLen) * meanDist)
+		lambda = rho * float64(2*g.N()) / (float64(cfg.MsgLen) * meanDist)
+	} else {
+		rho = lambda * float64(cfg.MsgLen) * meanDist / float64(2*g.N())
 	}
 	if !(lambda >= 0) { // NaN too
-		return Result{}, fmt.Errorf("core: injection rate %.3g must be >= 0 (offered load %.3g)", lambda, cfg.OfferedLoad)
+		return Result{}, fmt.Errorf("core: injection rate %.3g must be >= 0 (offered load %.3g)", lambda, rho)
 	}
 	if lambda > 1 {
-		return Result{}, fmt.Errorf("core: offered load %.3g needs injection rate %.3g > 1 message/node/cycle", cfg.OfferedLoad, lambda)
+		return Result{}, fmt.Errorf("core: offered load %.3g needs injection rate %.3g > 1 message/node/cycle", rho, lambda)
 	}
 	wl := probe.WithRate(lambda, cfg.Seed)
 
@@ -558,7 +561,7 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 		K:             cfg.K,
 		N:             cfg.N,
 		Mesh:          cfg.Mesh,
-		OfferedLoad:   cfg.OfferedLoad,
+		OfferedLoad:   rho,
 		InjectionRate: lambda,
 		MeanDistance:  meanDist,
 	}
@@ -603,7 +606,7 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 		lastRecorded = next
 		ticks.deliver(cfg.OnTick, TickEvent{
 			Algorithm: cfg.Algorithm, Pattern: cfg.Pattern, Switching: cfg.Switching,
-			K: cfg.K, N: cfg.N, Mesh: cfg.Mesh, OfferedLoad: cfg.OfferedLoad, Seed: cfg.Seed,
+			K: cfg.K, N: cfg.N, Mesh: cfg.Mesh, OfferedLoad: rho, Seed: cfg.Seed,
 			Cycle: eng.Now(), InFlight: eng.InFlight(),
 			Counters: eng.Total(),
 			Blame:    eng.BlameHead(4),

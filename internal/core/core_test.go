@@ -111,6 +111,18 @@ func TestExplicitInjectionRateOverrides(t *testing.T) {
 	if res.InjectionRate != 0.005 {
 		t.Errorf("rate %v, want 0.005", res.InjectionRate)
 	}
+	// The load reported is the one the rate offers, eq. (4) inverted, not
+	// the OfferedLoad the rate overrode; so that OfferedLoad is not part of
+	// the simulation's identity either.
+	d := c.Canonical() // defaults applied
+	if want := 0.005 * float64(d.MsgLen) * res.MeanDistance / float64(2*d.N); math.Abs(res.OfferedLoad-want) > 1e-12 {
+		t.Errorf("offered load %v, want %v (eq. 4 at the explicit rate)", res.OfferedLoad, want)
+	}
+	other := c
+	other.OfferedLoad = c.OfferedLoad + 0.3
+	if c.Hash() != other.Hash() {
+		t.Errorf("configs differing only in an overridden OfferedLoad hash apart")
+	}
 }
 
 // TestUnloadedLatencyMatchesEquationTwo at the experiment level: eq. (2)

@@ -97,12 +97,12 @@ type FigureResult struct {
 	Series []Series
 }
 
-// RunFigure sweeps every algorithm of the spec over its load axis, as one
-// scheduler item per (algorithm, load) point across the machine's cores, so
-// no algorithm waits for another's slowest point. base supplies shared
-// settings (sizes, seeds, methodology); its Algorithm, Pattern, Switching
-// and OfferedLoad fields are overridden by the spec. Every point equals a
-// sequential Run of its config.
+// RunFigure sweeps every algorithm of the spec over its load axis, each
+// (algorithm, load) point its own index of the fan-out across the machine's
+// cores, so no algorithm waits for another's slowest point. base supplies
+// shared settings (sizes, seeds, methodology); its Algorithm, Pattern,
+// Switching and OfferedLoad fields are overridden by the spec. Every point
+// equals a sequential Run of its config.
 // Deadlocked points are recorded in their Result and do not abort the
 // figure; any other error does.
 //

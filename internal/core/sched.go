@@ -1,123 +1,41 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
 	"wormsim/internal/stats"
 )
 
-// Scheduler is a pool of workers pulling simulation work items from one
-// FIFO queue. Every caller either queues its whole task list up front (the
-// sweeps, through each) or one run at a time (the observatory API), so an
-// idle worker taking the oldest queued item is greedy list scheduling: no
-// worker sits idle while work is queued.
-//
-// Work items are whole simulation runs (milliseconds to minutes), so one
-// mutex guards the queue: contention on it is unmeasurable at that
-// granularity. Each simulation itself stays single-threaded and seeded, so
-// any schedule produces results identical to a sequential pass. Items that
-// simulate take their engines from Run's pool, so a sweep builds about one
-// engine per worker rather than one per point.
-type Scheduler struct {
-	mu sync.Mutex
-	// work wakes idle workers (an item was queued, or the pool closed);
-	// drained wakes Close once live reaches zero.
-	work, drained *sync.Cond
-	queue         []func()
-	// live counts submitted-but-unfinished items.
-	live   int
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// NewScheduler starts a pool of workers (minimum 1). Close it when done.
-func NewScheduler(workers int) *Scheduler {
-	if workers < 1 {
-		workers = 1
-	}
-	s := &Scheduler{}
-	s.work = sync.NewCond(&s.mu)
-	s.drained = sync.NewCond(&s.mu)
-	s.wg.Add(workers)
-	for range workers {
-		go s.worker() //lint:allow purity (worker pool; completion order never escapes — results land by point index)
-	}
-	return s
-}
-
-// Submit queues one work item behind every item queued before it. It may be
-// called from inside a running item; Close waits for such items too.
-func (s *Scheduler) Submit(fn func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		panic("core: Submit on closed Scheduler")
-	}
-	s.queue = append(s.queue, fn)
-	s.live++
-	s.work.Signal()
-}
-
-func (s *Scheduler) worker() {
-	defer s.wg.Done()
-	s.mu.Lock()
-	for {
-		if len(s.queue) > 0 {
-			fn := s.queue[0]
-			s.queue[0] = nil
-			s.queue = s.queue[1:]
-			s.mu.Unlock()
-			fn()
-			s.mu.Lock()
-			if s.live--; s.live == 0 {
-				s.drained.Broadcast()
-			}
-			continue
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		s.work.Wait()
-	}
-}
-
-// Close waits for every submitted item, including items submitted by running
-// items, and stops the workers. The scheduler cannot be reused afterwards.
-// Never call it from inside a work item: a worker waiting on its own pool
-// deadlocks it.
-func (s *Scheduler) Close() {
-	s.mu.Lock()
-	for s.live > 0 {
-		s.drained.Wait()
-	}
-	s.closed = true
-	s.work.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
-// each runs fn(i) for every i in [0, n) on a Scheduler of workers workers
-// (at most n), queued in index order. Callers write results by index, so
-// completion order never shows. It returns the error of the lowest failing
-// index.
+// each runs fn(i) for every i in [0, n) on min(workers, n) goroutines (at
+// least one when n > 0), which take the indices in increasing order from one
+// mutex-guarded counter; items are whole runs, so contention is negligible.
+// Callers write results by index, so completion order never shows. It
+// returns the error of the lowest failing index.
 func each(workers, n int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	s := NewScheduler(workers)
-	for i := 0; i < n; i++ {
-		s.Submit(func() { errs[i] = fn(i) })
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	next := 0
+	for range min(max(workers, 1), n) {
+		wg.Add(1)
+		go func() { //lint:allow purity (worker pool; completion order never escapes — results land by point index)
+			defer wg.Done()
+			for {
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				if i >= n {
+					return
+				}
+				errs[i] = fn(i)
+			}
+		}()
 	}
-	s.Close()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 // ReplicatedResult aggregates the replications of one offered load.
@@ -134,9 +52,10 @@ type ReplicatedResult struct {
 	Deadlocks int
 }
 
-// SweepReplicated runs cfg at every load once per seed, one scheduler item
-// per (load, seed) pair, so a worker that finishes a cheap load picks up
-// single replicas of the expensive loads near saturation instead of idling.
+// SweepReplicated runs cfg at every load once per seed, each (load, seed)
+// pair its own index of the fan-out, so a worker that finishes a cheap load
+// picks up single replicas of the expensive loads near saturation instead of
+// idling.
 // Each replica is an independent point, and its Result equals, field for
 // field, Run of the same config at that seed.
 // Results are aggregated per load, in load order, with Replicas in seed

@@ -1,57 +1,101 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// countRuns runs each at the given width over n items and returns how often
+// each index ran.
+func countRuns(t *testing.T, workers, n int) []int64 {
+	t.Helper()
+	runs := make([]atomic.Int64, n)
+	if err := each(workers, n, func(i int) error { runs[i].Add(1); return nil }); err != nil {
+		t.Fatalf("workers=%d n=%d: %v", workers, n, err)
+	}
+	out := make([]int64, n)
+	for i := range runs {
+		out[i] = runs[i].Load()
+	}
+	return out
+}
+
+// TestSchedulerRunsEveryItem: each hands out every index exactly once at any
+// width.
 func TestSchedulerRunsEveryItem(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		s := NewScheduler(workers)
-		var ran atomic.Int64
-		for i := 0; i < 100; i++ {
-			s.Submit(func() { ran.Add(1) })
-		}
-		s.Close()
-		if ran.Load() != 100 {
-			t.Errorf("workers=%d: ran %d of 100 items", workers, ran.Load())
+		for i, got := range countRuns(t, workers, 100) {
+			if got != 1 {
+				t.Errorf("workers=%d: index %d ran %d times, want exactly once", workers, i, got)
+			}
 		}
 	}
 }
 
-// TestSchedulerRunsItemsConcurrently proves four workers really dispatch
-// four items at once, independent of core count: each item rendezvouses
-// with the other three before any is released, which only completes when
-// all four are in flight simultaneously (blocked goroutines yield the CPU,
-// so this holds even on a single-core host where wall-clock speedup can't).
+// TestSchedulerRunsItemsConcurrently proves four workers really run four
+// items at once, independent of core count: each item rendezvouses with the
+// other three before any is released, which only completes when all four
+// are in flight simultaneously (blocked goroutines yield the CPU, so this
+// holds even on a single-core host where wall-clock speedup can't).
+//
+// Its second half pins the error contract where completion order differs
+// from index order: at width 2 index 5 fails at once, and index 2 fails
+// only once index 6 has started, which the other worker reaches only after
+// index 5 has returned; each still returns index 2's error.
 func TestSchedulerRunsItemsConcurrently(t *testing.T) {
 	const workers = 4
-	s := NewScheduler(workers)
 	var arrived atomic.Int64
 	ready := make(chan struct{})
 	release := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		s.Submit(func() {
-			if arrived.Add(1) == workers {
-				close(ready)
-			}
-			<-release
-		})
+	go func() {
+		select {
+		case <-ready:
+		case <-time.After(10 * time.Second):
+			t.Errorf("only %d of %d items entered concurrently", arrived.Load(), workers)
+		}
+		close(release)
+	}()
+	if err := each(workers, workers, func(int) error {
+		if arrived.Add(1) == workers {
+			close(ready)
+		}
+		<-release
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("only %d of %d items entered concurrently", arrived.Load(), workers)
+
+	errLate, errEarly := errors.New("index 2"), errors.New("index 5")
+	sixStarted := make(chan struct{})
+	err := each(2, 7, func(i int) error {
+		switch i {
+		case 2:
+			<-sixStarted
+			return errLate
+		case 5:
+			return errEarly
+		case 6:
+			close(sixStarted)
+		}
+		return nil
+	})
+	if err != errLate {
+		t.Errorf("each returned %v, want the lowest failing index's error %v", err, errLate)
 	}
-	close(release)
-	s.Close()
 }
 
-// TestSweepSchedulerMatchesSequential: the scheduled figure must reproduce a
-// sequential Run of every point exactly (each point is an independent seeded
-// simulation, whichever pooled engine it lands on).
+// TestSweepSchedulerMatchesSequential: the fanned-out figure must reproduce
+// a sequential Run of every point exactly (each point is an independent
+// seeded simulation, whichever pooled engine it lands on). A failing figure
+// reports its lowest failing point even when that point fails last: on two
+// workers, point 2 (nbc at rho=50, beyond one message per node per cycle)
+// finishes only once point 6 has, which the other worker reaches only after
+// point 5 (ecube at rho=50) has failed; RunFigure must wrap point 2's error.
 func TestSweepSchedulerMatchesSequential(t *testing.T) {
 	spec := FigureSpec{ID: "sched", Pattern: "uniform", Switching: Wormhole,
 		Algorithms: []string{"2pn"}, Loads: []float64{0.1, 0.2, 0.3, 0.4}}
@@ -60,7 +104,23 @@ func TestSweepSchedulerMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := sequentialFigure(t, spec, quick("")); !reflect.DeepEqual(fr.Series, want) {
-		t.Errorf("scheduled sweep diverged from sequential Runs:\nseq: %+v\npar: %+v", want, fr.Series)
+		t.Errorf("fanned-out sweep diverged from sequential Runs:\nseq: %+v\npar: %+v", want, fr.Series)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	bad := FigureSpec{ID: "bad", Pattern: "uniform", Switching: Wormhole,
+		Algorithms: []string{"nbc", "ecube", "2pn"}, Loads: []float64{0.1, 0.2, 50}}
+	sixDone := make(chan struct{})
+	_, err = RunFigure(bad, quick(""), func(i int, _ Result) {
+		switch i {
+		case 2:
+			<-sixDone
+		case 6:
+			close(sixDone)
+		}
+	})
+	if want := "core: figure bad, algorithm nbc, rho=50: "; err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("RunFigure error %v, want one starting %q", err, want)
 	}
 }
 
@@ -111,97 +171,68 @@ func TestSweepReplicatedMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
-// TestSchedulerZeroTasks: Close on an idle pool must return immediately
-// instead of parking forever on the condition variable.
+// TestSchedulerZeroTasks: no items means no call and no wait.
 func TestSchedulerZeroTasks(t *testing.T) {
-	s := NewScheduler(4)
-	done := make(chan struct{})
+	done := make(chan error)
 	go func() {
-		s.Close()
-		close(done)
+		done <- each(4, 0, func(i int) error {
+			t.Errorf("fn(%d) called with n = 0", i)
+			return nil
+		})
 	}()
 	select {
-	case <-done:
+	case err := <-done:
+		if err != nil {
+			t.Errorf("each over zero items returned %v", err)
+		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close with zero tasks did not return")
+		t.Fatal("each over zero items did not return")
 	}
 }
 
-// TestSchedulerSingleWorker: with one worker, outside submissions and items
-// submitted from inside running items must all run exactly once.
+// TestSchedulerSingleWorker: one worker runs the indices in increasing
+// order, each once, and later indices still run after an earlier one fails.
 func TestSchedulerSingleWorker(t *testing.T) {
-	s := NewScheduler(1)
-	var runs [40]atomic.Int64
-	for i := 0; i < 20; i++ {
-		s.Submit(func() {
-			runs[i].Add(1)
-			s.Submit(func() { runs[20+i].Add(1) })
-		})
-	}
-	s.Close()
-	for i := range runs {
-		if got := runs[i].Load(); got != 1 {
-			t.Errorf("task %d ran %d times, want exactly once", i, got)
+	var order, want []int // only the one worker appends to order
+	errFirst := errors.New("index 3")
+	err := each(1, 20, func(i int) error {
+		order = append(order, i)
+		switch i {
+		case 3:
+			return errFirst
+		case 7:
+			return errors.New("index 7")
 		}
+		return nil
+	})
+	if err != errFirst {
+		t.Errorf("each returned %v, want %v", err, errFirst)
+	}
+	for i := range 20 {
+		want = append(want, i)
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("run order %v, want %v", order, want)
 	}
 }
 
-// TestSchedulerMoreWorkersThanTasks: idle workers must park and shut down
-// cleanly when the pool is wider than the workload.
+// TestSchedulerMoreWorkersThanTasks: a width above n runs each of the n
+// items once and returns.
 func TestSchedulerMoreWorkersThanTasks(t *testing.T) {
-	s := NewScheduler(16)
-	var ran atomic.Int64
-	for i := 0; i < 3; i++ {
-		s.Submit(func() { ran.Add(1) })
-	}
-	s.Close()
-	if ran.Load() != 3 {
-		t.Errorf("ran %d of 3 tasks", ran.Load())
-	}
-}
-
-// TestSchedulerStealHeavyExactlyOnce funnels half the items through one
-// outside producer while every running item queues the other half behind
-// it, so eight workers contend for one queue from both ends of its life;
-// each task must still run exactly once.
-func TestSchedulerStealHeavyExactlyOnce(t *testing.T) {
-	const tasks = 2000
-	s := NewScheduler(8)
-	var runs [tasks]atomic.Int64
-	for i := 0; i < tasks/2; i++ {
-		s.Submit(func() {
-			runs[i].Add(1)
-			s.Submit(func() { runs[tasks/2+i].Add(1) })
-		})
-	}
-	s.Close()
-	for i := range runs {
-		if got := runs[i].Load(); got != 1 {
-			t.Fatalf("task %d ran %d times, want exactly once", i, got)
+	for i, got := range countRuns(t, 16, 3) {
+		if got != 1 {
+			t.Errorf("index %d ran %d times, want exactly once", i, got)
 		}
 	}
 }
 
-// TestSchedulerFIFO: one worker runs items in submission order, and items
-// submitted from inside a running item queue behind everything already
-// queued and run exactly once before Close returns. The first item holds the
-// worker until every outside submission is queued, so the order is fixed.
-func TestSchedulerFIFO(t *testing.T) {
-	s := NewScheduler(1)
-	var log []int // only the one worker appends
-	start := make(chan struct{})
-	s.Submit(func() { <-start; log = append(log, 0) })
-	for i := 1; i <= 5; i++ {
-		s.Submit(func() {
-			log = append(log, i)
-			if i%2 == 1 {
-				s.Submit(func() { log = append(log, 10+i) })
-			}
-		})
-	}
-	close(start)
-	s.Close()
-	if want := []int{0, 1, 2, 3, 4, 5, 11, 13, 15}; !reflect.DeepEqual(log, want) {
-		t.Errorf("run order %v, want %v", log, want)
+// TestSchedulerStealHeavyExactlyOnce: eight workers hammer the one counter
+// with empty items, so nearly every take contends; each index must still
+// run exactly once.
+func TestSchedulerStealHeavyExactlyOnce(t *testing.T) {
+	for i, got := range countRuns(t, 8, 2000) {
+		if got != 1 {
+			t.Fatalf("index %d ran %d times, want exactly once", i, got)
+		}
 	}
 }

@@ -27,13 +27,16 @@ import (
 // and a stored record of such a config is never served: fetching it or its
 // events answers the same 400, and listings and comparisons leave it out.
 // Otherwise the store is consulted once per submission (Lookup, which also
-// feeds the hit/miss counters on /metrics); a miss enqueues the run on a
-// FIFO core.Scheduler and the completed Result is written with Store, the
-// path RunCached writes by, before the run is reported done.
+// feeds the hit/miss counters on /metrics); a miss enqueues the run on the
+// API's own FIFO and the completed Result is written with Store, the path
+// RunCached writes by, before the run is reported done.
 type API struct {
 	store *runstore.Store
 	pub   *Publisher // optional: completed API runs publish ticks to the live feed
-	sched *core.Scheduler
+	// jobs is the FIFO of accepted runs. It buffers maxPending, the most runs
+	// that can be pending, so a send never blocks.
+	jobs    chan func()
+	workers sync.WaitGroup
 
 	mu      sync.Mutex
 	pending map[string]*runState // hash → queued or running submission
@@ -53,20 +56,33 @@ const (
 	maxPending     = 256
 )
 
-// NewAPI builds the API over store with its own scheduler of the given
-// worker count. pub may be nil; when set, runs submitted through the API
+// NewAPI builds the API over store and starts workers (minimum 1) goroutines
+// that run its submissions in order. pub may be nil; when set, API runs
 // publish ticks to the shared live feed. Close the API when done.
 func NewAPI(store *runstore.Store, pub *Publisher, workers int) *API {
-	return &API{
+	a := &API{
 		store:   store,
 		pub:     pub,
-		sched:   core.NewScheduler(workers),
+		jobs:    make(chan func(), maxPending),
 		pending: make(map[string]*runState),
 	}
+	for range max(workers, 1) {
+		a.workers.Add(1)
+		go func() {
+			defer a.workers.Done()
+			for job := range a.jobs {
+				job()
+			}
+		}()
+	}
+	return a
 }
 
-// Close drains and stops the scheduler (in-flight runs complete first).
-func (a *API) Close() { a.sched.Close() }
+// Close waits for every queued and running run; a later submission panics.
+func (a *API) Close() {
+	close(a.jobs)
+	a.workers.Wait()
+}
 
 // runStatus is the wire form of a submission's lifecycle. State is one of
 // queued, running, failed, done; Cached marks a done answered straight from
@@ -136,11 +152,11 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	a.pending[hash] = st
 	a.mu.Unlock()
 
-	a.sched.Submit(func() { a.run(hash, canonical) })
+	a.jobs <- func() { a.run(hash, canonical) }
 	writeJSON(w, http.StatusAccepted, runStatus{Hash: hash, State: "queued"})
 }
 
-// run executes one queued submission on a scheduler worker and settles its
+// run executes one queued submission on an API worker and settles its
 // state: the Result is stored before "done" is announced, so a client that
 // sees done can immediately GET the record.
 func (a *API) run(hash string, cfg core.Config) {
@@ -370,7 +386,7 @@ func (a *API) compare(algA, algB string) comparison {
 		case okA && okB:
 			cmp.Points = append(cmp.Points, comparePoint{
 				PairKey:     key,
-				OfferedLoad: ra.Config.OfferedLoad,
+				OfferedLoad: ra.Result.OfferedLoad,
 				A:           compareSide{ra.Hash, ra.Result.AvgLatency, ra.Result.Throughput, ra.Result.Deadlocked},
 				B:           compareSide{rb.Hash, rb.Result.AvgLatency, rb.Result.Throughput, rb.Result.Deadlocked},
 			})

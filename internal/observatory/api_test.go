@@ -301,7 +301,7 @@ func TestAPIErrors(t *testing.T) {
 	}
 
 	// A config admission passes but the engine refuses (nhop on an odd
-	// torus) settles as failed on its scheduler worker, and the server still
+	// torus) settles as failed on its API worker, and the server still
 	// answers. Both workers are held until the events stream has subscribed,
 	// so the stream sees the whole lifecycle; a failing check releases them
 	// before the API's cleanup waits for its workers.
@@ -309,7 +309,7 @@ func TestAPIErrors(t *testing.T) {
 	release := sync.OnceFunc(func() { close(gate) })
 	t.Cleanup(release)
 	for range 2 {
-		srv.api.sched.Submit(func() { <-gate })
+		srv.api.jobs <- func() { <-gate }
 	}
 	odd := core.Config{K: 5, Algorithm: "nhop"}
 	if code, body := postJSON(t, base+"/api/runs", odd); code != http.StatusAccepted {
