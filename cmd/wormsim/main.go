@@ -241,13 +241,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if grid {
 			c.pub.SetSweepTotal(len(algs) * len(loads))
 		}
-		var api *observatory.API
-		if c.store != nil {
-			c.pub.SetStore(c.store)
-			api = observatory.NewAPI(c.store, c.pub, runtime.GOMAXPROCS(0))
-			defer api.Close()
-		}
-		s, err := observatory.Listen(*httpAddr, c.pub, api)
+		s, err := observatory.Listen(*httpAddr, c.pub, c.store)
 		if err != nil {
 			return err
 		}

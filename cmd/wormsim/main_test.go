@@ -79,7 +79,7 @@ func TestBadArguments(t *testing.T) {
 		{[]string{"-load", "0.2,0.3", "-rate", "0.01"}, "-rate"},
 		{[]string{"-replicas", "2", "-metrics"}, "-metrics is not supported with -replicas"},
 		{[]string{"-alg", "nbc,ecube", "-v"}, "-v is not supported with a grid"},
-		{[]string{"-k", "4294967297", "-n", "2"}, "more than 65536 nodes"},
+		{[]string{"-k", "65537", "-n", "2"}, "more than 65536 nodes"},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(tc.args, &stdout, &stderr)

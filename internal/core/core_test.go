@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -184,6 +185,10 @@ func TestRunValidation(t *testing.T) {
 // three oversized networks used to end the process (out of memory building
 // the grid) or wrap the node count to 0.
 func TestConfigCheck(t *testing.T) {
+	// Radices whose k^2 overflows this word size's int: the first wraps to a
+	// small positive count, the second to a negative one.
+	wrapsSmall := 1<<(strconv.IntSize/2) + 1
+	wrapsNegative := int(math.Sqrt(math.MaxInt)) + 1
 	for _, c := range []struct {
 		cfg  Config
 		want string // "" accepts
@@ -191,8 +196,8 @@ func TestConfigCheck(t *testing.T) {
 		{Config{}, ""},
 		{Config{K: 256, N: 2}, ""},
 		{Config{K: 2, N: 16}, ""},
-		{Config{K: 4294967297, N: 2}, "more than 65536 nodes"},
-		{Config{K: 3037000500, N: 2}, "more than 65536 nodes"},
+		{Config{K: wrapsSmall, N: 2}, "more than 65536 nodes"},
+		{Config{K: wrapsNegative, N: 2}, "more than 65536 nodes"},
 		{Config{K: 65536, N: 4}, "more than 65536 nodes"},
 		{Config{K: 2, N: 17}, "more than 65536 nodes"},
 		{Config{K: 1, N: 2}, "radix k >= 2"},

@@ -35,9 +35,10 @@ import (
 // wall-clock reads behind an injected clock — are annotated in place with
 // //lint:allow simdeterminism and a reason.
 //
-// The bug only this pass catches (DESIGN.md §5's mutation matrix, S1; the
-// simdet fixture's Pending): the observatory's run listing ranging over its
-// pending-run map without sorting, which no test lists twice.
+// The bug this pass catches deterministically and tests only sometimes
+// (DESIGN.md §5's mutation matrix, S1; the simdet fixture's Pending): the
+// observatory's comparison emitting its points in map order, which its
+// golden sees in about half of all runs.
 type SimDeterminism struct {
 	// Targets are the import paths the pass applies to in full; a path
 	// matches exactly. Packages outside the simulation core (CLIs, rng
@@ -88,10 +89,10 @@ func NewSimDeterminism() *SimDeterminism {
 			// The observatory's result-serving paths: what a client reads
 			// from /api/runs, /api/compare and /compare.svg must be a
 			// deterministic function of the stored results.
-			{Pkg: observatory, Func: "(*API).handleRuns"},
-			{Pkg: observatory, Func: "(*API).handleRun"},
-			{Pkg: observatory, Func: "(*API).handleCompare"},
-			{Pkg: observatory, Func: "(*API).handleCompareSVG"},
+			{Pkg: observatory, Func: "(*Server).handleRuns"},
+			{Pkg: observatory, Func: "(*Server).handleRun"},
+			{Pkg: observatory, Func: "(*Server).handleCompare"},
+			{Pkg: observatory, Func: "(*Server).handleCompareSVG"},
 		},
 	}
 }

@@ -34,8 +34,8 @@ func Keys(m map[string]int) []string {
 	return ks
 }
 
-// Pending lists pending runs straight from the map, as the observatory's
-// run listing would without its sort: the bug only this pass catches.
+// Pending lists a map's entries straight from the map, as the
+// observatory's comparison would without its sort.
 func Pending(pending map[string]string) []string {
 	var out []string
 	for h, state := range pending { // WANT simdeterminism

@@ -2,226 +2,35 @@ package observatory
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 
-	"wormsim/internal/core"
 	"wormsim/internal/runstore"
 	"wormsim/internal/viz"
 )
 
-// API is the observatory's experiment surface over a persistent run store:
-// submit a configuration and get either the recorded Result instantly (the
-// store is content-addressed by core.Config.Hash, and simulations are pure
-// functions of the canonical config) or an enqueued run whose status can be
-// polled and streamed; list and fetch recorded runs; and compare two
-// algorithms point-by-point across everything else held equal
-// (core.Config.PairKey alignment).
+// The run-store endpoints are a read-only surface over the records
+// core.RunCached writes (cmd/figures, wormsim -store): list and fetch
+// recorded runs, and compare two algorithms point-by-point across
+// everything else held equal (core.Config.PairKey alignment). Nothing here
+// simulates or writes; a run is recorded by running it with a store.
 //
-// Admission is core's: a config core.Config.Check refuses is answered
-// 400 before the store is consulted, exactly as core.RunCached refuses it,
-// and a stored record of such a config is never served: fetching it or its
-// events answers the same 400, and listings and comparisons leave it out.
-// Otherwise the store is consulted once per submission (Lookup, which also
-// feeds the hit/miss counters on /metrics); a miss enqueues the run on the
-// API's own FIFO and the completed Result is written with Store, the path
-// RunCached writes by, before the run is reported done.
-type API struct {
-	store *runstore.Store
-	pub   *Publisher // optional: completed API runs publish ticks to the live feed
-	// jobs is the FIFO of accepted runs. It buffers maxPending, the most runs
-	// that can be pending, so a send never blocks.
-	jobs    chan func()
-	workers sync.WaitGroup
+// Admission is core's: a stored record of a config core.Config.Check
+// refuses is never served. Fetching it answers 400 with core's error, as
+// core.RunCached refuses the config, and listings and comparisons leave
+// it out.
 
-	mu      sync.Mutex
-	pending map[string]*runState // hash → queued or running submission
-}
-
-// runState tracks one in-flight submission and its SSE subscribers.
-type runState struct {
-	state string // "queued" or "running"
-	subs  hub
-}
-
-// Limits on what one client can make the API hold: a submission body is a
-// core.Config of a few hundred bytes, and every pending entry pins a queued
-// closure and its subscriber map until a worker gets to it.
-const (
-	maxSubmitBytes = 1 << 20
-	maxPending     = 256
-)
-
-// NewAPI builds the API over store and starts workers (minimum 1) goroutines
-// that run its submissions in order. pub may be nil; when set, API runs
-// publish ticks to the shared live feed. Close the API when done.
-func NewAPI(store *runstore.Store, pub *Publisher, workers int) *API {
-	a := &API{
-		store:   store,
-		pub:     pub,
-		jobs:    make(chan func(), maxPending),
-		pending: make(map[string]*runState),
-	}
-	for range max(workers, 1) {
-		a.workers.Add(1)
-		go func() {
-			defer a.workers.Done()
-			for job := range a.jobs {
-				job()
-			}
-		}()
-	}
-	return a
-}
-
-// Close waits for every queued and running run; a later submission panics.
-func (a *API) Close() {
-	close(a.jobs)
-	a.workers.Wait()
-}
-
-// runStatus is the wire form of a submission's lifecycle. State is one of
-// queued, running, failed, done; Cached marks a done answered straight from
-// the store; Result rides along on done.
-type runStatus struct {
-	Hash   string       `json:"hash"`
-	State  string       `json:"state"`
-	Cached bool         `json:"cached,omitempty"`
-	Error  string       `json:"error,omitempty"`
-	Result *core.Result `json:"result,omitempty"`
-}
-
-// handleRuns serves GET /api/runs (list) and POST /api/runs (submit).
-func (a *API) handleRuns(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		a.handleList(w)
-	case http.MethodPost:
-		a.handleSubmit(w, r)
-	default:
-		http.Error(w, `{"error":"method not allowed"}`, http.StatusMethodNotAllowed)
-	}
-}
-
-func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var cfg core.Config
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, map[string]string{"error": fmt.Sprintf("decode config: %v", err)})
+// handleRuns serves GET /api/runs, the list of recorded runs.
+func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{
+			"error": "the run store is read-only over HTTP; record runs with wormsim -store DIR"})
 		return
 	}
-	if err := cfg.Check(); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	canonical := cfg.Canonical()
-	hash := canonical.Hash()
-
-	// The single admission Lookup: a hit is the whole point of the store —
-	// the recorded Result comes back with zero engine cycles spent.
-	if res, ok := a.store.Lookup(hash); ok {
-		writeJSON(w, http.StatusOK, runStatus{Hash: hash, State: "done", Cached: true, Result: &res})
-		return
-	}
-
-	a.mu.Lock()
-	if st, ok := a.pending[hash]; ok {
-		// A concurrent submission of the same point rides the existing run.
-		state := st.state
-		a.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, runStatus{Hash: hash, State: state})
-		return
-	}
-	if len(a.pending) >= maxPending {
-		a.mu.Unlock()
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": fmt.Sprintf("%d runs pending, retry later", maxPending)})
-		return
-	}
-	st := &runState{state: "queued"}
-	a.pending[hash] = st
-	a.mu.Unlock()
-
-	a.jobs <- func() { a.run(hash, canonical) }
-	writeJSON(w, http.StatusAccepted, runStatus{Hash: hash, State: "queued"})
-}
-
-// run executes one queued submission on an API worker and settles its
-// state: the Result is stored before "done" is announced, so a client that
-// sees done can immediately GET the record.
-func (a *API) run(hash string, cfg core.Config) {
-	a.setState(hash, "running")
-	if a.pub != nil {
-		cfg.OnTick = a.pub.PublishTick
-	}
-	res, err := core.Run(cfg)
-	if err != nil && !res.Deadlocked {
-		// Invalid configs surface here; drop the pending entry so a corrected
-		// resubmission is not shadowed by the failure.
-		a.settle(hash, runStatus{Hash: hash, State: "failed", Error: err.Error()})
-		return
-	}
-	// Deadlock is a legitimate experimental outcome: the Result describes it
-	// (Result.Deadlocked) and is recorded like any other point.
-	if perr := a.store.Store(hash, cfg, res); perr != nil {
-		a.settle(hash, runStatus{Hash: hash, State: "failed", Error: perr.Error()})
-		return
-	}
-	a.settle(hash, runStatus{Hash: hash, State: "done", Result: &res})
-}
-
-// setState advances a pending run's state and notifies its subscribers.
-func (a *API) setState(hash, state string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, ok := a.pending[hash]
-	if !ok {
-		return
-	}
-	st.state = state
-	st.subs.send(sseMessage("status", runStatus{Hash: hash, State: state}))
-}
-
-// settle finishes a pending run: subscribers get the final status frame and
-// their channels close; the pending entry disappears (done runs live in the
-// store now, failed ones may be resubmitted).
-func (a *API) settle(hash string, final runStatus) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	st, ok := a.pending[hash]
-	if !ok {
-		return
-	}
-	delete(a.pending, hash)
-	st.subs.send(sseMessage("status", final)) // a slow client still observes completion via the close
-	st.subs.closeAll()
-}
-
-// runSummary is one row of the GET /api/runs listing.
-type runSummary struct {
-	Hash        string  `json:"hash"`
-	State       string  `json:"state"`
-	Seq         uint64  `json:"seq,omitempty"`
-	Algorithm   string  `json:"algorithm,omitempty"`
-	Pattern     string  `json:"pattern,omitempty"`
-	OfferedLoad float64 `json:"load,omitempty"`
-	AvgLatency  float64 `json:"latency,omitempty"`
-	Throughput  float64 `json:"throughput,omitempty"`
-	Deadlocked  bool    `json:"deadlocked,omitempty"`
-}
-
-func (a *API) handleList(w http.ResponseWriter) {
-	recs := a.store.List()
+	recs := s.store.List()
 	out := make([]runSummary, 0, len(recs))
 	for _, rec := range recs {
 		if rec.Config.Check() != nil {
@@ -234,98 +43,44 @@ func (a *API) handleList(w http.ResponseWriter) {
 			Throughput: rec.Result.Throughput, Deadlocked: rec.Result.Deadlocked,
 		})
 	}
-	a.mu.Lock()
-	hashes := make([]string, 0, len(a.pending))
-	for h := range a.pending { //lint:allow simdeterminism (sorted below)
-		hashes = append(hashes, h)
-	}
-	sort.Strings(hashes)
-	for _, h := range hashes {
-		out = append(out, runSummary{Hash: h, State: a.pending[h].state})
-	}
-	a.mu.Unlock()
 	writeJSON(w, http.StatusOK, struct {
 		Runs []runSummary `json:"runs"`
 	}{out})
 }
 
-// handleRun serves GET /api/runs/{hash} and GET /api/runs/{hash}/events.
-func (a *API) handleRun(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/runs/")
-	hash, sub, _ := strings.Cut(rest, "/")
-	switch {
-	case hash == "":
+// runSummary is one row of the GET /api/runs listing.
+type runSummary struct {
+	Hash        string  `json:"hash"`
+	State       string  `json:"state"` // always "done": a listed run is a recorded one
+	Seq         uint64  `json:"seq,omitempty"`
+	Algorithm   string  `json:"algorithm,omitempty"`
+	Pattern     string  `json:"pattern,omitempty"`
+	OfferedLoad float64 `json:"load,omitempty"`
+	AvgLatency  float64 `json:"latency,omitempty"`
+	Throughput  float64 `json:"throughput,omitempty"`
+	Deadlocked  bool    `json:"deadlocked,omitempty"`
+}
+
+// handleRun serves GET /api/runs/{hash}, one recorded run.
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	hash := strings.TrimPrefix(r.URL.Path, "/api/runs/")
+	if hash == "" || strings.Contains(hash, "/") {
 		http.NotFound(w, r)
-	case sub == "events":
-		a.handleRunEvents(w, r, hash)
-	case sub == "":
-		a.handleRunGet(w, hash)
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// refuseStored answers 400 with core's error, and reports true, when rec is
-// a stored record of a config the admission rule refuses.
-func refuseStored(w http.ResponseWriter, rec runstore.Record) bool {
-	err := rec.Config.Check()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-	}
-	return err != nil
-}
-
-func (a *API) handleRunGet(w http.ResponseWriter, hash string) {
-	if rec, ok := a.store.Get(hash); ok {
-		if refuseStored(w, rec) {
-			return
-		}
-		writeJSON(w, http.StatusOK, struct {
-			State  string          `json:"state"`
-			Record runstore.Record `json:"record"`
-		}{"done", rec})
 		return
 	}
-	a.mu.Lock()
-	st, ok := a.pending[hash]
-	var state string
-	if ok {
-		state = st.state
-	}
-	a.mu.Unlock()
-	if ok {
-		writeJSON(w, http.StatusOK, runStatus{Hash: hash, State: state})
-		return
-	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown run " + hash})
-}
-
-// handleRunEvents streams one run's status transitions as SSE until it
-// settles. A run already in the store yields a single done frame.
-func (a *API) handleRunEvents(w http.ResponseWriter, r *http.Request, hash string) {
-	if rec, ok := a.store.Get(hash); ok {
-		if refuseStored(w, rec) {
-			return
-		}
-		serveSSE(w, r, sseMessage("status", runStatus{Hash: hash, State: "done", Cached: true, Result: &rec.Result}), nil)
-		return
-	}
-	a.mu.Lock()
-	st, ok := a.pending[hash]
+	rec, ok := s.store.Get(hash)
 	if !ok {
-		a.mu.Unlock()
-		serveSSE(w, r, sseMessage("status", runStatus{Hash: hash, State: "unknown"}), nil)
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown run " + hash})
 		return
 	}
-	ch := st.subs.add(16)
-	open := sseMessage("status", runStatus{Hash: hash, State: st.state})
-	a.mu.Unlock()
-	defer func() {
-		a.mu.Lock()
-		st.subs.remove(ch)
-		a.mu.Unlock()
-	}()
-	serveSSE(w, r, open, ch)
+	if err := rec.Config.Check(); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, struct {
+		State  string          `json:"state"`
+		Record runstore.Record `json:"record"`
+	}{"done", rec})
 }
 
 // compareSide is one algorithm's record at a comparison point.
@@ -360,10 +115,10 @@ type comparison struct {
 // compare aligns the store's records of algorithms a and b by PairKey and
 // orders the paired points by offered load (PairKey breaking ties), a
 // deterministic result for both the JSON and the SVG surface.
-func (a *API) compare(algA, algB string) comparison {
+func (s *Server) compare(algA, algB string) comparison {
 	cmp := comparison{A: algA, B: algB}
 	byKey := make(map[string]map[string]runstore.Record)
-	for _, rec := range a.store.List() {
+	for _, rec := range s.store.List() {
 		if rec.Config.Check() != nil {
 			continue
 		}
@@ -405,23 +160,23 @@ func (a *API) compare(algA, algB string) comparison {
 	return cmp
 }
 
-func (a *API) handleCompare(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	algA, algB := r.URL.Query().Get("a"), r.URL.Query().Get("b")
 	if algA == "" || algB == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "compare needs ?a=ALG&b=ALG"})
 		return
 	}
-	writeJSON(w, http.StatusOK, a.compare(algA, algB))
+	writeJSON(w, http.StatusOK, s.compare(algA, algB))
 }
 
-func (a *API) handleCompareSVG(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCompareSVG(w http.ResponseWriter, r *http.Request) {
 	algA, algB := r.URL.Query().Get("a"), r.URL.Query().Get("b")
 	w.Header().Set("Content-Type", "image/svg+xml")
 	if algA == "" || algB == "" {
 		http.Error(w, "compare needs ?a=ALG&b=ALG", http.StatusBadRequest)
 		return
 	}
-	cmp := a.compare(algA, algB)
+	cmp := s.compare(algA, algB)
 	title := fmt.Sprintf("%s vs %s — latency vs offered load (%d aligned points)", algA, algB, len(cmp.Points))
 	fmt.Fprint(w, viz.CompareSVG(title, compareSeries(cmp))) //nolint:errcheck
 }

@@ -74,5 +74,4 @@ func TestHubSendAllocatesNothing(t *testing.T) {
 	if got := h.dropped.Load(); got != 2*100 {
 		t.Errorf("dropped %d frames, want 200 (both one-frame buffers full after the warm-up send)", got)
 	}
-	h.closeAll()
 }

@@ -101,8 +101,8 @@ func TestBlameBeforeForensics(t *testing.T) {
 	// endpoints must answer with explicit "not available" states.
 	check := func(stage string) {
 		t.Helper()
-		if code, _ := get(t, base+"/blame"); code != http.StatusServiceUnavailable {
-			t.Errorf("%s: /blame code %d, want 503", stage, code)
+		if code, ct, _ := getTyped(t, base+"/blame"); code != http.StatusServiceUnavailable || ct != "application/json" {
+			t.Errorf("%s: /blame code %d, Content-Type %q, want 503 and application/json", stage, code, ct)
 		}
 		if _, body := get(t, base+"/blame.svg"); !strings.Contains(body, "no forensics summary yet") {
 			t.Errorf("%s: /blame.svg placeholder missing: %.120q", stage, body)

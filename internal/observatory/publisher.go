@@ -1,7 +1,8 @@
 // Package observatory is the simulator's live inspection surface: an
 // embedded HTTP server exposing Prometheus-format metrics, a JSON state
 // snapshot, a server-sent-event stream of run progress, a live channel
-// heatmap and the net/http/pprof profiling endpoints.
+// heatmap, a read-only view of the run store and the net/http/pprof
+// profiling endpoints.
 //
 // The simulation core stays single-threaded and deterministic; it only ever
 // calls Publisher.PublishTick with copies of its state (core.TickEvent),
@@ -73,7 +74,7 @@ type Publisher struct {
 	sweepTotal atomic.Int64
 	sweepDone  atomic.Int64
 	phases     atomic.Pointer[telemetry.PhaseProfiler]
-	store      atomic.Pointer[runstore.Store]
+	store      atomic.Pointer[runstore.Store] // attached by Listen for /metrics' run-store counters
 }
 
 // NewPublisher returns a publisher on the real clock.
@@ -86,10 +87,6 @@ func (p *Publisher) SetPhases(pp *telemetry.PhaseProfiler) { p.phases.Store(pp) 
 // SetSweepTotal declares how many sweep points will run, for progress
 // reporting.
 func (p *Publisher) SetSweepTotal(n int) { p.sweepTotal.Store(int64(n)) }
-
-// SetStore attaches a run store whose cache counters are exported on
-// /metrics (wormsim_runstore_hits_total and friends).
-func (p *Publisher) SetStore(s *runstore.Store) { p.store.Store(s) }
 
 // DroppedFrames reports SSE frames dropped because a subscriber was slow.
 func (p *Publisher) DroppedFrames() int64 { return p.subs.dropped.Load() }
@@ -208,8 +205,8 @@ func (p *Publisher) Subscribe() (frames <-chan []byte, cancel func()) {
 // hub is a set of SSE subscribers, fed without blocking: a frame that finds
 // a subscriber's buffer full is dropped for that subscriber and counted, so
 // a slow client costs itself data and never stalls the sender. The zero
-// value is an empty hub. The owner's mutex guards every method; dropped may
-// be read at any time.
+// value is an empty hub. The Publisher's mutex guards every method; dropped
+// may be read at any time.
 type hub struct {
 	subs    map[chan []byte]struct{}
 	dropped atomic.Int64
@@ -225,8 +222,7 @@ func (h *hub) add(size int) chan []byte {
 	return ch
 }
 
-// remove unregisters ch and closes it; a channel closeAll has already
-// closed is left alone.
+// remove unregisters ch and closes it; removing it again does nothing.
 func (h *hub) remove(ch chan []byte) {
 	if _, ok := h.subs[ch]; ok {
 		delete(h.subs, ch)
@@ -236,21 +232,13 @@ func (h *hub) remove(ch chan []byte) {
 
 // send fans frame out to every subscriber.
 func (h *hub) send(frame []byte) {
-	for ch := range h.subs { //lint:allow simdeterminism (fan-out; per-subscriber delivery stays FIFO via the channel)
+	for ch := range h.subs { // any order: each subscriber's own delivery stays FIFO via its channel
 		select {
 		case ch <- frame:
 		default:
 			h.dropped.Add(1)
 		}
 	}
-}
-
-// closeAll closes and unregisters every subscriber, ending their streams.
-func (h *hub) closeAll() {
-	for ch := range h.subs { //lint:allow simdeterminism (every channel is closed; the order cannot show)
-		close(ch)
-	}
-	h.subs = nil
 }
 
 // sseMessage formats one server-sent event with an event name and JSON data.

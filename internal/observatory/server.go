@@ -1,7 +1,6 @@
 package observatory
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
@@ -10,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	"wormsim/internal/runstore"
 	"wormsim/internal/topology"
 	"wormsim/internal/viz"
 )
@@ -18,26 +18,27 @@ import (
 // goroutines; the simulation never blocks on it (all shared state flows
 // through the Publisher's atomic snapshot and the drop-on-full SSE hub).
 type Server struct {
-	pub *Publisher
-	api *API
-	ln  net.Listener
-	srv *http.Server
+	pub   *Publisher
+	store *runstore.Store // backs the read-only /api/* and /compare.svg; may be nil
+	ln    net.Listener
+	srv   *http.Server
 }
 
 // Listen starts serving pub on addr (e.g. ":8080", or "127.0.0.1:0" to let
-// the kernel pick a test port). api may be nil — the /api/* and
-// /compare.svg endpoints then answer 503 until a run store is attached
-// (start the CLI with -store DIR). It also enables the runtime's block and
-// mutex profiles — the cost is only paid when an observatory is actually
-// attached.
-func Listen(addr string, pub *Publisher, api *API) (*Server, error) {
+// the kernel pick a test port). store backs the /api/* and /compare.svg
+// endpoints and the run-store counters on /metrics; it may be nil, and
+// those endpoints then answer 503 (start the CLI with -store DIR). It also
+// enables the runtime's block and mutex profiles — the cost is only paid
+// when an observatory is actually attached.
+func Listen(addr string, pub *Publisher, store *runstore.Store) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("observatory: %w", err)
 	}
 	runtime.SetBlockProfileRate(1000)
 	runtime.SetMutexProfileFraction(100)
-	s := &Server{pub: pub, api: api, ln: ln}
+	pub.store.Store(store)
+	s := &Server{pub: pub, store: store, ln: ln}
 	s.srv = &http.Server{Handler: s.mux(), ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln) //nolint:errcheck // always returns ErrServerClosed after Close
 	return s, nil
@@ -63,10 +64,10 @@ func (s *Server) mux() *http.ServeMux {
 	mux.HandleFunc("/heatmap.svg", s.handleHeatmapSVG)
 	mux.HandleFunc("/blame", s.handleBlame)
 	mux.HandleFunc("/blame.svg", s.handleBlameSVG)
-	mux.HandleFunc("/api/runs", s.withAPI(func(w http.ResponseWriter, r *http.Request) { s.api.handleRuns(w, r) }))
-	mux.HandleFunc("/api/runs/", s.withAPI(func(w http.ResponseWriter, r *http.Request) { s.api.handleRun(w, r) }))
-	mux.HandleFunc("/api/compare", s.withAPI(func(w http.ResponseWriter, r *http.Request) { s.api.handleCompare(w, r) }))
-	mux.HandleFunc("/compare.svg", s.withAPI(func(w http.ResponseWriter, r *http.Request) { s.api.handleCompareSVG(w, r) }))
+	mux.HandleFunc("/api/runs", s.withStore(s.handleRuns))
+	mux.HandleFunc("/api/runs/", s.withStore(s.handleRun))
+	mux.HandleFunc("/api/compare", s.withStore(s.handleCompare))
+	mux.HandleFunc("/compare.svg", s.withStore(s.handleCompareSVG))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -76,12 +77,11 @@ func (s *Server) mux() *http.ServeMux {
 	return mux
 }
 
-// withAPI gates a handler on a run store being attached.
-func (s *Server) withAPI(h http.HandlerFunc) http.HandlerFunc {
+// withStore gates a handler on a run store being attached.
+func (s *Server) withStore(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.api == nil {
-			w.Header().Set("Content-Type", "application/json")
-			http.Error(w, `{"error":"no run store attached (start with -store DIR)"}`, http.StatusServiceUnavailable)
+		if s.store == nil {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no run store attached (start with -store DIR)"})
 			return
 		}
 		h(w, r)
@@ -114,7 +114,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/heatmap">/heatmap</a> — live channel-utilization heatmap</li>
 <li><a href="/blame">/blame</a> — congestion forensics: blame summary, top root channels, latency anatomy (needs -forensics)</li>
 <li><a href="/blame.svg">/blame.svg</a> — blame-mass heatmap, congestion-tree roots ringed</li>
-<li><a href="/api/runs">/api/runs</a> — run store: GET lists recorded runs, POST a JSON config to submit one</li>
+<li><a href="/api/runs">/api/runs</a> — run store: the recorded runs, read-only (record with wormsim -store DIR)</li>
 <li><a href="/api/compare">/api/compare?a=ALG&amp;b=ALG</a> — aligned A-vs-B curves from the store</li>
 <li><a href="/compare.svg">/compare.svg?a=ALG&amp;b=ALG</a> — the comparison as an SVG overlay plot</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — CPU, heap, block and mutex profiles</li>
@@ -131,49 +131,33 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	snap := s.pub.Snapshot()
 	if snap == nil {
-		http.Error(w, `{"error":"no tick published yet"}`, http.StatusServiceUnavailable)
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no tick published yet"})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(snap) //nolint:errcheck
+	writeJSON(w, http.StatusOK, snap)
 }
 
+// handleEvents is the server-sent-event stream: it writes the stream
+// headers and an opening frame, then relays the publisher's frames until
+// the client goes away.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	frames, cancel := s.pub.Subscribe()
-	defer cancel()
-	// Open with the current state so late joiners see something immediately.
-	var open []byte
-	if snap := s.pub.latest(); snap != nil {
-		open = tickMessage(snap.Tick, snap.CyclesPerSec)
-	}
-	serveSSE(w, r, open, frames)
-}
-
-// serveSSE is the one server-sent-event writer, behind /events and
-// /api/runs/{hash}/events: it writes the stream headers and the opening
-// frame, then relays frames until the channel closes or the client goes
-// away. A nil frames channel ends the stream after the opening frame.
-func serveSSE(w http.ResponseWriter, r *http.Request, open []byte, frames <-chan []byte) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	frames, cancel := s.pub.Subscribe()
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	w.Write(open) //nolint:errcheck
-	fl.Flush()
-	if frames == nil {
-		return
+	// Open with the current state so late joiners see something immediately.
+	if snap := s.pub.latest(); snap != nil {
+		w.Write(tickMessage(snap.Tick, snap.CyclesPerSec)) //nolint:errcheck
 	}
+	fl.Flush()
 	for {
 		select {
-		case frame, ok := <-frames:
-			if !ok {
-				return
-			}
+		case frame := <-frames:
 			if _, err := w.Write(frame); err != nil {
 				return
 			}
@@ -199,10 +183,9 @@ type blameRoot struct {
 }
 
 func (s *Server) handleBlame(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	snap := s.pub.Snapshot()
 	if snap == nil || snap.State == nil || snap.State.Forensics == nil {
-		http.Error(w, `{"error":"no forensics summary yet (run with -forensics)"}`, http.StatusServiceUnavailable)
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no forensics summary yet (run with -forensics)"})
 		return
 	}
 	ev := snap.State
@@ -217,9 +200,7 @@ func (s *Server) handleBlame(w http.ResponseWriter, _ *http.Request) {
 			Blame: r.Blame, Roots: r.Roots, Share: r.Share,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(struct { //nolint:errcheck
+	writeJSON(w, http.StatusOK, struct {
 		Algorithm string      `json:"algorithm"`
 		Pattern   string      `json:"pattern"`
 		Load      float64     `json:"load"`

@@ -17,16 +17,23 @@ import (
 
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
+	code, _, body := getTyped(t, url)
+	return code, body
+}
+
+// getTyped is get that also returns the response's Content-Type.
+func getTyped(t *testing.T, url string) (code int, contentType, body string) {
+	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, string(body)
+	return resp.StatusCode, resp.Header.Get("Content-Type"), string(b)
 }
 
 func TestServerEndpoints(t *testing.T) {
@@ -42,8 +49,8 @@ func TestServerEndpoints(t *testing.T) {
 	if code, body := get(t, base+"/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Errorf("index: code %d, body %.80q", code, body)
 	}
-	if code, _ := get(t, base+"/snapshot"); code != http.StatusServiceUnavailable {
-		t.Errorf("snapshot before tick: code %d, want 503", code)
+	if code, ct, _ := getTyped(t, base+"/snapshot"); code != http.StatusServiceUnavailable || ct != "application/json" {
+		t.Errorf("snapshot before tick: code %d, Content-Type %q, want 503 and application/json", code, ct)
 	}
 	if _, body := get(t, base+"/heatmap.svg"); !strings.Contains(body, "waiting for first tick") {
 		t.Errorf("heatmap before tick: %.120q", body)
