@@ -168,6 +168,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown format %q (csv, table, json)", c.format)
 	}
+	if traceWriters[c.traceFormat] == nil {
+		return fmt.Errorf("unknown trace format %q (want chrome or jsonl)", c.traceFormat)
+	}
 	// A flag the chosen mode would ignore is a usage error, not a silent no-op.
 	var err error
 	fs.Visit(func(f *flag.Flag) {
@@ -617,22 +620,20 @@ func nodeName(g *topology.Grid, id int) string {
 	return "(" + strings.Join(parts, ",") + ")"
 }
 
-// writeTrace exports the lifecycle trace in the requested format.
+// traceWriters maps each -traceformat value to its encoder.
+var traceWriters = map[string]func(io.Writer, []telemetry.Event) error{
+	"chrome": telemetry.WriteChromeTrace,
+	"jsonl":  telemetry.WriteJSONL,
+}
+
+// writeTrace exports the lifecycle trace in format, a key of traceWriters.
 func writeTrace(path, format string, evs []telemetry.Event) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "chrome":
-		err = telemetry.WriteChromeTrace(f, evs)
-	case "jsonl":
-		err = telemetry.WriteJSONL(f, evs)
-	default:
-		err = fmt.Errorf("unknown trace format %q (want chrome or jsonl)", format)
-	}
-	if err != nil {
+	if err := traceWriters[format](f, evs); err != nil {
 		return err
 	}
 	return f.Close()

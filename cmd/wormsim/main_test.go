@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,8 +68,10 @@ func TestReplicatedStoreNote(t *testing.T) {
 
 // TestBadArguments: usage and configuration mistakes come back from run as
 // errors (main turns them into exit status 1) instead of exiting past the
-// deferred closes.
+// deferred closes. They are refused before anything runs: a trace format
+// no writer knows must not leave an empty trace file behind.
 func TestBadArguments(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "T")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -80,12 +85,20 @@ func TestBadArguments(t *testing.T) {
 		{[]string{"-replicas", "2", "-metrics"}, "-metrics is not supported with -replicas"},
 		{[]string{"-alg", "nbc,ecube", "-v"}, "-v is not supported with a grid"},
 		{[]string{"-k", "65537", "-n", "2"}, "more than 65536 nodes"},
+		{[]string{"-k", "4", "-alg", "nbc", "-load", "0.2", "-warmup", "100", "-sample", "100", "-maxsamples", "1",
+			"-trace", trace, "-traceformat", "xml"}, `unknown trace format "xml"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		err := run(tc.args, &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
+		if stdout.Len() > 0 {
+			t.Errorf("run(%v) printed a report before refusing:\n%s", tc.args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(trace); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("refused -traceformat left %s behind (stat: %v)", trace, err)
 	}
 }
 

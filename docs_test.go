@@ -24,8 +24,8 @@ import (
 // layout) are covered too. The `go run ./cmd/<x>` check also covers the CI
 // workflows and the verify skill: the command must exist and define every
 // flag passed. Go comments name benchmarks as well: every Benchmark<Name> in
-// a // comment of a non-test .go file under internal/, cmd/ or examples/
-// must be declared too.
+// a // comment of a non-test .go file under internal/ or cmd/ must be
+// declared too.
 func TestDocsNameLiveCode(t *testing.T) {
 	declared := declaredBenchmarks(t)
 	decls := internalDeclarations(t)
@@ -65,7 +65,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 	}
 	benchRef := refs[1].re
 	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "examples"} {
+	for _, root := range []string{"internal", "cmd"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			switch {
 			case err != nil:

@@ -369,7 +369,8 @@ type Result struct {
 	Deadlocked bool
 	Cycles     int64
 
-	// Message accounting over the measured windows.
+	// Message accounting over the whole run, warm-up and unmeasured gaps
+	// included, not only the measured windows.
 	Generated int64
 	Admitted  int64
 	Dropped   int64
@@ -635,7 +636,6 @@ func runOn(eng *network.Network, cfg Config) (Result, error) {
 	deadlock := runFor(cfg.WarmupCycles)
 	for deadlock == nil {
 		sample = stats.NewStratified(weights)
-		eng.ResetWindow()
 		start := eng.Total()
 		if err := runFor(cfg.SampleCycles); err != nil {
 			deadlock = err

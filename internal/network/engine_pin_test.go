@@ -73,10 +73,10 @@ var pinGrids = []struct {
 
 var pinRates = []float64{0.01, 0.05, 0.2}
 
-// pinDigest runs one configuration for 600 cycles with a window reset and
-// reseed at 200 and 400 (the core sampling loop's rhythm) and hashes
-// everything the engine lets a caller observe: the deliver and header-hop
-// event stream, each window, the totals, per-channel flit counts, the final
+// pinDigest runs one configuration for 600 cycles with a reseed at 200 and
+// 400 (the core sampling loop's rhythm) and hashes everything the engine
+// lets a caller observe: the deliver and header-hop event stream, the counts
+// of each 200-cycle window, the totals, per-channel flit counts, the final
 // in-flight worm states and, when attached, the telemetry and forensics
 // summaries and the tail of the lifecycle trace. The run happens on n,
 // re-initialised for the configuration.
@@ -114,13 +114,15 @@ func pinDigest(t *testing.T, n *Network, g *topology.Grid, alg routing.Algorithm
 	if err := n.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
+	start := n.Total()
 	for leg := uint64(0); leg < 3; leg++ {
 		if err := n.Run(200); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "w %+v\n", n.Window())
+		end := n.Total()
+		fmt.Fprintf(h, "w %+v\n", window(start, end))
 		if leg < 2 {
-			n.ResetWindow()
+			start = end
 			n.Reseed(seed + (leg+1)*0x9e3779b97f4a7c15)
 		}
 	}

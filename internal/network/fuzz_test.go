@@ -14,13 +14,13 @@ import (
 // headers and live injection slots — runs first; the same engine is then
 // re-initialised for config B (its own topology, algorithm, rate, router
 // delay, injection-port budget, buffer depth, duplex mode, selection policy
-// and run length) and B's per-window counters, per-channel flit counts,
-// event stream and in-flight worm states must equal those of B on a fresh
-// engine. Rates reach several times saturation, where the engine parks and
-// wakes blocked headers, so the comparison also covers state the parking
-// lists carry; both runs on the recycled engine pass checkInvariants after
-// every cycle. With the observed bit set both configurations run under
-// telemetry and forensics, and B's summaries are part of the comparison;
+// and run length) and B's counters, per-channel flit counts, event stream
+// and in-flight worm states must equal those of B on a fresh engine. Rates
+// reach several times saturation, where the engine parks and wakes blocked
+// headers, so the comparison also covers state the parking lists carry;
+// both runs on the recycled engine pass checkInvariants after every cycle.
+// With the observed bit set both configurations run under telemetry and
+// forensics, and B's summaries are part of the comparison;
 // with the alternative-observers bit B runs under other options than A's,
 // so its collector and analyzer are A's, Reset to a new shape. The
 // seed corpus passes in-tree with `go test`; nightly CI lets the fuzzer

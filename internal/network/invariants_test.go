@@ -151,10 +151,8 @@ func ledgerError(n *Network, foreign int) error {
 		return fmt.Errorf("inFlight %d, slots hold %d distinct messages, admitted %d - delivered %d",
 			n.inFlight, len(live), total.Admitted, total.Delivered)
 	}
-	for _, c := range []Counters{n.window, total} {
-		if c.Generated != c.Admitted+c.Dropped {
-			return fmt.Errorf("generated %d != admitted %d + dropped %d", c.Generated, c.Admitted, c.Dropped)
-		}
+	if total.Generated != total.Admitted+total.Dropped {
+		return fmt.Errorf("generated %d != admitted %d + dropped %d", total.Generated, total.Admitted, total.Dropped)
 	}
 	// Congestion credits: the limiter's residents are the live injection slots.
 	if n.limiter != nil {
@@ -489,17 +487,14 @@ func burstNetwork(t *testing.T) (*Network, *traffic.Trace) {
 }
 
 // TestLedgersBalanceThroughDrain follows the ledgers from an empty network
-// through saturation and back to empty, with a window boundary on the way:
-// once the last worm is delivered every message the pool ever created is on
-// its free list again and no congestion credit is outstanding.
+// through saturation and back to empty: once the last worm is delivered
+// every message the pool ever created is on its free list again and no
+// congestion credit is outstanding.
 func TestLedgersBalanceThroughDrain(t *testing.T) {
 	n, wl := burstNetwork(t)
 	for n.Now() <= wl.LastCycle() || n.InFlight() > 0 {
 		if n.Now() > 5000 {
 			t.Fatalf("%d messages still in flight at cycle %d", n.InFlight(), n.Now())
-		}
-		if n.Now() == 100 {
-			n.ResetWindow()
 		}
 		if err := n.Step(); err != nil {
 			t.Fatal(err)
@@ -556,8 +551,8 @@ func TestLedgerChecksFire(t *testing.T) {
 		want            string
 	}{
 		{"deliver without inFlight--", func() { n.inFlight++ }, func() { n.inFlight-- }, "distinct messages"},
-		{"deliver without Delivered++", func() { n.window.Delivered-- }, func() { n.window.Delivered++ }, "distinct messages"},
-		{"drop without Dropped++", func() { n.window.Dropped-- }, func() { n.window.Dropped++ }, "generated"},
+		{"deliver without Delivered++", func() { n.counters.Delivered-- }, func() { n.counters.Delivered++ }, "distinct messages"},
+		{"drop without Dropped++", func() { n.counters.Dropped-- }, func() { n.counters.Dropped++ }, "generated"},
 		{"tail leaves the source without Release", func() { n.limiter.Admit(spareNode, spareClass) }, func() { n.limiter.Release(spareNode, spareClass) }, "limiter holds"},
 		{"Release without a tail leaving", func() { n.limiter.Release(node, m.Class) }, func() { n.limiter.Admit(node, m.Class) }, "limiter holds"},
 		{"deliver without Put", func() { taken = n.pool.Get(n.g, 0, 0, 1, 8, 0, nil) }, func() { n.pool.Put(taken) }, "neither in flight nor free"},

@@ -14,12 +14,12 @@ import (
 	"wormsim/internal/traffic"
 )
 
-// blockedAccount runs a saturated 8x8 torus for 600 cycles, with the window
-// reset and reseed rhythm of pinDigest, and returns what the observers were
-// told about blocked headers: the delivery stream with each worm's latency
-// anatomy inputs, and telemetry's head-blocked counts read through Observers
-// at a checkpoint every 37 cycles. foreEvery is the forensics sampling
-// period, 0 for a telemetry-only run (which leaves HeadStalls at zero).
+// blockedAccount runs a saturated 8x8 torus for 600 cycles, with the reseed
+// rhythm of pinDigest, and returns what the observers were told about
+// blocked headers: the delivery stream with each worm's latency anatomy
+// inputs, and telemetry's head-blocked counts read through Observers at a
+// checkpoint every 37 cycles. foreEvery is the forensics sampling period, 0
+// for a telemetry-only run (which leaves HeadStalls at zero).
 func blockedAccount(t *testing.T, alg routing.Algorithm, ports, delay int, foreEvery int64) (delivered, checkpoints []string) {
 	t.Helper()
 	const seed = 0xb10c
@@ -47,7 +47,6 @@ func blockedAccount(t *testing.T, alg routing.Algorithm, ports, delay int, foreE
 			checkpoints = append(checkpoints, fmt.Sprintf("%d %v", c, tel.HeadBlockedByClass))
 		}
 		if c == 200 || c == 400 {
-			n.ResetWindow()
 			n.Reseed(seed + uint64(c/200)*0x9e3779b97f4a7c15)
 		}
 	}

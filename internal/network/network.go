@@ -234,9 +234,10 @@ type slotState struct {
 // of an injection port at its node may let its next bid through.
 const injWait = 1 << 31
 
-// Counters is a snapshot of a measurement window.
+// Counters counts an engine's work since it was built; the difference of
+// two Total reads counts the work done between them.
 type Counters struct {
-	// Cycles covered by the window.
+	// Cycles executed.
 	Cycles int64
 	// FlitMoves counts flit transfers across physical channels.
 	FlitMoves int64
@@ -379,11 +380,7 @@ type Network struct {
 	wormRefs []wormRef
 	wormSort wormRefSort
 
-	// window holds the live counters; base accumulates closed windows.
-	// Lifetime totals are base+window, materialized in Total, so the hot
-	// path increments each counter once instead of twice.
-	window Counters
-	base   Counters
+	counters Counters
 }
 
 // New validates cfg and builds the network.
@@ -525,8 +522,7 @@ func (n *Network) Reset(cfg Config) error {
 		touched:    old.touched[:0],
 		wormRefs:   old.wormRefs[:0],
 
-		window: Counters{FlitMovesByClass: recycle(old.window.FlitMovesByClass, numVCs, numVCs)},
-		base:   Counters{FlitMovesByClass: recycle(old.base.FlitMovesByClass, numVCs, numVCs)},
+		counters: Counters{FlitMovesByClass: recycle(old.counters.FlitMovesByClass, numVCs, numVCs)},
 	}
 	n.collector, n.analyzer = collector, analyzer
 	if n.pool == nil {
@@ -590,45 +586,11 @@ func (n *Network) Now() int64 { return n.now }
 // InFlight returns the number of admitted messages not yet delivered.
 func (n *Network) InFlight() int { return n.inFlight }
 
-// Window returns the counters accumulated since the last ResetWindow.
-func (n *Network) Window() Counters {
-	w := n.window
-	w.FlitMovesByClass = append([]int64(nil), n.window.FlitMovesByClass...)
-	return w
-}
-
-// Total returns the counters accumulated since construction: the closed
-// windows plus the live one.
+// Total returns a copy of the counters accumulated since construction.
 func (n *Network) Total() Counters {
-	t := n.base
-	t.Cycles += n.window.Cycles
-	t.FlitMoves += n.window.FlitMoves
-	t.Generated += n.window.Generated
-	t.Admitted += n.window.Admitted
-	t.Dropped += n.window.Dropped
-	t.Delivered += n.window.Delivered
-	t.FlitMovesByClass = append([]int64(nil), n.base.FlitMovesByClass...)
-	for i, v := range n.window.FlitMovesByClass {
-		t.FlitMovesByClass[i] += v
-	}
+	t := n.counters
+	t.FlitMovesByClass = append([]int64(nil), n.counters.FlitMovesByClass...)
 	return t
-}
-
-// ResetWindow folds the window counters into the lifetime base and zeroes
-// them (e.g. at a sampling-period boundary).
-func (n *Network) ResetWindow() {
-	n.base.Cycles += n.window.Cycles
-	n.base.FlitMoves += n.window.FlitMoves
-	n.base.Generated += n.window.Generated
-	n.base.Admitted += n.window.Admitted
-	n.base.Dropped += n.window.Dropped
-	n.base.Delivered += n.window.Delivered
-	for i, v := range n.window.FlitMovesByClass {
-		n.base.FlitMovesByClass[i] += v
-		n.window.FlitMovesByClass[i] = 0
-	}
-	byClass := n.window.FlitMovesByClass
-	n.window = Counters{FlitMovesByClass: byClass}
 }
 
 // Reseed hands fresh random streams to the workload and the router's
@@ -699,7 +661,7 @@ func (n *Network) Step() error {
 		n.lastMotion = n.now
 	}
 	n.now++
-	n.window.Cycles++
+	n.counters.Cycles++
 	if n.tel != nil {
 		n.tel.EndCycle()
 	}
@@ -750,19 +712,19 @@ func (n *Network) Run(cycles int64) error {
 func (n *Network) inject() {
 	n.arrivals = n.wl.Arrivals(n.now, n.arrivals[:0])
 	for _, a := range n.arrivals {
-		n.window.Generated++
+		n.counters.Generated++
 		m := n.pool.Get(n.g, n.nextMsgID, a.Src, a.Dst, n.cfg.MsgLen, n.now, n.tieFn)
 		n.nextMsgID++
 		n.alg.Init(n.g, m)
 		if !n.limiter.Admit(a.Src, m.Class) {
-			n.window.Dropped++
+			n.counters.Dropped++
 			if n.tel != nil {
 				n.tel.Drop(n.now, m.ID, a.Src, a.Dst)
 			}
 			n.pool.Put(m)
 			continue
 		}
-		n.window.Admitted++
+		n.counters.Admitted++
 		n.inFlight++
 		id := n.newInjSlot()
 		n.vcMsg[id] = m
@@ -964,7 +926,7 @@ func (n *Network) Observers() (*telemetry.Summary, *forensics.Summary) {
 	n.settleBlocked()
 	var tel *telemetry.Summary
 	if n.tel != nil {
-		tel = n.tel.Summary(n.now, n.base.Dropped+n.window.Dropped, n.flitsByChannel)
+		tel = n.tel.Summary(n.now, n.counters.Dropped, n.flitsByChannel)
 	}
 	var fore *forensics.Summary
 	if n.fore != nil {
@@ -1263,8 +1225,8 @@ func (n *Network) applyMove(id int32) {
 	if d.out.ch != outNone {
 		n.setWork(n.vcAIdx[t])
 	}
-	n.window.FlitMoves++
-	n.window.FlitMovesByClass[out.vc]++
+	n.counters.FlitMoves++
+	n.counters.FlitMovesByClass[out.vc]++
 	n.flitsByChannel[ch]++
 	if d.sent == 0 && d.flits == 1 {
 		// Header hop completed: update the message's routing state from the
@@ -1333,7 +1295,7 @@ func (n *Network) deliver(id int32) {
 	m.DeliverTime = n.now
 	n.releaseChannel(id)
 	n.inFlight--
-	n.window.Delivered++
+	n.counters.Delivered++
 	if n.tel != nil {
 		n.tel.Deliver(n.now, m.ID, m.Dst)
 	}

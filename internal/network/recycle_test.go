@@ -63,8 +63,8 @@ type fpPoint struct {
 }
 
 // fingerprint re-initialises n for the point, runs it for its cycles (with a
-// mid-run reseed and window reset at half time, mirroring the core sampling
-// loop) and fingerprints everything observable: per-window counters, the
+// mid-run reseed at half time, mirroring the core sampling loop) and
+// fingerprints everything observable: the counters of each half, the
 // delivery sequence, the header-hop trace, per-channel flit counts and the
 // final in-flight state — and, for an observed point, the telemetry and
 // forensics summaries with the parked headers settled, and the trace. Pass new(Network) for a
@@ -117,11 +117,10 @@ func fingerprint(t *testing.T, n *Network, p fpPoint) string {
 	}
 	half := p.cycles / 2
 	run(half)
-	first := n.Window()
-	n.ResetWindow()
+	first := n.Total()
 	n.Reseed(p.seed + 0x9e3779b97f4a7c15)
 	run(p.cycles - half)
-	fp := fmt.Sprintf("%+v\n%+v\n%+v\n%v\n%v\n%v", first, n.Window(), n.Total(), n.ChannelFlitCounts(), n.WormStates(), strings.Join(events, "\n"))
+	fp := fmt.Sprintf("%+v\n%+v\n%+v\n%v\n%v\n%v", first, window(first, n.Total()), n.Total(), n.ChannelFlitCounts(), n.WormStates(), strings.Join(events, "\n"))
 	if p.observed || p.altObservers {
 		tel, fore := n.Observers()
 		trace, _ := n.Trace(0, 0)

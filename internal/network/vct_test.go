@@ -113,25 +113,34 @@ func TestWatchdogDisabled(t *testing.T) {
 	}
 }
 
-// TestCountersWindowVsTotal: window counters partition the totals across
-// resets.
+// TestCountersWindowVsTotal: windows measured as differences of Total
+// reads, as core measures a sampling period, cover their cycles and
+// partition the totals. Total returns a copy, so a read taken at a window's
+// start is not moved by the cycles after it or by its holder.
 func TestCountersWindowVsTotal(t *testing.T) {
 	g := topology.NewTorus(8, 2)
 	alg, _ := routing.Get("phop")
 	wl := traffic.NewBernoulli(g, traffic.NewUniform(g), 0.02, 31)
 	n, _ := New(Config{Grid: g, Algorithm: alg, Workload: wl, MsgLen: 16, Seed: 31})
-	var sumFlits, sumGen int64
+	var sumFlits, sumGen, sumClass0 int64
+	start := n.Total()
 	for i := 0; i < 4; i++ {
 		if err := n.Run(500); err != nil {
 			t.Fatal(err)
 		}
-		w := n.Window()
+		end := n.Total()
+		w := window(start, end)
+		if w.Cycles != 500 || w.FlitMoves == 0 {
+			t.Errorf("window %d: %+v, want 500 cycles with flit moves", i, w)
+		}
 		sumFlits += w.FlitMoves
 		sumGen += w.Generated
-		n.ResetWindow()
+		sumClass0 += w.FlitMovesByClass[0]
+		end.FlitMovesByClass[0] = -1
+		start = n.Total()
 	}
 	tot := n.Total()
-	if sumFlits != tot.FlitMoves || sumGen != tot.Generated {
-		t.Errorf("windows sum to %d/%d, totals %d/%d", sumFlits, sumGen, tot.FlitMoves, tot.Generated)
+	if tot.Cycles != 2000 || sumFlits != tot.FlitMoves || sumGen != tot.Generated || sumClass0 != tot.FlitMovesByClass[0] {
+		t.Errorf("windows sum to %d/%d/%d, totals %+v", sumFlits, sumGen, sumClass0, tot)
 	}
 }

@@ -24,12 +24,6 @@ import (
 
 // handleRuns serves GET /api/runs, the list of recorded runs.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{
-			"error": "the run store is read-only over HTTP; record runs with wormsim -store DIR"})
-		return
-	}
 	recs := s.store.List()
 	out := make([]runSummary, 0, len(recs))
 	for _, rec := range recs {

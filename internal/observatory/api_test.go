@@ -141,25 +141,34 @@ func TestAPIErrors(t *testing.T) {
 	cfg := apiConfig("nbc", 0.3)
 	record(t, store, cfg)
 
-	// A write answers 405 with a JSON error naming the one write path.
+	// A write to any store endpoint answers 405 with a JSON error naming
+	// the one write path.
 	body, err := json.Marshal(apiConfig("nbc", 0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(base+"/api/runs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refusal struct{ Error string }
-	derr := json.NewDecoder(resp.Body).Decode(&refusal)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Content-Type") != "application/json" ||
-		derr != nil || !strings.Contains(refusal.Error, "wormsim -store") {
-		t.Errorf("POST /api/runs: code %d, Content-Type %q, error %q (%v); want 405, application/json and a pointer to wormsim -store",
-			resp.StatusCode, resp.Header.Get("Content-Type"), refusal.Error, derr)
+	for _, method := range []string{http.MethodPost, http.MethodDelete} {
+		for _, path := range []string{"/api/runs", "/api/runs/" + cfg.Hash(), "/api/compare?a=nbc&b=ecube", "/compare.svg?a=nbc&b=ecube"} {
+			req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var refusal struct{ Error string }
+			derr := json.NewDecoder(resp.Body).Decode(&refusal)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet ||
+				resp.Header.Get("Content-Type") != "application/json" || derr != nil || !strings.Contains(refusal.Error, "wormsim -store") {
+				t.Errorf("%s %s: code %d, Allow %q, Content-Type %q, error %q (%v); want 405, GET, application/json and a pointer to wormsim -store",
+					method, path, resp.StatusCode, resp.Header.Get("Allow"), resp.Header.Get("Content-Type"), refusal.Error, derr)
+			}
+		}
 	}
 	if n := store.Len(); n != 1 {
-		t.Errorf("store holds %d records after the POST, want 1", n)
+		t.Errorf("store holds %d records after the writes, want 1", n)
 	}
 
 	for _, c := range []struct {

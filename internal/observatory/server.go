@@ -77,11 +77,18 @@ func (s *Server) mux() *http.ServeMux {
 	return mux
 }
 
-// withStore gates a handler on a run store being attached.
+// withStore gates a handler on a run store being attached, and on a GET:
+// the store is written only by runs, never over HTTP.
 func (s *Server) withStore(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.store == nil {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "no run store attached (start with -store DIR)"})
+			return
+		}
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			writeJSON(w, http.StatusMethodNotAllowed, map[string]string{
+				"error": "the run store is read-only over HTTP; record runs with wormsim -store DIR"})
 			return
 		}
 		h(w, r)
