@@ -88,33 +88,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	cfg := core.Config{OfferedLoad: 0.4} // the -load default
 	var loads []float64                  // set by an explicit -load
-	fs.IntVar(&cfg.K, "k", 16, "radix (nodes per dimension)")
-	fs.IntVar(&cfg.N, "n", 2, "dimensions")
+	var def core.Config                  // the defaults the flags and their help state
+	def.ApplyDefaults()
+	fs.IntVar(&cfg.K, "k", def.K, "radix (nodes per dimension)")
+	fs.IntVar(&cfg.N, "n", def.N, "dimensions")
 	fs.BoolVar(&cfg.Mesh, "mesh", false, "mesh instead of torus")
-	fs.StringVar(&cfg.Algorithm, "alg", "ecube", "routing algorithm, or a comma list of them: "+strings.Join(routing.Names(), ", "))
-	fs.StringVar(&cfg.Pattern, "pattern", "uniform", "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement | tornado | shuffle)")
-	fs.StringVar(&cfg.Policy, "policy", "random", "output VC selection policy: random, first, leastcongested")
-	fs.StringVar((*string)(&cfg.Switching), "switching", "wormhole", "switching technique: wormhole, vct")
+	fs.StringVar(&cfg.Algorithm, "alg", def.Algorithm, "routing algorithm, or a comma list of them: "+strings.Join(routing.Names(), ", "))
+	fs.StringVar(&cfg.Pattern, "pattern", def.Pattern, "traffic pattern spec (uniform | hotspot[:frac[:node]] | local[:radius] | transpose | bitrev | complement | tornado | shuffle)")
+	fs.StringVar(&cfg.Policy, "policy", def.Policy, "output VC selection policy: random, first, leastcongested")
+	fs.StringVar((*string)(&cfg.Switching), "switching", string(def.Switching), "switching technique: wormhole, vct")
 	fs.Func("load", "offered channel utilization (fraction of capacity): one value, a lo:hi:step range or a comma list (default 0.4)", func(s string) (err error) {
 		loads, err = core.ParseLoads(s)
 		return err
 	})
 	fs.Float64Var(&cfg.InjectionRate, "rate", 0, "per-node injection rate (overrides -load if set; one load only)")
-	fs.IntVar(&cfg.MsgLen, "flits", 16, "message length in flits")
-	fs.IntVar(&cfg.BufDepth, "bufdepth", 0, "per-VC flit buffer depth (default 4; vct forces message length)")
-	fs.IntVar(&cfg.CCLimit, "cclimit", 0, "congestion-control per-class limit (default 2, -1 disables)")
-	fs.IntVar(&cfg.InjectionPorts, "ports", 0, "concurrent injection ports per node (default 2, -1 unlimited)")
+	fs.IntVar(&cfg.MsgLen, "flits", def.MsgLen, "message length in flits")
+	fs.IntVar(&cfg.BufDepth, "bufdepth", 0, fmt.Sprintf("per-VC flit buffer depth (default %d; vct forces message length)", def.BufDepth))
+	fs.IntVar(&cfg.CCLimit, "cclimit", 0, fmt.Sprintf("congestion-control per-class limit (default %d, -1 disables)", def.CCLimit))
+	fs.IntVar(&cfg.InjectionPorts, "ports", 0, fmt.Sprintf("concurrent injection ports per node (default %d, -1 unlimited)", def.InjectionPorts))
 	fs.IntVar(&cfg.RouteDelay, "routedelay", 0, "router pipeline cycles per header hop")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "random seed")
 	replicas := fs.Int("replicas", 1, "simulate this many seeds of every point as independent runs across the machine's cores, reported with their across-seed spread (0 = one per sampling period budget); replica r uses seed + r")
-	fs.Int64Var(&cfg.WarmupCycles, "warmup", 0, "warmup cycles (default 5000)")
-	fs.Int64Var(&cfg.SampleCycles, "sample", 0, "cycles per sampling period (default 2000)")
-	fs.IntVar(&cfg.MaxSamples, "maxsamples", 0, "maximum sampling periods (default 12)")
+	fs.Int64Var(&cfg.WarmupCycles, "warmup", 0, fmt.Sprintf("warmup cycles (default %d)", def.WarmupCycles))
+	fs.Int64Var(&cfg.SampleCycles, "sample", 0, fmt.Sprintf("cycles per sampling period (default %d)", def.SampleCycles))
+	fs.IntVar(&cfg.MaxSamples, "maxsamples", 0, fmt.Sprintf("maximum sampling periods (default %d)", def.MaxSamples))
 	fs.StringVar(&c.format, "format", "", "grid output format: csv, table or json (one JSON object per line); the default is the detailed report for one point and csv for several")
 	fs.BoolVar(&c.verbose, "v", false, "print per-hop-class latencies and VC load balance")
 	metrics := fs.Bool("metrics", false, "collect and print telemetry: per-channel utilization, head-blocked cycles, VC occupancy (a grid prints one stderr line per point; json embeds the full summary)")
 	fore := fs.Bool("forensics", false, "congestion forensics: sampled wait-for graphs, root-cause blame attribution and per-worm latency anatomy (a grid prints one stderr line per point; json embeds the full summary)")
-	foreEvery := fs.Int64("forensics-every", 0, "forensics sampling period in cycles (default 64; 1 samples every cycle; implies -forensics)")
+	foreEvery := fs.Int64("forensics-every", 0, fmt.Sprintf("forensics sampling period in cycles (default %d; 1 samples every cycle; implies -forensics)", forensics.DefaultSampleEvery))
 	fs.StringVar(&c.blameOut, "blameout", "", "write the forensics summary to PREFIX.json and the blame heatmap to PREFIX.svg (implies -forensics)")
 	fs.StringVar(&c.tracePath, "trace", "", "write a worm lifecycle trace to this file (a grid writes one per point to FILE-<alg>-<load>.json)")
 	fs.StringVar(&c.traceFormat, "traceformat", "chrome", "trace file format: chrome (trace_event JSON for chrome://tracing) or jsonl")
@@ -402,11 +404,12 @@ func printHeader(w io.Writer, cfg core.Config, res core.Result) {
 // rows with state "deadlock", not errors.
 func (c *cli) grid(cfg core.Config, algs []string, loads []float64) error {
 	w := c.stdout
+	algW, patW := nameWidths(algs, cfg.Pattern)
 	switch c.format {
 	case "csv":
 		fmt.Fprintln(w, "algorithm,pattern,switching,offered,latency,latency_bound,throughput,injection_rate,generated,dropped,delivered,samples,state")
 	case "table":
-		fmt.Fprintf(w, "%-8s %-10s %8s %10s %10s %10s %8s\n", "alg", "pattern", "offered", "latency", "bound", "thruput", "state")
+		fmt.Fprintf(w, "%-*s %-*s %8s %10s %10s %10s %11s\n", algW, "alg", patW, "pattern", "offered", "latency", "bound", "thruput", "state")
 	}
 	onDone := func(i int, r core.Result) {
 		if c.pub != nil {
@@ -435,8 +438,8 @@ func (c *cli) grid(cfg core.Config, algs []string, loads []float64) error {
 					return err
 				}
 			default:
-				fmt.Fprintf(w, "%-8s %-10s %8.2f %10.1f %10.1f %10.4f %8s\n",
-					r.Algorithm, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, r.State())
+				fmt.Fprintf(w, "%-*s %-*s %8.2f %10.1f %10.1f %10.4f %11s\n",
+					algW, r.Algorithm, patW, r.Pattern, r.OfferedLoad, r.AvgLatency, r.LatencyBound, r.Throughput, r.State())
 			}
 			if cfg.Telemetry != nil && cfg.Telemetry.Metrics && r.Telemetry != nil {
 				top := r.Telemetry.BusiestChannels(1)[0]
@@ -465,6 +468,18 @@ func (c *cli) grid(cfg core.Config, algs []string, loads []float64) error {
 	return nil
 }
 
+// nameWidths returns the widths of a table's algorithm and pattern columns:
+// at least 8 and 10, and wide enough for every name a row prints, so the
+// header is sized before the first row runs. The grid's state column is 11
+// wide, the longest core.Result.State ("max-samples").
+func nameWidths(algs []string, pattern string) (algW, patW int) {
+	algW = 8
+	for _, alg := range algs {
+		algW = max(algW, len(alg))
+	}
+	return algW, max(10, len(pattern))
+}
+
 // replicated simulates every point at n seeds (0 = MaxSamples of them) as
 // independent runs across the machine's cores, one core.SweepReplicated call
 // per algorithm. A grid prints a row per point (mean latency, across-seed
@@ -480,11 +495,12 @@ func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int)
 	seeds := core.ReplicaSeeds(cfg.Seed, n)
 	workers := runtime.GOMAXPROCS(0)
 	w := c.stdout
+	algW, patW := nameWidths(algs, cfg.Pattern)
 	switch c.format {
 	case "csv":
 		fmt.Fprintln(w, "algorithm,pattern,switching,offered,mean_latency,latency_spread,mean_throughput,replicas,deadlocks")
 	case "table":
-		fmt.Fprintf(w, "%-8s %-10s %8s %12s %10s %10s %10s\n", "alg", "pattern", "offered", "mean_lat", "spread", "thruput", "deadlocks")
+		fmt.Fprintf(w, "%-*s %-*s %8s %12s %10s %10s %10s\n", algW, "alg", patW, "pattern", "offered", "mean_lat", "spread", "thruput", "deadlocks")
 	}
 	enc := json.NewEncoder(w)
 	for _, alg := range algs {
@@ -531,8 +547,8 @@ func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int)
 					return err
 				}
 			default:
-				fmt.Fprintf(w, "%-8s %-10s %8.2f %12.1f %10.1f %10.4f %10d\n",
-					alg, cfg.Pattern, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread, rr.MeanThroughput, rr.Deadlocks)
+				fmt.Fprintf(w, "%-*s %-*s %8.2f %12.1f %10.1f %10.4f %10d\n",
+					algW, alg, patW, cfg.Pattern, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread, rr.MeanThroughput, rr.Deadlocks)
 			}
 		}
 		c.note("# %s: %d seeds x %d loads, %.3g replica-cycles/s aggregate over %v wall\n",

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -144,6 +145,45 @@ func TestSinglePointFormat(t *testing.T) {
 	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
 	if len(lines) != 2 || !strings.HasPrefix(lines[0], "algorithm,pattern,") || !strings.HasPrefix(lines[1], "nbc,uniform,wormhole,0.300,") {
 		t.Errorf("want a CSV header and one nbc row, got:\n%s", stdout.String())
+	}
+}
+
+// TestTableColumnsAlign: in the grid and -replicas tables every row's field
+// occupies the span its header does — a left-aligned field starts where its
+// header starts, a right-aligned one ends where its header ends — with a
+// pattern spec longer than the pattern column's minimum and a grid point
+// that stops at max-samples.
+func TestTableColumnsAlign(t *testing.T) {
+	base := []string{
+		"-k", "4", "-alg", "nbc,ecube", "-pattern", "hotspot:0.04:5", "-load", "0.1,0.9",
+		"-warmup", "300", "-sample", "1000", "-maxsamples", "4", "-format", "table",
+	}
+	field := regexp.MustCompile(`\S+`)
+	for _, extra := range [][]string{nil, {"-replicas", "2"}} {
+		var stdout, stderr bytes.Buffer
+		if err := run(append(base, extra...), &stdout, &stderr); err != nil {
+			t.Fatalf("run %v: %v\n%s", extra, err, stderr.String())
+		}
+		out := stdout.String()
+		if extra == nil && !(strings.Contains(out, " ok\n") && strings.Contains(out, " max-samples\n")) {
+			t.Fatalf("grid wants an ok and a max-samples row:\n%s", out)
+		}
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		head := field.FindAllStringIndex(lines[0], -1)
+		for _, line := range lines[1:] {
+			row := field.FindAllStringIndex(line, -1)
+			if len(row) != len(head) {
+				t.Errorf("%v: row has %d fields, header %d:\n%s", extra, len(row), len(head), out)
+				continue
+			}
+			for i, f := range row {
+				if f[0] != head[i][0] && f[1] != head[i][1] {
+					t.Errorf("%v: field %q spans [%d,%d), its header [%d,%d):\n%s\n%s",
+						extra, line[f[0]:f[1]], f[0], f[1], head[i][0], head[i][1], lines[0], line)
+					break
+				}
+			}
+		}
 	}
 }
 

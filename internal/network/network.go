@@ -157,7 +157,7 @@ type Config struct {
 	// channel. 0 (the default, the paper's idealization) routes in the
 	// arrival cycle. The paper's discussion notes adaptive routing logic
 	// "could increase the node delay per hop" — this knob quantifies that
-	// claim (bench A-RTD).
+	// claim (README recipe A-RTD).
 	RouteDelay int
 	// HalfDuplex couples each pair of opposite channels into one
 	// bidirectional link carrying one flit per cycle in total — the channel

@@ -12,7 +12,7 @@ import (
 )
 
 // The run-store endpoints are a read-only surface over the records
-// core.RunCached writes (cmd/figures, wormsim -store): list and fetch
+// core.RunCached writes (wormsim -store): list and fetch
 // recorded runs, and compare two algorithms point-by-point across
 // everything else held equal (core.Config.PairKey alignment). Nothing here
 // simulates or writes; a run is recorded by running it with a store.

@@ -133,18 +133,3 @@ func (s *Stream) Bernoulli(p float64) bool {
 	}
 	return s.Uint53Below(BernoulliThreshold(p))
 }
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Split returns a new independent stream derived from this one. Successive
-// Split calls yield distinct streams; the parent advances so that a later
-// Split gives a different child.
-func (s *Stream) Split() *Stream {
-	return NewStream(s.Uint64(), s.Uint64())
-}

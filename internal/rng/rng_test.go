@@ -138,34 +138,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestShuffle(t *testing.T) {
-	s := New(41)
-	data := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(data), func(i, j int) { data[i], data[j] = data[j], data[i] })
-	seen := make([]bool, len(data))
-	for _, v := range data {
-		if seen[v] {
-			t.Fatalf("shuffle duplicated %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(43)
-	a := parent.Split()
-	b := parent.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint32() == b.Uint32() {
-			same++
-		}
-	}
-	if same > 3 {
-		t.Fatalf("split streams collide on %d of 1000 draws", same)
-	}
-}
-
 func TestUint64CombinesTwoDraws(t *testing.T) {
 	a := New(47)
 	b := New(47)

@@ -84,9 +84,6 @@ func (b *Bernoulli) Name() string {
 // Rate returns the per-node generation probability.
 func (b *Bernoulli) Rate() float64 { return b.rate }
 
-// Pattern returns the destination pattern.
-func (b *Bernoulli) Pattern() Pattern { return b.pattern }
-
 // Arrivals draws one Bernoulli trial per node. The trial loop mirrors
 // rng.Stream.Bernoulli exactly — rate endpoints consume no draws, interior
 // rates one Uint64 per node — but compares raw 53-bit draws against the
