@@ -9,7 +9,6 @@
 //	figures                 # all figures, text tables
 //	figures -fig 3          # Figure 3 only
 //	figures -fig vct        # sec. 3.4 experiment
-//	figures -peaks          # peak-throughput summary only
 //	figures -csv > out.csv  # CSV for plotting
 //	figures -quick          # shorter sampling (sanity pass)
 package main
@@ -37,7 +36,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fig := fs.String("fig", "", "figure to run: 3, 4, 5, vct (default: all)")
-	peaks := fs.Bool("peaks", false, "print only the peak-throughput summary per figure")
 	csv := fs.Bool("csv", false, "emit CSV instead of tables")
 	md := fs.Bool("md", false, "emit markdown report sections instead of tables")
 	quick := fs.Bool("quick", false, "shorter warmup/sampling for a fast sanity pass")
@@ -50,14 +48,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// A flag the chosen output would ignore is a usage error, not a silent
 	// no-op.
-	outputs := 0
-	for _, on := range []bool{*md, *peaks, *csv} {
-		if on {
-			outputs++
-		}
-	}
-	if outputs > 1 {
-		return errors.New("-md, -peaks and -csv each choose the output; give at most one")
+	if *md && *csv {
+		return errors.New("-md and -csv each choose the output; give at most one")
 	}
 
 	base := core.Config{Seed: *seed}
@@ -88,11 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		switch {
 		case *md:
 			fr.WriteMarkdown(stdout)
-		case *peaks:
-			fmt.Fprintf(stdout, "# %s: %s\n", spec.ID, spec.Title)
-			for _, p := range fr.Peaks() {
-				fmt.Fprintf(stdout, "  %-7s peak throughput %.3f at offered %.2f\n", p.Algorithm, p.Throughput, p.AtLoad)
-			}
 		case *csv:
 			fr.WriteCSV(stdout)
 		default:

@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&c.tracePath, "trace", "", "write a worm lifecycle trace to this file (a grid writes one per point to FILE-<alg>-<load>.json)")
 	fs.StringVar(&c.traceFormat, "traceformat", "chrome", "trace file format: chrome (trace_event JSON for chrome://tracing) or jsonl")
 	traceSample := fs.Int64("tracesample", 1, "trace every Nth worm")
-	progress := fs.Bool("progress", false, "live progress with ETA on stderr: per sampling period for one point, per point for a grid, per algorithm with -replicas")
+	progress := fs.Bool("progress", false, "live progress with ETA on stderr: per sampling period for one point (of every replica with -replicas), per point for a grid, per algorithm for a grid with -replicas")
 	httpAddr := fs.String("http", "", "serve the live observatory (Prometheus /metrics, /snapshot, SSE /events, /heatmap, pprof, /api/runs) on this address, e.g. :8080")
 	storeDir := fs.String("store", "", "persistent run store directory: cached points skip simulation entirely; with -http the store backs the /api/runs and /api/compare endpoints")
 	fs.Int64Var(&cfg.TickCycles, "tick", 0, "observatory publication period in simulated cycles (default 1000)")
@@ -227,6 +227,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		c.store = s
 		cfg.Cache = s
 	}
+	// -replicas runs every point at nrep seeds (0 = MaxSamples of them), each
+	// seed a point of its own.
+	eff := cfg
+	eff.ApplyDefaults()
+	nrep := *replicas
+	if nrep <= 0 {
+		nrep = eff.MaxSamples
+	}
 	// The observatory: a publisher fed by the engine's tick hook, served
 	// over HTTP. The snapshot follows whichever point published last, and
 	// a grid's completed points stream out as SSE "point" events. The phase
@@ -243,8 +251,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if c.pub != nil {
 		c.pub.SetPhases(pp)
 		cfg.OnTick = c.pub.PublishTick
-		if grid {
-			c.pub.SetSweepTotal(len(algs) * len(loads))
+		if grid || *replicas != 1 {
+			c.pub.SetSweepTotal(len(algs) * len(loads) * nrep)
 		}
 		s, err := observatory.Listen(*httpAddr, c.pub, c.store)
 		if err != nil {
@@ -257,9 +265,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *progress {
 		switch {
 		case !grid:
-			eff := cfg
-			eff.ApplyDefaults()
-			c.prog = telemetry.NewProgress(stderr, "sample", eff.MaxSamples)
+			c.prog = telemetry.NewProgress(stderr, "sample", nrep*eff.MaxSamples)
 			cfg.OnSample = func(ev core.SampleEvent) {
 				c.prog.Step(fmt.Sprintf("lat=%.1f+-%.1f", ev.Mean, ev.Bound))
 			}
@@ -272,7 +278,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	switch {
 	case *replicas != 1:
-		err = c.replicated(cfg, algs, loads, *replicas)
+		err = c.replicated(cfg, algs, loads, nrep)
 	case grid:
 		err = c.grid(cfg, algs, loads)
 	default:
@@ -480,22 +486,20 @@ func nameWidths(algs []string, pattern string) (algW, patW int) {
 	return algW, max(10, len(pattern))
 }
 
-// replicated simulates every point at n seeds (0 = MaxSamples of them) as
-// independent runs across the machine's cores, one core.SweepReplicated call
-// per algorithm. A grid prints a row per point (mean latency, across-seed
-// spread, mean throughput, deadlocks) and notes each algorithm's simulation
-// rate on stderr. One point prints per-seed results plus the aggregate, and a
-// deadlocked replica makes the error errDeadlocked, after the report.
+// replicated simulates every point at n seeds as independent runs across the
+// machine's cores, one core.SweepReplicated call per algorithm, and publishes
+// each replica to the observatory as its algorithm's call returns. A grid
+// prints a row per point (mean latency, across-seed spread, mean throughput,
+// deadlocks) and notes each algorithm's simulation rate on stderr. One point
+// prints per-seed results plus the aggregate, and a deadlocked replica makes
+// the error errDeadlocked, after the report.
 func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int) error {
 	eff := cfg
 	eff.ApplyDefaults()
-	if n <= 0 {
-		n = eff.MaxSamples
-	}
 	seeds := core.ReplicaSeeds(cfg.Seed, n)
 	workers := runtime.GOMAXPROCS(0)
 	w := c.stdout
-	algW, patW := nameWidths(algs, cfg.Pattern)
+	algW, patW := nameWidths(algs, eff.Pattern)
 	switch c.format {
 	case "csv":
 		fmt.Fprintln(w, "algorithm,pattern,switching,offered,mean_latency,latency_spread,mean_throughput,replicas,deadlocks")
@@ -503,7 +507,7 @@ func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int)
 		fmt.Fprintf(w, "%-*s %-*s %8s %12s %10s %10s %10s\n", algW, "alg", patW, "pattern", "offered", "mean_lat", "spread", "thruput", "deadlocks")
 	}
 	enc := json.NewEncoder(w)
-	for _, alg := range algs {
+	for ai, alg := range algs {
 		a := cfg
 		a.Algorithm = alg
 		start := time.Now()
@@ -513,9 +517,12 @@ func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int)
 			return fmt.Errorf("%s: %w", alg, err)
 		}
 		var cycles int64
-		for _, rr := range reps {
-			for _, r := range rr.Replicas {
+		for i, rr := range reps {
+			for j, r := range rr.Replicas {
 				cycles += r.Cycles
+				if c.pub != nil {
+					c.pub.PublishPoint((ai*len(loads)+i)*n+j, r)
+				}
 			}
 		}
 		if c.format == "" { // one point, so this is the only iteration
@@ -539,7 +546,7 @@ func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int)
 			switch c.format {
 			case "csv":
 				fmt.Fprintf(w, "%s,%s,%s,%.3f,%.2f,%.2f,%.4f,%d,%d\n",
-					alg, cfg.Pattern, eff.Switching, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread,
+					alg, eff.Pattern, eff.Switching, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread,
 					rr.MeanThroughput, len(rr.Replicas), rr.Deadlocks)
 			case "json":
 				rr.Replicas = nil // keep the records small
@@ -548,7 +555,7 @@ func (c *cli) replicated(cfg core.Config, algs []string, loads []float64, n int)
 				}
 			default:
 				fmt.Fprintf(w, "%-*s %-*s %8.2f %12.1f %10.1f %10.4f %10d\n",
-					algW, alg, patW, cfg.Pattern, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread, rr.MeanThroughput, rr.Deadlocks)
+					algW, alg, patW, eff.Pattern, rr.OfferedLoad, rr.MeanLatency, rr.LatencySpread, rr.MeanThroughput, rr.Deadlocks)
 			}
 		}
 		c.note("# %s: %d seeds x %d loads, %.3g replica-cycles/s aggregate over %v wall\n",

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"io/fs"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -104,33 +107,44 @@ func TestBadArguments(t *testing.T) {
 }
 
 // TestStoreSmoke replays CI's store-smoke job in process: the same tiny grid
-// twice against one -store directory. The cold pass simulates every point,
-// the warm pass answers every point from the store, and the CSV is
+// twice against one -store directory, then a -replicas grid of an
+// instrumented config twice against another. The cold pass simulates every
+// point, the warm pass answers every point from the store, and the CSV is
 // byte-identical.
 func TestStoreSmoke(t *testing.T) {
-	args := []string{
-		"-alg", "nbc,ecube", "-load", "0.2:0.4:0.1",
-		"-k", "8", "-warmup", "500", "-sample", "300", "-maxsamples", "3",
-		"-store", t.TempDir(),
+	tel := filepath.Join(t.TempDir(), "tel.json")
+	if err := os.WriteFile(tel, []byte(`{"Telemetry":{"Metrics":true}}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	pass := func(wantStore string) string {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatalf("run: %v\n%s", err, stderr.String())
+	// Each grid is six points: six (algorithm, load) pairs, or two loads at
+	// three seeds.
+	for _, tc := range []struct {
+		args  []string
+		lines int
+	}{
+		{[]string{"-alg", "nbc,ecube", "-load", "0.2:0.4:0.1"}, 7},
+		{[]string{"-config", tel, "-alg", "nbc", "-load", "0.2,0.3", "-replicas", "3", "-format", "csv"}, 3},
+	} {
+		args := append(tc.args, "-k", "8", "-warmup", "500", "-sample", "300", "-maxsamples", "3", "-store", t.TempDir())
+		pass := func(wantStore string) string {
+			t.Helper()
+			var stdout, stderr bytes.Buffer
+			if err := run(args, &stdout, &stderr); err != nil {
+				t.Fatalf("run %v: %v\n%s", tc.args, err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), wantStore) {
+				t.Errorf("%v: stderr lacks %q:\n%s", tc.args, wantStore, stderr.String())
+			}
+			return stdout.String()
 		}
-		if !strings.Contains(stderr.String(), wantStore) {
-			t.Errorf("stderr lacks %q:\n%s", wantStore, stderr.String())
+		cold := pass("store: hits=0 misses=6")
+		warm := pass("store: hits=6 misses=0")
+		if cold != warm {
+			t.Errorf("%v: warm CSV differs from cold:\ncold:\n%s\nwarm:\n%s", tc.args, cold, warm)
 		}
-		return stdout.String()
-	}
-	cold := pass("store: hits=0 misses=6")
-	warm := pass("store: hits=6 misses=0")
-	if cold != warm {
-		t.Errorf("warm CSV differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
-	}
-	if got := strings.Count(cold, "\n"); got != 7 {
-		t.Errorf("CSV has %d lines, want a header and 6 points:\n%s", got, cold)
+		if got := strings.Count(cold, "\n"); got != tc.lines {
+			t.Errorf("%v: CSV has %d lines, want a header and %d rows:\n%s", tc.args, got, tc.lines-1, cold)
+		}
 	}
 }
 
@@ -187,20 +201,73 @@ func TestTableColumnsAlign(t *testing.T) {
 	}
 }
 
-// TestReplicatedProgress: with -replicas the progress bar counts algorithms,
-// steps once per algorithm and finishes.
+// TestReplicatedProgress: with -replicas a grid's progress bar counts
+// algorithms, steps once per algorithm and finishes; one point's bar counts
+// the sampling periods of every replica, replicas x -maxsamples in all.
 func TestReplicatedProgress(t *testing.T) {
+	base := []string{"-k", "4", "-warmup", "200", "-sample", "200", "-progress"}
+	for _, tc := range []struct {
+		args  []string
+		want  string
+		atMax int // replicas the one-point report shows stopped at max-samples
+	}{
+		{[]string{"-alg", "nbc,ecube", "-replicas", "2", "-load", "0.2", "-maxsamples", "2"}, "[2/2] sweep done in", 0},
+		// All four replicas run 3 sampling periods, so the bar ends at 12.
+		{[]string{"-alg", "nbc", "-replicas", "4", "-load", "0.3", "-maxsamples", "3"}, "[12/12] sample done in", 4},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(append(tc.args, base...), &stdout, &stderr); err != nil {
+			t.Fatalf("run %v: %v\n%s", tc.args, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr lacks %q:\n%s", tc.args, tc.want, stderr.String())
+		}
+		if got := strings.Count(stdout.String(), "[max-samples]"); got != tc.atMax {
+			t.Errorf("%v: %d replicas at max-samples, want %d:\n%s", tc.args, got, tc.atMax, stdout.String())
+		}
+	}
+}
+
+// TestReplicatedSweepCounters: -replicas publishes every replica to the
+// observatory as a sweep point, so /metrics counts algorithms x loads x
+// seeds, all of them done once the sweep is.
+func TestReplicatedSweepCounters(t *testing.T) {
 	args := []string{
-		"-alg", "nbc,ecube", "-replicas", "2", "-progress", "-load", "0.2",
-		"-k", "4", "-warmup", "200", "-sample", "200", "-maxsamples", "2",
+		"-alg", "nbc,ecube", "-load", "0.2,0.3", "-replicas", "2", "-k", "4",
+		"-warmup", "200", "-sample", "200", "-maxsamples", "2", "-http", "127.0.0.1:0", "-linger", "1500ms",
 	}
-	var stdout, stderr bytes.Buffer
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run: %v\n%s", err, stderr.String())
+	pr, pw := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := run(args, io.Discard, pw)
+		pw.Close()
+		done <- err
+	}()
+	var metrics string
+	sc := bufio.NewScanner(pr)
+	for sc.Scan() {
+		// The lingering line comes after the sweep, while the server is up.
+		if addr, ok := strings.CutPrefix(sc.Text(), "observatory lingering 1.5s on "); ok {
+			// Errors are reported, not fatal: run must drain to its end.
+			resp, err := http.Get(strings.Fields(addr)[0] + "metrics")
+			if err != nil {
+				t.Error(err)
+				continue
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Error(err)
+			}
+			metrics = string(b)
+		}
 	}
-	for _, want := range []string{"[2/2]", "done in"} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nwormsim_sweep_points_total 8\n", "\nwormsim_sweep_points_done 8\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q:\n%s", strings.TrimSpace(want), metrics)
 		}
 	}
 }

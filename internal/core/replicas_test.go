@@ -93,9 +93,8 @@ func TestSweepReplicatedMatchesRun(t *testing.T) {
 }
 
 // TestSweepReplicatedObserverInstruments: telemetry and forensics attach to
-// the first replica only, whose summaries match an instrumented Run; the
-// sibling replicas' numbers match bare runs (instrumentation is
-// observation, never perturbation).
+// every replica, and each replica, summaries and trace included, matches an
+// instrumented Run at its seed.
 func TestSweepReplicatedObserverInstruments(t *testing.T) {
 	cfg := quick("nbc")
 	cfg.Telemetry = &telemetry.Options{Trace: true, TraceCap: 1 << 14}
@@ -103,30 +102,19 @@ func TestSweepReplicatedObserverInstruments(t *testing.T) {
 	seeds := []uint64{5, 19}
 	got := replicas(t, cfg, seeds)
 
-	obs := cfg
-	obs.Seed = seeds[0]
-	want0, err := Run(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got[0], want0) {
-		t.Errorf("observer replica diverges from instrumented Run\n got: %+v\nwant: %+v", got[0], want0)
-	}
-	if got[0].Telemetry == nil || got[0].Forensics == nil || len(got[0].TraceEvents) == 0 {
-		t.Fatal("observer replica missing instrument output")
-	}
-
-	bare := quick("nbc")
-	bare.Seed = seeds[1]
-	want1, err := Run(bare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[1].Telemetry != nil || got[1].Forensics != nil || got[1].TraceEvents != nil {
-		t.Error("non-observer replica carries instrument output")
-	}
-	if !reflect.DeepEqual(got[1], want1) {
-		t.Errorf("sibling replica diverges from bare Run\n got: %+v\nwant: %+v", got[1], want1)
+	for i, seed := range seeds {
+		obs := cfg
+		obs.Seed = seed
+		want, err := Run(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("seed %d: replica diverges from instrumented Run\n got: %+v\nwant: %+v", seed, got[i], want)
+		}
+		if got[i].Telemetry == nil || got[i].Forensics == nil || len(got[i].TraceEvents) == 0 {
+			t.Errorf("seed %d: replica missing instrument output", seed)
+		}
 	}
 }
 

@@ -56,20 +56,17 @@ type ReplicatedResult struct {
 // pair its own index of the fan-out, so a worker that finishes a cheap load
 // picks up single replicas of the expensive loads near saturation instead of
 // idling.
-// Each replica is an independent point, and its Result equals, field for
-// field, Run of the same config at that seed.
+// A replica is a point: RunCached of cfg at that load and seed, so
+// instruments, hooks and the cache apply to every replica as they apply to
+// a RunFigure point, and each Result equals, field for field, Run of the
+// same config at that seed. Hooks fire from whichever worker ran the replica
+// and must be safe for concurrent use.
 // Results are aggregated per load, in load order, with Replicas in seed
 // order; they are identical at any worker count.
 //
 // Deadlocked replicas are recorded in their Result (Deadlocked set, the
 // other fields describing the run up to the stall) and counted in
 // Deadlocks, not returned as an error; any other error aborts.
-//
-// Config.Telemetry, Forensics and OnSample attach to the first seed of
-// every load only; OnTick fires for every replica (ticks carry their Seed).
-// Config.Cache is consulted per seed with the hashes RunCached uses, so
-// stores written by either are interchangeable — but only for uninstrumented
-// configs, where a stored Result carries everything a run produces.
 func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) ([]ReplicatedResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("core: SweepReplicated needs at least one seed")
@@ -81,11 +78,11 @@ func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) (
 	err := each(workers, len(loads)*len(seeds), func(k int) error {
 		i, j := k/len(seeds), k%len(seeds)
 		c := cfg
-		c.OfferedLoad = loads[i]
-		r, err := runReplica(c, seeds[j], j == 0)
+		c.OfferedLoad, c.Seed = loads[i], seeds[j]
+		r, _, err := RunCached(c)
 		out[i].Replicas[j] = r
-		if err != nil {
-			return fmt.Errorf("core: replicated sweep at rho=%.3g: %w", loads[i], err)
+		if err != nil && !r.Deadlocked {
+			return fmt.Errorf("core: replicated sweep at rho=%.3g: core: replica seed=%#x: %w", loads[i], seeds[j], err)
 		}
 		return nil
 	})
@@ -107,24 +104,4 @@ func SweepReplicated(cfg Config, loads []float64, seeds []uint64, workers int) (
 		out[i].MeanThroughput = thr.Mean()
 	}
 	return out, nil
-}
-
-// runReplica runs the replica of cfg at seed under SweepReplicated's
-// contract; observed marks the one replica the instruments attach to.
-func runReplica(cfg Config, seed uint64, observed bool) (Result, error) {
-	cfg.Seed = seed
-	if cfg.Telemetry != nil || cfg.Forensics != nil {
-		// Storing the bare siblings of an instrumented replica, or serving it
-		// from a store, would mix Results with and without summaries under
-		// one call.
-		cfg.Cache = nil
-	}
-	if !observed {
-		cfg.Telemetry, cfg.Forensics, cfg.OnSample = nil, nil, nil
-	}
-	r, _, err := RunCached(cfg)
-	if err != nil && !r.Deadlocked {
-		return r, fmt.Errorf("core: replica seed=%#x: %w", seed, err)
-	}
-	return r, nil
 }
